@@ -48,7 +48,7 @@ def load_capped(path, tag, max_words):
         for line in fh:
             if max_words and len(words) >= max_words:
                 break
-            parts = line.rstrip("\n").split(" ")
+            parts = line.split()
             if len(parts) != dim + 1:
                 continue
             word = parts[0]

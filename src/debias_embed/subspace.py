@@ -7,9 +7,12 @@ Two estimators are provided over the stacked difference matrix:
 * :func:`ppa_basis` is projection pursuit: it finds unit directions that
   maximize the excess kurtosis of the projected differences, one at a
   time, each constrained to the orthogonal complement of the previous
-  ones (deflation). Each direction is located by multi-start projected
-  gradient ascent (32 seeded starts) so the result is deterministic for
-  a given seed; scores are the achieved excess kurtosis values.
+  ones (deflation). The search runs in coordinates of the row space of
+  the difference matrix, so every direction lies in the span of the
+  difference rows. Each direction is located by multi-start projected
+  gradient ascent (32 seeded starts, ascended together as one batch) so
+  the result is deterministic for a given seed; scores are the achieved
+  excess kurtosis values.
 
 Basis vectors are sign-canonicalized (first non-negligible coordinate
 positive) and every produced basis is orthonormal.
@@ -165,11 +168,16 @@ def _canonical_signs(basis: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank from singular values in descending order."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s >= RANK_RTOL * s[0]))
+
+
 def _numerical_rank(matrix: np.ndarray) -> tuple[int, np.ndarray]:
     s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, s
-    return int(np.sum(s >= RANK_RTOL * s[0])), s
+    return _rank(s), s
 
 
 def pca_basis(diffs: DifferenceMatrix, k: int, center: bool = False) -> BiasSubspace:
@@ -193,111 +201,119 @@ def pca_basis(diffs: DifferenceMatrix, k: int, center: bool = False) -> BiasSubs
     return BiasSubspace(basis=basis, method="pca", scores=scores)
 
 
-def _excess_kurtosis(z: np.ndarray) -> float:
-    zc = z - z.mean()
-    m2 = np.mean(zc**2)
-    if m2 < 1e-30:
-        return -3.0
-    m4 = np.mean(zc**4)
-    return float(m4 / m2**2 - 3.0)
+def _kurtosis_and_grad(coords_c: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Excess kurtosis of ``coords_c @ u`` and its gradient, one column per direction."""
+    # coords_c is column-centered, so projections come out centered too
+    z = coords_c @ u
+    z2 = z * z
+    m2 = np.mean(z2, axis=0)
+    m4 = np.mean(z2 * z2, axis=0)
+    flat = m2 < 1e-30
+    m2 = np.where(flat, 1.0, m2)
+    grad = coords_c.T @ ((4.0 / coords_c.shape[0]) * z * (z2 / m2**2 - m4 / m2**3))
+    grad[:, flat] = 0.0
+    return np.where(flat, -3.0, m4 / m2**2 - 3.0), grad
 
 
-def _kurtosis_and_grad(rows_c: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
-    # rows_c is the row-centered data, so projections come out centered too
-    zc = rows_c @ u
-    m2 = np.mean(zc**2)
-    if m2 < 1e-30:
-        return -3.0, np.zeros_like(u)
-    m4 = np.mean(zc**4)
-    n = rows_c.shape[0]
-    g_m2 = (2.0 / n) * (rows_c.T @ zc)
-    g_m4 = (4.0 / n) * (rows_c.T @ zc**3)
-    grad = g_m4 / m2**2 - 2.0 * m4 * g_m2 / m2**3
-    return float(m4 / m2**2 - 3.0), grad
+def _tangent(projector: np.ndarray, grad: np.ndarray, u: np.ndarray):
+    direction = projector @ grad
+    direction -= np.sum(direction * u, axis=0) * u
+    return direction, np.linalg.norm(direction, axis=0)
 
 
-def _ascend(rows_c: np.ndarray, u0: np.ndarray, complement: np.ndarray | None):
-    """Projected gradient ascent on the unit sphere from one start."""
+def _ascend(coords_c: np.ndarray, starts: np.ndarray, projector: np.ndarray):
+    """Projected gradient ascent on the unit sphere, one column per start.
 
-    def project(v):
-        if complement is not None:
-            v = v - complement.T @ (complement @ v)
-        return v
-
-    u = project(u0)
-    norm = np.linalg.norm(u)
-    if norm == 0.0:
-        return u0, -np.inf
-    u = u / norm
-    value, grad = _kurtosis_and_grad(rows_c, u)
-    step = 1.0
-    for _ in range(PPA_MAX_ITER):
-        direction = project(grad)
-        direction -= (direction @ u) * u  # tangent component
-        gnorm = np.linalg.norm(direction)
-        if gnorm < PPA_GRAD_TOL:
-            break
-        # backtracking line search keeps the ascent monotone
-        improved = False
-        while step > 1e-18:
-            cand = project(u + step * direction)
-            cn = np.linalg.norm(cand)
-            if cn > 0.0:
-                cand = cand / cn
-                cand_value, cand_grad = _kurtosis_and_grad(rows_c, cand)
-                if cand_value > value + 1e-4 * step * gnorm**2:
-                    u, value, grad = cand, cand_value, cand_grad
-                    improved = True
-                    step = min(step * 2.0, 1e6)
-                    break
-            step *= 0.5
-        if not improved:
-            break
+    Every column runs its own search: backtracking (Armijo) line search
+    whose step doubles after an accepted step, up to 1e6, and halves
+    after a rejected one, giving up below 1e-18; at most PPA_MAX_ITER
+    accepted steps; stop once the tangent gradient is below PPA_GRAD_TOL.
+    Returns the final columns and their values (-inf for a start that
+    vanishes under the projector).
+    """
+    u = projector @ starts
+    norms = np.linalg.norm(u, axis=0)
+    live = norms > 0.0
+    u /= np.where(live, norms, 1.0)
+    value, grad = _kurtosis_and_grad(coords_c, u)
+    value[~live] = -np.inf
+    direction, gnorm = _tangent(projector, grad, u)
+    live &= gnorm >= PPA_GRAD_TOL
+    step = np.ones(u.shape[1])
+    accepted = np.zeros(u.shape[1], dtype=int)
+    while live.any():
+        idx = np.flatnonzero(live)
+        cand = projector @ (u[:, idx] + step[idx] * direction[:, idx])
+        cn = np.linalg.norm(cand, axis=0)
+        cand /= np.where(cn > 0.0, cn, 1.0)
+        cand_value, cand_grad = _kurtosis_and_grad(coords_c, cand)
+        ok = (cn > 0.0) & (cand_value > value[idx] + 1e-4 * step[idx] * gnorm[idx] ** 2)
+        up, down = idx[ok], idx[~ok]
+        u[:, up] = cand[:, ok]
+        value[up] = cand_value[ok]
+        direction[:, up], gnorm[up] = _tangent(projector, cand_grad[:, ok], cand[:, ok])
+        step[up] = np.minimum(step[up] * 2.0, 1e6)
+        accepted[up] += 1
+        live[up] = (gnorm[up] >= PPA_GRAD_TOL) & (accepted[up] < PPA_MAX_ITER)
+        step[down] *= 0.5
+        live[down] = step[down] > 1e-18
     return u, value
 
 
 def ppa_basis(diffs: DifferenceMatrix, k: int, seed: int = 0) -> BiasSubspace:
     """Kurtosis-maximizing directions via multi-start projected ascent.
 
-    Direction j is the best of 32 seeded ascents constrained to the
-    orthogonal complement of directions 1..j-1; at least 4 rows are
-    needed for a meaningful fourth moment. Results are deterministic
-    for a given seed.
+    The search runs in the coordinates of the row space of the difference
+    matrix (one SVD), so every basis vector lies in the span of the
+    difference rows. Direction j is the best of 32 seeded starts, ascended
+    together as one batch and constrained to the orthogonal complement of
+    directions 1..j-1; at least 4 rows are needed for a meaningful fourth
+    moment. A direction whose score reaches the single-outlier bound
+    (n-2) + 1/(n-1) - 3 separates one pair from the rest, which is
+    logged as a warning. Results are deterministic for a given seed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n, dim = diffs.shape
     if n < 4:
         raise ValueError(f"projection pursuit needs at least 4 difference rows, got {n}")
-    rank, _ = _numerical_rank(diffs.rows)
+    _, s, vt = np.linalg.svd(diffs.rows, full_matrices=False)
+    rank = _rank(s)
     if k > rank:
         raise ValueError(
             f"k={k} exceeds the numerical rank of the difference matrix; achievable k is {rank}"
         )
-    rows_c = diffs.rows - diffs.rows.mean(axis=0)
+    span = vt[:rank]
+    coords = diffs.rows @ span.T
+    coords_c = coords - coords.mean(axis=0)
     rng = np.random.default_rng(seed)
-    found: list[np.ndarray] = []
+    found = np.zeros((0, rank))
     scores: list[float] = []
     for _ in range(k):
-        complement = np.vstack(found) if found else None
-        deflated = diffs.rows.copy()
-        if complement is not None:
-            deflated -= (deflated @ complement.T) @ complement
-        # start 0: leading principal direction of the deflated data;
-        # remaining starts: random unit vectors.
-        starts = [np.linalg.svd(deflated, full_matrices=False)[2][0]]
-        starts.extend(rng.standard_normal(dim) for _ in range(PPA_STARTS - 1))
-        best_u, best_value = None, -np.inf
-        for u0 in starts:
-            u, value = _ascend(rows_c, u0, complement)
-            if value > best_value:
-                best_u, best_value = u, value
-        if best_u is None or not np.isfinite(best_value):
+        projector = np.eye(rank) - found.T @ found
+        # start 0: leading principal direction of the deflated coordinates;
+        # remaining starts: random vectors, projected into the span.
+        lead = np.linalg.svd(coords @ projector, full_matrices=False)[2][0]
+        randoms = rng.standard_normal((PPA_STARTS - 1, dim)) @ span.T
+        u, values = _ascend(coords_c, np.vstack([lead, randoms]).T, projector)
+        best = int(np.argmax(values))
+        if not np.isfinite(values[best]):
             raise ValueError("projection pursuit failed to find a direction")
-        found.append(best_u)
-        scores.append(best_value)
+        found = np.vstack([found, u[:, best]])
+        scores.append(float(values[best]))
+    bound = (n - 2) + 1.0 / (n - 1) - 3.0
+    saturated = sum(abs(score - bound) <= 1e-9 for score in scores)
+    if saturated:
+        log.warning(
+            "ppa_basis: %d of %d direction(s) reach the single-outlier kurtosis bound %.3f "
+            "for %d rows; each isolates one pair rather than a shared direction",
+            saturated,
+            k,
+            bound,
+            n,
+        )
     order = np.argsort(-np.asarray(scores), kind="stable")
-    basis = _canonical_signs(np.vstack([found[i] for i in order]))
+    basis = _canonical_signs(found[order] @ span)
     return BiasSubspace(
         basis=basis, method="ppa", scores=np.asarray(scores)[order]
     )

@@ -126,3 +126,13 @@ def mean_cosine_distance(x, references):
         r = np.asarray(r, dtype=np.float64)
         total += 1.0 - float(x @ r) / (np.linalg.norm(x) * np.linalg.norm(r))
     return total / len(references)
+
+
+def row_span_sines(basis, rows):
+    """Sines of the principal angles between a basis and the row span of rows.
+
+    The span comes from a QR factorization of rows.T; a basis vector
+    inside the span has a sine of zero, one orthogonal to it a sine of one.
+    """
+    q, _ = np.linalg.qr(np.asarray(rows, dtype=np.float64).T)
+    return principal_angle_sines(q.T, basis)

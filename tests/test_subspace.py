@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from debias_embed.embeddings import EmbeddingSpace
 from debias_embed.lexicon import GenderPair
+from debias_embed.manifest import capture_warnings
 from debias_embed.subspace import (
     BiasSubspace,
     DifferenceMatrix,
@@ -25,6 +26,7 @@ from oracles import (
     excess_kurtosis,
     grid_best_direction_2d,
     principal_angle_sines,
+    row_span_sines,
 )
 
 
@@ -175,6 +177,30 @@ def test_ppa_basis_orthonormal_under_deflation():
     sub = ppa_basis(diffs(rows), k=3, seed=0)
     np.testing.assert_allclose(sub.basis @ sub.basis.T, np.eye(3), atol=1e-9)
     assert all(a >= b - 1e-12 for a, b in zip(sub.scores, sub.scores[1:]))
+
+
+def test_ppa_basis_lies_in_row_span_when_rows_are_few():
+    rows = np.random.default_rng(24).standard_normal((10, 300))
+    sub = ppa_basis(diffs(rows), k=4, seed=0)
+    assert row_span_sines(sub.basis, rows).max() < 1e-8
+
+
+def test_ppa_warns_when_directions_reach_single_outlier_bound():
+    n = 10
+    rows = np.random.default_rng(25).standard_normal((n, 300))
+    with capture_warnings() as messages:
+        sub = ppa_basis(diffs(rows), k=4, seed=0)
+    bound = (n - 2) + 1.0 / (n - 1) - 3.0
+    assert sub.scores[0] == pytest.approx(bound, abs=1e-9)
+    assert len(messages) == 1
+    assert "single-outlier kurtosis bound 5.111" in messages[0]
+
+
+def test_ppa_does_not_warn_below_single_outlier_bound():
+    rows = np.random.default_rng(26).standard_t(df=3, size=(200, 2))
+    with capture_warnings() as messages:
+        ppa_basis(diffs(rows), k=2, seed=0)
+    assert messages == []
 
 
 # --- language_orientation ---
