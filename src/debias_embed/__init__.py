@@ -46,6 +46,7 @@ _EXPORTS = {
     "ppa_basis": "subspace",
     "language_orientation": "subspace",
     "select_equal_rep": "subspace",
+    "equal_rep_basis": "subspace",
     "save_subspace": "subspace",
     "load_subspace": "subspace",
     # debias

@@ -153,6 +153,18 @@ def _load_lexicon(source: str):
     return lexmod.load_lexicon(source)
 
 
+def _languages(args) -> list[str]:
+    languages = [t for t in args.languages.split(",") if t]
+    if not languages:
+        raise ValueError("--languages must name at least one language tag")
+    return languages
+
+
+def _space_tag(languages: list[str]) -> str:
+    """Language tag of a loaded space: the tag itself, or ``a+b`` for a merged space."""
+    return languages[0] if len(languages) == 1 else "+".join(languages)
+
+
 def _manifest(args, config: dict, seeds: dict):
     from .manifest import RunManifest
 
@@ -213,10 +225,7 @@ def cmd_debias(args) -> int:
     from . import subspace as submod
     from .manifest import capture_warnings
 
-    languages = [t for t in args.languages.split(",") if t]
-    if not languages:
-        raise ValueError("--languages must name at least one language tag")
-    tag = languages[0] if len(languages) == 1 else "+".join(languages)
+    languages = _languages(args)
     config = debmod.DebiasConfig(
         variant=args.variant,
         k=args.k,
@@ -226,7 +235,7 @@ def cmd_debias(args) -> int:
     )
     with capture_warnings() as warnings:
         lexicon = _load_lexicon(args.lexicon)
-        space = emb.normalize(emb.load_vec(args.emb, tag))
+        space = emb.normalize(emb.load_vec(args.emb, _space_tag(languages)))
         splits = {
             lang: lexmod.split_pairs(lexicon, lang, args.train_count, args.seed)
             for lang in languages
@@ -270,7 +279,7 @@ def _report_inbias(args, languages, lexicon):
     from . import intrinsic
     from . import lexicon as lexmod
 
-    tag = languages[0] if len(languages) == 1 else "+".join(languages)
+    tag = _space_tag(languages)
     seed_words = None
     if args.seeds == "test":
         seed_words = {}
@@ -288,19 +297,17 @@ def _report_inbias(args, languages, lexicon):
     runs = [("orig", args.emb)]
     if args.emb_after:
         runs.append(("debiased", args.emb_after))
+    row_keys = list(languages) + (["all"] if len(languages) > 1 else [])
     per_run = {}
     for label, path in runs:
         space = emb.normalize(emb.load_vec(path, tag))
         per_run[label] = {
-            lang: intrinsic.inbias(space, lexicon, [lang], seed_words=seed_words)
-            for lang in languages
-        }
-        if len(languages) > 1:
-            per_run[label]["all"] = intrinsic.inbias(
-                space, lexicon, languages, seed_words=seed_words
+            key: intrinsic.inbias(
+                space, lexicon, languages if key == "all" else [key], seed_words=seed_words
             )
+            for key in row_keys
+        }
 
-    row_keys = list(languages) + (["all"] if len(languages) > 1 else [])
     columns = [label for label, _ in runs]
     table_rows = [
         (key, {label: per_run[label][key].value for label in columns}) for key in row_keys
@@ -316,9 +323,7 @@ def _report_inbias(args, languages, lexicon):
         "per_occupation": {
             label: [
                 {"language": lang, "masculine": m, "feminine": f, "gap": gap}
-                for (lang, m, f, gap) in per_run[label][
-                    "all" if len(languages) > 1 else languages[0]
-                ].per_occupation
+                for (lang, m, f, gap) in per_run[label][row_keys[-1]].per_occupation
             ]
             for label in columns
         },
@@ -330,8 +335,7 @@ def _report_xscore(args, languages, lexicon):
     from . import embeddings as emb
     from . import intrinsic
 
-    tag = languages[0] if len(languages) == 1 else "+".join(languages)
-    space = emb.normalize(emb.load_vec(args.emb, tag))
+    space = emb.normalize(emb.load_vec(args.emb, _space_tag(languages)))
     matrix = intrinsic.cross_score_matrix(space, lexicon, languages, args.epsilon)
     table = intrinsic.format_cross_table(matrix)
     payload = {
@@ -352,7 +356,7 @@ def _report_exbias(args, languages, lexicon):
 
     if not args.corpus:
         raise ValueError("--exbias needs --corpus")
-    tag = languages[0] if len(languages) == 1 else "+".join(languages)
+    tag = _space_tag(languages)
     train_config = extrinsic.TrainConfig(
         learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed
     )
@@ -396,20 +400,11 @@ def _report_exbias(args, languages, lexicon):
 def cmd_report(args) -> int:
     from .manifest import capture_warnings
 
-    languages = [t for t in args.languages.split(",") if t]
-    if not languages:
-        raise ValueError("--languages must name at least one language tag")
+    languages = _languages(args)
+    mode = "inbias" if args.inbias else "xscore" if args.xscore else "exbias"
+    report = {"inbias": _report_inbias, "xscore": _report_xscore, "exbias": _report_exbias}[mode]
     with capture_warnings() as warnings:
-        lexicon = _load_lexicon(args.lexicon)
-        if args.inbias:
-            mode = "inbias"
-            table, payload = _report_inbias(args, languages, lexicon)
-        elif args.xscore:
-            mode = "xscore"
-            table, payload = _report_xscore(args, languages, lexicon)
-        else:
-            mode = "exbias"
-            table, payload = _report_exbias(args, languages, lexicon)
+        table, payload = report(args, languages, _load_lexicon(args.lexicon))
 
     print(table, end="")
     if args.json_out:

@@ -20,6 +20,7 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from .embeddings import EmbeddingSpace, space_fingerprint
+from .intrinsic import format_table
 from .subspace import BiasSubspace
 
 log = logging.getLogger(__name__)
@@ -255,7 +256,7 @@ def featurize(
         log.warning(
             "featurize: dropped %d/%d record(s) with token coverage below %.0f%%",
             dropped,
-            len(records) if hasattr(records, "__len__") else dropped + len(kept),
+            dropped + len(kept),
             100.0 * min_coverage,
         )
     features = np.vstack(feats) if feats else np.empty((0, space.dim))
@@ -461,8 +462,4 @@ def format_gap_table(rows: list[tuple[str, ExtrinsicResult, float | None]]) -> s
             f"{100.0 * result.diff:.2f}",
             "-" if f_i is None else f"{f_i:.3f}",
         ])
-    widths = [max(len(h), *(len(r[i]) for r in body)) for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    for row in body:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+    return format_table(header, body)

@@ -31,6 +31,7 @@ __all__ = [
     "cross_score",
     "CrossScoreMatrix",
     "cross_score_matrix",
+    "format_table",
     "format_inbias_table",
     "format_cross_table",
 ]
@@ -144,6 +145,43 @@ def _top_direction(space, lexicon, lang) -> np.ndarray:
     return pca_basis(diffs, k=1).basis[0]
 
 
+def _language_terms(space, lexicon, lang, epsilon):
+    """``lang``'s top direction, its neutral vectors that pass the guard, their projections."""
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    direction = _top_direction(space, lexicon, lang)
+    rows = []
+    missing = 0
+    for w in lexicon.neutral_words[lang].all_words():
+        i = space.locate(w, lang)
+        if i is None:
+            missing += 1
+            continue
+        rows.append(i)
+    if missing:
+        log.warning("cross_score: %d neutral %s word(s) are out of vocabulary", missing, lang)
+    if not rows:
+        raise ValueError(f"no neutral word of {lang!r} is resolvable in the space")
+    vecs = space.matrix[rows]
+    proj = vecs @ direction
+    keep = np.abs(proj) >= epsilon
+    guarded = int(np.sum(~keep))
+    if guarded:
+        log.warning(
+            "cross_score: %d/%d word(s) below the %.1e projection guard", guarded, len(rows), epsilon
+        )
+    if not keep.any():
+        raise ValueError(
+            f"every neutral word of {lang!r} falls below the epsilon guard ({epsilon:g})"
+        )
+    return direction, vecs[keep], proj[keep]
+
+
+def _relative_change(b1, b2, vecs, proj) -> float:
+    new_proj = (vecs - np.outer(vecs @ b1, b1)) @ b2
+    return float(np.mean(np.abs(np.abs(new_proj) - np.abs(proj)) / np.abs(proj)))
+
+
 def cross_score(
     space: EmbeddingSpace,
     lexicon: GenderLexicon,
@@ -156,40 +194,11 @@ def cross_score(
 
     Words whose original absolute projection falls below ``epsilon`` are
     skipped (their relative change is numerically meaningless); if every
-    word is skipped that is an error.
+    word is skipped that is an error. This is one cell of
+    :func:`cross_score_matrix`, which fits each language's direction once.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
     b1 = _top_direction(space, lexicon, l1)
-    b2 = _top_direction(space, lexicon, l2)
-    rows = []
-    missing = 0
-    for w in lexicon.neutral_words[l2].all_words():
-        i = space.locate(w, l2)
-        if i is None:
-            missing += 1
-            continue
-        rows.append(i)
-    if missing:
-        log.warning("cross_score: %d neutral %s word(s) are out of vocabulary", missing, l2)
-    if not rows:
-        raise ValueError(f"no neutral word of {l2!r} is resolvable in the space")
-    vecs = space.matrix[rows]
-    proj = vecs @ b2
-    keep = np.abs(proj) >= epsilon
-    guarded = int(np.sum(~keep))
-    if guarded:
-        log.warning(
-            "cross_score: %d/%d word(s) below the %.1e projection guard", guarded, len(rows), epsilon
-        )
-    if not keep.any():
-        raise ValueError(
-            f"every neutral word of {l2!r} falls below the epsilon guard ({epsilon:g})"
-        )
-    debiased = vecs[keep] - np.outer(vecs[keep] @ b1, b1)
-    new_proj = debiased @ b2
-    ratio = np.abs(np.abs(new_proj) - np.abs(proj[keep])) / np.abs(proj[keep])
-    return float(np.mean(ratio))
+    return _relative_change(b1, *_language_terms(space, lexicon, l2, epsilon))
 
 
 @dataclass(frozen=True)
@@ -211,24 +220,24 @@ class CrossScoreMatrix:
 def cross_score_matrix(
     space: EmbeddingSpace, lexicon: GenderLexicon, languages, epsilon: float = 1e-8
 ) -> CrossScoreMatrix:
-    """All ordered language pairs; errors from any cell propagate."""
+    """All ordered language pairs; errors from any cell propagate.
+
+    Each language's top direction is fitted, and its neutral words are
+    resolved, once; every cell equals :func:`cross_score` exactly.
+    """
     languages = tuple(languages)
     if not languages:
         raise ValueError("at least one language is required")
-    n = len(languages)
-    values = np.empty((n, n), dtype=np.float64)
-    for i, l1 in enumerate(languages):
-        for j, l2 in enumerate(languages):
-            values[i, j] = cross_score(space, lexicon, l1, l2, epsilon)
+    terms = [_language_terms(space, lexicon, lang, epsilon) for lang in languages]
+    values = [[_relative_change(t1[0], *t2) for t2 in terms] for t1 in terms]
     return CrossScoreMatrix(languages=languages, values=values, epsilon=epsilon)
 
 
-def _table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+def format_table(header: list[str], rows: list[list[str]]) -> str:
+    """Left-aligned text columns two spaces apart, header first, no trailing blanks."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    lines = ("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in [header, *rows])
+    return "".join(line + "\n" for line in lines)
 
 
 def format_cross_table(matrix: CrossScoreMatrix) -> str:
@@ -238,7 +247,7 @@ def format_cross_table(matrix: CrossScoreMatrix) -> str:
         [f"b_{l1}"] + [f"{v:.3f}" for v in matrix.values[i]]
         for i, l1 in enumerate(matrix.languages)
     ]
-    return _table(header, rows)
+    return format_table(header, rows)
 
 
 def format_inbias_table(columns: list[str], rows: list[tuple[str, dict[str, float]]]) -> str:
@@ -250,4 +259,4 @@ def format_inbias_table(columns: list[str], rows: list[tuple[str, dict[str, floa
             f"{values[c]:.4f}" if c in values and values[c] is not None else "-"
             for c in columns
         ])
-    return _table(header, body)
+    return format_table(header, body)

@@ -39,6 +39,7 @@ __all__ = [
     "ppa_basis",
     "language_orientation",
     "select_equal_rep",
+    "equal_rep_basis",
     "save_subspace",
     "load_subspace",
 ]
@@ -161,23 +162,36 @@ def _canonical_signs(basis: np.ndarray) -> np.ndarray:
         scale = np.max(np.abs(row))
         if scale == 0.0:
             continue
-        nz = np.flatnonzero(np.abs(row) > 1e-12 * scale)
-        lead = nz[0] if nz.size else int(np.argmax(np.abs(row)))
+        lead = np.flatnonzero(np.abs(row) > 1e-12 * scale)[0]
         if row[lead] < 0:
             row *= -1.0
     return out
 
 
-def _rank(s: np.ndarray) -> int:
-    """Numerical rank from singular values in descending order."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s >= RANK_RTOL * s[0]))
+def _factor(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """One thin SVD: singular values, right singular vectors, numerical rank."""
+    _, s, vt = np.linalg.svd(data, full_matrices=False)
+    rank = int(np.sum(s >= RANK_RTOL * s[0])) if s[0] > 0.0 else 0
+    return s, vt, rank
 
 
-def _numerical_rank(matrix: np.ndarray) -> tuple[int, np.ndarray]:
-    s = np.linalg.svd(matrix, compute_uv=False)
-    return _rank(s), s
+def _check_k(k: int, rank: int) -> None:
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k > rank:
+        raise ValueError(
+            f"k={k} exceeds the numerical rank of the difference matrix; achievable k is {rank}"
+        )
+
+
+def _pca_rows(diffs: DifferenceMatrix, center: bool) -> np.ndarray:
+    return diffs.rows - diffs.rows.mean(axis=0) if center else diffs.rows
+
+
+def _pca(s: np.ndarray, vt: np.ndarray, rank: int, k: int) -> BiasSubspace:
+    _check_k(k, rank)
+    scores = (s**2 / np.sum(s**2))[:k]
+    return BiasSubspace(basis=_canonical_signs(vt[:k]), method="pca", scores=scores)
 
 
 def pca_basis(diffs: DifferenceMatrix, k: int, center: bool = False) -> BiasSubspace:
@@ -187,18 +201,7 @@ def pca_basis(diffs: DifferenceMatrix, k: int, center: bool = False) -> BiasSubs
     their total), so they are non-increasing. ``k`` above the numerical
     rank raises ValueError naming the achievable k.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    data = diffs.rows - diffs.rows.mean(axis=0) if center else diffs.rows
-    rank, _ = _numerical_rank(data)
-    if k > rank:
-        raise ValueError(
-            f"k={k} exceeds the numerical rank of the difference matrix; achievable k is {rank}"
-        )
-    _, s, vt = np.linalg.svd(data, full_matrices=False)
-    basis = _canonical_signs(vt[:k])
-    scores = (s**2 / np.sum(s**2))[:k]
-    return BiasSubspace(basis=basis, method="pca", scores=scores)
+    return _pca(*_factor(_pca_rows(diffs, center)), k)
 
 
 def _kurtosis_and_grad(coords_c: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,17 +275,14 @@ def ppa_basis(diffs: DifferenceMatrix, k: int, seed: int = 0) -> BiasSubspace:
     (n-2) + 1/(n-1) - 3 separates one pair from the rest, which is
     logged as a warning. Results are deterministic for a given seed.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    return _ppa(diffs, *_factor(diffs.rows)[1:], k, seed)
+
+
+def _ppa(diffs: DifferenceMatrix, vt: np.ndarray, rank: int, k: int, seed: int) -> BiasSubspace:
     n, dim = diffs.shape
     if n < 4:
         raise ValueError(f"projection pursuit needs at least 4 difference rows, got {n}")
-    _, s, vt = np.linalg.svd(diffs.rows, full_matrices=False)
-    rank = _rank(s)
-    if k > rank:
-        raise ValueError(
-            f"k={k} exceeds the numerical rank of the difference matrix; achievable k is {rank}"
-        )
+    _check_k(k, rank)
     span = vt[:rank]
     coords = diffs.rows @ span.T
     coords_c = coords - coords.mean(axis=0)
@@ -357,36 +357,26 @@ def language_orientation(
     return replace(subspace, orientation_labels=tuple(labels))
 
 
-def _gram_schmidt(basis: np.ndarray) -> np.ndarray:
-    """Stable (modified, twice-through) Gram-Schmidt in row order."""
-    out = basis.astype(np.float64).copy()
-    for i in range(out.shape[0]):
-        for _ in range(2):
-            for j in range(i):
-                out[i] -= (out[i] @ out[j]) * out[j]
-        norm = np.linalg.norm(out[i])
-        if norm < 1e-12:
-            raise ValueError("selected components are linearly dependent")
-        out[i] /= norm
-    return out
+def _per_language(k: int, languages: tuple[str, ...]) -> int:
+    if not languages:
+        raise ValueError("no languages given")
+    if k % len(languages) != 0:
+        raise ValueError(f"k={k} is not divisible by the language count {len(languages)}")
+    return k // len(languages)
 
 
 def select_equal_rep(pool: BiasSubspace, k: int, languages) -> BiasSubspace:
     """Pick k components with equal per-language representation.
 
     From an orientation-labeled candidate pool (ordered by score), the
-    k/L best components per language are taken and kept in pool order;
-    the result is re-orthonormalized if numerically necessary.
+    k/L best components per language are taken and kept in pool order.
+    A row subset of an orthonormal pool is orthonormal, so the chosen
+    rows are used as they are.
     """
     languages = tuple(languages)
-    if not languages:
-        raise ValueError("no languages given")
+    per_language = _per_language(k, languages)
     if pool.orientation_labels is None:
         raise ValueError("candidate pool has no orientation labels")
-    n_lang = len(languages)
-    if k % n_lang != 0:
-        raise ValueError(f"k={k} is not divisible by the language count {n_lang}")
-    per_language = k // n_lang
     chosen: list[int] = []
     for lang in languages:
         rows = [i for i, lab in enumerate(pool.orientation_labels) if lab == lang]
@@ -397,17 +387,38 @@ def select_equal_rep(pool: BiasSubspace, k: int, languages) -> BiasSubspace:
             )
         chosen.extend(rows[:per_language])
     chosen.sort()  # keep the original pool (score) order
-    basis = pool.basis[chosen]
-    gram = basis @ basis.T
-    if np.max(np.abs(gram - np.eye(len(chosen)))) > 1e-12:
-        basis = _gram_schmidt(basis)
     return BiasSubspace(
-        basis=basis,
+        basis=pool.basis[chosen],
         method=pool.method,
         scores=tuple(pool.scores[i] for i in chosen),
         orientation_labels=tuple(pool.orientation_labels[i] for i in chosen),
         provenance=pool.provenance,
     )
+
+
+def equal_rep_basis(
+    diffs: DifferenceMatrix, k: int, languages, method: str = "pca", *,
+    center: bool = False, seed: int = 0,
+) -> BiasSubspace:
+    """The eqr subspace: a candidate pool, language-labeled, then k/L per language.
+
+    For PCA the pool is every direction up to the numerical rank of the
+    matrix PCA factors (centered when ``center``); for PPA it is
+    min(rank, max(3k, 16)) directions. The rank comes from the SVD that
+    fits the pool.
+    """
+    languages = tuple(languages)
+    _per_language(k, languages)  # fail before fitting the pool
+    if method == "pca":
+        s, vt, rank = _factor(_pca_rows(diffs, center))
+        pool = _pca(s, vt, rank, rank)
+    elif method == "ppa":
+        _, vt, rank = _factor(diffs.rows)
+        pool = _ppa(diffs, vt, rank, min(rank, max(3 * k, 16)), seed)
+    else:
+        raise ValueError(f"unknown subspace method {method!r}")
+    pool = language_orientation(pool, diffs, language_order=languages)
+    return select_equal_rep(pool, k, languages)
 
 
 def pairs_fingerprint(pairs) -> str:

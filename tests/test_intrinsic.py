@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debias_embed import intrinsic
 from debias_embed.embeddings import EmbeddingSpace
 from debias_embed.intrinsic import (
     cross_score,
@@ -180,6 +181,39 @@ def test_cross_score_matrix_layout_and_table():
     assert lines[1].split()[0] == "b_aa"
     assert lines[1].split()[1] == "1.000"
     assert lines[2].split()[2] == "1.000"
+
+
+@pytest.mark.parametrize("languages", [["aa"], ["aa", "bb"], ["bb", "aa"]])
+def test_cross_score_matrix_fits_each_language_once(monkeypatch, caplog, languages):
+    space, lex = two_language_orthogonal_space()
+    # one defining word of aa and one neutral word of bb are out of vocabulary
+    dropped = {"aa:aam5", "bb:bbn4"}
+    rows = [i for i, w in enumerate(space.vocab) if w not in dropped]
+    space = EmbeddingSpace(
+        space.language_tag, tuple(space.vocab[i] for i in rows), space.matrix[rows],
+        normalized=True,
+    )
+    fits = []
+    real_pca_basis = intrinsic.pca_basis
+
+    def counting_pca_basis(*args, **kwargs):
+        fits.append(args)
+        return real_pca_basis(*args, **kwargs)
+
+    monkeypatch.setattr(intrinsic, "pca_basis", counting_pca_basis)
+    with caplog.at_level(logging.WARNING, logger="debias_embed"):
+        matrix = cross_score_matrix(space, lex, languages)
+    assert len(fits) == len(languages)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == len(set(messages))
+    expected = {
+        "aa": "difference_matrix: skipping pair (aam5, aaf5) [aa]: word missing",
+        "bb": "cross_score: 1 neutral bb word(s) are out of vocabulary",
+    }
+    assert set(messages) == {expected[lang] for lang in languages}
+    for i, l1 in enumerate(languages):
+        for j, l2 in enumerate(languages):
+            assert matrix.values[i, j] == cross_score(space, lex, l1, l2)
 
 
 def test_cross_score_epsilon_guard_error():
