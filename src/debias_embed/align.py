@@ -171,6 +171,7 @@ def apply_map(mapping: OrthogonalMap, space: EmbeddingSpace) -> EmbeddingSpace:
             f"dimension mismatch: map dim {mapping.dim} vs space dim {space.dim}"
         )
     rotated = space.matrix @ mapping.matrix.T
+    rotated.setflags(write=False)
     return EmbeddingSpace(space.language_tag, space.vocab, rotated, normalized=space.normalized)
 
 
@@ -196,6 +197,7 @@ def merge_spaces(aligned_source: EmbeddingSpace, target: EmbeddingSpace) -> Embe
 
     vocab = prefixed(aligned_source) + prefixed(target)
     matrix = np.vstack([aligned_source.matrix, target.matrix])
+    matrix.setflags(write=False)
     return EmbeddingSpace(
         f"{aligned_source.language_tag}+{target.language_tag}",
         vocab,

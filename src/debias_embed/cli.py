@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_deb.add_argument("--scope", choices=("all", "neutral"), default="all",
                        help="debias every word or only the lexicon's neutral words")
     p_deb.add_argument("--center", action="store_true",
-                       help="center difference vectors before PCA")
+                       help="center difference vectors before PCA (PCA only; "
+                            "rejected with --method ppa)")
     p_deb.add_argument("--renormalize", action="store_true",
                        help="rescale residuals to unit norm")
     p_deb.add_argument("--seed", type=int, default=0,

@@ -101,19 +101,18 @@ def debias_space(
                 "debias_space: %d scope word(s) not in the vocabulary", len(unknown)
             )
     else:
-        rows = np.arange(len(space))
+        rows = slice(None)
 
     matrix = space.matrix.copy()
-    if rows.size:
-        sub = matrix[rows]
-        matrix[rows] = sub - (sub @ basis.T) @ basis
+    sub = matrix[rows]  # in-scope rows: a copy for "neutral", a view for "all"
+    sub -= (sub @ basis.T) @ basis
 
     normalized = False
     if config.renormalize_after:
-        norms = np.linalg.norm(matrix[rows], axis=1) if rows.size else np.empty(0)
+        norms = np.linalg.norm(sub, axis=1)
         zero = norms < ZERO_RESIDUAL_TOL
         if zero.any():
-            names = [space.vocab[i] for i in rows[zero]]
+            names = [space.vocab[i] for i in np.arange(len(space))[rows][zero]]
             shown = ", ".join(repr(w) for w in names[:10])
             more = f" (+{len(names) - 10} more)" if len(names) > 10 else ""
             log.warning(
@@ -123,13 +122,13 @@ def debias_space(
                 shown,
                 more,
             )
-            matrix[rows[zero]] = 0.0
-        keep = rows[~zero]
-        if keep.size:
-            matrix[keep] /= norms[~zero][:, None]
+            sub[zero] = 0.0
+        np.divide(sub, norms[:, None], out=sub, where=~zero[:, None])
         # unit everywhere only if no residual vanished and any untouched
         # out-of-scope rows were unit to begin with
         normalized = bool(not zero.any() and (config.scope == "all" or space.normalized))
+    matrix[rows] = sub  # writes the "neutral" copy back; a no-op on the "all" view
+    matrix.setflags(write=False)
     return EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=normalized)
 
 
@@ -161,11 +160,16 @@ def run_variant(
 
     ``splits`` maps each participating language to its train/test pair
     split; ``mono`` expects exactly one language, ``multi``/``eqr`` pool
-    every language given (in mapping order). Returns the debiased space
-    together with the subspace used, provenance attached.
+    every language given (in mapping order). ``center`` (PCA only) centers
+    the difference vectors first. Returns the debiased space together with
+    the subspace used, provenance attached.
     """
     if not splits:
         raise ValueError("at least one language split is required")
+    if center and config.method == "ppa":
+        raise ValueError(
+            "center applies to method 'pca' only: the PPA objective centers its projections"
+        )
     languages = list(splits)
     if config.variant == "mono" and len(languages) != 1:
         raise ValueError(

@@ -51,7 +51,9 @@ class EmbeddingSpace:
     """An ordered vocabulary plus one dense float64 row vector per word.
 
     The matrix is marked read-only at construction, so instances can be
-    shared across threads. ``normalized`` certifies that every row has
+    shared across threads. A writeable input array is copied, so the space
+    never aliases memory its caller can still change; a read-only C-ordered
+    float64 array is used as is. ``normalized`` certifies that every row has
     Euclidean norm 1 within ``UNIT_TOL`` (and hence that no row is zero).
     """
 
@@ -185,6 +187,7 @@ def load_vec(path, language_tag: str) -> EmbeddingSpace:
             raise ValueError(
                 f"{path}: line {lineno}: header declared {count} rows, found {len(words)}"
             )
+    matrix.setflags(write=False)  # fresh and unshared, so the space need not copy it
     return EmbeddingSpace(language_tag, tuple(words), matrix, normalized=False)
 
 
@@ -198,11 +201,12 @@ def save_vec(space: EmbeddingSpace, path, precision: int = 9) -> None:
     """
     if precision < 1:
         raise ValueError("precision must be at least 1 significant digit")
-    fmt = f".{precision}g"
+    line = "%s" + f" %.{precision}g" * space.dim + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(space)} {space.dim}\n")
+        # one row at a time: formatting blocks of rows holds their strings at once
         for word, row in zip(space.vocab, space.matrix):
-            fh.write(word + " " + " ".join(format(x, fmt) for x in row) + "\n")
+            fh.write(line % (word, *row.tolist()))
 
 
 def normalize(space: EmbeddingSpace) -> EmbeddingSpace:
@@ -218,9 +222,9 @@ def normalize(space: EmbeddingSpace) -> EmbeddingSpace:
     if zero.size:
         names = ", ".join(repr(space.vocab[i]) for i in zero[:8])
         raise ValueError(f"cannot normalize zero vector(s): {names}")
-    return EmbeddingSpace(
-        space.language_tag, space.vocab, space.matrix / norms[:, None], normalized=True
-    )
+    matrix = space.matrix / norms[:, None]
+    matrix.setflags(write=False)
+    return EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=True)
 
 
 def lookup(space: EmbeddingSpace, words) -> tuple[list[WordVector], list[str]]:
@@ -248,5 +252,5 @@ def space_fingerprint(space: EmbeddingSpace) -> str:
         h.update(w.encode("utf-8"))
         h.update(b"\x00")
     h.update(str(space.matrix.shape).encode())
-    h.update(space.matrix.tobytes())
+    h.update(memoryview(space.matrix))
     return h.hexdigest()

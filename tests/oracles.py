@@ -136,3 +136,16 @@ def row_span_sines(basis, rows):
     """
     q, _ = np.linalg.qr(np.asarray(rows, dtype=np.float64).T)
     return principal_angle_sines(q.T, basis)
+
+
+def vec_text(vocab, matrix, precision):
+    """A whole ``.vec`` file as text, one value formatted at a time.
+
+    Each value goes through ``format(float(x), ".<p>g")`` on its own, the
+    way the first writer of the format did it.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    lines = [f"{matrix.shape[0]} {matrix.shape[1]}\n"]
+    for word, row in zip(vocab, matrix):
+        lines.append(word + " " + " ".join(format(float(x), f".{precision}g") for x in row) + "\n")
+    return "".join(lines)

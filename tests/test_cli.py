@@ -150,6 +150,14 @@ def test_validation_error_exits_one(tmp_path, en_vec, capsys):
                 "--out", out]) == 1
 
 
+def test_center_with_ppa_exits_one(tmp_path, en_vec, capsys):
+    out = tmp_path / "o.vec"
+    assert run(["debias", "--emb", en_vec, "--languages", "en", "--method", "ppa",
+                "--center", "--out", out]) == 1
+    assert "pca" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, en_vec):
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"k": 2, "method": "ppa"}))

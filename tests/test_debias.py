@@ -186,6 +186,19 @@ def test_run_variant_eqr_pca_center_sizes_pool_from_centered_rank():
     assert np.abs(out.matrix @ sub.basis.T).max() < 1e-12
 
 
+@pytest.mark.parametrize("variant", ["mono", "multi", "eqr"])
+def test_run_variant_rejects_center_with_ppa(variant):
+    # the PPA objective centers its projections, so center would be recorded
+    # in the provenance without changing the basis
+    lex = two_language_lexicon()
+    tags = ["aa"] if variant == "mono" else ["aa", "bb"]
+    space = space_for_lexicon(lex, tags, d=16, seed=9)
+    splits = {t: split_pairs(lex, t, train_count=4, seed=0) for t in tags}
+    cfg = DebiasConfig(variant=variant, method="ppa", k=2)
+    with pytest.raises(ValueError, match="pca"):
+        run_variant(space, lex, cfg, splits, center=True, seed=0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 12),

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debias_embed.align import OrthogonalMap, apply_map, merge_spaces
+from debias_embed.debias import DebiasConfig, debias_space
 from debias_embed.embeddings import (
     EmbeddingSpace,
     load_vec,
@@ -11,7 +15,9 @@ from debias_embed.embeddings import (
     save_vec,
     space_fingerprint,
 )
-from helpers import random_space, unit_rows
+from debias_embed.subspace import BiasSubspace
+from helpers import orthonormal_rows, random_space, unit_rows
+from oracles import vec_text
 
 
 def write_vec(path, lines):
@@ -180,3 +186,80 @@ def test_normalize_always_unit(n, d, seed):
     out = normalize(EmbeddingSpace("xx", tuple(f"w{i}" for i in range(n)), mat))
     np.testing.assert_allclose(np.linalg.norm(out.matrix, axis=1), 1.0, atol=1e-9)
     assert normalize(out) is out
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, 1e-300, 1e16, 1 / 3]
+finite_values = st.one_of(
+    st.sampled_from(SPECIAL_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=words_strategy,
+    d=st.integers(1, 6),
+    precision=st.sampled_from([1, 9, 17]),
+    data=st.data(),
+)
+def test_save_vec_bytes_match_per_value_formatter(tmp_path_factory, words, d, precision, data):
+    vocab = ("नमस्ते", "50%s%%") + tuple(words)
+    values = data.draw(st.lists(finite_values, min_size=len(vocab) * d, max_size=len(vocab) * d))
+    matrix = np.array(values, dtype=np.float64).reshape(len(vocab), d)
+    matrix[0] = np.resize(SPECIAL_VALUES, d)
+    space = EmbeddingSpace("xx", vocab, matrix)
+    path = tmp_path_factory.mktemp("vec") / "b.vec"
+    save_vec(space, str(path), precision=precision)
+    assert path.read_bytes() == vec_text(vocab, matrix, precision).encode("utf-8")
+
+
+def test_space_does_not_alias_a_writeable_caller_array(tmp_path):
+    arr = np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 2.0]])
+    space = EmbeddingSpace("en", ("a", "b", "c"), arr)
+    arr[0, 0] = 99.0
+    assert space.matrix[0, 0] == 3.0
+    assert arr.flags.writeable
+    assert not np.shares_memory(arr, space.matrix)
+
+    path = tmp_path / "s.vec"
+    save_vec(space, str(path))
+    loaded = load_vec(str(path), "en")
+    normed = normalize(loaded)
+    subspace = BiasSubspace(np.array([[1.0, 0.0]]), "pca", (1.0,))
+    rotated = apply_map(OrthogonalMap(np.array([[0.0, -1.0], [1.0, 0.0]]), "en", "hi", 3), normed)
+    built = {
+        "load_vec": loaded,
+        "normalize": normed,
+        "debias_space": debias_space(normed, subspace, DebiasConfig(k=1)),
+        "apply_map": rotated,
+        "merge_spaces": merge_spaces(rotated, normalize(load_vec(str(path), "hi"))),
+    }
+    for name, result in built.items():
+        assert not result.matrix.flags.writeable, name
+
+
+def test_load_normalize_debias_and_save_stay_within_memory_budget(tmp_path):
+    # tracemalloc sees numpy's data buffers, so the traced peak counts every
+    # full-size matrix alive at once; matrix_bytes is one such matrix
+    rng = np.random.default_rng(0)
+    n, d = 2000, 300
+    matrix_bytes = n * d * 8
+    path = tmp_path / "m.vec"
+    save_vec(EmbeddingSpace("en", tuple(f"w{i}" for i in range(n)), rng.standard_normal((n, d))),
+             str(path), precision=17)
+    subspace = BiasSubspace(orthonormal_rows(rng, 4, d), "pca", (4.0, 3.0, 2.0, 1.0))
+    tracemalloc.start()
+    try:
+        debiased = debias_space(
+            normalize(load_vec(str(path), "en")), subspace, DebiasConfig(scope="all")
+        )
+        pipeline_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before_save = tracemalloc.get_traced_memory()[0]
+        save_vec(debiased, str(tmp_path / "out.vec"), precision=17)
+        save_peak = tracemalloc.get_traced_memory()[1] - before_save
+    finally:
+        tracemalloc.stop()
+    # input + output + one projection temporary
+    assert pipeline_peak < 3.5 * matrix_bytes
+    # a couple of rows of text, never a block of rows
+    assert save_peak < 0.0075 * matrix_bytes
