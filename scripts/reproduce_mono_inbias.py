@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from debias_embed.debias import DebiasConfig, run_variant
-from debias_embed.embeddings import EmbeddingSpace, normalize
+from debias_embed.embeddings import EmbeddingSpace, iter_vec, normalize
 from debias_embed.intrinsic import format_inbias_table, inbias
 from debias_embed.lexicon import builtin_lexicon, split_pairs
 
@@ -34,29 +34,20 @@ FILES = {"en": "wiki.en.vec", "hi": "wiki.hi.vec", "be": "wiki.bn.vec",
 
 
 def load_capped(path, tag, max_words):
-    """Stream a .vec file, keeping at most max_words clean rows.
+    """Read a .vec file through the package parser, keeping at most max_words rows.
 
     Published files occasionally contain duplicate words or all-zero
     rows; both are dropped (first occurrence wins) so the result
-    normalizes cleanly.
+    normalizes cleanly. Undecodable bytes become U+FFFD; a malformed line
+    stops the run with the parser's line-numbered ValueError.
     """
     words, rows, seen = [], [], set()
     dropped_dup = dropped_zero = 0
     with open(path, encoding="utf-8", errors="replace") as fh:
-        header = fh.readline().split()
-        dim = int(header[1])
-        for line in fh:
-            if max_words and len(words) >= max_words:
-                break
-            parts = line.split()
-            if len(parts) != dim + 1:
-                continue
-            word = parts[0]
+        _, _, lines = iter_vec(fh)
+        for _, word, vec in lines:
             if word in seen:
                 dropped_dup += 1
-                continue
-            vec = np.array(parts[1:], dtype=np.float64)
-            if not np.isfinite(vec).all():
                 continue
             if np.linalg.norm(vec) < 1e-12:
                 dropped_zero += 1
@@ -64,6 +55,8 @@ def load_capped(path, tag, max_words):
             seen.add(word)
             words.append(word)
             rows.append(vec)
+            if len(words) == max_words:
+                break
     if dropped_dup or dropped_zero:
         print(f"{tag}: dropped {dropped_dup} duplicate and {dropped_zero} "
               f"zero rows", file=sys.stderr)

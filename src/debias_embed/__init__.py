@@ -16,11 +16,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     # embeddings
     "EmbeddingSpace": "embeddings",
-    "WordVector": "embeddings",
+    "iter_vec": "embeddings",
     "load_vec": "embeddings",
     "save_vec": "embeddings",
     "normalize": "embeddings",
-    "lookup": "embeddings",
     "space_fingerprint": "embeddings",
     # lexicon
     "GenderPair": "lexicon",
@@ -51,7 +50,6 @@ _EXPORTS = {
     "load_subspace": "subspace",
     # debias
     "DebiasConfig": "debias",
-    "project_component": "debias",
     "debias_space": "debias",
     "run_variant": "debias",
     # intrinsic metrics

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, WordVector, space_fingerprint
+from .embeddings import EmbeddingSpace, space_fingerprint
 from .lexicon import GenderLexicon, PairSplit
 from .subspace import (
     BiasSubspace,
@@ -30,7 +30,7 @@ from .subspace import (
 
 log = logging.getLogger(__name__)
 
-__all__ = ["DebiasConfig", "project_component", "debias_space", "run_variant"]
+__all__ = ["DebiasConfig", "debias_space", "run_variant"]
 
 VARIANTS = ("mono", "multi", "eqr")
 METHODS = ("pca", "ppa")
@@ -57,15 +57,6 @@ class DebiasConfig:
             raise ValueError(f"scope must be one of {SCOPES}, got {self.scope!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-
-
-def project_component(word: WordVector | np.ndarray, subspace: BiasSubspace) -> np.ndarray:
-    """The component of a vector inside the bias subspace."""
-    vec = word.vector if isinstance(word, WordVector) else np.asarray(word, dtype=np.float64)
-    if vec.shape != (subspace.dim,):
-        raise ValueError(f"vector shape {vec.shape} does not match basis dim {subspace.dim}")
-    basis = subspace.basis
-    return basis.T @ (basis @ vec)
 
 
 def debias_space(

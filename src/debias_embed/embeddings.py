@@ -2,16 +2,21 @@
 
 The on-disk format is the plain text ``.vec`` layout used by fasttext:
 a header line ``<count> <dim>`` followed by one line per word holding the
-word and then ``dim`` decimal numbers, everything whitespace separated,
-UTF-8 encoded with ``\\n`` line endings.
+word and then ``dim`` decimal numbers, UTF-8 encoded with ``\\n`` line
+endings. The word ends at the first ASCII whitespace character, as in
+fasttext's own tokenizer, so any other character (U+00A0, U+3000, ...)
+may appear in a word; the numbers are whitespace separated. A word that
+is empty or holds ASCII whitespace cannot be written.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from string import whitespace
 
 import numpy as np
 
@@ -19,22 +24,18 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "EmbeddingSpace",
-    "WordVector",
+    "iter_vec",
     "load_vec",
     "save_vec",
     "normalize",
-    "lookup",
     "space_fingerprint",
 ]
 
 #: a "normalized" space guarantees unit row norms within this tolerance
 UNIT_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class WordVector:
-    word: str
-    vector: np.ndarray
+#: the word of a ``.vec`` line, which ends at the first ASCII whitespace
+_WORD = re.compile(f"[{re.escape(whitespace)}]*([^{re.escape(whitespace)}]*)")
 
 
 def _first_duplicate(words):
@@ -115,69 +116,79 @@ class EmbeddingSpace:
             row = self.index.get(word)
         return row
 
-    def vector(self, word: str) -> np.ndarray:
-        row = self.index.get(word)
-        if row is None:
-            raise KeyError(word)
-        return self.matrix[row]
+
+def iter_vec(fh):
+    """Parse an open ``.vec`` text file into ``(count, dim, rows)``.
+
+    The header is read and checked at once. ``rows`` is a generator of
+    ``(lineno, word, row)`` for each line that is not blank, ``row`` being
+    a float64 array of ``dim`` components. Malformed input raises
+    ValueError with the offending line number: bad header, wrong number
+    of components, unparseable or non-finite values. Duplicate words and
+    the row count are left to the caller. Decoding is the caller's choice,
+    made when it opens ``fh``.
+    """
+    name = fh.name
+    header = fh.readline()
+    if not header.strip():
+        raise ValueError(f"{name}: line 1: expected '<count> <dim>' header")
+    fields = header.split()
+    try:
+        if len(fields) != 2:
+            raise ValueError
+        count, dim = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise ValueError(f"{name}: line 1: malformed header {header.strip()!r}") from None
+    if count < 1 or dim < 1:
+        raise ValueError(f"{name}: line 1: header must declare positive count and dim")
+    return count, dim, _vec_rows(fh, name, dim)
+
+
+def _vec_rows(fh, name, dim):
+    for lineno, raw in enumerate(fh, 2):
+        head = _WORD.match(raw)
+        word = head[1]
+        if not word:
+            continue  # tolerate blank (usually trailing) lines
+        tokens = raw[head.end():].split()
+        if len(tokens) != dim:
+            raise ValueError(
+                f"{name}: line {lineno}: expected {dim} components for"
+                f" {word!r}, found {len(tokens)}"
+            )
+        try:
+            row = np.array(tokens, dtype=np.float64)
+        except ValueError:
+            raise ValueError(
+                f"{name}: line {lineno}: unparseable number in row for {word!r}"
+            ) from None
+        if not np.isfinite(row).all():
+            raise ValueError(f"{name}: line {lineno}: non-finite component for {word!r}")
+        yield lineno, word, row
 
 
 def load_vec(path, language_tag: str) -> EmbeddingSpace:
     """Read a ``.vec`` file into an (unnormalized) EmbeddingSpace.
 
-    Malformed input raises ValueError with the offending line number:
-    bad header, duplicate word, wrong number of components, unparseable
-    or non-finite values, and a row count that disagrees with the header.
+    Besides :func:`iter_vec`'s format errors, a duplicate word and a row
+    count that disagrees with the header raise ValueError with the line
+    number.
     """
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.strip():
-            raise ValueError(f"{path}: line 1: expected '<count> <dim>' header")
-        fields = header.split()
-        try:
-            if len(fields) != 2:
-                raise ValueError
-            count, dim = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"{path}: line 1: malformed header {header.strip()!r}") from None
-        if count < 1 or dim < 1:
-            raise ValueError(f"{path}: line 1: header must declare positive count and dim")
-
+        count, dim, rows = iter_vec(fh)
         words: list[str] = []
         seen: dict[str, int] = {}
         matrix = np.empty((count, dim), dtype=np.float64)
         lineno = 1
-        for raw in fh:
-            lineno += 1
-            if not raw.strip():
-                continue  # tolerate blank (usually trailing) lines
+        for lineno, word, row in rows:
             if len(words) >= count:
                 raise ValueError(
                     f"{path}: line {lineno}: more rows than the declared count {count}"
                 )
-            head = raw.split(None, 1)
-            word = head[0]
-            rest = head[1] if len(head) > 1 else ""
             if word in seen:
                 raise ValueError(
                     f"{path}: line {lineno}: duplicate word {word!r}"
                     f" (first seen at line {seen[word]})"
-                )
-            tokens = rest.split()
-            if len(tokens) != dim:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {dim} components for"
-                    f" {word!r}, found {len(tokens)}"
-                )
-            try:
-                row = np.array(tokens, dtype=np.float64)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: unparseable number in row for {word!r}"
-                ) from None
-            if not np.isfinite(row).all():
-                raise ValueError(
-                    f"{path}: line {lineno}: non-finite component for {word!r}"
                 )
             seen[word] = lineno
             matrix[len(words)] = row
@@ -201,6 +212,9 @@ def save_vec(space: EmbeddingSpace, path, precision: int = 9) -> None:
     """
     if precision < 1:
         raise ValueError("precision must be at least 1 significant digit")
+    for word in space.vocab:
+        if not word or _WORD.match(word)[1] != word:  # the reader would not get it back
+            raise ValueError(f"cannot write word {word!r}: empty or holds ASCII whitespace")
     line = "%s" + f" %.{precision}g" * space.dim + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(space)} {space.dim}\n")
@@ -225,22 +239,6 @@ def normalize(space: EmbeddingSpace) -> EmbeddingSpace:
     matrix = space.matrix / norms[:, None]
     matrix.setflags(write=False)
     return EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=True)
-
-
-def lookup(space: EmbeddingSpace, words) -> tuple[list[WordVector], list[str]]:
-    """Partition ``words`` into found WordVectors and missing words.
-
-    Both lists preserve the request order; vectors are read-only views.
-    """
-    found: list[WordVector] = []
-    missing: list[str] = []
-    for word in words:
-        row = space.index.get(word)
-        if row is None:
-            missing.append(word)
-        else:
-            found.append(WordVector(word, space.matrix[row]))
-    return found, missing
 
 
 def space_fingerprint(space: EmbeddingSpace) -> str:

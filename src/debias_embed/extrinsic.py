@@ -45,6 +45,18 @@ __all__ = [
 
 GENDERS = ("M", "F")
 
+#: ``featurize`` drops a record when less than this share of its tokens is in the vocabulary
+MIN_COVERAGE = 0.5
+
+# planted-correlation corpus: indicator words per occupation, marker words per
+# gender, indicator and marker tokens drawn per record, and the largest skew of
+# an occupation's male share away from 0.5
+INDICATORS_PER_OCCUPATION = 8
+MARKERS_PER_GENDER = 6
+INDICATOR_TOKENS = 8
+GENDERED_TOKENS = 4
+MAX_SKEW = 0.4
+
 
 @dataclass(frozen=True)
 class BioRecord:
@@ -112,7 +124,7 @@ class SynthesisConfig:
     ``bias_strength`` in [0, 1] sets how strongly author gender (and so
     the gendered marker words each record carries) co-occurs with the
     occupation label: occupation i leans male for even i and female for
-    odd i, with the male share at 0.5 + max_skew * bias_strength * (+-1).
+    odd i, with the male share at 0.5 + MAX_SKEW * bias_strength * (+-1).
     Marker words are the vocabulary entries with the most positive /
     most negative projection on the first direction of ``subspace``;
     occupation-indicator words are picked from the least gender-loaded
@@ -123,11 +135,6 @@ class SynthesisConfig:
     n_records: int
     bias_strength: float
     subspace: BiasSubspace
-    indicators_per_occupation: int = 8
-    markers_per_gender: int = 6
-    indicator_tokens: int = 8
-    gendered_tokens: int = 4
-    max_skew: float = 0.4
 
     def __post_init__(self):
         if self.n_occupations < 2:
@@ -136,22 +143,13 @@ class SynthesisConfig:
             raise ValueError("need at least one record per occupation")
         if not 0.0 <= self.bias_strength <= 1.0:
             raise ValueError("bias_strength must lie in [0, 1]")
-        if not 0.0 <= self.max_skew < 0.5:
-            raise ValueError("max_skew must lie in [0, 0.5)")
-        for name in ("indicators_per_occupation", "markers_per_gender",
-                     "indicator_tokens", "gendered_tokens"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
 
 
 def synthesize_corpus(
     space: EmbeddingSpace, config: SynthesisConfig, seed: int = 0
 ) -> list[BioRecord]:
     """Deterministically generate bios with a planted gender-occupation link."""
-    need = (
-        config.n_occupations * config.indicators_per_occupation
-        + 2 * config.markers_per_gender
-    )
+    need = config.n_occupations * INDICATORS_PER_OCCUPATION + 2 * MARKERS_PER_GENDER
     if len(space) < need:
         raise ValueError(
             f"vocabulary too small: {len(space)} words, {need} needed for this config"
@@ -159,7 +157,7 @@ def synthesize_corpus(
     b1 = config.subspace.basis[0]
     proj = space.matrix @ b1
     order = np.argsort(proj, kind="stable")
-    m = config.markers_per_gender
+    m = MARKERS_PER_GENDER
     female_markers = [space.vocab[i] for i in order[:m]]
     male_markers = [space.vocab[i] for i in order[-m:]]
     marker_rows = set(order[:m]) | set(order[-m:])
@@ -168,7 +166,7 @@ def synthesize_corpus(
     neutral_order = [
         i for i in np.argsort(loading, kind="stable") if i not in marker_rows
     ]
-    per = config.indicators_per_occupation
+    per = INDICATORS_PER_OCCUPATION
     indicator_sets = []
     for occ in range(config.n_occupations):
         rows = neutral_order[occ * per : (occ + 1) * per]
@@ -181,16 +179,16 @@ def synthesize_corpus(
         name = f"occ{occ:02d}"
         count = base + (1 if occ < extra else 0)
         polarity = 1.0 if occ % 2 == 0 else -1.0
-        male_share = 0.5 + config.max_skew * config.bias_strength * polarity
+        male_share = 0.5 + MAX_SKEW * config.bias_strength * polarity
         n_male = int(round(count * male_share))
         n_male = min(max(n_male, 0), count)
         genders = np.array(["M"] * n_male + ["F"] * (count - n_male))
         rng.shuffle(genders)
         indicators = indicator_sets[occ]
         for g in genders:
-            ind = rng.choice(indicators, size=config.indicator_tokens, replace=True)
+            ind = rng.choice(indicators, size=INDICATOR_TOKENS, replace=True)
             markers = male_markers if g == "M" else female_markers
-            gen = rng.choice(markers, size=config.gendered_tokens, replace=True)
+            gen = rng.choice(markers, size=GENDERED_TOKENS, replace=True)
             records.append(BioRecord(str(g), name, tuple(ind) + tuple(gen)))
     return records
 
@@ -220,26 +218,18 @@ class TrainConfig:
     learning_rate: float = 1.0
     epochs: int = 300
     seed: int = 0
-    min_coverage: float = 0.5
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if not 0.0 <= self.min_coverage <= 1.0:
-            raise ValueError("min_coverage must lie in [0, 1]")
 
 
-def featurize(
-    space: EmbeddingSpace,
-    records,
-    language: str | None = None,
-    min_coverage: float = 0.5,
-):
+def featurize(space: EmbeddingSpace, records, language: str | None = None):
     """Mean-of-token-vector features; returns (features, kept_records).
 
-    Records with in-vocabulary token coverage below ``min_coverage`` (or
+    Records with in-vocabulary token coverage below ``MIN_COVERAGE`` (or
     with no resolvable token at all) are dropped with a warning.
     """
     feats, kept, dropped = [], [], 0
@@ -247,7 +237,7 @@ def featurize(
         rows = [space.locate(t, language) for t in record.tokens]
         rows = [i for i in rows if i is not None]
         coverage = len(rows) / len(record.tokens)
-        if not rows or coverage < min_coverage:
+        if not rows or coverage < MIN_COVERAGE:
             dropped += 1
             continue
         feats.append(space.matrix[rows].mean(axis=0))
@@ -257,7 +247,7 @@ def featurize(
             "featurize: dropped %d/%d record(s) with token coverage below %.0f%%",
             dropped,
             dropped + len(kept),
-            100.0 * min_coverage,
+            100.0 * MIN_COVERAGE,
         )
     features = np.vstack(feats) if feats else np.empty((0, space.dim))
     return features, kept
@@ -309,7 +299,7 @@ def train_classifier(
     default learning rate (features are means of unit vectors) the loss
     is non-increasing across epochs.
     """
-    features, kept = featurize(space, train, language, config.min_coverage)
+    features, kept = featurize(space, train, language)
     if not kept:
         raise ValueError("no trainable record after coverage filtering")
     label_names = tuple(sorted({r.occupation for r in kept}))
@@ -371,9 +361,7 @@ class ExtrinsicResult:
 
 def evaluate_gap(classifier: Classifier, test) -> ExtrinsicResult:
     """Score a test set; occupations missing a gender are excluded."""
-    features, kept = featurize(
-        classifier.space, test, classifier.language, classifier.config.min_coverage
-    )
+    features, kept = featurize(classifier.space, test, classifier.language)
     if not kept:
         raise ValueError("no evaluable record after coverage filtering")
     known = set(classifier.labels)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from debias_embed.debias import (
     DebiasConfig,
     debias_space,
-    project_component,
     run_variant,
 )
 from debias_embed.embeddings import EmbeddingSpace, normalize
@@ -105,14 +104,6 @@ def test_linear_in_the_input():
         ).matrix[0]
         rhs = alpha * debias_space(one_word_space(vec), sub, DebiasConfig(k=2)).matrix[0]
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_project_component_matches_basis_expansion():
-    rng = np.random.default_rng(3)
-    sub = BiasSubspace(orthonormal_rows(rng, 3, 8), "pca", (3.0, 2.0, 1.0))
-    vec = rng.standard_normal(8)
-    expected = sum((vec @ b) * b for b in sub.basis)
-    np.testing.assert_allclose(project_component(vec, sub), expected, atol=1e-12)
 
 
 def test_dimension_mismatch_is_an_error():

@@ -1,3 +1,5 @@
+import re
+import string
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,6 @@ from debias_embed.debias import DebiasConfig, debias_space
 from debias_embed.embeddings import (
     EmbeddingSpace,
     load_vec,
-    lookup,
     normalize,
     save_vec,
     space_fingerprint,
@@ -138,13 +139,6 @@ def test_locate_in_merged_space():
     assert space.locate("x") is None  # merged spaces need the language
 
 
-def test_lookup_preserves_order_and_reports_missing():
-    space = random_space(6, 3, 2, words=("a", "b", "c"))
-    found, missing = lookup(space, ["c", "zz", "a"])
-    assert [w.word for w in found] == ["c", "a"]
-    assert missing == ["zz"]
-
-
 def test_fingerprint_changes_with_content():
     s1 = random_space(7, 4, 3)
     s2 = random_space(8, 4, 3)
@@ -157,7 +151,9 @@ def test_fingerprint_changes_with_content():
 
 words_strategy = st.lists(
     st.text(
-        alphabet=st.characters(whitelist_categories=("Ll", "Lu")), min_size=1, max_size=8
+        alphabet=st.characters(codec="utf-8", exclude_characters=string.whitespace),
+        min_size=1,
+        max_size=8,
     ),
     min_size=1,
     max_size=6,
@@ -175,6 +171,16 @@ def test_round_trip_any_vocab(tmp_path_factory, words, d, seed):
     back = load_vec(str(path), "xx")
     assert back.vocab == space.vocab
     np.testing.assert_array_equal(back.matrix, space.matrix)
+
+
+@pytest.mark.parametrize("word", ["", "new york", "tab\there", "\nlead", "trail\r", "ff\x0c"])
+def test_save_vec_refuses_words_the_format_cannot_hold(tmp_path, word):
+    path = tmp_path / "kept.vec"
+    path.write_text("1 1\nold 1\n", encoding="utf-8")
+    space = EmbeddingSpace("xx", ("ok", word), np.ones((2, 1)))
+    with pytest.raises(ValueError, match=re.escape(repr(word))):
+        save_vec(space, str(path))
+    assert path.read_text(encoding="utf-8") == "1 1\nold 1\n"
 
 
 @settings(max_examples=40, deadline=None)

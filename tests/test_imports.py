@@ -1,4 +1,5 @@
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,14 @@ def test_detector_flags_private_and_skips_dunder_names(tmp_path):
         encoding="utf-8",
     )
     assert private_relative_imports(source) == [(".subspace", "_factor")]
+
+
+def test_every_package_export_is_public_in_its_module():
+    import debias_embed
+
+    for name in debias_embed.__all__:
+        if name == "__version__":
+            continue
+        module = import_module(f"debias_embed.{debias_embed._EXPORTS[name]}")
+        assert name in module.__all__, f"{name} is exported but not in {module.__name__}.__all__"
+        assert getattr(debias_embed, name) is getattr(module, name)
