@@ -87,8 +87,7 @@ def main(argv=None):
         config = DebiasConfig(variant="mono", method=args.method, k=args.k)
         debiased, _ = run_variant(space, lexicon, config, {tag: split},
                                   seed=args.seed)
-        held_out = {tag: (tuple(p.male_word for p in split.test_pairs),
-                          tuple(p.female_word for p in split.test_pairs))}
+        held_out = {tag: split.held_out_words()}
         before = inbias(space, lexicon, [tag], seed_words=held_out).value
         after = inbias(debiased, lexicon, [tag], seed_words=held_out).value
         rows.append((tag, {"orig": before, "debiased": after}))

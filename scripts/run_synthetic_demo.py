@@ -107,13 +107,7 @@ def merge_all(spaces):
 def intrinsic_section(lexicon, spaces, k, seed, out):
     tags = list(spaces)
     splits = {t: split_pairs(lexicon, t, seed=seed) for t in tags}
-    test_seeds = {
-        t: (
-            tuple(p.male_word for p in splits[t].test_pairs),
-            tuple(p.female_word for p in splits[t].test_pairs),
-        )
-        for t in tags
-    }
+    test_seeds = {t: splits[t].held_out_words() for t in tags}
 
     def score(space, langs):
         return inbias(space, lexicon, langs, seed_words=test_seeds).value

@@ -1,8 +1,10 @@
 """Command-line interface: ``debias-embed align | debias | report``.
 
 Exit codes: 0 success, 1 validation or usage problem, 2 I/O failure.
-Outputs are deterministic for a fixed seed; each output file gets a
-``<name>.manifest.json`` sibling recording inputs, config, and seeds.
+Outputs are deterministic for a fixed seed. A run that writes files also
+writes one ``<first output>.manifest.json`` recording the command line,
+config, seeds, the fingerprints of what it read and wrote, and its warnings;
+``report`` writes files only with ``--json``.
 
 Set ``DEBIAS_EMBED_THREADS`` to cap the BLAS thread pools; it is applied
 before numpy is first imported, which is why the heavy submodules are
@@ -57,8 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("--merged-out", help="also write the merged two-language space here")
     p_align.add_argument("--precision", type=int, default=9,
                          help="significant digits in .vec output (default 9)")
-    p_align.add_argument("--no-renormalize", action="store_true",
-                         help="skip re-normalizing rows after rotation")
     p_align.set_defaults(func=cmd_align)
 
     p_deb = sub.add_parser("debias", help="remove a gender subspace from an embedding")
@@ -166,113 +166,84 @@ def _space_tag(languages: list[str]) -> str:
     return languages[0] if len(languages) == 1 else "+".join(languages)
 
 
-def _manifest(args, config: dict, seeds: dict):
-    from .manifest import RunManifest
-
-    return RunManifest(
-        command=["debias-embed"] + list(args._argv), config=config, seeds=seeds, inputs={}
-    )
+# Each subcommand handler does its work and returns what ``main`` records in
+# the run manifest: (config, seeds, inputs, outputs, manifest path), or None
+# when the run wrote no file.
 
 
-def cmd_align(args) -> int:
+def cmd_align(args):
     from . import align as alignmod
     from . import embeddings as emb
-    from .manifest import capture_warnings
 
-    with capture_warnings() as warnings:
-        source = emb.normalize(emb.load_vec(args.src, args.src_lang))
-        target = emb.normalize(emb.load_vec(args.tgt, args.tgt_lang))
-        dictionary = alignmod.load_dictionary(args.dictionary, args.src_lang, args.tgt_lang)
-        mapping = alignmod.procrustes_fit(source, target, dictionary)
-        aligned = alignmod.apply_map(mapping, source)
-        if not args.no_renormalize:
-            aligned = emb.normalize(
-                emb.EmbeddingSpace(aligned.language_tag, aligned.vocab, aligned.matrix)
-            )
-        emb.save_vec(aligned, args.out, args.precision)
-        merged_path = None
-        if args.merged_out:
-            merged = alignmod.merge_spaces(aligned, target)
-            emb.save_vec(merged, args.merged_out, args.precision)
-            merged_path = args.merged_out
-
-    manifest = _manifest(
-        args,
-        config={
-            "subcommand": "align",
-            "src_lang": args.src_lang,
-            "tgt_lang": args.tgt_lang,
-            "precision": args.precision,
-            "renormalize": not args.no_renormalize,
-            "fit_pairs": mapping.fit_pair_count,
-        },
-        seeds={},
+    source = emb.normalize(emb.load_vec(args.src, args.src_lang))
+    target = emb.normalize(emb.load_vec(args.tgt, args.tgt_lang))
+    dictionary = alignmod.load_dictionary(args.dictionary, args.src_lang, args.tgt_lang)
+    mapping = alignmod.procrustes_fit(source, target, dictionary)
+    aligned = alignmod.apply_map(mapping, source)
+    aligned = emb.normalize(
+        emb.EmbeddingSpace(aligned.language_tag, aligned.vocab, aligned.matrix)
     )
-    for path in (args.src, args.tgt, args.dictionary):
-        manifest.add_input(path)
-    manifest.warnings = warnings
-    manifest.add_output(args.out)
-    if merged_path:
-        manifest.add_output(merged_path)
-    manifest.write(args.out + ".manifest.json")
+    emb.save_vec(aligned, args.out, args.precision)
+    outputs = [args.out]
+    if args.merged_out:
+        emb.save_vec(alignmod.merge_spaces(aligned, target), args.merged_out, args.precision)
+        outputs.append(args.merged_out)
     print(f"aligned {len(dictionary)} dictionary pair(s) -> {args.out}")
-    return 0
+    config = {
+        "subcommand": "align",
+        "src_lang": args.src_lang,
+        "tgt_lang": args.tgt_lang,
+        "precision": args.precision,
+        "renormalize": True,  # always; the key keeps align manifests' shape
+        "fit_pairs": mapping.fit_pair_count,
+    }
+    inputs = [args.src, args.tgt, args.dictionary]
+    return config, {}, inputs, outputs, args.out + ".manifest.json"
 
 
-def cmd_debias(args) -> int:
+def cmd_debias(args):
     from . import debias as debmod
     from . import embeddings as emb
     from . import lexicon as lexmod
     from . import subspace as submod
-    from .manifest import capture_warnings
 
     languages = _languages(args)
-    config = debmod.DebiasConfig(
+    debias_config = debmod.DebiasConfig(
         variant=args.variant,
         k=args.k,
         method=args.method,
         scope=args.scope,
         renormalize_after=args.renormalize,
     )
-    with capture_warnings() as warnings:
-        lexicon = _load_lexicon(args.lexicon)
-        space = emb.normalize(emb.load_vec(args.emb, _space_tag(languages)))
-        splits = {
-            lang: lexmod.split_pairs(lexicon, lang, args.train_count, args.seed)
-            for lang in languages
-        }
-        debiased, used = debmod.run_variant(
-            space, lexicon, config, splits, center=args.center, seed=args.seed
-        )
-        emb.save_vec(debiased, args.out, args.precision)
-        subspace_out = args.subspace_out or args.out + ".subspace.json"
-        submod.save_subspace(used, subspace_out)
-
-    manifest = _manifest(
-        args,
-        config={
-            "subcommand": "debias",
-            "variant": args.variant,
-            "method": args.method,
-            "k": args.k,
-            "scope": args.scope,
-            "center": args.center,
-            "renormalize": args.renormalize,
-            "languages": languages,
-            "train_count": args.train_count,
-            "precision": args.precision,
-        },
-        seeds={"seed": args.seed},
+    lexicon = _load_lexicon(args.lexicon)
+    space = emb.normalize(emb.load_vec(args.emb, _space_tag(languages)))
+    splits = {
+        lang: lexmod.split_pairs(lexicon, lang, args.train_count, args.seed)
+        for lang in languages
+    }
+    debiased, used = debmod.run_variant(
+        space, lexicon, debias_config, splits, center=args.center, seed=args.seed
     )
-    manifest.add_input(args.emb)
-    if args.lexicon != "builtin":
-        manifest.add_input(args.lexicon)
-    manifest.warnings = warnings
-    manifest.add_output(args.out)
-    manifest.add_output(subspace_out)
-    manifest.write(args.out + ".manifest.json")
-    print(f"debiased {len(debiased)} word(s) ({args.variant}/{args.method}, k={args.k}) -> {args.out}")
-    return 0
+    emb.save_vec(debiased, args.out, args.precision)
+    subspace_out = args.subspace_out or args.out + ".subspace.json"
+    submod.save_subspace(used, subspace_out)
+    print(f"debiased {len(debiased)} word(s) ({args.variant}/{args.method}, k={args.k})"
+          f" -> {args.out}")
+    config = {
+        "subcommand": "debias",
+        "variant": args.variant,
+        "method": args.method,
+        "k": args.k,
+        "scope": args.scope,
+        "center": args.center,
+        "renormalize": args.renormalize,
+        "languages": languages,
+        "train_count": args.train_count,
+        "precision": args.precision,
+    }
+    inputs = [args.emb] + ([args.lexicon] if args.lexicon != "builtin" else [])
+    outputs = [args.out, subspace_out]
+    return config, {"seed": args.seed}, inputs, outputs, args.out + ".manifest.json"
 
 
 def _report_inbias(args, languages, lexicon):
@@ -290,10 +261,7 @@ def _report_inbias(args, languages, lexicon):
                 raise ValueError(
                     f"--seeds test needs held-out pairs for {lang!r}; lower --train-count"
                 )
-            seed_words[lang] = (
-                tuple(p.male_word for p in split.test_pairs),
-                tuple(p.female_word for p in split.test_pairs),
-            )
+            seed_words[lang] = split.held_out_words()
 
     runs = [("orig", args.emb)]
     if args.emb_after:
@@ -398,43 +366,31 @@ def _report_exbias(args, languages, lexicon):
     return table, payload
 
 
-def cmd_report(args) -> int:
-    from .manifest import capture_warnings
-
+def cmd_report(args):
     languages = _languages(args)
     mode = "inbias" if args.inbias else "xscore" if args.xscore else "exbias"
     report = {"inbias": _report_inbias, "xscore": _report_xscore, "exbias": _report_exbias}[mode]
-    with capture_warnings() as warnings:
-        table, payload = report(args, languages, _load_lexicon(args.lexicon))
+    table, payload = report(args, languages, _load_lexicon(args.lexicon))
 
     print(table, end="")
-    if args.json_out:
-        manifest_path = args.json_out + ".manifest.json"
-        payload["manifest"] = os.path.basename(manifest_path)  # sibling file
-        with open(args.json_out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        manifest = _manifest(
-            args,
-            config={
-                "subcommand": "report",
-                "mode": mode,
-                "languages": languages,
-                "seeds_source": args.seeds if mode == "inbias" else None,
-                "epsilon": args.epsilon if mode == "xscore" else None,
-            },
-            seeds={"seed": args.seed},
-        )
-        manifest.add_input(args.emb)
-        for path in (args.emb_after, args.corpus, args.corpus_after):
-            if path:
-                manifest.add_input(path)
-        if args.lexicon != "builtin":
-            manifest.add_input(args.lexicon)
-        manifest.warnings = warnings
-        manifest.add_output(args.json_out)
-        manifest.write(manifest_path)
-    return 0
+    if not args.json_out:
+        return None
+    manifest_path = args.json_out + ".manifest.json"
+    payload["manifest"] = os.path.basename(manifest_path)  # sibling file
+    with open(args.json_out, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    config = {
+        "subcommand": "report",
+        "mode": mode,
+        "languages": languages,
+        "seeds_source": args.seeds if mode == "inbias" else None,
+        "epsilon": args.epsilon if mode == "xscore" else None,
+    }
+    inputs = [p for p in (args.emb, args.emb_after, args.corpus, args.corpus_after) if p]
+    if args.lexicon != "builtin":
+        inputs.append(args.lexicon)
+    return config, {"seed": args.seed}, inputs, [args.json_out], manifest_path
 
 
 def main(argv=None) -> int:
@@ -452,8 +408,19 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args = _apply_config_defaults(parser, args, argv)
-        args._argv = argv
-        return args.func(args)
+        from .manifest import RunManifest, capture_warnings
+
+        with capture_warnings() as warnings:
+            run = args.func(args)
+        if run is not None:
+            config, seeds, inputs, outputs, manifest_path = run
+            manifest = RunManifest(["debias-embed"] + argv, config, seeds, {}, warnings=warnings)
+            for path in inputs:
+                manifest.add_input(path)
+            for path in outputs:
+                manifest.add_output(path)
+            manifest.write(manifest_path)
+        return 0
     except OSError as exc:
         print(f"debias-embed: i/o error: {exc}", file=sys.stderr)
         return 2

@@ -125,11 +125,13 @@ def iter_vec(fh):
     a float64 array of ``dim`` components. Malformed input raises
     ValueError with the offending line number: bad header, wrong number
     of components, unparseable or non-finite values. Duplicate words and
-    the row count are left to the caller. Decoding is the caller's choice,
-    made when it opens ``fh``.
+    the row count are left to the caller. Decoding is the caller's choice:
+    a file opened in text mode is read with its own decoding, and one
+    opened in binary mode is decoded as strict UTF-8 a line at a time, so
+    that an undecodable byte is reported with its line number too.
     """
     name = fh.name
-    header = fh.readline()
+    header = _decoded(fh.readline(), name, 1)
     if not header.strip():
         raise ValueError(f"{name}: line 1: expected '<count> <dim>' header")
     fields = header.split()
@@ -144,8 +146,20 @@ def iter_vec(fh):
     return count, dim, _vec_rows(fh, name, dim)
 
 
+def _decoded(line, name, lineno):
+    if isinstance(line, str):
+        return line
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{name}: line {lineno}: byte 0x{line[exc.start]:02x} is not valid UTF-8"
+        ) from None
+
+
 def _vec_rows(fh, name, dim):
     for lineno, raw in enumerate(fh, 2):
+        raw = _decoded(raw, name, lineno)
         head = _WORD.match(raw)
         word = head[1]
         if not word:
@@ -170,11 +184,11 @@ def _vec_rows(fh, name, dim):
 def load_vec(path, language_tag: str) -> EmbeddingSpace:
     """Read a ``.vec`` file into an (unnormalized) EmbeddingSpace.
 
-    Besides :func:`iter_vec`'s format errors, a duplicate word and a row
-    count that disagrees with the header raise ValueError with the line
-    number.
+    The file must be UTF-8. Besides :func:`iter_vec`'s format errors, an
+    undecodable byte, a duplicate word and a row count that disagrees with
+    the header raise ValueError with the line number.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         count, dim, rows = iter_vec(fh)
         words: list[str] = []
         seen: dict[str, int] = {}

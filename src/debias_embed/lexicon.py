@@ -80,6 +80,17 @@ class PairSplit:
     train_pairs: tuple[GenderPair, ...]
     test_pairs: tuple[GenderPair, ...]
 
+    def held_out_words(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The male and the female words of the test pairs, in split order.
+
+        These are the held-out seed sets bias is scored against, so that the
+        words scored never trained the subspace.
+        """
+        return (
+            tuple(p.male_word for p in self.test_pairs),
+            tuple(p.female_word for p in self.test_pairs),
+        )
+
 
 @dataclass(frozen=True)
 class GenderLexicon:

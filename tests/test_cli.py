@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -47,7 +48,8 @@ def test_debias_writes_outputs_and_manifest(tmp_path, en_vec, capsys):
     assert np.abs(debiased.matrix @ basis.T).max() < 1e-6
 
 
-def test_align_round_trip(tmp_path, en_vec):
+def rotated_copy(tmp_path, en_vec, extra_dict_lines=""):
+    """A rotated copy of the en space as 'hi.vec' plus a 40-pair identity dictionary."""
     src = load_vec(en_vec, "en")
     rng = np.random.default_rng(23)
     rotated = EmbeddingSpace(
@@ -56,8 +58,14 @@ def test_align_round_trip(tmp_path, en_vec):
     tgt_path = tmp_path / "hi.vec"
     save_vec(rotated, str(tgt_path))
     dict_path = tmp_path / "dict.tsv"
-    dict_path.write_text("".join(f"{w}\t{w}\n" for w in src.vocab[:40]), encoding="utf-8")
+    dict_path.write_text(
+        "".join(f"{w}\t{w}\n" for w in src.vocab[:40]) + extra_dict_lines, encoding="utf-8"
+    )
+    return src, rotated, tgt_path, dict_path
 
+
+def test_align_round_trip(tmp_path, en_vec):
+    src, rotated, tgt_path, dict_path = rotated_copy(tmp_path, en_vec)
     out = tmp_path / "aligned.vec"
     merged = tmp_path / "merged.vec"
     code = run([
@@ -97,12 +105,13 @@ def test_report_xscore_table(tmp_path, en_vec, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split() == ["lang", "N_en"]
     assert lines[1].split() == ["b_en", "1.000"]
+    assert list(tmp_path.glob("*.manifest.json")) == []  # without --json, no file and no manifest
 
 
-def test_report_exbias_before_after(tmp_path, en_vec, capsys):
+def write_bios(tmp_path):
+    """200 doctor/nurse bios skewed 9:1 by gender, written of en profession words."""
     corpus = tmp_path / "bios.tsv"
-    lex = builtin_lexicon()
-    professions = lex.neutral_words["en"].professions
+    professions = builtin_lexicon().neutral_words["en"].professions
     rng = np.random.default_rng(5)
     rows = []
     for i in range(200):
@@ -111,7 +120,11 @@ def test_report_exbias_before_after(tmp_path, en_vec, capsys):
         tokens = " ".join(rng.choice(professions, size=6))
         rows.append(f"{gender}\t{occ}\t{tokens}\n")
     corpus.write_text("".join(rows), encoding="utf-8")
+    return corpus
 
+
+def test_report_exbias_before_after(tmp_path, en_vec, capsys):
+    corpus = write_bios(tmp_path)
     deb = tmp_path / "deb.vec"
     assert run(["debias", "--emb", en_vec, "--languages", "en", "--out", deb]) == 0
     capsys.readouterr()
@@ -128,9 +141,80 @@ def test_report_exbias_before_after(tmp_path, en_vec, capsys):
     assert payload["runs"]["debiased"]["f_i"] is not None
 
 
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def align_run(tmp_path, en_vec):
+    oov = "notaword\tnotaword\n"
+    _, _, hi_vec, dictionary = rotated_copy(tmp_path, en_vec, extra_dict_lines=oov)
+    out, merged = tmp_path / "aligned.vec", tmp_path / "merged.vec"
+    argv = ["align", "--src", en_vec, "--src-lang", "en", "--tgt", hi_vec, "--tgt-lang", "hi",
+            "--dict", dictionary, "--out", out, "--merged-out", merged]
+    return argv, [en_vec, hi_vec, dictionary], [out, merged], f"{out}.manifest.json"
+
+
+def debias_run(tmp_path, en_vec):
+    out = tmp_path / "deb.vec"
+    argv = ["debias", "--emb", en_vec, "--languages", "en", "--out", out]
+    return argv, [en_vec], [out, f"{out}.subspace.json"], f"{out}.manifest.json"
+
+
+def report_run(mode, before_after):
+    def make(tmp_path, en_vec):
+        argv, inputs = ["report", mode, "--emb", en_vec, "--languages", "en"], [en_vec]
+        if before_after:
+            deb = tmp_path / "deb.vec"
+            assert run(["debias", "--emb", en_vec, "--languages", "en", "--out", deb]) == 0
+            argv += ["--emb-after", deb]
+            inputs.append(deb)
+        if mode == "--exbias":
+            corpus = write_bios(tmp_path)
+            argv += ["--corpus", corpus, "--min-count", "10", "--epochs", "20"]
+            inputs.append(corpus)
+        report = tmp_path / "report.json"
+        return argv + ["--json", report], inputs, [report], f"{report}.manifest.json"
+
+    return make
+
+
+@pytest.mark.parametrize("make_run", [
+    align_run,
+    debias_run,
+    report_run("--inbias", before_after=True),
+    report_run("--xscore", before_after=False),
+    report_run("--exbias", before_after=True),
+], ids=["align", "debias", "inbias", "xscore", "exbias"])
+def test_manifest_records_exactly_what_the_run_read_and_wrote(tmp_path, en_vec, make_run):
+    argv, inputs, outputs, manifest_path = make_run(tmp_path, en_vec)
+    argv = [str(a) for a in argv]
+    assert main(argv) == 0
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert manifest["command"] == ["debias-embed"] + argv
+    assert manifest["inputs"] == {str(p): sha256(p) for p in inputs}
+    assert manifest["outputs"] == {str(p): sha256(p) for p in outputs}
+    if argv[0] == "align":
+        assert ("procrustes_fit: dropped 1/41 dictionary pair(s) with out-of-vocabulary words"
+                in manifest["warnings"])
+
+
+def test_undecodable_byte_names_path_and_line(tmp_path, capsys):
+    path = tmp_path / "bad.vec"
+    path.write_bytes(b"3 2\nking 1.0 0.0\nqueen\xff 0.0 1.0\nman 0.5 0.5\n")
+    code = run(["debias", "--emb", path, "--languages", "en", "--out", tmp_path / "o.vec"])
+    assert code == 1
+    assert f"{path}: line 3: byte 0xff is not valid UTF-8" in capsys.readouterr().err
+
+
 def test_usage_error_exits_one(tmp_path, capsys):
     assert run(["align", "--src", "x.vec"]) == 1  # missing required flags
     assert run(["nosuchcommand"]) == 1
+    # align always re-normalizes; the flag that skipped it is gone
+    assert run(["align", "--src", "a.vec", "--src-lang", "hi", "--tgt", "b.vec",
+                "--tgt-lang", "en", "--dict", "d.tsv", "--out", "o.vec",
+                "--no-renormalize"]) == 1
     err = capsys.readouterr().err
     assert "error" in err
 

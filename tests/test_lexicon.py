@@ -96,6 +96,8 @@ def test_split_pairs_deterministic_and_disjoint():
     assert not set(s1.train_pairs) & set(s1.test_pairs)
     s3 = split_pairs(lex, "aa", train_count=4, seed=10)
     assert s3.train_pairs != s1.train_pairs  # different seed shuffles differently
+    male, female = s1.held_out_words()
+    assert [GenderPair(m, f, "aa") for m, f in zip(male, female)] == list(s1.test_pairs)
 
 
 def test_split_pairs_rejects_bad_counts():
