@@ -68,7 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_deb.add_argument("--lexicon", default="builtin",
                        help="lexicon JSON path, or 'builtin' (default)")
     p_deb.add_argument("--variant", choices=("mono", "multi", "eqr"), default="mono")
-    p_deb.add_argument("--method", choices=("pca", "ppa"), default="pca")
+    p_deb.add_argument("--method", choices=("pca", "ppa"), default="pca",
+                       help="subspace estimator (default pca). ppa, kurtosis projection "
+                            "pursuit, currently removes a direction that isolates one pair "
+                            "instead of a shared gender direction, and warns when it does")
     p_deb.add_argument("--k", type=int, default=4, help="subspace dimension (default 4)")
     p_deb.add_argument("--scope", choices=("all", "neutral"), default="all",
                        help="debias every word or only the lexicon's neutral words")
@@ -168,7 +171,8 @@ def _space_tag(languages: list[str]) -> str:
 
 # Each subcommand handler does its work and returns what ``main`` records in
 # the run manifest: (config, seeds, inputs, outputs, manifest path), or None
-# when the run wrote no file.
+# when the run wrote no file. The inputs are the files the run read, which
+# for ``report`` depends on the mode, not on every path the command line gave.
 
 
 def cmd_align(args):
@@ -180,6 +184,7 @@ def cmd_align(args):
     dictionary = alignmod.load_dictionary(args.dictionary, args.src_lang, args.tgt_lang)
     mapping = alignmod.procrustes_fit(source, target, dictionary)
     aligned = alignmod.apply_map(mapping, source)
+    del source  # rotated: free it before normalize allocates the next matrix
     aligned = emb.normalize(
         emb.EmbeddingSpace(aligned.language_tag, aligned.vocab, aligned.matrix)
     )
@@ -297,7 +302,7 @@ def _report_inbias(args, languages, lexicon):
             for label in columns
         },
     }
-    return table, payload
+    return table, payload, [path for _, path in runs]
 
 
 def _report_xscore(args, languages, lexicon):
@@ -316,7 +321,7 @@ def _report_xscore(args, languages, lexicon):
             for i, l1 in enumerate(languages)
         },
     }
-    return table, payload
+    return table, payload, [args.emb]
 
 
 def _report_exbias(args, languages, lexicon):
@@ -338,12 +343,14 @@ def _report_exbias(args, languages, lexicon):
         return extrinsic.evaluate_gap(clf, test)
 
     before = run(args.emb, args.corpus)
+    inputs = [args.emb, args.corpus]
     rows = [("orig", before, None)]
     comparison = None
     if args.emb_after:
         after = run(args.emb_after, args.corpus_after or args.corpus)
         comparison = extrinsic.compare_runs(before, after)
         rows.append(("debiased", after, comparison.f_i))
+        inputs += [p for p in (args.emb_after, args.corpus_after) if p]
     table = extrinsic.format_gap_table(rows)
     payload = {
         "metric": "extrinsic_gap",
@@ -363,14 +370,14 @@ def _report_exbias(args, languages, lexicon):
             for label, result, f_i in rows
         },
     }
-    return table, payload
+    return table, payload, inputs
 
 
 def cmd_report(args):
     languages = _languages(args)
     mode = "inbias" if args.inbias else "xscore" if args.xscore else "exbias"
     report = {"inbias": _report_inbias, "xscore": _report_xscore, "exbias": _report_exbias}[mode]
-    table, payload = report(args, languages, _load_lexicon(args.lexicon))
+    table, payload, inputs = report(args, languages, _load_lexicon(args.lexicon))
 
     print(table, end="")
     if not args.json_out:
@@ -387,7 +394,6 @@ def cmd_report(args):
         "seeds_source": args.seeds if mode == "inbias" else None,
         "epsilon": args.epsilon if mode == "xscore" else None,
     }
-    inputs = [p for p in (args.emb, args.emb_after, args.corpus, args.corpus_after) if p]
     if args.lexicon != "builtin":
         inputs.append(args.lexicon)
     return config, {"seed": args.seed}, inputs, [args.json_out], manifest_path

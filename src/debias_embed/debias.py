@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, space_fingerprint
+from .embeddings import EmbeddingSpace, row_norms, space_fingerprint
 from .lexicon import GenderLexicon, PairSplit
 from .subspace import (
     BiasSubspace,
@@ -91,16 +91,18 @@ def debias_space(
             log.warning(
                 "debias_space: %d scope word(s) not in the vocabulary", len(unknown)
             )
+        matrix = space.matrix.copy()
+        sub = matrix[rows]  # a copy of the in-scope rows, written back below
+        sub -= (sub @ basis.T) @ basis
     else:
         rows = slice(None)
-
-    matrix = space.matrix.copy()
-    sub = matrix[rows]  # in-scope rows: a copy for "neutral", a view for "all"
-    sub -= (sub @ basis.T) @ basis
+        # the projection is the only matrix-sized buffer: the residual replaces it
+        matrix = sub = (space.matrix @ basis.T) @ basis
+        np.subtract(space.matrix, sub, out=sub)
 
     normalized = False
     if config.renormalize_after:
-        norms = np.linalg.norm(sub, axis=1)
+        norms = row_norms(sub)
         zero = norms < ZERO_RESIDUAL_TOL
         if zero.any():
             names = [space.vocab[i] for i in np.arange(len(space))[rows][zero]]
@@ -118,7 +120,7 @@ def debias_space(
         # unit everywhere only if no residual vanished and any untouched
         # out-of-scope rows were unit to begin with
         normalized = bool(not zero.any() and (config.scope == "all" or space.normalized))
-    matrix[rows] = sub  # writes the "neutral" copy back; a no-op on the "all" view
+    matrix[rows] = sub  # writes the "neutral" copy back; a no-op for "all", where sub is matrix
     matrix.setflags(write=False)
     return EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=normalized)
 

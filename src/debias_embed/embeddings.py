@@ -28,11 +28,16 @@ __all__ = [
     "load_vec",
     "save_vec",
     "normalize",
+    "row_norms",
     "space_fingerprint",
 ]
 
 #: a "normalized" space guarantees unit row norms within this tolerance
 UNIT_TOL = 1e-9
+
+#: whole-matrix checks and row norms run over blocks of rows of about this
+#: many bytes, so their temporaries stay bounded whatever the vocabulary size
+BLOCK_BYTES = 1 << 20
 
 #: the word of a ``.vec`` line, which ends at the first ASCII whitespace
 _WORD = re.compile(f"[{re.escape(whitespace)}]*([^{re.escape(whitespace)}]*)")
@@ -77,11 +82,14 @@ class EmbeddingSpace:
             raise ValueError(f"{len(vocab)} words but {n} matrix rows")
         if len(set(vocab)) != len(vocab):
             raise ValueError(f"duplicate word in vocabulary: {_first_duplicate(vocab)!r}")
-        if not np.isfinite(arr).all():
-            i, j = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(f"non-finite value for word {vocab[i]!r} (component {j})")
+        for rows in _row_blocks(arr):
+            finite = np.isfinite(arr[rows])
+            if not finite.all():
+                i, j = np.argwhere(~finite)[0]
+                word = vocab[rows.start + i]
+                raise ValueError(f"non-finite value for word {word!r} (component {j})")
         if self.normalized and n:
-            norms = np.linalg.norm(arr, axis=1)
+            norms = row_norms(arr)
             worst = int(np.argmax(np.abs(norms - 1.0)))
             if abs(norms[worst] - 1.0) > UNIT_TOL:
                 raise ValueError(
@@ -115,6 +123,26 @@ class EmbeddingSpace:
         if row is None and self.language_tag == language:
             row = self.index.get(word)
         return row
+
+
+def _row_blocks(matrix):
+    """Slices covering the rows of ``matrix`` about ``BLOCK_BYTES`` at a time."""
+    n, d = matrix.shape
+    step = max(1, BLOCK_BYTES // (matrix.itemsize * max(d, 1)))
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array.
+
+    Bitwise equal to ``np.linalg.norm(matrix, axis=1)``, which reduces each
+    row on its own, but squares one bounded block of rows at a time instead
+    of the whole matrix.
+    """
+    norms = np.empty(len(matrix))
+    for rows in _row_blocks(matrix):
+        norms[rows] = np.linalg.norm(matrix[rows], axis=1)
+    return norms
 
 
 def iter_vec(fh):
@@ -212,6 +240,7 @@ def load_vec(path, language_tag: str) -> EmbeddingSpace:
             raise ValueError(
                 f"{path}: line {lineno}: header declared {count} rows, found {len(words)}"
             )
+    del seen  # so it and the space's own duplicate check never hold the words at once
     matrix.setflags(write=False)  # fresh and unshared, so the space need not copy it
     return EmbeddingSpace(language_tag, tuple(words), matrix, normalized=False)
 
@@ -245,7 +274,7 @@ def normalize(space: EmbeddingSpace) -> EmbeddingSpace:
     """
     if space.normalized:
         return space
-    norms = np.linalg.norm(space.matrix, axis=1)
+    norms = row_norms(space.matrix)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         names = ", ".join(repr(space.vocab[i]) for i in zero[:8])

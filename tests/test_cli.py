@@ -161,18 +161,22 @@ def debias_run(tmp_path, en_vec):
     return argv, [en_vec], [out, f"{out}.subspace.json"], f"{out}.manifest.json"
 
 
-def report_run(mode, before_after):
+def report_run(mode, before_after, corpus=False):
+    # a given --emb-after or --corpus is an input only of the modes that read it
     def make(tmp_path, en_vec):
         argv, inputs = ["report", mode, "--emb", en_vec, "--languages", "en"], [en_vec]
         if before_after:
             deb = tmp_path / "deb.vec"
             assert run(["debias", "--emb", en_vec, "--languages", "en", "--out", deb]) == 0
             argv += ["--emb-after", deb]
-            inputs.append(deb)
-        if mode == "--exbias":
-            corpus = write_bios(tmp_path)
-            argv += ["--corpus", corpus, "--min-count", "10", "--epochs", "20"]
-            inputs.append(corpus)
+            if mode != "--xscore":
+                inputs.append(deb)
+        if corpus:
+            bios = write_bios(tmp_path)
+            argv += ["--corpus", bios]
+            if mode == "--exbias":
+                argv += ["--min-count", "10", "--epochs", "20"]
+                inputs.append(bios)
         report = tmp_path / "report.json"
         return argv + ["--json", report], inputs, [report], f"{report}.manifest.json"
 
@@ -183,9 +187,12 @@ def report_run(mode, before_after):
     align_run,
     debias_run,
     report_run("--inbias", before_after=True),
+    report_run("--inbias", before_after=True, corpus=True),
     report_run("--xscore", before_after=False),
-    report_run("--exbias", before_after=True),
-], ids=["align", "debias", "inbias", "xscore", "exbias"])
+    report_run("--xscore", before_after=True, corpus=True),
+    report_run("--exbias", before_after=True, corpus=True),
+], ids=["align", "debias", "inbias", "inbias-given-corpus", "xscore",
+        "xscore-given-after-and-corpus", "exbias"])
 def test_manifest_records_exactly_what_the_run_read_and_wrote(tmp_path, en_vec, make_run):
     argv, inputs, outputs, manifest_path = make_run(tmp_path, en_vec)
     argv = [str(a) for a in argv]

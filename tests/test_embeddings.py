@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from debias_embed.align import OrthogonalMap, apply_map, merge_spaces
 from debias_embed.debias import DebiasConfig, debias_space
 from debias_embed.embeddings import (
+    BLOCK_BYTES,
     EmbeddingSpace,
     load_vec,
     normalize,
+    row_norms,
     save_vec,
     space_fingerprint,
 )
@@ -115,6 +117,42 @@ def test_space_validates_row_count_and_duplicates():
 def test_space_rejects_normalized_lie():
     with pytest.raises(ValueError):
         EmbeddingSpace("en", ("a",), np.array([[3.0, 4.0]]), normalized=True)
+
+
+# the whole-matrix passes work through blocks of BLOCK_BYTES // (8 * d) rows:
+# one block short of full, exactly full, one row over, and a last block of one row
+BLOCK_ROW_COUNTS = {"step-1": (1, -1), "step": (1, 0), "step+1": (1, 1), "2step+1": (2, 1)}
+
+
+def block_step(d):
+    return BLOCK_BYTES // (8 * d)
+
+
+@pytest.mark.parametrize("d", [256, 300])  # 8*256 bytes divides BLOCK_BYTES, 8*300 does not
+@pytest.mark.parametrize("blocks, extra", BLOCK_ROW_COUNTS.values(), ids=BLOCK_ROW_COUNTS)
+def test_row_norms_bitwise_equal_whole_matrix_norm(d, blocks, extra):
+    n = blocks * block_step(d) + extra
+    matrix = np.random.default_rng(n).standard_normal((n, d)) * 3.0
+    assert row_norms(matrix).tobytes() == np.linalg.norm(matrix, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_non_finite_value_in_last_block_names_word_and_component(value):
+    n, d = 2 * block_step(300) + 1, 300
+    matrix = unit_rows(np.random.default_rng(0), n, d)
+    matrix[n - 1, 123] = value
+    words = tuple(f"w{i}" for i in range(n))
+    with pytest.raises(ValueError, match=rf"non-finite value for word 'w{n - 1}' \(component 123\)"):
+        EmbeddingSpace("en", words, matrix)
+
+
+def test_bad_norm_in_last_block_is_refused_for_a_normalized_space():
+    n, d = 2 * block_step(300) + 1, 300
+    matrix = unit_rows(np.random.default_rng(0), n, d)
+    matrix[n - 1] *= 1.0 + 1e-6
+    words = tuple(f"w{i}" for i in range(n))
+    with pytest.raises(ValueError, match=f"space marked normalized but 'w{n - 1}' has norm"):
+        EmbeddingSpace("en", words, matrix, normalized=True)
 
 
 def test_matrix_is_read_only():
@@ -269,3 +307,40 @@ def test_load_normalize_debias_and_save_stay_within_memory_budget(tmp_path):
     assert pipeline_peak < 3.5 * matrix_bytes
     # a couple of rows of text, never a block of rows
     assert save_peak < 0.0075 * matrix_bytes
+
+
+def traced_peak(build):
+    """The result of ``build()`` and the traced peak of what it allocated."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_normalize_and_debias_allocate_no_matrix_sized_temporary(tmp_path):
+    rng = np.random.default_rng(0)
+    n, d = 2000, 300
+    matrix_bytes = n * d * 8
+    path = tmp_path / "m.vec"
+    save_vec(EmbeddingSpace("en", tuple(f"w{i}" for i in range(n)), rng.standard_normal((n, d))),
+             str(path), precision=17)
+    subspace = BiasSubspace(orthonormal_rows(rng, 4, d), "pca", (4.0, 3.0, 2.0, 1.0))
+    _, peak = traced_peak(lambda: debias_space(
+        normalize(load_vec(str(path), "en")), subspace, DebiasConfig(scope="all")
+    ))
+    # input and output of one step; norms, checks and the residual use no third matrix
+    assert peak < 2.6 * matrix_bytes
+
+
+def test_apply_map_and_merge_allocate_no_matrix_sized_temporary():
+    rng = np.random.default_rng(0)
+    n, d = 2000, 300
+    words = tuple(f"w{i}" for i in range(n))
+    source = EmbeddingSpace("hi", words, unit_rows(rng, n, d), normalized=True)
+    target = EmbeddingSpace("en", words, unit_rows(rng, n, d), normalized=True)
+    mapping = OrthogonalMap(orthonormal_rows(rng, d, d), "hi", "en", n)
+    merged, peak = traced_peak(lambda: merge_spaces(apply_map(mapping, source), target))
+    assert merged.normalized
+    # the rotated source and the merged two-matrix stack; the unit-norm check squares blocks
+    assert peak < 4.0 * n * d * 8
