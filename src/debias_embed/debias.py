@@ -91,14 +91,13 @@ def debias_space(
             log.warning(
                 "debias_space: %d scope word(s) not in the vocabulary", len(unknown)
             )
-        matrix = space.matrix.copy()
-        sub = matrix[rows]  # a copy of the in-scope rows, written back below
-        sub -= (sub @ basis.T) @ basis
     else:
         rows = slice(None)
-        # the projection is the only matrix-sized buffer: the residual replaces it
-        matrix = sub = (space.matrix @ basis.T) @ basis
-        np.subtract(space.matrix, sub, out=sub)
+
+    block = space.matrix[rows]  # a view for "all", a copy of the in-scope rows for "neutral"
+    sub = (block @ basis.T) @ basis
+    np.subtract(block, sub, out=sub)  # the residual replaces the projection: no input copy
+    del block  # for "neutral", before the full copy below
 
     normalized = False
     if config.renormalize_after:
@@ -120,7 +119,11 @@ def debias_space(
         # unit everywhere only if no residual vanished and any untouched
         # out-of-scope rows were unit to begin with
         normalized = bool(not zero.any() and (config.scope == "all" or space.normalized))
-    matrix[rows] = sub  # writes the "neutral" copy back; a no-op for "all", where sub is matrix
+    if config.scope == "all":
+        matrix = sub
+    else:
+        matrix = space.matrix.copy()
+        matrix[rows] = sub
     matrix.setflags(write=False)
     return EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=normalized)
 
