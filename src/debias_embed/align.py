@@ -165,14 +165,19 @@ def procrustes_fit(
 
 
 def apply_map(mapping: OrthogonalMap, space: EmbeddingSpace) -> EmbeddingSpace:
-    """Rotate every row x of the space to W @ x (norms are preserved)."""
+    """Rotate every row x of the space to W @ x.
+
+    A rotation preserves norms only up to rounding, so the result is not
+    marked normalized even when the input is: normalize it again for unit
+    rows.
+    """
     if mapping.dim != space.dim:
         raise ValueError(
             f"dimension mismatch: map dim {mapping.dim} vs space dim {space.dim}"
         )
     rotated = space.matrix @ mapping.matrix.T
     rotated.setflags(write=False)
-    return EmbeddingSpace(space.language_tag, space.vocab, rotated, normalized=space.normalized)
+    return EmbeddingSpace(space.language_tag, space.vocab, rotated)
 
 
 def merge_spaces(aligned_source: EmbeddingSpace, target: EmbeddingSpace) -> EmbeddingSpace:

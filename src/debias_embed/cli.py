@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 __all__ = ["main", "build_parser"]
 
@@ -185,9 +186,7 @@ def cmd_align(args):
     mapping = alignmod.procrustes_fit(source, target, dictionary)
     aligned = alignmod.apply_map(mapping, source)
     del source  # rotated: free it before normalize allocates the next matrix
-    aligned = emb.normalize(
-        emb.EmbeddingSpace(aligned.language_tag, aligned.vocab, aligned.matrix)
-    )
+    aligned = emb.normalize(aligned)
     emb.save_vec(aligned, args.out, args.precision)
     outputs = [args.out]
     if args.merged_out:
@@ -221,18 +220,40 @@ def cmd_debias(args):
         renormalize_after=args.renormalize,
     )
     lexicon = _load_lexicon(args.lexicon)
-    space = emb.normalize(emb.load_vec(args.emb, _space_tag(languages)))
+    tag = _space_tag(languages)
     splits = {
         lang: lexmod.split_pairs(lexicon, lang, args.train_count, args.seed)
         for lang in languages
     }
-    debiased, used = debmod.run_variant(
-        space, lexicon, debias_config, splits, center=args.center, seed=args.seed
+    # Two passes over the input, so the matrix is never held. The first
+    # checks every line but parses only the rows the subspace fit reads.
+    vocab, fit_rows = emb.scan_vec(
+        args.emb, tag, debmod.variant_words(lexicon, debias_config, splits)
     )
-    emb.save_vec(debiased, args.out, args.precision)
+    used, scope_words = debmod.fit_variant(
+        emb.normalize(fit_rows), lexicon, debias_config, splits,
+        center=args.center, seed=args.seed,
+    )
+    count, dim = len(vocab), fit_rows.dim
+    fingerprint = emb.fingerprint_hasher(tag, vocab, (count, dim))
+    del vocab, fit_rows  # hashed and fitted: the second pass needs neither
+
+    def normalized_blocks():  # the second pass
+        for block in emb.read_blocks(args.emb, tag):
+            block = emb.normalize(block)
+            fingerprint.update(memoryview(block.matrix))
+            yield block
+            del block  # not alive while the next block is read
+
+    with emb.vec_writer(args.out, count, dim, args.precision) as write:
+        for block in debmod.debias_blocks(normalized_blocks(), used, debias_config, scope_words):
+            write(block)
+            del block  # not alive while the next block is computed
+    used = replace(used, provenance={**used.provenance,
+                                     "embedding_fingerprint": fingerprint.hexdigest()})
     subspace_out = args.subspace_out or args.out + ".subspace.json"
     submod.save_subspace(used, subspace_out)
-    print(f"debiased {len(debiased)} word(s) ({args.variant}/{args.method}, k={args.k})"
+    print(f"debiased {count} word(s) ({args.variant}/{args.method}, k={args.k})"
           f" -> {args.out}")
     config = {
         "subcommand": "debias",
@@ -373,9 +394,20 @@ def _report_exbias(args, languages, lexicon):
     return table, payload, inputs
 
 
+#: file flags each report mode does not read; giving one is refused
+UNREAD_FLAGS = {
+    "inbias": ("corpus", "corpus_after"),
+    "xscore": ("emb_after", "corpus", "corpus_after"),
+    "exbias": (),
+}
+
+
 def cmd_report(args):
     languages = _languages(args)
     mode = "inbias" if args.inbias else "xscore" if args.xscore else "exbias"
+    for dest in UNREAD_FLAGS[mode]:
+        if getattr(args, dest):
+            raise ValueError(f"--{dest.replace('_', '-')} is not read by --{mode}")
     report = {"inbias": _report_inbias, "xscore": _report_xscore, "exbias": _report_exbias}[mode]
     table, payload, inputs = report(args, languages, _load_lexicon(args.lexicon))
 

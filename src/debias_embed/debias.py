@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, row_norms, space_fingerprint
+from .embeddings import BLOCK_BYTES, EmbeddingSpace, row_norms, space_fingerprint
 from .lexicon import GenderLexicon, PairSplit
 from .subspace import (
     BiasSubspace,
@@ -30,7 +30,15 @@ from .subspace import (
 
 log = logging.getLogger(__name__)
 
-__all__ = ["DebiasConfig", "debias_space", "run_variant"]
+__all__ = [
+    "DebiasConfig",
+    "residuals",
+    "debias_blocks",
+    "debias_space",
+    "variant_words",
+    "fit_variant",
+    "run_variant",
+]
 
 VARIANTS = ("mono", "multi", "eqr")
 METHODS = ("pca", "ppa")
@@ -59,6 +67,97 @@ class DebiasConfig:
             raise ValueError("k must be at least 1")
 
 
+def residuals(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Each row of ``rows`` minus its projection onto the orthonormal ``basis`` rows.
+
+    Every output row is computed from its own input row alone, with
+    elementwise products and per-row sums rather than BLAS, so its bits
+    depend neither on the other rows nor on how the rows are split between
+    calls, nor on the BLAS thread count. Temporaries cover one block of
+    about ``BLOCK_BYTES`` of rows at a time.
+    """
+    out = np.empty_like(rows)
+    n, d = rows.shape
+    step = max(1, BLOCK_BYTES // (rows.itemsize * d))
+    for start in range(0, n, step):
+        x, proj = rows[start:start + step], out[start:start + step]
+        term = np.empty_like(x)
+        for j, b in enumerate(basis):
+            np.multiply(x, b, out=term)
+            coef = term.sum(axis=1)[:, None]
+            if j == 0:
+                np.multiply(coef, b, out=proj)
+            else:
+                np.multiply(coef, b, out=term)
+                proj += term
+        np.subtract(x, proj, out=proj)  # the projection's buffer becomes the residual
+    return out
+
+
+def debias_blocks(blocks, subspace: BiasSubspace, config: DebiasConfig, scope_words=None):
+    """Remove the subspace component from every in-scope word of a space given in blocks.
+
+    ``blocks`` are consecutive row blocks of one space, as EmbeddingSpace
+    objects; each is yielded debiased before the next is read, and a row's
+    result does not depend on the split, so a space too large to hold can
+    be streamed through. Arguments and warnings are those of
+    :func:`debias_space`; each warning is logged once, after the last block.
+    """
+    neutral = config.scope == "neutral"
+    if neutral:
+        if scope_words is None:
+            raise ValueError("scope 'neutral' needs the scope_words to restrict to")
+        wanted, found = set(scope_words), set()
+    warned_unnormalized = False
+    zero_words: list[str] = []
+    for space in blocks:
+        if space.dim != subspace.dim:
+            raise ValueError(
+                f"dimension mismatch: space dim {space.dim} vs basis dim {subspace.dim}"
+            )
+        if not space.normalized and not warned_unnormalized:
+            log.warning("debias_space: input space is not normalized")
+            warned_unnormalized = True
+        if neutral:
+            rows = np.array([i for i, w in enumerate(space.vocab) if w in wanted], dtype=int)
+            found.update(space.vocab[i] for i in rows)
+        else:
+            rows = slice(None)
+        sub = residuals(space.matrix[rows], subspace.basis)
+
+        normalized = False
+        if config.renormalize_after:
+            norms = row_norms(sub)
+            zero = norms < ZERO_RESIDUAL_TOL
+            zero_words += [space.vocab[i] for i in np.arange(len(space))[rows][zero]]
+            sub[zero] = 0.0
+            np.divide(sub, norms[:, None], out=sub, where=~zero[:, None])
+            # unit everywhere only if no residual vanished and any untouched
+            # out-of-scope rows were unit to begin with
+            normalized = bool(not zero.any() and (not neutral or space.normalized))
+        if neutral:
+            matrix = space.matrix.copy()
+            matrix[rows] = sub
+        else:
+            matrix = sub
+        matrix.setflags(write=False)
+        yield EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=normalized)
+        del space, sub, matrix  # not alive while the next block is read
+
+    if neutral and wanted - found:
+        log.warning("debias_space: %d scope word(s) not in the vocabulary", len(wanted - found))
+    if zero_words:
+        shown = ", ".join(repr(w) for w in zero_words[:10])
+        more = f" (+{len(zero_words) - 10} more)" if len(zero_words) > 10 else ""
+        log.warning(
+            "debias_space: %d word(s) lie entirely in the bias subspace and stay "
+            "zero after renormalization: %s%s",
+            len(zero_words),
+            shown,
+            more,
+        )
+
+
 def debias_space(
     space: EmbeddingSpace,
     subspace: BiasSubspace,
@@ -72,60 +171,30 @@ def debias_space(
     word is then carried over bit-identically. With
     ``renormalize_after`` residuals are rescaled to unit norm, except
     residuals that vanished entirely, which stay zero and are logged.
+    Each row is computed by :func:`residuals`, so the result equals that
+    of :func:`debias_blocks` over any split of the space.
     """
-    if space.dim != subspace.dim:
-        raise ValueError(
-            f"dimension mismatch: space dim {space.dim} vs basis dim {subspace.dim}"
-        )
-    basis = subspace.basis
-    if not space.normalized:
-        log.warning("debias_space: input space is not normalized")
+    [debiased] = debias_blocks([space], subspace, config, scope_words)
+    return debiased
 
-    if config.scope == "neutral":
-        if scope_words is None:
-            raise ValueError("scope 'neutral' needs the scope_words to restrict to")
-        wanted = set(scope_words)
-        rows = np.array([i for i, w in enumerate(space.vocab) if w in wanted], dtype=int)
-        unknown = wanted - set(space.vocab)
-        if unknown:
-            log.warning(
-                "debias_space: %d scope word(s) not in the vocabulary", len(unknown)
-            )
-    else:
-        rows = slice(None)
 
-    block = space.matrix[rows]  # a view for "all", a copy of the in-scope rows for "neutral"
-    sub = (block @ basis.T) @ basis
-    np.subtract(block, sub, out=sub)  # the residual replaces the projection: no input copy
-    del block  # for "neutral", before the full copy below
+def variant_words(lexicon: GenderLexicon, config: DebiasConfig, splits) -> set[str]:
+    """Every vocabulary entry :func:`fit_variant` may look up.
 
-    normalized = False
-    if config.renormalize_after:
-        norms = row_norms(sub)
-        zero = norms < ZERO_RESIDUAL_TOL
-        if zero.any():
-            names = [space.vocab[i] for i in np.arange(len(space))[rows][zero]]
-            shown = ", ".join(repr(w) for w in names[:10])
-            more = f" (+{len(names) - 10} more)" if len(names) > 10 else ""
-            log.warning(
-                "debias_space: %d word(s) lie entirely in the bias subspace and stay "
-                "zero after renormalization: %s%s",
-                len(names),
-                shown,
-                more,
-            )
-            sub[zero] = 0.0
-        np.divide(sub, norms[:, None], out=sub, where=~zero[:, None])
-        # unit everywhere only if no residual vanished and any untouched
-        # out-of-scope rows were unit to begin with
-        normalized = bool(not zero.any() and (config.scope == "all" or space.normalized))
-    if config.scope == "all":
-        matrix = sub
-    else:
-        matrix = space.matrix.copy()
-        matrix[rows] = sub
-    matrix.setflags(write=False)
-    return EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=normalized)
+    These are the train pairs' words and, for scope ``neutral``, the
+    lexicon's neutral words of each language in ``splits``, each both bare
+    and ``"<language>:"`` prefixed. A space of just these rows fits the
+    same subspace and scope as the whole space.
+    """
+    entries: set[str] = set()
+    for lang, split in splits.items():
+        words = [(p.language_tag, w) for p in split.train_pairs
+                 for w in (p.male_word, p.female_word)]
+        if config.scope == "neutral":
+            words += [(lang, w) for w in lexicon.neutral_words[lang].all_words()]
+        for tag, w in words:
+            entries.update((w, f"{tag}:{w}"))
+    return entries
 
 
 def _resolve_scope_words(space: EmbeddingSpace, lexicon: GenderLexicon, languages) -> set[str]:
@@ -143,7 +212,7 @@ def _resolve_scope_words(space: EmbeddingSpace, lexicon: GenderLexicon, language
     return scope
 
 
-def run_variant(
+def fit_variant(
     space: EmbeddingSpace,
     lexicon: GenderLexicon,
     config: DebiasConfig,
@@ -151,14 +220,13 @@ def run_variant(
     *,
     center: bool = False,
     seed: int = 0,
-) -> tuple[EmbeddingSpace, BiasSubspace]:
-    """Build the variant's subspace from train pairs and debias the space.
+) -> tuple[BiasSubspace, set[str] | None]:
+    """Build the variant's subspace from train pairs, without debiasing.
 
-    ``splits`` maps each participating language to its train/test pair
-    split; ``mono`` expects exactly one language, ``multi``/``eqr`` pool
-    every language given (in mapping order). ``center`` (PCA only) centers
-    the difference vectors first. Returns the debiased space together with
-    the subspace used, provenance attached.
+    Arguments are those of :func:`run_variant`; ``space`` needs only the
+    rows :func:`variant_words` names. Returns the subspace, its provenance
+    attached except the ``embedding_fingerprint`` of the space to debias,
+    and the vocabulary entries in scope (None for scope ``all``).
     """
     if not splits:
         raise ValueError("at least one language split is required")
@@ -187,7 +255,6 @@ def run_variant(
     if config.scope == "neutral":
         scope_words = _resolve_scope_words(space, lexicon, languages)
 
-    debiased = debias_space(space, subspace, config, scope_words=scope_words)
     provenance = {
         "variant": config.variant,
         "method": config.method,
@@ -197,7 +264,29 @@ def run_variant(
         "center": center,
         "languages": list(languages),
         "train_pair_counts": {lang: len(splits[lang].train_pairs) for lang in languages},
-        "embedding_fingerprint": space_fingerprint(space),
         "pairs_fingerprint": pairs_fingerprint(train_pairs),
     }
+    return replace(subspace, provenance=provenance), scope_words
+
+
+def run_variant(
+    space: EmbeddingSpace,
+    lexicon: GenderLexicon,
+    config: DebiasConfig,
+    splits: dict[str, PairSplit],
+    *,
+    center: bool = False,
+    seed: int = 0,
+) -> tuple[EmbeddingSpace, BiasSubspace]:
+    """Build the variant's subspace from train pairs and debias the space.
+
+    ``splits`` maps each participating language to its train/test pair
+    split; ``mono`` expects exactly one language, ``multi``/``eqr`` pool
+    every language given (in mapping order). ``center`` (PCA only) centers
+    the difference vectors first. Returns the debiased space together with
+    the subspace used, provenance attached.
+    """
+    subspace, scope_words = fit_variant(space, lexicon, config, splits, center=center, seed=seed)
+    debiased = debias_space(space, subspace, config, scope_words=scope_words)
+    provenance = dict(subspace.provenance, embedding_fingerprint=space_fingerprint(space))
     return debiased, replace(subspace, provenance=provenance)

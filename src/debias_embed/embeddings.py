@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from string import whitespace
 
 import numpy as np
@@ -26,17 +27,22 @@ __all__ = [
     "EmbeddingSpace",
     "iter_vec",
     "load_vec",
+    "scan_vec",
+    "read_blocks",
+    "vec_writer",
     "save_vec",
     "normalize",
     "row_norms",
     "space_fingerprint",
+    "fingerprint_hasher",
 ]
 
 #: a "normalized" space guarantees unit row norms within this tolerance
 UNIT_TOL = 1e-9
 
-#: whole-matrix checks and row norms run over blocks of rows of about this
-#: many bytes, so their temporaries stay bounded whatever the vocabulary size
+#: whole-matrix checks, row norms and streamed reads run over blocks of rows
+#: of about this many bytes, so their memory stays bounded whatever the
+#: vocabulary size
 BLOCK_BYTES = 1 << 20
 
 #: the word of a ``.vec`` line, which ends at the first ASCII whitespace
@@ -61,6 +67,7 @@ class EmbeddingSpace:
     never aliases memory its caller can still change; a read-only C-ordered
     float64 array is used as is. ``normalized`` certifies that every row has
     Euclidean norm 1 within ``UNIT_TOL`` (and hence that no row is zero).
+    ``index`` maps each word to its row; building it is the duplicate check.
     """
 
     language_tag: str
@@ -80,7 +87,8 @@ class EmbeddingSpace:
             raise ValueError("embedding dimension must be at least 1")
         if len(vocab) != n:
             raise ValueError(f"{len(vocab)} words but {n} matrix rows")
-        if len(set(vocab)) != len(vocab):
+        index = dict(zip(vocab, range(n)))  # the map locate uses, built once
+        if len(index) != n:
             raise ValueError(f"duplicate word in vocabulary: {_first_duplicate(vocab)!r}")
         for rows in _row_blocks(arr):
             finite = np.isfinite(arr[rows])
@@ -98,6 +106,7 @@ class EmbeddingSpace:
         arr.setflags(write=False)
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "index", index)
 
     def __len__(self):
         return len(self.vocab)
@@ -105,10 +114,6 @@ class EmbeddingSpace:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.vocab)}
 
     def locate(self, word: str, language: str | None = None) -> int | None:
         """Row index of ``word``, or None if absent.
@@ -145,18 +150,20 @@ def row_norms(matrix: np.ndarray) -> np.ndarray:
     return norms
 
 
-def iter_vec(fh):
+def iter_vec(fh, keep=None):
     """Parse an open ``.vec`` text file into ``(count, dim, rows)``.
 
     The header is read and checked at once. ``rows`` is a generator of
     ``(lineno, word, row)`` for each line that is not blank, ``row`` being
-    a float64 array of ``dim`` components. Malformed input raises
-    ValueError with the offending line number: bad header, wrong number
-    of components, unparseable or non-finite values. Duplicate words and
-    the row count are left to the caller. Decoding is the caller's choice:
-    a file opened in text mode is read with its own decoding, and one
-    opened in binary mode is decoded as strict UTF-8 a line at a time, so
-    that an undecodable byte is reported with its line number too.
+    a float64 array of ``dim`` components. With ``keep``, a set of words,
+    the rows of other words are not parsed and come as ``None``. Malformed
+    input raises ValueError with the offending line number: bad header,
+    wrong number of components, unparseable or non-finite values (the last
+    three only in parsed rows). Duplicate words and the row count are left
+    to the caller. Decoding is the caller's choice: a file opened in text
+    mode is read with its own decoding, and one opened in binary mode is
+    decoded as strict UTF-8 a line at a time, so that an undecodable byte
+    is reported with its line number too.
     """
     name = fh.name
     header = _decoded(fh.readline(), name, 1)
@@ -171,7 +178,7 @@ def iter_vec(fh):
         raise ValueError(f"{name}: line 1: malformed header {header.strip()!r}") from None
     if count < 1 or dim < 1:
         raise ValueError(f"{name}: line 1: header must declare positive count and dim")
-    return count, dim, _vec_rows(fh, name, dim)
+    return count, dim, _vec_rows(fh, name, dim, keep)
 
 
 def _decoded(line, name, lineno):
@@ -185,13 +192,16 @@ def _decoded(line, name, lineno):
         ) from None
 
 
-def _vec_rows(fh, name, dim):
+def _vec_rows(fh, name, dim, keep):
     for lineno, raw in enumerate(fh, 2):
         raw = _decoded(raw, name, lineno)
         head = _WORD.match(raw)
         word = head[1]
         if not word:
             continue  # tolerate blank (usually trailing) lines
+        if keep is not None and word not in keep:
+            yield lineno, word, None
+            continue
         tokens = raw[head.end():].split()
         if len(tokens) != dim:
             raise ValueError(
@@ -209,21 +219,22 @@ def _vec_rows(fh, name, dim):
         yield lineno, word, row
 
 
-def load_vec(path, language_tag: str) -> EmbeddingSpace:
-    """Read a ``.vec`` file into an (unnormalized) EmbeddingSpace.
+def scan_vec(path, language_tag: str, keep) -> tuple[tuple[str, ...], EmbeddingSpace]:
+    """First of two passes over a ``.vec`` file too large to hold.
 
-    The file must be UTF-8. Besides :func:`iter_vec`'s format errors, an
-    undecodable byte, a duplicate word and a row count that disagrees with
-    the header raise ValueError with the line number.
+    Every line is decoded and checked as by :func:`load_vec`, but only the
+    rows of the words in ``keep`` (every word when ``keep`` is None) are
+    parsed. Returns every word, in file order, and an (unnormalized) space
+    of the kept words' rows. :func:`read_blocks` is the second pass.
     """
     with open(path, "rb") as fh:
-        count, dim, rows = iter_vec(fh)
-        words: list[str] = []
+        count, dim, rows = iter_vec(fh, keep)
         seen: dict[str, int] = {}
-        matrix = np.empty((count, dim), dtype=np.float64)
+        kept: list[str] = []
+        matrix = np.empty((count if keep is None else min(count, len(keep)), dim))
         lineno = 1
         for lineno, word, row in rows:
-            if len(words) >= count:
+            if len(seen) >= count:
                 raise ValueError(
                     f"{path}: line {lineno}: more rows than the declared count {count}"
                 )
@@ -233,16 +244,101 @@ def load_vec(path, language_tag: str) -> EmbeddingSpace:
                     f" (first seen at line {seen[word]})"
                 )
             seen[word] = lineno
-            matrix[len(words)] = row
-            words.append(word)
+            if row is not None:
+                matrix[len(kept)] = row
+                kept.append(word)
 
-        if len(words) != count:
+        if len(seen) != count:
             raise ValueError(
-                f"{path}: line {lineno}: header declared {count} rows, found {len(words)}"
+                f"{path}: line {lineno}: header declared {count} rows, found {len(seen)}"
             )
-    del seen  # so it and the space's own duplicate check never hold the words at once
+    vocab = tuple(seen)
+    del seen  # so it and the space's word index never hold the words at once
+    matrix = matrix[: len(kept)]
     matrix.setflags(write=False)  # fresh and unshared, so the space need not copy it
-    return EmbeddingSpace(language_tag, tuple(words), matrix, normalized=False)
+    return vocab, EmbeddingSpace(language_tag, tuple(kept), matrix, normalized=False)
+
+
+def load_vec(path, language_tag: str) -> EmbeddingSpace:
+    """Read a ``.vec`` file into an (unnormalized) EmbeddingSpace.
+
+    The file must be UTF-8. Besides :func:`iter_vec`'s format errors, an
+    undecodable byte, a duplicate word and a row count that disagrees with
+    the header raise ValueError with the line number.
+    """
+    return scan_vec(path, language_tag, None)[1]
+
+
+def read_blocks(path, language_tag: str):
+    """Second pass: the rows of a ``.vec`` file as consecutive spaces.
+
+    Yields (unnormalized) EmbeddingSpace blocks of about ``BLOCK_BYTES``
+    each, in file order. Format errors are :func:`iter_vec`'s; duplicates
+    and the row count are left to the first pass, :func:`scan_vec`.
+    """
+    with open(path, "rb") as fh:
+        _, dim, rows = iter_vec(fh)
+        step = max(1, BLOCK_BYTES // (8 * dim))
+        words, block = [], None
+        for _, word, row in rows:
+            if block is None:
+                block = np.empty((step, dim))
+            block[len(words)] = row
+            words.append(word)
+            if len(words) == step:
+                ready = [_frozen_block(language_tag, words, block)]
+                words, block = [], None
+                yield ready.pop()  # no local keeps the raw rows alive while they are used
+        if words:
+            yield _frozen_block(language_tag, words, block[: len(words)])
+
+
+def _frozen_block(language_tag, words, block):
+    block.setflags(write=False)
+    return EmbeddingSpace(language_tag, tuple(words), block)
+
+
+@contextmanager
+def vec_writer(path, count: int, dim: int, precision: int = 9):
+    """Write a ``.vec`` file of ``count`` rows a block at a time.
+
+    Yields ``write(space)``, which appends the rows of a space, so the rows
+    never need to be held at once. Values get ``precision`` significant
+    digits. The file is written under a temporary name next to ``path`` and
+    renamed onto it once every row is written, so a failure leaves no
+    partial file and an existing one as it was. A path that exists but is
+    not a regular file (``/dev/null``) is written directly.
+    """
+    if precision < 1:
+        raise ValueError("precision must be at least 1 significant digit")
+    target = os.path.realpath(path)
+    direct = os.path.exists(target) and not os.path.isfile(target)
+    tmp = target if direct else f"{target}.{os.getpid()}.tmp"
+    line = "%s" + f" %.{precision}g" * dim + "\n"
+    written = 0
+
+    def write(space: EmbeddingSpace) -> None:
+        nonlocal written
+        for word in space.vocab:
+            if not word or _WORD.match(word)[1] != word:  # the reader would not get it back
+                raise ValueError(f"cannot write word {word!r}: empty or holds ASCII whitespace")
+        # one row at a time: formatting blocks of rows holds their strings at once
+        for word, row in zip(space.vocab, space.matrix):
+            fh.write(line % (word, *row.tolist()))
+        written += len(space)
+
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"{count} {dim}\n")
+            yield write
+            if written != count:
+                raise ValueError(f"{path}: {written} rows written, but the header declares {count}")
+        if not direct:
+            os.replace(tmp, target)
+    except BaseException:
+        if not direct and os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_vec(space: EmbeddingSpace, path, precision: int = 9) -> None:
@@ -251,19 +347,11 @@ def save_vec(space: EmbeddingSpace, path, precision: int = 9) -> None:
     At precision 17 the float64 round trip through :func:`load_vec` is
     exact; at precision p the absolute coordinate error stays below
     ``10**(-p + 1)`` for the coordinate magnitudes (< 10) that embeddings
-    use in practice.
+    use in practice. The file appears complete or not at all, as for
+    :func:`vec_writer`.
     """
-    if precision < 1:
-        raise ValueError("precision must be at least 1 significant digit")
-    for word in space.vocab:
-        if not word or _WORD.match(word)[1] != word:  # the reader would not get it back
-            raise ValueError(f"cannot write word {word!r}: empty or holds ASCII whitespace")
-    line = "%s" + f" %.{precision}g" * space.dim + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(space)} {space.dim}\n")
-        # one row at a time: formatting blocks of rows holds their strings at once
-        for word, row in zip(space.vocab, space.matrix):
-            fh.write(line % (word, *row.tolist()))
+    with vec_writer(path, len(space), space.dim, precision) as write:
+        write(space)
 
 
 def normalize(space: EmbeddingSpace) -> EmbeddingSpace:
@@ -286,12 +374,22 @@ def normalize(space: EmbeddingSpace) -> EmbeddingSpace:
 
 def space_fingerprint(space: EmbeddingSpace) -> str:
     """Stable sha256 over the vocabulary and raw matrix bytes."""
-    h = hashlib.sha256()
-    h.update(space.language_tag.encode("utf-8"))
-    h.update(b"\x00")
-    for w in space.vocab:
-        h.update(w.encode("utf-8"))
-        h.update(b"\x00")
-    h.update(str(space.matrix.shape).encode())
+    h = fingerprint_hasher(space.language_tag, space.vocab, space.matrix.shape)
     h.update(memoryview(space.matrix))
     return h.hexdigest()
+
+
+def fingerprint_hasher(language_tag: str, vocab, shape):
+    """The sha256 state :func:`space_fingerprint` has before the matrix.
+
+    Feeding it the rows' bytes in order, a block at a time, gives the same
+    digest as :func:`space_fingerprint` of the whole space.
+    """
+    h = hashlib.sha256()
+    h.update(language_tag.encode("utf-8"))
+    h.update(b"\x00")
+    for w in vocab:
+        h.update(w.encode("utf-8"))
+        h.update(b"\x00")
+    h.update(str(tuple(shape)).encode())
+    return h

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from debias_embed.debias import (
     DebiasConfig,
+    debias_blocks,
     debias_space,
+    residuals,
     run_variant,
 )
 from debias_embed.embeddings import EmbeddingSpace, normalize
@@ -207,3 +209,46 @@ def test_projections_always_vanish(n, d, k, seed):
     )
     out = debias_space(space, sub, DebiasConfig(k=k))
     assert np.abs(out.matrix @ sub.basis.T).max() < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 40),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_residual_rows_are_bitwise_the_same_in_any_block_split(n, d, k, seed, data):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    basis = orthonormal_rows(rng, min(k, d), d)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    whole = residuals(rows, basis)
+    parts = [residuals(rows[a:b], basis) for a, b in zip([0] + cuts, cuts + [n])]
+    np.testing.assert_array_equal(np.vstack(parts), whole)
+    np.testing.assert_array_equal(np.vstack([residuals(r[None], basis) for r in rows]), whole)
+    np.testing.assert_allclose(whole, rows - (rows @ basis.T) @ basis,
+                               atol=1e-12 * np.abs(rows).max())
+
+
+def test_debias_blocks_equal_debias_space_and_warn_once(caplog):
+    rng = np.random.default_rng(3)
+    mat = unit_rows(rng, 9, 4)
+    mat[[1, 7]] = [[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]]  # inside the subspace
+    words = tuple(f"w{i}" for i in range(9))
+    space = EmbeddingSpace("en", words, mat, normalized=True)
+    blocks = [EmbeddingSpace("en", words[a:b], mat[a:b], normalized=True)
+              for a, b in ((0, 4), (4, 5), (5, 9))]
+    sub = axis_subspace([0, 1], 4)
+    cfg = DebiasConfig(k=2, scope="neutral", renormalize_after=True)
+    scope = ["w1", "w2", "w5", "w7", "absent"]
+    with caplog.at_level(logging.WARNING, logger="debias_embed"):
+        whole = debias_space(space, sub, cfg, scope_words=scope)
+    expected = list(caplog.messages)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="debias_embed"):
+        streamed = list(debias_blocks(blocks, sub, cfg, scope_words=scope))
+    np.testing.assert_array_equal(np.vstack([b.matrix for b in streamed]), whole.matrix)
+    assert caplog.messages == expected
+    assert [m.split(":")[1].split()[0] for m in expected] == ["1", "2"]  # unknown, then zero

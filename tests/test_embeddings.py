@@ -12,11 +12,15 @@ from debias_embed.debias import DebiasConfig, debias_space
 from debias_embed.embeddings import (
     BLOCK_BYTES,
     EmbeddingSpace,
+    fingerprint_hasher,
     load_vec,
     normalize,
+    read_blocks,
     row_norms,
     save_vec,
+    scan_vec,
     space_fingerprint,
+    vec_writer,
 )
 from debias_embed.subspace import BiasSubspace
 from helpers import orthonormal_rows, random_space, unit_rows
@@ -112,6 +116,10 @@ def test_space_validates_row_count_and_duplicates():
         EmbeddingSpace("en", ("a", "b"), np.zeros((3, 2)))
     with pytest.raises(ValueError, match="duplicate"):
         EmbeddingSpace("en", ("a", "a"), np.ones((2, 2)))
+    # the first word to repeat is named, not the first word that has a repeat
+    with pytest.raises(ValueError, match="^duplicate word in vocabulary: 'b'$"):
+        EmbeddingSpace("en", ("a", "b", "b", "a"), np.ones((4, 2)))
+    assert EmbeddingSpace("en", ("a", "b"), np.ones((2, 2))).index == {"a": 0, "b": 1}
 
 
 def test_space_rejects_normalized_lie():
@@ -319,10 +327,52 @@ def test_apply_map_and_merge_allocate_no_matrix_sized_temporary():
     mapping = OrthogonalMap(orthonormal_rows(rng, d, d), "hi", "en", n)
     tracemalloc.start()
     try:
-        merged = merge_spaces(apply_map(mapping, source), target)
+        # a rotation keeps unit norms only up to rounding, so, as in align, the
+        # rotated rows are normalized again before the merge
+        merged = merge_spaces(normalize(apply_map(mapping, source)), target)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert merged.normalized
-    # the rotated source and the merged two-matrix stack; the unit-norm check squares blocks
+    # the normalized source and the merged two-matrix stack; the unit-norm check squares blocks
     assert peak < 4.0 * n * d * 8
+
+
+def test_scan_parses_only_kept_rows_and_read_blocks_parses_all(tmp_path, monkeypatch):
+    p = write_vec(tmp_path / "a.vec", ["4 2", "king 1 0", "odd 1 x", "queen 0 1", "man 1 1"])
+    vocab, rows = scan_vec(p, "en", {"queen", "king", "absent"})
+    assert vocab == ("king", "odd", "queen", "man")
+    assert rows.vocab == ("king", "queen")
+    np.testing.assert_array_equal(rows.matrix, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="line 3: unparseable number in row for 'odd'"):
+        list(read_blocks(p, "en"))
+    with pytest.raises(ValueError, match="line 4: duplicate word 'king' \\(first seen at line 2\\)"):
+        scan_vec(write_vec(tmp_path / "b.vec", ["3 1", "king 1", "q 2", "king 3"]), "en", set())
+
+    monkeypatch.setattr("debias_embed.embeddings.BLOCK_BYTES", 2 * 2 * 8)  # two rows a block
+    p = write_vec(tmp_path / "c.vec", ["5 2"] + [f"w{i} {i} 1" for i in range(5)])
+    blocks = list(read_blocks(p, "en"))
+    assert [b.vocab for b in blocks] == [("w0", "w1"), ("w2", "w3"), ("w4",)]
+    np.testing.assert_array_equal(np.vstack([b.matrix for b in blocks]), load_vec(p, "en").matrix)
+
+
+def test_fingerprint_fed_block_by_block_equals_space_fingerprint():
+    space = random_space(5, 9, 4)
+    h = fingerprint_hasher(space.language_tag, space.vocab, space.matrix.shape)
+    for rows in (slice(0, 4), slice(4, 5), slice(5, 9)):
+        h.update(memoryview(space.matrix[rows]))
+    assert h.hexdigest() == space_fingerprint(space)
+
+
+def test_vec_writer_leaves_no_file_and_an_existing_one_as_it_was(tmp_path):
+    space = random_space(6, 3, 2)
+    fresh, kept = tmp_path / "fresh.vec", tmp_path / "kept.vec"
+    kept.write_bytes(b"earlier\n")
+    for path in (fresh, kept):
+        with pytest.raises(ValueError, match="2 rows written, but the header declares 3"):
+            with vec_writer(str(path), 3, 2) as write:
+                write(EmbeddingSpace("xx", space.vocab[:2], space.matrix[:2]))
+        with pytest.raises(ValueError, match="cannot write word"):
+            save_vec(EmbeddingSpace("xx", ("a", "b c"), np.ones((2, 1))), str(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.vec"]
+    assert kept.read_bytes() == b"earlier\n"
