@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     # embeddings
     "EmbeddingSpace": "embeddings",
+    "SpaceStream": "embeddings",
     "iter_vec": "embeddings",
     "load_vec": "embeddings",
     "save_vec": "embeddings",
@@ -52,6 +53,7 @@ _EXPORTS = {
     "DebiasConfig": "debias",
     "debias_space": "debias",
     "run_variant": "debias",
+    "variant_words": "debias",
     # intrinsic metrics
     "dis": "intrinsic",
     "inbias": "intrinsic",

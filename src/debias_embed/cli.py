@@ -18,7 +18,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 
 __all__ = ["main", "build_parser"]
 
@@ -226,34 +225,18 @@ def cmd_debias(args):
         for lang in languages
     }
     # Two passes over the input, so the matrix is never held. The first
-    # checks every line but parses only the rows the subspace fit reads.
-    vocab, fit_rows = emb.scan_vec(
-        args.emb, tag, debmod.variant_words(lexicon, debias_config, splits)
+    # checks every line but holds only the rows the subspace fit reads; the
+    # second normalizes, debiases and writes a block of rows at a time.
+    space = emb.normalize(emb.load_vec(
+        args.emb, tag, hold=debmod.variant_words(lexicon, debias_config, splits)
+    ))
+    _, used = debmod.run_variant(
+        space, lexicon, debias_config, splits, center=args.center, seed=args.seed,
+        save=lambda debiased: emb.save_vec(debiased, args.out, args.precision),
     )
-    used, scope_words = debmod.fit_variant(
-        emb.normalize(fit_rows), lexicon, debias_config, splits,
-        center=args.center, seed=args.seed,
-    )
-    count, dim = len(vocab), fit_rows.dim
-    fingerprint = emb.fingerprint_hasher(tag, vocab, (count, dim))
-    del vocab, fit_rows  # hashed and fitted: the second pass needs neither
-
-    def normalized_blocks():  # the second pass
-        for block in emb.read_blocks(args.emb, tag):
-            block = emb.normalize(block)
-            fingerprint.update(memoryview(block.matrix))
-            yield block
-            del block  # not alive while the next block is read
-
-    with emb.vec_writer(args.out, count, dim, args.precision) as write:
-        for block in debmod.debias_blocks(normalized_blocks(), used, debias_config, scope_words):
-            write(block)
-            del block  # not alive while the next block is computed
-    used = replace(used, provenance={**used.provenance,
-                                     "embedding_fingerprint": fingerprint.hexdigest()})
     subspace_out = args.subspace_out or args.out + ".subspace.json"
     submod.save_subspace(used, subspace_out)
-    print(f"debiased {count} word(s) ({args.variant}/{args.method}, k={args.k})"
+    print(f"debiased {len(space)} word(s) ({args.variant}/{args.method}, k={args.k})"
           f" -> {args.out}")
     config = {
         "subcommand": "debias",

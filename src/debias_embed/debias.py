@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .embeddings import BLOCK_BYTES, EmbeddingSpace, row_norms, space_fingerprint
+from .embeddings import BLOCK_BYTES, EmbeddingSpace, SpaceStream, row_norms, space_fingerprint
 from .lexicon import GenderLexicon, PairSplit
 from .subspace import (
     BiasSubspace,
@@ -32,6 +32,7 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "DebiasConfig",
+    "DebiasNotes",
     "residuals",
     "debias_blocks",
     "debias_space",
@@ -94,68 +95,57 @@ def residuals(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return out
 
 
+class DebiasNotes:
+    """What :func:`debias_space` warns about, gathered over the blocks of one space.
+
+    Made for one config and its ``scope_words`` (required for scope
+    ``neutral``); :meth:`log` logs each warning once.
+    """
+
+    def __init__(self, config: DebiasConfig, scope_words=None):
+        self.wanted = None
+        if config.scope == "neutral":
+            if scope_words is None:
+                raise ValueError("scope 'neutral' needs the scope_words to restrict to")
+            self.wanted = set(scope_words)
+        self.found: set[str] = set()
+        self.unnormalized = False
+        self.zero_words: list[str] = []
+
+    def log(self) -> None:
+        if self.unnormalized:
+            log.warning("debias_space: input space is not normalized")
+        if self.wanted is not None and self.wanted - self.found:
+            log.warning("debias_space: %d scope word(s) not in the vocabulary",
+                        len(self.wanted - self.found))
+        if self.zero_words:
+            shown = ", ".join(repr(w) for w in self.zero_words[:10])
+            more = f" (+{len(self.zero_words) - 10} more)" if len(self.zero_words) > 10 else ""
+            log.warning(
+                "debias_space: %d word(s) lie entirely in the bias subspace and stay "
+                "zero after renormalization: %s%s",
+                len(self.zero_words),
+                shown,
+                more,
+            )
+
+
 def debias_blocks(blocks, subspace: BiasSubspace, config: DebiasConfig, scope_words=None):
     """Remove the subspace component from every in-scope word of a space given in blocks.
 
     ``blocks`` are consecutive row blocks of one space, as EmbeddingSpace
-    objects; each is yielded debiased before the next is read, and a row's
-    result does not depend on the split, so a space too large to hold can
-    be streamed through. Arguments and warnings are those of
-    :func:`debias_space`; each warning is logged once, after the last block.
+    objects; each is yielded, debiased by :func:`debias_space`, before the
+    next is read, and a row's result does not depend on the split, so a
+    space too large to hold can be streamed through. Arguments and warnings
+    are those of :func:`debias_space`; each warning is logged once, after
+    the last block.
     """
-    neutral = config.scope == "neutral"
-    if neutral:
-        if scope_words is None:
-            raise ValueError("scope 'neutral' needs the scope_words to restrict to")
-        wanted, found = set(scope_words), set()
-    warned_unnormalized = False
-    zero_words: list[str] = []
+    notes = DebiasNotes(config, scope_words)
     for space in blocks:
-        if space.dim != subspace.dim:
-            raise ValueError(
-                f"dimension mismatch: space dim {space.dim} vs basis dim {subspace.dim}"
-            )
-        if not space.normalized and not warned_unnormalized:
-            log.warning("debias_space: input space is not normalized")
-            warned_unnormalized = True
-        if neutral:
-            rows = np.array([i for i, w in enumerate(space.vocab) if w in wanted], dtype=int)
-            found.update(space.vocab[i] for i in rows)
-        else:
-            rows = slice(None)
-        sub = residuals(space.matrix[rows], subspace.basis)
-
-        normalized = False
-        if config.renormalize_after:
-            norms = row_norms(sub)
-            zero = norms < ZERO_RESIDUAL_TOL
-            zero_words += [space.vocab[i] for i in np.arange(len(space))[rows][zero]]
-            sub[zero] = 0.0
-            np.divide(sub, norms[:, None], out=sub, where=~zero[:, None])
-            # unit everywhere only if no residual vanished and any untouched
-            # out-of-scope rows were unit to begin with
-            normalized = bool(not zero.any() and (not neutral or space.normalized))
-        if neutral:
-            matrix = space.matrix.copy()
-            matrix[rows] = sub
-        else:
-            matrix = sub
-        matrix.setflags(write=False)
-        yield EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=normalized)
-        del space, sub, matrix  # not alive while the next block is read
-
-    if neutral and wanted - found:
-        log.warning("debias_space: %d scope word(s) not in the vocabulary", len(wanted - found))
-    if zero_words:
-        shown = ", ".join(repr(w) for w in zero_words[:10])
-        more = f" (+{len(zero_words) - 10} more)" if len(zero_words) > 10 else ""
-        log.warning(
-            "debias_space: %d word(s) lie entirely in the bias subspace and stay "
-            "zero after renormalization: %s%s",
-            len(zero_words),
-            shown,
-            more,
-        )
+        ready = [debias_space(space, subspace, config, notes=notes)]
+        del space  # not alive while the next block is read
+        yield ready.pop()
+    notes.log()
 
 
 def debias_space(
@@ -163,6 +153,8 @@ def debias_space(
     subspace: BiasSubspace,
     config: DebiasConfig,
     scope_words=None,
+    *,
+    notes: DebiasNotes | None = None,
 ) -> EmbeddingSpace:
     """Remove the subspace component from every in-scope word.
 
@@ -172,9 +164,45 @@ def debias_space(
     ``renormalize_after`` residuals are rescaled to unit norm, except
     residuals that vanished entirely, which stay zero and are logged.
     Each row is computed by :func:`residuals`, so the result equals that
-    of :func:`debias_blocks` over any split of the space.
+    of :func:`debias_blocks` over any split of the space. Given ``notes``,
+    the scope words are the ones it was made with, and the warnings are
+    gathered there instead of logged.
     """
-    [debiased] = debias_blocks([space], subspace, config, scope_words)
+    own_notes = notes is None
+    if own_notes:
+        notes = DebiasNotes(config, scope_words)
+    if space.dim != subspace.dim:
+        raise ValueError(
+            f"dimension mismatch: space dim {space.dim} vs basis dim {subspace.dim}"
+        )
+    notes.unnormalized |= not space.normalized
+    neutral = notes.wanted is not None
+    if neutral:
+        rows = np.array([i for i, w in enumerate(space.vocab) if w in notes.wanted], dtype=int)
+        notes.found.update(space.vocab[i] for i in rows)
+    else:
+        rows = slice(None)
+    sub = residuals(space.matrix[rows], subspace.basis)
+
+    normalized = False
+    if config.renormalize_after:
+        norms = row_norms(sub)
+        zero = norms < ZERO_RESIDUAL_TOL
+        notes.zero_words += [space.vocab[i] for i in np.arange(len(space))[rows][zero]]
+        sub[zero] = 0.0
+        np.divide(sub, norms[:, None], out=sub, where=~zero[:, None])
+        # unit everywhere only if no residual vanished and any untouched
+        # out-of-scope rows were unit to begin with
+        normalized = bool(not zero.any() and (not neutral or space.normalized))
+    if neutral:
+        matrix = space.matrix.copy()
+        matrix[rows] = sub
+    else:
+        matrix = sub
+    matrix.setflags(write=False)
+    debiased = EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=normalized)
+    if own_notes:
+        notes.log()
     return debiased
 
 
@@ -270,14 +298,15 @@ def fit_variant(
 
 
 def run_variant(
-    space: EmbeddingSpace,
+    space: EmbeddingSpace | SpaceStream,
     lexicon: GenderLexicon,
     config: DebiasConfig,
     splits: dict[str, PairSplit],
     *,
     center: bool = False,
     seed: int = 0,
-) -> tuple[EmbeddingSpace, BiasSubspace]:
+    save=None,
+) -> tuple[EmbeddingSpace | SpaceStream, BiasSubspace]:
     """Build the variant's subspace from train pairs and debias the space.
 
     ``splits`` maps each participating language to its train/test pair
@@ -285,8 +314,27 @@ def run_variant(
     every language given (in mapping order). ``center`` (PCA only) centers
     the difference vectors first. Returns the debiased space together with
     the subspace used, provenance attached.
+
+    ``space`` may be a :class:`~.embeddings.SpaceStream`, fitted from its
+    held rows (it must hold those :func:`variant_words` names); the
+    debiased space is then a stream too, computed block by block as it is
+    read. ``save``, if given, is called with the debiased space before the
+    input is fingerprinted: for a stream, that makes the pass which writes
+    the output the one pass over the input that the fingerprint needs.
     """
-    subspace, scope_words = fit_variant(space, lexicon, config, splits, center=center, seed=seed)
-    debiased = debias_space(space, subspace, config, scope_words=scope_words)
+    streamed = isinstance(space, SpaceStream)
+    if streamed and space.held is None:
+        raise ValueError("a streamed space needs held rows to fit the subspace from")
+    subspace, scope_words = fit_variant(space.held if streamed else space, lexicon, config,
+                                        splits, center=center, seed=seed)
+    if streamed:
+        debiased = space.derive(
+            lambda blocks: debias_blocks(blocks, subspace, config, scope_words),
+            fingerprint=True,
+        )
+    else:
+        debiased = debias_space(space, subspace, config, scope_words=scope_words)
+    if save is not None:
+        save(debiased)
     provenance = dict(subspace.provenance, embedding_fingerprint=space_fingerprint(space))
     return debiased, replace(subspace, provenance=provenance)

@@ -25,16 +25,13 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "EmbeddingSpace",
+    "SpaceStream",
     "iter_vec",
     "load_vec",
-    "scan_vec",
-    "read_blocks",
-    "vec_writer",
     "save_vec",
     "normalize",
     "row_norms",
     "space_fingerprint",
-    "fingerprint_hasher",
 ]
 
 #: a "normalized" space guarantees unit row norms within this tolerance
@@ -130,6 +127,60 @@ class EmbeddingSpace:
         return row
 
 
+class SpaceStream:
+    """A space read a block at a time instead of held, for inputs larger than memory.
+
+    :func:`load_vec` with ``hold`` opens one over a ``.vec`` file;
+    :func:`normalize` and :func:`~.debias.run_variant` derive others from
+    it. :meth:`blocks` yields every row, as consecutive EmbeddingSpace
+    blocks of about ``BLOCK_BYTES``, and computes them anew on each call; a
+    row does not depend on how the rows are split. ``held`` is an
+    EmbeddingSpace of the rows of some words (None if there are none), kept
+    for lookups such as a subspace fit. The words themselves are not kept,
+    only the hash :func:`space_fingerprint` starts from.
+    """
+
+    def __init__(self, language_tag: str, count: int, dim: int, source, *, held=None,
+                 normalized: bool = False, vocab_hash):
+        self.language_tag = language_tag
+        self.dim = dim
+        self.held = held
+        self.normalized = normalized
+        #: the digest of the last pass that hashed every block, else None
+        self.fingerprint = None
+        self._count = count
+        self._source = source
+        self._vocab_hash = vocab_hash
+
+    def __len__(self):
+        return self._count
+
+    def blocks(self, fingerprint: bool = False):
+        """Yield the rows block by block, computed anew.
+
+        With ``fingerprint``, the blocks are hashed as they pass, and once
+        all have, ``self.fingerprint`` holds what :func:`space_fingerprint`
+        gives, so it needs no pass of its own.
+        """
+        if not fingerprint:
+            yield from self._source()
+            return
+        h = self._vocab_hash.copy()
+        for block in self._source():
+            h.update(memoryview(block.matrix))
+            yield block
+            del block  # not alive while the next block is computed
+        self.fingerprint = h.hexdigest()
+
+    def derive(self, blocks_of, *, held=None, normalized: bool = False,
+               fingerprint: bool = False) -> SpaceStream:
+        """The stream of ``blocks_of(self.blocks(fingerprint))``: the same words
+        in the same order, each block computed from one of this stream's."""
+        return SpaceStream(self.language_tag, len(self), self.dim,
+                           lambda: blocks_of(self.blocks(fingerprint)), held=held,
+                           normalized=normalized, vocab_hash=self._vocab_hash)
+
+
 def _row_blocks(matrix):
     """Slices covering the rows of ``matrix`` about ``BLOCK_BYTES`` at a time."""
     n, d = matrix.shape
@@ -219,13 +270,13 @@ def _vec_rows(fh, name, dim, keep):
         yield lineno, word, row
 
 
-def scan_vec(path, language_tag: str, keep) -> tuple[tuple[str, ...], EmbeddingSpace]:
+def _scan_vec(path, language_tag: str, keep) -> tuple[tuple[str, ...], EmbeddingSpace]:
     """First of two passes over a ``.vec`` file too large to hold.
 
     Every line is decoded and checked as by :func:`load_vec`, but only the
     rows of the words in ``keep`` (every word when ``keep`` is None) are
     parsed. Returns every word, in file order, and an (unnormalized) space
-    of the kept words' rows. :func:`read_blocks` is the second pass.
+    of the kept words' rows. :func:`_read_blocks` is the second pass.
     """
     with open(path, "rb") as fh:
         count, dim, rows = iter_vec(fh, keep)
@@ -259,22 +310,33 @@ def scan_vec(path, language_tag: str, keep) -> tuple[tuple[str, ...], EmbeddingS
     return vocab, EmbeddingSpace(language_tag, tuple(kept), matrix, normalized=False)
 
 
-def load_vec(path, language_tag: str) -> EmbeddingSpace:
+def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream:
     """Read a ``.vec`` file into an (unnormalized) EmbeddingSpace.
 
     The file must be UTF-8. Besides :func:`iter_vec`'s format errors, an
     undecodable byte, a duplicate word and a row count that disagrees with
     the header raise ValueError with the line number.
+
+    With ``hold``, a set of words, the rows are streamed instead of held: a
+    :class:`SpaceStream` is returned that holds only those words' rows and
+    reads the file again on each pass over its blocks. Every line is
+    decoded and checked for duplicates and the row count at once, but the
+    other rows' format errors surface when a pass reaches them.
     """
-    return scan_vec(path, language_tag, None)[1]
+    vocab, held = _scan_vec(path, language_tag, hold)
+    if hold is None:
+        return held
+    return SpaceStream(language_tag, len(vocab), held.dim,
+                       lambda: _read_blocks(path, language_tag), held=held,
+                       vocab_hash=_vocab_hash(language_tag, vocab, (len(vocab), held.dim)))
 
 
-def read_blocks(path, language_tag: str):
+def _read_blocks(path, language_tag: str):
     """Second pass: the rows of a ``.vec`` file as consecutive spaces.
 
     Yields (unnormalized) EmbeddingSpace blocks of about ``BLOCK_BYTES``
     each, in file order. Format errors are :func:`iter_vec`'s; duplicates
-    and the row count are left to the first pass, :func:`scan_vec`.
+    and the row count are left to the first pass, :func:`_scan_vec`.
     """
     with open(path, "rb") as fh:
         _, dim, rows = iter_vec(fh)
@@ -299,7 +361,7 @@ def _frozen_block(language_tag, words, block):
 
 
 @contextmanager
-def vec_writer(path, count: int, dim: int, precision: int = 9):
+def _vec_writer(path, count: int, dim: int, precision: int = 9):
     """Write a ``.vec`` file of ``count`` rows a block at a time.
 
     Yields ``write(space)``, which appends the rows of a space, so the rows
@@ -341,27 +403,37 @@ def vec_writer(path, count: int, dim: int, precision: int = 9):
         raise
 
 
-def save_vec(space: EmbeddingSpace, path, precision: int = 9) -> None:
+def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> None:
     """Write a ``.vec`` file with ``precision`` significant digits.
 
     At precision 17 the float64 round trip through :func:`load_vec` is
     exact; at precision p the absolute coordinate error stays below
     ``10**(-p + 1)`` for the coordinate magnitudes (< 10) that embeddings
-    use in practice. The file appears complete or not at all, as for
-    :func:`vec_writer`.
+    use in practice. The file is written under a temporary name next to
+    ``path`` and renamed into place, so it appears complete or not at all.
+    A :class:`SpaceStream` is written a block at a time, as its pass
+    computes them.
     """
-    with vec_writer(path, len(space), space.dim, precision) as write:
-        write(space)
+    blocks = space.blocks() if isinstance(space, SpaceStream) else [space]
+    with _vec_writer(path, len(space), space.dim, precision) as write:
+        for block in blocks:
+            write(block)
+            del block  # not alive while the next block is computed
 
 
-def normalize(space: EmbeddingSpace) -> EmbeddingSpace:
+def normalize(space: EmbeddingSpace | SpaceStream) -> EmbeddingSpace | SpaceStream:
     """Scale every row to unit Euclidean norm.
 
     Idempotent: a space already flagged normalized is returned as is.
-    A zero row cannot be normalized and raises ValueError naming the word.
+    A zero row cannot be normalized and raises ValueError naming the word;
+    a :class:`SpaceStream` is normalized block by block as it is read, so
+    there the error comes from the pass that reaches the row.
     """
     if space.normalized:
         return space
+    if isinstance(space, SpaceStream):
+        held = None if space.held is None else normalize(space.held)
+        return space.derive(lambda blocks: map(normalize, blocks), held=held, normalized=True)
     norms = row_norms(space.matrix)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -372,18 +444,28 @@ def normalize(space: EmbeddingSpace) -> EmbeddingSpace:
     return EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=True)
 
 
-def space_fingerprint(space: EmbeddingSpace) -> str:
-    """Stable sha256 over the vocabulary and raw matrix bytes."""
-    h = fingerprint_hasher(space.language_tag, space.vocab, space.matrix.shape)
+def space_fingerprint(space: EmbeddingSpace | SpaceStream) -> str:
+    """Stable sha256 over the vocabulary and raw matrix bytes.
+
+    A :class:`SpaceStream` is read for it, unless a pass that hashes its
+    blocks has read them all already.
+    """
+    if isinstance(space, SpaceStream):
+        if space.fingerprint is None:
+            for _ in space.blocks(fingerprint=True):
+                pass
+        return space.fingerprint
+    h = _vocab_hash(space.language_tag, space.vocab, space.matrix.shape)
     h.update(memoryview(space.matrix))
     return h.hexdigest()
 
 
-def fingerprint_hasher(language_tag: str, vocab, shape):
+def _vocab_hash(language_tag: str, vocab, shape):
     """The sha256 state :func:`space_fingerprint` has before the matrix.
 
     Feeding it the rows' bytes in order, a block at a time, gives the same
-    digest as :func:`space_fingerprint` of the whole space.
+    digest as :func:`space_fingerprint` of the whole space, so a
+    :class:`SpaceStream` keeps this instead of its words.
     """
     h = hashlib.sha256()
     h.update(language_tag.encode("utf-8"))

@@ -12,15 +12,12 @@ from debias_embed.debias import DebiasConfig, debias_space
 from debias_embed.embeddings import (
     BLOCK_BYTES,
     EmbeddingSpace,
-    fingerprint_hasher,
+    SpaceStream,
     load_vec,
     normalize,
-    read_blocks,
     row_norms,
     save_vec,
-    scan_vec,
     space_fingerprint,
-    vec_writer,
 )
 from debias_embed.subspace import BiasSubspace
 from helpers import orthonormal_rows, random_space, unit_rows
@@ -338,41 +335,52 @@ def test_apply_map_and_merge_allocate_no_matrix_sized_temporary():
     assert peak < 4.0 * n * d * 8
 
 
-def test_scan_parses_only_kept_rows_and_read_blocks_parses_all(tmp_path, monkeypatch):
+def test_held_load_parses_only_held_rows_and_its_blocks_parse_all(tmp_path, monkeypatch):
     p = write_vec(tmp_path / "a.vec", ["4 2", "king 1 0", "odd 1 x", "queen 0 1", "man 1 1"])
-    vocab, rows = scan_vec(p, "en", {"queen", "king", "absent"})
-    assert vocab == ("king", "odd", "queen", "man")
-    assert rows.vocab == ("king", "queen")
-    np.testing.assert_array_equal(rows.matrix, [[1, 0], [0, 1]])
+    stream = load_vec(p, "en", hold={"queen", "king", "absent"})
+    assert isinstance(stream, SpaceStream) and (len(stream), stream.dim) == (4, 2)
+    assert stream.held.vocab == ("king", "queen")
+    np.testing.assert_array_equal(stream.held.matrix, [[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="line 3: unparseable number in row for 'odd'"):
-        list(read_blocks(p, "en"))
+        list(stream.blocks())
     with pytest.raises(ValueError, match="line 4: duplicate word 'king' \\(first seen at line 2\\)"):
-        scan_vec(write_vec(tmp_path / "b.vec", ["3 1", "king 1", "q 2", "king 3"]), "en", set())
+        load_vec(write_vec(tmp_path / "b.vec", ["3 1", "king 1", "q 2", "king 3"]), "en", hold=set())
 
     monkeypatch.setattr("debias_embed.embeddings.BLOCK_BYTES", 2 * 2 * 8)  # two rows a block
     p = write_vec(tmp_path / "c.vec", ["5 2"] + [f"w{i} {i} 1" for i in range(5)])
-    blocks = list(read_blocks(p, "en"))
+    blocks = list(load_vec(p, "en", hold=set()).blocks())
     assert [b.vocab for b in blocks] == [("w0", "w1"), ("w2", "w3"), ("w4",)]
     np.testing.assert_array_equal(np.vstack([b.matrix for b in blocks]), load_vec(p, "en").matrix)
 
 
-def test_fingerprint_fed_block_by_block_equals_space_fingerprint():
-    space = random_space(5, 9, 4)
-    h = fingerprint_hasher(space.language_tag, space.vocab, space.matrix.shape)
-    for rows in (slice(0, 4), slice(4, 5), slice(5, 9)):
-        h.update(memoryview(space.matrix[rows]))
-    assert h.hexdigest() == space_fingerprint(space)
+def test_stream_fingerprint_and_normalized_rows_equal_the_held_space(tmp_path, monkeypatch):
+    monkeypatch.setattr("debias_embed.embeddings.BLOCK_BYTES", 4 * 3 * 8)  # four rows a block
+    path = str(tmp_path / "a.vec")
+    save_vec(random_space(5, 9, 3), path, precision=17)
+    space = normalize(load_vec(path, "xx"))
+    stream = normalize(load_vec(path, "xx", hold={"w0002"}))
+    assert stream.normalized and stream.held.normalized
+    np.testing.assert_array_equal(stream.held.matrix, space.matrix[[2]])
+    assert stream.fingerprint is None
+    assert space_fingerprint(stream) == space_fingerprint(space)  # a pass of its own
+    rows = [b.matrix for b in stream.blocks(fingerprint=True)]  # a pass that hashes
+    np.testing.assert_array_equal(np.vstack(rows), space.matrix)
+    assert [len(r) for r in rows] == [4, 4, 1]
+    assert stream.fingerprint == space_fingerprint(stream) == space_fingerprint(space)
 
 
-def test_vec_writer_leaves_no_file_and_an_existing_one_as_it_was(tmp_path):
-    space = random_space(6, 3, 2)
-    fresh, kept = tmp_path / "fresh.vec", tmp_path / "kept.vec"
+def test_failed_save_leaves_no_file_and_an_existing_one_as_it_was(tmp_path):
+    src = tmp_path / "src.vec"
+    src.write_text("3 2\na 1 0\nb 0 1\nc 1 1\n", encoding="utf-8")
+    stream = load_vec(str(src), "xx", hold=set())
+    src.write_text("2 2\na 1 0\nb 0 1\n", encoding="utf-8")  # shrinks after the first pass
+    fresh, kept = tmp_path / "out" / "fresh.vec", tmp_path / "out" / "kept.vec"
+    kept.parent.mkdir()
     kept.write_bytes(b"earlier\n")
     for path in (fresh, kept):
         with pytest.raises(ValueError, match="2 rows written, but the header declares 3"):
-            with vec_writer(str(path), 3, 2) as write:
-                write(EmbeddingSpace("xx", space.vocab[:2], space.matrix[:2]))
+            save_vec(stream, str(path))
         with pytest.raises(ValueError, match="cannot write word"):
             save_vec(EmbeddingSpace("xx", ("a", "b c"), np.ones((2, 1))), str(path))
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.vec"]
+    assert sorted(p.name for p in kept.parent.iterdir()) == ["kept.vec"]
     assert kept.read_bytes() == b"earlier\n"
