@@ -6,9 +6,12 @@ subspace estimation (PCA or kurtosis-based projection pursuit), linear
 projection debiasing, and intrinsic/extrinsic bias metrics.
 
 Submodules are imported lazily so that the command-line entry point can
-cap BLAS thread pools (see ``DEBIAS_EMBED_THREADS``) before numpy loads.
+cap BLAS thread pools before numpy loads. ``DEBIAS_EMBED_THREADS`` (see
+:func:`thread_cap`) caps those pools and the processes that parse and
+format ``.vec`` text.
 """
 
+import os
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -79,6 +82,20 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def thread_cap() -> int | None:
+    """The positive integer in ``DEBIAS_EMBED_THREADS``, or None if it is unset or empty.
+
+    It caps the BLAS thread pools and the number of processes that parse
+    and format ``.vec`` text. Any other value raises ValueError.
+    """
+    threads = os.environ.get("DEBIAS_EMBED_THREADS")
+    if not threads:
+        return None
+    if not threads.isdigit() or int(threads) < 1:
+        raise ValueError(f"DEBIAS_EMBED_THREADS must be a positive integer, got {threads!r}")
+    return int(threads)
 
 
 def __getattr__(name):

@@ -6,9 +6,10 @@ writes one ``<first output>.manifest.json`` recording the command line,
 config, seeds, the fingerprints of what it read and wrote, and its warnings;
 ``report`` writes files only with ``--json``.
 
-Set ``DEBIAS_EMBED_THREADS`` to cap the BLAS thread pools; it is applied
-before numpy is first imported, which is why the heavy submodules are
-imported lazily inside the subcommand handlers.
+Set ``DEBIAS_EMBED_THREADS`` to cap the BLAS thread pools and the processes
+that parse and format ``.vec`` text; the BLAS cap is applied before numpy
+is first imported, which is why the heavy submodules are imported lazily
+inside the subcommand handlers.
 """
 
 from __future__ import annotations
@@ -19,20 +20,20 @@ import logging
 import os
 import sys
 
+from . import thread_cap
+
 __all__ = ["main", "build_parser"]
 
 log = logging.getLogger(__name__)
 
 
 def _apply_thread_cap() -> None:
-    threads = os.environ.get("DEBIAS_EMBED_THREADS")
-    if not threads:
+    threads = thread_cap()
+    if threads is None:
         return
-    if not threads.isdigit() or int(threads) < 1:
-        raise ValueError(f"DEBIAS_EMBED_THREADS must be a positive integer, got {threads!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
+        os.environ.setdefault(var, str(threads))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,23 +101,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--lexicon", default="builtin")
     p_rep.add_argument("--json", dest="json_out", help="write the report as JSON here")
     p_rep.add_argument("--seed", type=int, default=0)
-    # inbias options
-    p_rep.add_argument("--seeds", choices=("test", "lexicon"), default="test",
-                       help="score against held-out pair sides (default) or static seeds")
-    p_rep.add_argument("--train-count", type=int, default=10,
-                       help="train pairs per language when --seeds test recomputes the split")
-    # xscore options
-    p_rep.add_argument("--epsilon", type=float, default=1e-8,
-                       help="skip words whose base projection is below this (default 1e-8)")
-    # exbias options
+    # the options of one mode; their defaults, in MODE_OPTIONS, are filled in by cmd_report
+    p_rep.add_argument("--seeds", choices=("test", "lexicon"),
+                       help="inbias: score against held-out pair sides (default) or static seeds")
+    p_rep.add_argument("--train-count", type=int,
+                       help="inbias: train pairs per language when --seeds test recomputes "
+                            "the split (default 10)")
+    p_rep.add_argument("--epsilon", type=float,
+                       help="xscore: skip words whose base projection is below this "
+                            "(default 1e-8)")
     p_rep.add_argument("--corpus", help="bios TSV for --exbias")
     p_rep.add_argument("--corpus-after", help="optional second corpus for the after run")
     p_rep.add_argument("--corpus-lang", help="language tag of the bios (for merged spaces)")
-    p_rep.add_argument("--min-count", type=int, default=100,
-                       help="drop occupations with fewer records (default 100)")
-    p_rep.add_argument("--test-fraction", type=float, default=0.2)
-    p_rep.add_argument("--learning-rate", type=float, default=1.0)
-    p_rep.add_argument("--epochs", type=int, default=300)
+    p_rep.add_argument("--min-count", type=int,
+                       help="exbias: drop occupations with fewer records (default 100)")
+    p_rep.add_argument("--test-fraction", type=float, help="exbias (default 0.2)")
+    p_rep.add_argument("--learning-rate", type=float, help="exbias (default 1.0)")
+    p_rep.add_argument("--epochs", type=int, help="exbias (default 300)")
     p_rep.set_defaults(func=cmd_report)
 
     for name, p in (("align", p_align), ("debias", p_deb), ("report", p_rep)):
@@ -377,11 +378,19 @@ def _report_exbias(args, languages, lexicon):
     return table, payload, inputs
 
 
-#: file flags each report mode does not read; giving one is refused
+#: the options only one report mode reads, with their defaults
+MODE_OPTIONS = {
+    "inbias": {"seeds": "test", "train_count": 10},
+    "xscore": {"epsilon": 1e-8},
+    "exbias": {"corpus": None, "corpus_after": None, "corpus_lang": None, "min_count": 100,
+               "test_fraction": 0.2, "learning_rate": 1.0, "epochs": 300},
+}
+
+#: what each report mode does not read; giving one, as a flag or in --config, is refused
 UNREAD_FLAGS = {
-    "inbias": ("corpus", "corpus_after"),
-    "xscore": ("emb_after", "corpus", "corpus_after"),
-    "exbias": (),
+    mode: ("emb_after",) * (mode == "xscore")
+    + tuple(dest for other in MODE_OPTIONS if other != mode for dest in MODE_OPTIONS[other])
+    for mode in MODE_OPTIONS
 }
 
 
@@ -389,8 +398,11 @@ def cmd_report(args):
     languages = _languages(args)
     mode = "inbias" if args.inbias else "xscore" if args.xscore else "exbias"
     for dest in UNREAD_FLAGS[mode]:
-        if getattr(args, dest):
+        if getattr(args, dest) is not None:
             raise ValueError(f"--{dest.replace('_', '-')} is not read by --{mode}")
+    for dest, default in MODE_OPTIONS[mode].items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     report = {"inbias": _report_inbias, "xscore": _report_xscore, "exbias": _report_exbias}[mode]
     table, payload, inputs = report(args, languages, _load_lexicon(args.lexicon))
 
@@ -414,6 +426,20 @@ def cmd_report(args):
     return config, {"seed": args.seed}, inputs, [args.json_out], manifest_path
 
 
+#: the output option each subcommand names its other outputs after
+PRIMARY_OUTPUT = {"align": ("out", "--out"), "debias": ("out", "--out"),
+                  "report": ("json_out", "--json")}
+
+
+def _refuse_irregular_output(args) -> None:
+    """Refuse a primary output that exists and is not a regular file, such as
+    ``/dev/null``: the run would write its other outputs beside it."""
+    dest, flag = PRIMARY_OUTPUT[args.subcommand]
+    path = getattr(args, dest)
+    if path and os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"{flag} {path}: exists and is not a regular file")
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -429,6 +455,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args = _apply_config_defaults(parser, args, argv)
+        _refuse_irregular_output(args)
         from .manifest import RunManifest, capture_warnings
 
         with capture_warnings() as warnings:

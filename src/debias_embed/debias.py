@@ -34,7 +34,6 @@ __all__ = [
     "DebiasConfig",
     "DebiasNotes",
     "residuals",
-    "debias_blocks",
     "debias_space",
     "variant_words",
     "fit_variant",
@@ -99,7 +98,8 @@ class DebiasNotes:
     """What :func:`debias_space` warns about, gathered over the blocks of one space.
 
     Made for one config and its ``scope_words`` (required for scope
-    ``neutral``); :meth:`log` logs each warning once.
+    ``neutral``). Blocks debiased apart, each with notes of its own, are
+    gathered with :meth:`add`; :meth:`finish` logs each warning once.
     """
 
     def __init__(self, config: DebiasConfig, scope_words=None):
@@ -112,7 +112,14 @@ class DebiasNotes:
         self.unnormalized = False
         self.zero_words: list[str] = []
 
-    def log(self) -> None:
+    def add(self, other: DebiasNotes) -> None:
+        """Gather the notes of another block of the same space."""
+        self.found |= other.found
+        self.unnormalized |= other.unnormalized
+        self.zero_words += other.zero_words
+
+    def finish(self) -> None:
+        """Log each warning gathered, once."""
         if self.unnormalized:
             log.warning("debias_space: input space is not normalized")
         if self.wanted is not None and self.wanted - self.found:
@@ -130,24 +137,6 @@ class DebiasNotes:
             )
 
 
-def debias_blocks(blocks, subspace: BiasSubspace, config: DebiasConfig, scope_words=None):
-    """Remove the subspace component from every in-scope word of a space given in blocks.
-
-    ``blocks`` are consecutive row blocks of one space, as EmbeddingSpace
-    objects; each is yielded, debiased by :func:`debias_space`, before the
-    next is read, and a row's result does not depend on the split, so a
-    space too large to hold can be streamed through. Arguments and warnings
-    are those of :func:`debias_space`; each warning is logged once, after
-    the last block.
-    """
-    notes = DebiasNotes(config, scope_words)
-    for space in blocks:
-        ready = [debias_space(space, subspace, config, notes=notes)]
-        del space  # not alive while the next block is read
-        yield ready.pop()
-    notes.log()
-
-
 def debias_space(
     space: EmbeddingSpace,
     subspace: BiasSubspace,
@@ -163,10 +152,11 @@ def debias_space(
     word is then carried over bit-identically. With
     ``renormalize_after`` residuals are rescaled to unit norm, except
     residuals that vanished entirely, which stay zero and are logged.
-    Each row is computed by :func:`residuals`, so the result equals that
-    of :func:`debias_blocks` over any split of the space. Given ``notes``,
-    the scope words are the ones it was made with, and the warnings are
-    gathered there instead of logged.
+    Each row is computed by :func:`residuals`, so debiasing the blocks of
+    any split of the space instead, each with notes of its own gathered by
+    :meth:`DebiasNotes.add`, gives the same rows and warnings. Given
+    ``notes``, the scope words are the ones it was made with, and the
+    warnings are gathered there instead of logged.
     """
     own_notes = notes is None
     if own_notes:
@@ -202,7 +192,7 @@ def debias_space(
     matrix.setflags(write=False)
     debiased = EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=normalized)
     if own_notes:
-        notes.log()
+        notes.finish()
     return debiased
 
 
@@ -328,10 +318,13 @@ def run_variant(
     subspace, scope_words = fit_variant(space.held if streamed else space, lexicon, config,
                                         splits, center=center, seed=seed)
     if streamed:
-        debiased = space.derive(
-            lambda blocks: debias_blocks(blocks, subspace, config, scope_words),
-            fingerprint=True,
-        )
+        def step(block):
+            notes = DebiasNotes(config, scope_words)
+            return debias_space(block, subspace, config, notes=notes), notes
+
+        # each block gathers its own notes, wherever it is computed; the pass adds them up
+        debiased = space.derive(step, fingerprint=True,
+                                tap=lambda: DebiasNotes(config, scope_words))
     else:
         debiased = debias_space(space, subspace, config, scope_words=scope_words)
     if save is not None:

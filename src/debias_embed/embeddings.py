@@ -7,19 +7,33 @@ endings. The word ends at the first ASCII whitespace character, as in
 fasttext's own tokenizer, so any other character (U+00A0, U+3000, ...)
 may appear in a word; the numbers are whitespace separated. A word that
 is empty or holds ASCII whitespace cannot be written.
+
+Parsing and formatting the text take most of a run's time, so
+:func:`load_vec` and :func:`save_vec` split the rows into blocks of about
+``BLOCK_BYTES`` and work on as many blocks at once as there are CPUs this
+process may use, capped by ``DEBIAS_EMBED_THREADS`` and by the number of
+full blocks. A row does not depend on the split, so the result does not
+depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import mmap
 import os
+import pickle
 import re
-from contextlib import contextmanager
+import shutil
+import signal
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import islice
 from string import whitespace
 
 import numpy as np
+
+from . import thread_cap
 
 log = logging.getLogger(__name__)
 
@@ -132,16 +146,18 @@ class SpaceStream:
 
     :func:`load_vec` with ``hold`` opens one over a ``.vec`` file;
     :func:`normalize` and :func:`~.debias.run_variant` derive others from
-    it. :meth:`blocks` yields every row, as consecutive EmbeddingSpace
-    blocks of about ``BLOCK_BYTES``, and computes them anew on each call; a
-    row does not depend on how the rows are split. ``held`` is an
+    it. Its rows come as consecutive EmbeddingSpace blocks of about
+    ``BLOCK_BYTES``, each computed anew, and on its own, from its byte range
+    of the file whenever it is needed. A row does not depend on the split,
+    so :func:`save_vec` computes the blocks on every CPU; :meth:`blocks`
+    yields them in order, computed in this process. ``held`` is an
     EmbeddingSpace of the rows of some words (None if there are none), kept
     for lookups such as a subspace fit. The words themselves are not kept,
     only the hash :func:`space_fingerprint` starts from.
     """
 
-    def __init__(self, language_tag: str, count: int, dim: int, source, *, held=None,
-                 normalized: bool = False, vocab_hash):
+    def __init__(self, language_tag: str, count: int, dim: int, block, block_count: int, *,
+                 held=None, normalized: bool = False, vocab_hash, taps=()):
         self.language_tag = language_tag
         self.dim = dim
         self.held = held
@@ -149,43 +165,192 @@ class SpaceStream:
         #: the digest of the last pass that hashed every block, else None
         self.fingerprint = None
         self._count = count
-        self._source = source
+        #: i -> (block i, the value of each tap for it)
+        self._block = block
+        self._block_count = block_count
+        #: what makes, for each pass, the objects the tap values go to, in order
+        self._taps = taps
         self._vocab_hash = vocab_hash
 
     def __len__(self):
         return self._count
 
+    def _plan(self, fingerprint: bool):
+        """The block function and tap makers of a pass; with ``fingerprint``
+        one more tap hashes the blocks and sets ``self.fingerprint``."""
+        if not fingerprint:
+            return self._block, self._taps
+
+        def block(i):
+            space, values = self._block(i)
+            return space, values + (space.matrix,)
+
+        return block, self._taps + (lambda: _Hasher(self),)
+
     def blocks(self, fingerprint: bool = False):
-        """Yield the rows block by block, computed anew.
+        """Yield the rows block by block, computed anew in this process.
 
         With ``fingerprint``, the blocks are hashed as they pass, and once
         all have, ``self.fingerprint`` holds what :func:`space_fingerprint`
         gives, so it needs no pass of its own.
         """
-        if not fingerprint:
-            yield from self._source()
-            return
-        h = self._vocab_hash.copy()
-        for block in self._source():
-            h.update(memoryview(block.matrix))
-            yield block
-            del block  # not alive while the next block is computed
-        self.fingerprint = h.hexdigest()
+        block, makers = self._plan(fingerprint)
+        taps = [make() for make in makers]
+        for i in range(self._block_count):
+            space, values = block(i)
+            for tap, value in zip(taps, values):
+                tap.add(value)
+            del values
+            yield space
+            del space  # not alive while the next block is computed
+        for tap in taps:
+            tap.finish()
 
-    def derive(self, blocks_of, *, held=None, normalized: bool = False,
-               fingerprint: bool = False) -> SpaceStream:
-        """The stream of ``blocks_of(self.blocks(fingerprint))``: the same words
-        in the same order, each block computed from one of this stream's."""
-        return SpaceStream(self.language_tag, len(self), self.dim,
-                           lambda: blocks_of(self.blocks(fingerprint)), held=held,
-                           normalized=normalized, vocab_hash=self._vocab_hash)
+    def derive(self, step, *, held=None, normalized: bool = False, fingerprint: bool = False,
+               tap=None) -> SpaceStream:
+        """The stream whose block i is ``step`` of this stream's block i: the
+        same words in the same order.
+
+        With ``tap``, ``step`` returns the derived block and a value, and each
+        pass calls ``tap()`` once, in the process that runs the pass: the
+        object made gets every block's value, in block order, through ``add``,
+        and ``finish()`` after the last. With ``fingerprint``, a pass over the
+        derived stream hashes this stream's blocks as they pass, as
+        :meth:`blocks` does.
+        """
+        parent, taps = self._plan(fingerprint)
+
+        def block(i):
+            space, values = parent(i)
+            if tap is None:
+                return step(space), values
+            space, value = step(space)
+            return space, values + (value,)
+
+        return SpaceStream(self.language_tag, len(self), self.dim, block, self._block_count,
+                           held=held, normalized=normalized, vocab_hash=self._vocab_hash,
+                           taps=taps + ((tap,) if tap else ()))
+
+
+class _Hasher:
+    """The tap that hashes a stream's blocks in order, then sets its fingerprint."""
+
+    def __init__(self, stream: SpaceStream):
+        self.stream = stream
+        self.sha = stream._vocab_hash.copy()
+
+    def add(self, matrix) -> None:
+        self.sha.update(memoryview(matrix))
+
+    def finish(self) -> None:
+        self.stream.fingerprint = self.sha.hexdigest()
+
+
+def _processes(rows: int, dim: int) -> int:
+    """How many processes share the text of ``rows`` rows of ``dim`` values:
+    one per CPU this process may use, capped by ``DEBIAS_EMBED_THREADS`` and
+    by the number of full blocks, as a worker with less than a block to do
+    does not pay for its fork; 1 without fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, thread_cap() or cpus, rows // _block_rows(dim)))
+
+
+def _map_blocks(task, count: int, take, width: int) -> None:
+    """Call ``take(task(i))`` for i = 0, 1, ..., count - 1, in that order.
+
+    With ``width`` > 1 and more than one task, this process runs tasks 0,
+    width, 2 width, ... itself, and ``width - 1`` forked workers run the
+    others and send their results, pickled, through a pipe each; otherwise
+    every task runs here. ``take`` always runs here, in order, and this
+    process runs a task only once every earlier result has been taken. A
+    task's exception is raised at its turn, so the first error raised is
+    the one a run in this process alone would raise. Results should be
+    small: a worker's share of a large output goes to a file instead.
+    Workers are reaped before this returns or raises.
+
+    Workers are forked, not spawned: they start at once, without importing
+    numpy again, and share the tasks' state, such as the block layout and an
+    output matrix in shared memory, without pickling it. Only the calling
+    thread is copied; the workers run no BLAS, whose own threads OpenBLAS
+    stops and restarts around a fork.
+    """
+    width = min(width, count)
+    if width <= 1:
+        for i in range(count):
+            take(task(i))
+        return
+    workers = []  # (pid, the pipe its results come through)
+    finished = False
+    try:
+        for first in range(1, width):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _serve(task, range(first, count, width), w)
+            os.close(w)
+            # a small buffer: a large result is read straight into its own memory
+            workers.append((pid, open(r, "rb", buffering=1024)))
+        for i in range(count):
+            # no name holds a result once it is taken
+            take(_received(*workers[i % width - 1], i) if i % width else task(i))
+        finished = True
+    finally:
+        for pid, results in workers:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            results.close()
+            os.waitpid(pid, 0)
+
+
+def _received(pid: int, results, i: int):
+    """The next result a worker of :func:`_map_blocks` sent, that of task ``i``."""
+    try:
+        ok, result = pickle.load(results)
+    except EOFError:
+        raise ChildProcessError(f"text worker {pid} died before sending block {i}") from None
+    if not ok:
+        raise result
+    return result
+
+
+def _serve(task, indices, fd: int) -> None:
+    """A worker of :func:`_map_blocks`: run its tasks and send each outcome
+    through ``fd``, up to the first error, then exit without cleaning up
+    the state it shares with the process that forked it."""
+    code = 1
+    try:
+        with open(fd, "wb") as out:
+            for i in indices:
+                try:
+                    reply = True, task(i)
+                except Exception as exc:  # sent, to be raised at its turn
+                    reply = False, exc
+                pickle.dump(reply, out, pickle.HIGHEST_PROTOCOL)
+                out.flush()
+                if not reply[0]:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _block_rows(dim: int) -> int:
+    """How many float64 rows of ``dim`` components make a block of about ``BLOCK_BYTES``."""
+    return max(1, BLOCK_BYTES // (8 * max(dim, 1)))
 
 
 def _row_blocks(matrix):
     """Slices covering the rows of ``matrix`` about ``BLOCK_BYTES`` at a time."""
-    n, d = matrix.shape
-    step = max(1, BLOCK_BYTES // (matrix.itemsize * max(d, 1)))
-    return (slice(start, start + step) for start in range(0, n, step))
+    step = _block_rows(matrix.shape[1])
+    return (slice(start, start + step) for start in range(0, len(matrix), step))
 
 
 def row_norms(matrix: np.ndarray) -> np.ndarray:
@@ -243,8 +408,8 @@ def _decoded(line, name, lineno):
         ) from None
 
 
-def _vec_rows(fh, name, dim, keep):
-    for lineno, raw in enumerate(fh, 2):
+def _vec_rows(fh, name, dim, keep, first=2):
+    for lineno, raw in enumerate(fh, first):
         raw = _decoded(raw, name, lineno)
         head = _WORD.match(raw)
         word = head[1]
@@ -270,19 +435,23 @@ def _vec_rows(fh, name, dim, keep):
         yield lineno, word, row
 
 
-def _scan_vec(path, language_tag: str, keep) -> tuple[tuple[str, ...], EmbeddingSpace]:
-    """First of two passes over a ``.vec`` file too large to hold.
+def _scan_vec(path, language_tag: str, keep):
+    """First of two passes over a ``.vec`` file, for :func:`load_vec`.
 
-    Every line is decoded and checked as by :func:`load_vec`, but only the
-    rows of the words in ``keep`` (every word when ``keep`` is None) are
-    parsed. Returns every word, in file order, and an (unnormalized) space
-    of the kept words' rows. :func:`_read_blocks` is the second pass.
+    Every line is decoded and checked for duplicates and the row count, but
+    only the rows of the words in ``keep`` are parsed. Returns every word, in
+    file order; the dim; the blocks of about ``BLOCK_BYTES`` of rows, as
+    ``(offset, lineno, start, stop)``: the byte offset and line number
+    :func:`_read_rows` parses rows ``start:stop`` from; and an
+    (unnormalized) space of the kept words' rows.
     """
     with open(path, "rb") as fh:
         count, dim, rows = iter_vec(fh, keep)
+        step = _block_rows(dim)
+        starts = [(fh.tell(), 2)]
         seen: dict[str, int] = {}
         kept: list[str] = []
-        matrix = np.empty((count if keep is None else min(count, len(keep)), dim))
+        matrix = np.empty((min(count, len(keep)), dim))
         lineno = 1
         for lineno, word, row in rows:
             if len(seen) >= count:
@@ -298,6 +467,8 @@ def _scan_vec(path, language_tag: str, keep) -> tuple[tuple[str, ...], Embedding
             if row is not None:
                 matrix[len(kept)] = row
                 kept.append(word)
+            if len(seen) % step == 0:  # the next block starts after this row's line
+                starts.append((fh.tell(), lineno + 1))
 
         if len(seen) != count:
             raise ValueError(
@@ -305,9 +476,28 @@ def _scan_vec(path, language_tag: str, keep) -> tuple[tuple[str, ...], Embedding
             )
     vocab = tuple(seen)
     del seen  # so it and the space's word index never hold the words at once
+    blocks = [(offset, line, start, min(start + step, count))
+              for (offset, line), start in zip(starts, range(0, count, step))]
     matrix = matrix[: len(kept)]
     matrix.setflags(write=False)  # fresh and unshared, so the space need not copy it
-    return vocab, EmbeddingSpace(language_tag, tuple(kept), matrix, normalized=False)
+    return vocab, dim, blocks, EmbeddingSpace(language_tag, tuple(kept), matrix)
+
+
+def _read_rows(path, dim: int, block, out) -> list[str]:
+    """Parse one block of :func:`_scan_vec` into the rows of ``out``; return its words.
+
+    Line numbers and messages are those of a read of the whole file. Blank
+    lines are skipped as there; a file that shrank since the scan gives
+    fewer rows. Duplicates and the row count are the scan's to check.
+    """
+    offset, lineno, start, stop = block
+    words: list[str] = []
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        for _, word, row in islice(_vec_rows(fh, fh.name, dim, None, lineno), stop - start):
+            out[len(words)] = row
+            words.append(word)
+    return words
 
 
 def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream:
@@ -315,7 +505,9 @@ def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream
 
     The file must be UTF-8. Besides :func:`iter_vec`'s format errors, an
     undecodable byte, a duplicate word and a row count that disagrees with
-    the header raise ValueError with the line number.
+    the header raise ValueError with the line number. A first pass checks
+    every line's word, so these come before any format error of a row.
+    The rows are then parsed a block at a time, on every CPU.
 
     With ``hold``, a set of words, the rows are streamed instead of held: a
     :class:`SpaceStream` is returned that holds only those words' rows and
@@ -323,84 +515,57 @@ def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream
     decoded and checked for duplicates and the row count at once, but the
     other rows' format errors surface when a pass reaches them.
     """
-    vocab, held = _scan_vec(path, language_tag, hold)
-    if hold is None:
-        return held
-    return SpaceStream(language_tag, len(vocab), held.dim,
-                       lambda: _read_blocks(path, language_tag), held=held,
-                       vocab_hash=_vocab_hash(language_tag, vocab, (len(vocab), held.dim)))
+    vocab, dim, blocks, held = _scan_vec(path, language_tag, set() if hold is None else hold)
+    if hold is not None:
+        def block(i):
+            rows = np.empty((blocks[i][3] - blocks[i][2], dim))
+            words = _read_rows(path, dim, blocks[i], rows)
+            rows = rows[: len(words)]
+            rows.setflags(write=False)
+            return EmbeddingSpace(language_tag, tuple(words), rows), ()
+
+        return SpaceStream(language_tag, len(vocab), dim, block, len(blocks), held=held,
+                           vocab_hash=_vocab_hash(language_tag, vocab, (len(vocab), dim)))
+
+    # shared with the forked workers, which parse their blocks straight into it
+    matrix = np.frombuffer(mmap.mmap(-1, 8 * len(vocab) * dim), dtype=np.float64)
+    matrix = matrix.reshape(len(vocab), dim)
+
+    def parse(i):
+        start, stop = blocks[i][2:]
+        return len(_read_rows(path, dim, blocks[i], matrix[start:stop]))
+
+    parsed = []  # rows per block
+    _map_blocks(parse, len(blocks), parsed.append, _processes(len(vocab), dim))
+    if sum(parsed) != len(vocab):
+        raise ValueError(f"{path}: {sum(parsed)} rows read, but the header declares {len(vocab)}")
+    matrix.setflags(write=False)
+    return EmbeddingSpace(language_tag, vocab, matrix)
 
 
-def _read_blocks(path, language_tag: str):
-    """Second pass: the rows of a ``.vec`` file as consecutive spaces.
-
-    Yields (unnormalized) EmbeddingSpace blocks of about ``BLOCK_BYTES``
-    each, in file order. Format errors are :func:`iter_vec`'s; duplicates
-    and the row count are left to the first pass, :func:`_scan_vec`.
-    """
-    with open(path, "rb") as fh:
-        _, dim, rows = iter_vec(fh)
-        step = max(1, BLOCK_BYTES // (8 * dim))
-        words, block = [], None
-        for _, word, row in rows:
-            if block is None:
-                block = np.empty((step, dim))
-            block[len(words)] = row
-            words.append(word)
-            if len(words) == step:
-                ready = [_frozen_block(language_tag, words, block)]
-                words, block = [], None
-                yield ready.pop()  # no local keeps the raw rows alive while they are used
-        if words:
-            yield _frozen_block(language_tag, words, block[: len(words)])
+def _write_rows(words, matrix, fh, line: str) -> None:
+    """Format the rows of ``matrix`` onto the open text file ``fh``, one ``line`` each."""
+    # one row at a time: formatting blocks of rows holds their strings at once
+    for word, row in zip(words, matrix):
+        if not word or _WORD.match(word)[1] != word:  # the reader would not get it back
+            raise ValueError(f"cannot write word {word!r}: empty or holds ASCII whitespace")
+        fh.write(line % (word, *row.tolist()))
 
 
-def _frozen_block(language_tag, words, block):
-    block.setflags(write=False)
-    return EmbeddingSpace(language_tag, tuple(words), block)
-
-
-@contextmanager
-def _vec_writer(path, count: int, dim: int, precision: int = 9):
-    """Write a ``.vec`` file of ``count`` rows a block at a time.
-
-    Yields ``write(space)``, which appends the rows of a space, so the rows
-    never need to be held at once. Values get ``precision`` significant
-    digits. The file is written under a temporary name next to ``path`` and
-    renamed onto it once every row is written, so a failure leaves no
-    partial file and an existing one as it was. A path that exists but is
-    not a regular file (``/dev/null``) is written directly.
-    """
-    if precision < 1:
-        raise ValueError("precision must be at least 1 significant digit")
-    target = os.path.realpath(path)
-    direct = os.path.exists(target) and not os.path.isfile(target)
-    tmp = target if direct else f"{target}.{os.getpid()}.tmp"
-    line = "%s" + f" %.{precision}g" * dim + "\n"
-    written = 0
-
-    def write(space: EmbeddingSpace) -> None:
-        nonlocal written
-        for word in space.vocab:
-            if not word or _WORD.match(word)[1] != word:  # the reader would not get it back
-                raise ValueError(f"cannot write word {word!r}: empty or holds ASCII whitespace")
-        # one row at a time: formatting blocks of rows holds their strings at once
-        for word, row in zip(space.vocab, space.matrix):
-            fh.write(line % (word, *row.tolist()))
-        written += len(space)
-
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"{count} {dim}\n")
-            yield write
-            if written != count:
-                raise ValueError(f"{path}: {written} rows written, but the header declares {count}")
-        if not direct:
-            os.replace(tmp, target)
-    except BaseException:
-        if not direct and os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _append(fh, segment: str) -> None:
+    """Move the bytes of the file ``segment`` onto the end of the open file ``fh``."""
+    fh.flush()
+    with open(segment, "rb", buffering=0) as src:
+        if hasattr(os, "copy_file_range"):  # in the kernel, without reading it in
+            left = os.fstat(src.fileno()).st_size
+            while left:
+                copied = os.copy_file_range(src.fileno(), fh.fileno(), left)
+                if not copied:
+                    raise OSError(f"{segment}: shorter than when it was written")
+                left -= copied
+        else:
+            shutil.copyfileobj(src, fh.buffer)
+    os.unlink(segment)
 
 
 def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> None:
@@ -410,15 +575,77 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     exact; at precision p the absolute coordinate error stays below
     ``10**(-p + 1)`` for the coordinate magnitudes (< 10) that embeddings
     use in practice. The file is written under a temporary name next to
-    ``path`` and renamed into place, so it appears complete or not at all.
-    A :class:`SpaceStream` is written a block at a time, as its pass
-    computes them.
+    ``path`` and renamed into place, so it appears complete or not at all;
+    a failure leaves no partial file and an existing one as it was. A path
+    that exists but is not a regular file (``/dev/null``) is written
+    directly, in this process.
+
+    The rows are formatted a block at a time, on every CPU: this process
+    writes its blocks into the output, and each worker writes its blocks to
+    a file of their own beside it, which is appended when its turn comes. A
+    :class:`SpaceStream`'s blocks are computed by the process that formats
+    them; its taps (the fingerprint and the notes of a pass) are fed here,
+    in block order.
     """
-    blocks = space.blocks() if isinstance(space, SpaceStream) else [space]
-    with _vec_writer(path, len(space), space.dim, precision) as write:
-        for block in blocks:
-            write(block)
-            del block  # not alive while the next block is computed
+    if precision < 1:
+        raise ValueError("precision must be at least 1 significant digit")
+    line = "%s" + f" %.{precision}g" * space.dim + "\n"
+    if isinstance(space, SpaceStream):
+        blocks, taps = space._block_count, [make() for make in space._taps]
+
+        def rows(i):
+            block, values = space._block(i)
+            return block.vocab, block.matrix, values
+    else:
+        spans, taps = list(_row_blocks(space.matrix)), []
+        blocks = len(spans)
+
+        def rows(i):  # the words are not copied
+            words = map(space.vocab.__getitem__, range(len(space))[spans[i]])
+            return words, space.matrix[spans[i]], ()
+
+    target = os.path.realpath(path)
+    direct = os.path.exists(target) and not os.path.isfile(target)
+    tmp = target if direct else f"{target}.{os.getpid()}.tmp"
+    owner = os.getpid()
+    written = 0
+
+    def task(i):
+        words, matrix, values = rows(i)
+        if os.getpid() == owner:  # every earlier block is in the output already
+            _write_rows(words, matrix, fh, line)
+            return len(matrix), values, None
+        with open(f"{tmp}.{i}", "w", encoding="utf-8", newline="\n") as segment:
+            _write_rows(words, matrix, segment, line)
+        return len(matrix), values, segment.name
+
+    def take(result):
+        nonlocal written
+        count, values, segment = result
+        for tap, value in zip(taps, values):
+            tap.add(value)
+        if segment is not None:
+            _append(fh, segment)
+        written += count
+
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"{len(space)} {space.dim}\n")
+            _map_blocks(task, blocks, take, 1 if direct else _processes(len(space), space.dim))
+            for tap in taps:
+                tap.finish()
+            if written != len(space):
+                raise ValueError(
+                    f"{path}: {written} rows written, but the header declares {len(space)}"
+                )
+        if not direct:
+            os.replace(tmp, target)
+    except BaseException:
+        if not direct:
+            for name in [tmp] + [f"{tmp}.{i}" for i in range(blocks)]:
+                with suppress(FileNotFoundError):
+                    os.unlink(name)
+        raise
 
 
 def normalize(space: EmbeddingSpace | SpaceStream) -> EmbeddingSpace | SpaceStream:
@@ -433,7 +660,7 @@ def normalize(space: EmbeddingSpace | SpaceStream) -> EmbeddingSpace | SpaceStre
         return space
     if isinstance(space, SpaceStream):
         held = None if space.held is None else normalize(space.held)
-        return space.derive(lambda blocks: map(normalize, blocks), held=held, normalized=True)
+        return space.derive(normalize, held=held, normalized=True)
     norms = row_norms(space.matrix)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:

@@ -1,6 +1,11 @@
 """Shared builders for the test suite."""
 
+import multiprocessing
+import os
+import signal
+
 import numpy as np
+import pytest
 
 from debias_embed.embeddings import EmbeddingSpace, normalize
 from debias_embed.lexicon import GenderLexicon, GenderPair, NeutralWords, SeedSets
@@ -95,3 +100,49 @@ def planted_marker_space(seed, d=300, k=4, n_perp=200, eta=0.05, tag="xx"):
         vecs.append(off_subspace_unit())
     space = EmbeddingSpace(tag, tuple(words), np.array(vecs), normalized=True)
     return space, basis
+
+
+def inline_and_on_workers(monkeypatch, run, forks=True, cpus=2):
+    """``[run(), run()]``: with ``.vec`` text handled in this process alone,
+    then by this process and ``cpus - 1`` forked workers, whatever the CPU
+    count.
+
+    Checks that the first run does not fork, that the second does if
+    ``forks``, and that no worker outlives it. Each run gets 60 s, so that a
+    lost result fails the test instead of hanging it.
+    """
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # the CLI sets them from the cap
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def timed_out(signum, frame):
+        raise TimeoutError("a run took over 60 s")
+
+    results = []
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    try:
+        for threads in (1, cpus):
+            monkeypatch.setenv("DEBIAS_EMBED_THREADS", str(threads))
+            signal.alarm(60)
+            results.append(run())
+            signal.alarm(0)
+            # each parallel load or save forks cpus - 1 workers
+            assert bool(forked) == (forks and threads > 1) and len(forked) % (cpus - 1) == 0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+    return results

@@ -15,7 +15,7 @@ from debias_embed.debias import DebiasConfig, run_variant
 from debias_embed.embeddings import EmbeddingSpace, load_vec, normalize, save_vec
 from debias_embed.lexicon import builtin_lexicon, split_pairs
 from debias_embed.subspace import save_subspace
-from helpers import lexicon_vocab, orthonormal_rows, unit_rows
+from helpers import inline_and_on_workers, lexicon_vocab, orthonormal_rows, unit_rows
 
 
 @pytest.fixture()
@@ -223,6 +223,46 @@ def test_report_refuses_a_file_flag_its_mode_does_not_read(tmp_path, en_vec, cap
     assert not report.exists()
 
 
+@pytest.mark.parametrize("mode, option", [
+    ("--inbias", ["--epsilon", "0.5"]),
+    ("--xscore", ["--seeds", "lexicon"]),
+    ("--exbias", ["--train-count", "3"]),
+], ids=["inbias-epsilon", "xscore-seeds", "exbias-train-count"])
+@pytest.mark.parametrize("given_in", ["argv", "config"])
+def test_report_refuses_an_option_its_mode_does_not_read(tmp_path, en_vec, capsys, mode, option,
+                                                        given_in):
+    flag, value = option
+    report = tmp_path / "r.json"
+    argv = ["report", mode, "--emb", en_vec, "--languages", "en", "--json", report]
+    if given_in == "argv":
+        argv += option
+    else:
+        config = tmp_path / "c.json"
+        dest = flag[2:].replace("-", "_")
+        config.write_text(json.dumps({dest: int(value) if value.isdigit() else value}))
+        argv += ["--config", config]
+    assert run(argv) == 1
+    assert f"{flag} is not read by {mode}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["debias", "--emb", "missing.vec", "--languages", "en", "--out"],
+    ["align", "--src", "missing.vec", "--src-lang", "hi", "--tgt", "missing.vec",
+     "--tgt-lang", "en", "--dict", "missing.tsv", "--out"],
+    ["report", "--xscore", "--emb", "missing.vec", "--languages", "en", "--json"],
+], ids=["debias", "align", "report"])
+@pytest.mark.parametrize("output", ["/dev/null", "a directory"])
+def test_an_output_that_is_not_a_regular_file_is_refused_before_any_input_is_read(
+        tmp_path, capsys, argv, output):
+    path, watched = ("/dev/null", "/dev") if output == "/dev/null" else (str(tmp_path),) * 2
+    listed = sorted(os.listdir(watched))
+    # a missing input would exit 2; the refusal comes first
+    assert run(argv + [path]) == 1
+    assert f"{argv[-1]} {path}: exists and is not a regular file" in capsys.readouterr().err
+    assert sorted(os.listdir(watched)) == listed  # no file written beside it
+
+
 def test_undecodable_byte_names_path_and_line(tmp_path, capsys):
     path = tmp_path / "bad.vec"
     path.write_bytes(b"3 2\nking 1.0 0.0\nqueen\xff 0.0 1.0\nman 0.5 0.5\n")
@@ -425,3 +465,34 @@ def test_precision_17_output_does_not_depend_on_the_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_debias_is_the_same_inline_and_on_workers(tmp_path, monkeypatch, capsys):
+    emb = write_en_rows(tmp_path / "en.vec", 1000)  # three 436-row blocks
+    bad = tmp_path / "bad.vec"
+    lines = (tmp_path / "en.vec").read_text(encoding="utf-8").splitlines(True)
+    lines[501] = lines[501].replace(" ", " x", 1)  # in the second block, a worker's
+    bad.write_text("".join(lines), encoding="utf-8")
+    word = lines[501].split()[0]
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def debias():
+        outputs = {}
+        assert run(["debias", "--emb", emb, "--languages", "en", "--renormalize",
+                    "--out", out / "d.vec"]) == 0
+        outputs["stdout"] = capsys.readouterr().out
+        for name in ("d.vec", "d.vec.subspace.json"):
+            outputs[name] = (out / name).read_bytes()
+        manifest = json.loads((out / "d.vec.manifest.json").read_text())
+        outputs["manifest"] = {k: v for k, v in manifest.items() if k != "created_at"}
+        for name in os.listdir(out):
+            os.unlink(out / name)
+        assert run(["debias", "--emb", bad, "--languages", "en", "--out", out / "d.vec"]) == 1
+        outputs["stderr"] = capsys.readouterr().err
+        assert os.listdir(out) == []  # no segment, no temporary file, no output
+        return outputs
+
+    inline, pooled = inline_and_on_workers(monkeypatch, debias)
+    assert inline == pooled
+    assert f"{bad}: line 502: unparseable number in row for {word!r}" in inline["stderr"]

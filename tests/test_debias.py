@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from debias_embed.debias import (
     DebiasConfig,
-    debias_blocks,
+    DebiasNotes,
     debias_space,
     residuals,
     run_variant,
@@ -232,7 +232,7 @@ def test_residual_rows_are_bitwise_the_same_in_any_block_split(n, d, k, seed, da
                                atol=1e-12 * np.abs(rows).max())
 
 
-def test_debias_blocks_equal_debias_space_and_warn_once(caplog):
+def test_blocks_debiased_apart_equal_debias_space_and_warn_once(caplog):
     rng = np.random.default_rng(3)
     mat = unit_rows(rng, 9, 4)
     mat[[1, 7]] = [[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]]  # inside the subspace
@@ -248,7 +248,14 @@ def test_debias_blocks_equal_debias_space_and_warn_once(caplog):
     expected = list(caplog.messages)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="debias_embed"):
-        streamed = list(debias_blocks(blocks, sub, cfg, scope_words=scope))
+        total = DebiasNotes(cfg, scope)
+        streamed = []
+        for block in blocks:  # as a streamed run_variant does, in any process
+            notes = DebiasNotes(cfg, scope)
+            streamed.append(debias_space(block, sub, cfg, notes=notes))
+            total.add(notes)
+        assert caplog.messages == []
+        total.finish()
     np.testing.assert_array_equal(np.vstack([b.matrix for b in streamed]), whole.matrix)
     assert caplog.messages == expected
     assert [m.split(":")[1].split()[0] for m in expected] == ["1", "2"]  # unknown, then zero

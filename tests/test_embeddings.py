@@ -1,3 +1,4 @@
+import os
 import re
 import string
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from debias_embed.align import OrthogonalMap, apply_map, merge_spaces
 from debias_embed.debias import DebiasConfig, debias_space
+from debias_embed import embeddings
 from debias_embed.embeddings import (
     BLOCK_BYTES,
     EmbeddingSpace,
@@ -20,7 +22,7 @@ from debias_embed.embeddings import (
     space_fingerprint,
 )
 from debias_embed.subspace import BiasSubspace
-from helpers import orthonormal_rows, random_space, unit_rows
+from helpers import inline_and_on_workers, orthonormal_rows, random_space, unit_rows
 from oracles import vec_text
 
 
@@ -384,3 +386,83 @@ def test_failed_save_leaves_no_file_and_an_existing_one_as_it_was(tmp_path):
             save_vec(EmbeddingSpace("xx", ("a", "b c"), np.ones((2, 1))), str(path))
     assert sorted(p.name for p in kept.parent.iterdir()) == ["kept.vec"]
     assert kept.read_bytes() == b"earlier\n"
+
+def odd_vec(path, n=11, d=3):
+    """n rows of d values: words holding U+00A0, a blank line inside, blank lines at the end."""
+    rng = np.random.default_rng(n)
+    lines = [f"{n} {d}"]
+    for i in range(n):
+        lines.append(f"w\u00a0{i} " + " ".join(repr(v) for v in rng.standard_normal(d).tolist()))
+        if i == 5:
+            lines.append("")
+    return write_vec(path, lines + ["", "  ", ""])
+
+
+def test_load_and_save_are_the_same_inline_and_on_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 3 * 8)  # four rows a block: three blocks
+    path = odd_vec(tmp_path / "a.vec")
+
+    def run():
+        space = load_vec(path, "xx")
+        stream = normalize(load_vec(path, "xx", hold={"w\u00a03"}))
+        save_vec(space, str(tmp_path / "held.vec"), precision=17)
+        save_vec(stream, str(tmp_path / "stream.vec"))
+        return (space.vocab, space.matrix, (tmp_path / "held.vec").read_bytes(),
+                (tmp_path / "stream.vec").read_bytes(), space_fingerprint(stream))
+
+    inline, pooled = inline_and_on_workers(monkeypatch, run)
+    assert inline[0] == pooled[0] and len(inline[0]) == 11 and inline[0][3] == "w\u00a03"
+    np.testing.assert_array_equal(inline[1], pooled[1])
+    assert inline[2:] == pooled[2:]
+    assert load_vec(str(tmp_path / "held.vec"), "xx").matrix.tobytes() == inline[1].tobytes()
+
+
+def test_duplicate_across_a_block_boundary_is_named_the_same_both_ways(tmp_path, monkeypatch):
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 1 * 8)  # four rows a block
+    path = write_vec(tmp_path / "a.vec", ["9 1"] + [f"w{i % 5} {i}" for i in range(9)])
+
+    def run():
+        with pytest.raises(ValueError) as err:
+            load_vec(path, "xx")
+        return str(err.value)
+
+    # the first pass, which finds duplicates, reads every word in this process
+    messages = inline_and_on_workers(monkeypatch, run, forks=False)
+    assert messages == [f"{path}: line 7: duplicate word 'w0' (first seen at line 2)"] * 2
+
+
+def test_malformed_row_in_a_worker_block_is_named_the_same_and_leaves_no_file(tmp_path,
+                                                                             monkeypatch):
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 2 * 8)  # four rows a block
+    rows = [f"w{i} {i} 1" for i in range(12)]
+    rows[5] = "w5 1 x"  # in the second block, a worker's when there is one
+    path = write_vec(tmp_path / "a.vec", ["12 2"] + rows)
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def run():
+        messages = []
+        with pytest.raises(ValueError) as err:
+            load_vec(path, "xx")
+        messages.append(str(err.value))
+        with pytest.raises(ValueError) as err:
+            save_vec(normalize(load_vec(path, "xx", hold=set())), str(out / "o.vec"))
+        messages.append(str(err.value))
+        assert os.listdir(out) == []  # no segment, no temporary file, no output
+        return messages
+
+    messages = inline_and_on_workers(monkeypatch, run)
+    assert messages == [[f"{path}: line 7: unparseable number in row for 'w5'"] * 2] * 2
+
+
+def test_more_workers_than_cpus_load_and_save_the_same(tmp_path, monkeypatch):
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 2 * 3 * 8)  # two rows a block: 20 blocks
+    path = odd_vec(tmp_path / "a.vec", n=40)
+
+    def run():
+        space = load_vec(path, "xx")
+        save_vec(space, str(tmp_path / "o.vec"), precision=17)
+        return space.vocab, space.matrix.tobytes(), (tmp_path / "o.vec").read_bytes()
+
+    inline, pooled = inline_and_on_workers(monkeypatch, run, cpus=8)
+    assert inline == pooled
