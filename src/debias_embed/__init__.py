@@ -34,6 +34,7 @@ _EXPORTS = {
     "load_lexicon": "lexicon",
     "builtin_lexicon": "lexicon",
     "split_pairs": "lexicon",
+    "entry_forms": "lexicon",
     # align
     "BilingualDictionary": "align",
     "OrthogonalMap": "align",

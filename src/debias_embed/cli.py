@@ -256,8 +256,30 @@ def cmd_debias(args):
     return config, {"seed": args.seed}, inputs, outputs, args.out + ".manifest.json"
 
 
-def _report_inbias(args, languages, lexicon):
+def _held_space(path, tag, words):
+    """The normalized rows of ``words`` in the ``.vec`` file ``path``.
+
+    A report looks up only these, so the other rows are not parsed: every
+    line is still checked for UTF-8, duplicates and the row count, but an
+    unread row's number format and zero norm are not.
+    """
     from . import embeddings as emb
+
+    return emb.normalize(emb.load_vec(path, tag, hold=words).held)
+
+
+def _lexicon_entries(lexicon, languages):
+    """Every vocabulary entry a lexicon metric over ``languages`` may look up.
+
+    A language the lexicon lacks adds none; the metric names it.
+    """
+    from . import lexicon as lexmod
+
+    return lexmod.entry_forms((lang, w) for lang in languages
+                              if lang in lexicon.defining_pairs for w in lexicon.words(lang))
+
+
+def _report_inbias(args, languages, lexicon):
     from . import intrinsic
     from . import lexicon as lexmod
 
@@ -277,9 +299,10 @@ def _report_inbias(args, languages, lexicon):
     if args.emb_after:
         runs.append(("debiased", args.emb_after))
     row_keys = list(languages) + (["all"] if len(languages) > 1 else [])
+    words = _lexicon_entries(lexicon, languages)
     per_run = {}
     for label, path in runs:
-        space = emb.normalize(emb.load_vec(path, tag))
+        space = _held_space(path, tag, words)
         per_run[label] = {
             key: intrinsic.inbias(
                 space, lexicon, languages if key == "all" else [key], seed_words=seed_words
@@ -311,10 +334,9 @@ def _report_inbias(args, languages, lexicon):
 
 
 def _report_xscore(args, languages, lexicon):
-    from . import embeddings as emb
     from . import intrinsic
 
-    space = emb.normalize(emb.load_vec(args.emb, _space_tag(languages)))
+    space = _held_space(args.emb, _space_tag(languages), _lexicon_entries(lexicon, languages))
     matrix = intrinsic.cross_score_matrix(space, lexicon, languages, args.epsilon)
     table = intrinsic.format_cross_table(matrix)
     payload = {
@@ -330,8 +352,8 @@ def _report_xscore(args, languages, lexicon):
 
 
 def _report_exbias(args, languages, lexicon):
-    from . import embeddings as emb
     from . import extrinsic
+    from . import lexicon as lexmod
 
     if not args.corpus:
         raise ValueError("--exbias needs --corpus")
@@ -340,19 +362,24 @@ def _report_exbias(args, languages, lexicon):
         learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed
     )
 
-    def run(embedding_path, corpus_path):
+    def read_corpus(corpus_path):
         records = extrinsic.load_corpus(corpus_path, args.min_count)
-        train, test = extrinsic.split_corpus(records, args.test_fraction, args.seed)
-        space = emb.normalize(emb.load_vec(embedding_path, tag))
+        return extrinsic.split_corpus(records, args.test_fraction, args.seed)
+
+    def run(embedding_path, corpus):
+        train, test = corpus
+        tokens = lexmod.entry_forms((args.corpus_lang, t) for r in train + test for t in r.tokens)
+        space = _held_space(embedding_path, tag, tokens)
         clf = extrinsic.train_classifier(space, train, train_config, args.corpus_lang)
         return extrinsic.evaluate_gap(clf, test)
 
-    before = run(args.emb, args.corpus)
+    corpus = read_corpus(args.corpus)
+    before = run(args.emb, corpus)
     inputs = [args.emb, args.corpus]
     rows = [("orig", before, None)]
     comparison = None
     if args.emb_after:
-        after = run(args.emb_after, args.corpus_after or args.corpus)
+        after = run(args.emb_after, read_corpus(args.corpus_after) if args.corpus_after else corpus)
         comparison = extrinsic.compare_runs(before, after)
         rows.append(("debiased", after, comparison.f_i))
         inputs += [p for p in (args.emb_after, args.corpus_after) if p]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .embeddings import BLOCK_BYTES, EmbeddingSpace, SpaceStream, row_norms, space_fingerprint
-from .lexicon import GenderLexicon, PairSplit
+from .lexicon import GenderLexicon, PairSplit, entry_forms
 from .subspace import (
     BiasSubspace,
     difference_matrix,
@@ -200,19 +200,17 @@ def variant_words(lexicon: GenderLexicon, config: DebiasConfig, splits) -> set[s
     """Every vocabulary entry :func:`fit_variant` may look up.
 
     These are the train pairs' words and, for scope ``neutral``, the
-    lexicon's neutral words of each language in ``splits``, each both bare
-    and ``"<language>:"`` prefixed. A space of just these rows fits the
+    lexicon's neutral words of each language in ``splits``, in every form
+    :func:`~.lexicon.entry_forms` gives. A space of just these rows fits the
     same subspace and scope as the whole space.
     """
-    entries: set[str] = set()
+    words = []
     for lang, split in splits.items():
-        words = [(p.language_tag, w) for p in split.train_pairs
-                 for w in (p.male_word, p.female_word)]
+        words += [(p.language_tag, w) for p in split.train_pairs
+                  for w in (p.male_word, p.female_word)]
         if config.scope == "neutral":
             words += [(lang, w) for w in lexicon.neutral_words[lang].all_words()]
-        for tag, w in words:
-            entries.update((w, f"{tag}:{w}"))
-    return entries
+    return entry_forms(words)
 
 
 def _resolve_scope_words(space: EmbeddingSpace, lexicon: GenderLexicon, languages) -> set[str]:

@@ -151,9 +151,12 @@ class SpaceStream:
     of the file whenever it is needed. A row does not depend on the split,
     so :func:`save_vec` computes the blocks on every CPU; :meth:`blocks`
     yields them in order, computed in this process. ``held`` is an
-    EmbeddingSpace of the rows of some words (None if there are none), kept
-    for lookups such as a subspace fit. The words themselves are not kept,
-    only the hash :func:`space_fingerprint` starts from.
+    EmbeddingSpace of the rows of the words :func:`load_vec` was told to
+    hold, in file order (empty if the file has none of them), kept for
+    lookups such as a subspace fit; a stream derived without one, such as
+    the debiased stream of :func:`~.debias.run_variant`, has None. The words
+    themselves are not kept, only the hash :func:`space_fingerprint` starts
+    from.
     """
 
     def __init__(self, language_tag: str, count: int, dim: int, block, block_count: int, *,
@@ -513,7 +516,9 @@ def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream
     :class:`SpaceStream` is returned that holds only those words' rows and
     reads the file again on each pass over its blocks. Every line is
     decoded and checked for duplicates and the row count at once, but the
-    other rows' format errors surface when a pass reaches them.
+    other rows' format errors surface when a pass reaches them. The CLI's
+    ``report`` uses ``held`` alone and makes no pass, so it parses only the
+    rows it looks up.
     """
     vocab, dim, blocks, held = _scan_vec(path, language_tag, set() if hold is None else hold)
     if hold is not None:

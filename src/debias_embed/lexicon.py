@@ -34,6 +34,7 @@ __all__ = [
     "load_lexicon",
     "builtin_lexicon",
     "split_pairs",
+    "entry_forms",
 ]
 
 
@@ -101,6 +102,30 @@ class GenderLexicon:
 
     def languages(self) -> tuple[str, ...]:
         return tuple(self.defining_pairs)
+
+    def words(self, language: str) -> tuple[str, ...]:
+        """Every word this lexicon names for ``language``, first occurrence kept:
+        defining pairs, neutral words, seeds, then occupation pairs."""
+        words = [w for p in self.defining_pairs[language] for w in (p.male_word, p.female_word)]
+        words += self.neutral_words[language].all_words()
+        words += self.seed_sets[language].male + self.seed_sets[language].female
+        words += [w for pair in self.occupation_pairs[language] for w in pair]
+        return tuple(dict.fromkeys(words))
+
+
+def entry_forms(tagged_words) -> set[str]:
+    """Every vocabulary entry ``EmbeddingSpace.locate(word, language)`` may
+    find, for each ``(language, word)``: the word bare and, for a language
+    other than None, ``"<language>:"`` prefixed as in merged spaces. A space
+    holding just these rows (``load_vec(..., hold=...)``) answers those
+    lookups as the whole space does.
+    """
+    entries: set[str] = set()
+    for language, word in tagged_words:
+        entries.add(word)
+        if language is not None:
+            entries.add(f"{language}:{word}")
+    return entries
 
 
 def _require(cond, message):

@@ -41,22 +41,6 @@ def two_language_lexicon(n_pairs=6, n_neutral=5):
     return GenderLexicon(defining, neutral, seeds, occupations)
 
 
-def lexicon_vocab(lexicon, tag):
-    words = []
-    for p in lexicon.defining_pairs[tag]:
-        words += [p.male_word, p.female_word]
-    words += list(lexicon.neutral_words[tag].all_words())
-    words += list(lexicon.seed_sets[tag].male) + list(lexicon.seed_sets[tag].female)
-    for m, f in lexicon.occupation_pairs[tag]:
-        words += [m, f]
-    seen, out = set(), []
-    for w in words:
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    return out
-
-
 def space_for_lexicon(lexicon, tags, d=20, seed=0, merged=None):
     """Random normalized space covering every lexicon word of the given tags.
 
@@ -65,10 +49,10 @@ def space_for_lexicon(lexicon, tags, d=20, seed=0, merged=None):
     """
     rng = np.random.default_rng(seed)
     if len(tags) == 1:
-        vocab = tuple(lexicon_vocab(lexicon, tags[0]))
+        vocab = lexicon.words(tags[0])
         tag = tags[0]
     else:
-        vocab = tuple(f"{t}:{w}" for t in tags for w in lexicon_vocab(lexicon, t))
+        vocab = tuple(f"{t}:{w}" for t in tags for w in lexicon.words(t))
         tag = merged or "+".join(tags)
     return EmbeddingSpace(tag, vocab, unit_rows(rng, len(vocab), d), normalized=True)
 

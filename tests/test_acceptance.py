@@ -24,7 +24,6 @@ from debias_embed.subspace import BiasSubspace, DifferenceMatrix, pca_basis, ppa
 from debias_embed import extrinsic as ex
 from debias_embed.align import BilingualDictionary, procrustes_fit
 from helpers import (
-    lexicon_vocab,
     orthonormal_rows,
     planted_marker_space,
     unit_rows,
@@ -60,7 +59,7 @@ def test_02_cross_score_diagonal_exactly_one():
     lex = builtin_lexicon()
     tags = list(lex.languages())
     rng = np.random.default_rng(1)
-    vocab = tuple(f"{t}:{w}" for t in tags for w in lexicon_vocab(lex, t))
+    vocab = tuple(f"{t}:{w}" for t in tags for w in lex.words(t))
     space = EmbeddingSpace("+".join(tags), vocab, unit_rows(rng, len(vocab), 50),
                            normalized=True)
     matrix = cross_score_matrix(space, lex, tags)
@@ -280,9 +279,9 @@ def test_09_public_vectors_directional_reproduction():
 
 def test_10_pipeline_reruns_byte_identical(tmp_path):
     lex = builtin_lexicon()
-    words = lexicon_vocab(lex, "en")
+    words = lex.words("en")
     rng = np.random.default_rng(10)
-    space = EmbeddingSpace("en", tuple(words), unit_rows(rng, len(words), 24),
+    space = EmbeddingSpace("en", words, unit_rows(rng, len(words), 24),
                            normalized=True)
     emb = tmp_path / "en.vec"
     save_vec(space, str(emb))

@@ -4,26 +4,27 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import debias_embed
-from debias_embed import embeddings
+from debias_embed import embeddings, extrinsic
 from debias_embed.cli import main
 from debias_embed.debias import DebiasConfig, run_variant
 from debias_embed.embeddings import EmbeddingSpace, load_vec, normalize, save_vec
 from debias_embed.lexicon import builtin_lexicon, split_pairs
 from debias_embed.subspace import save_subspace
-from helpers import inline_and_on_workers, lexicon_vocab, orthonormal_rows, unit_rows
+from helpers import inline_and_on_workers, orthonormal_rows, unit_rows
 
 
 @pytest.fixture()
 def en_vec(tmp_path):
     lex = builtin_lexicon()
-    words = lexicon_vocab(lex, "en")
+    words = lex.words("en")
     rng = np.random.default_rng(17)
-    space = EmbeddingSpace("en", tuple(words), unit_rows(rng, len(words), 16), normalized=True)
+    space = EmbeddingSpace("en", words, unit_rows(rng, len(words), 16), normalized=True)
     path = tmp_path / "en.vec"
     save_vec(space, str(path))
     return str(path)
@@ -129,11 +130,14 @@ def write_bios(tmp_path):
     return corpus
 
 
-def test_report_exbias_before_after(tmp_path, en_vec, capsys):
+def test_report_exbias_before_after(tmp_path, en_vec, capsys, monkeypatch):
     corpus = write_bios(tmp_path)
     deb = tmp_path / "deb.vec"
     assert run(["debias", "--emb", en_vec, "--languages", "en", "--out", deb]) == 0
     capsys.readouterr()
+    reads = []
+    load_corpus = extrinsic.load_corpus
+    monkeypatch.setattr(extrinsic, "load_corpus", lambda *a: reads.append(a) or load_corpus(*a))
     report = tmp_path / "ex.json"
     code = run([
         "report", "--exbias", "--emb", en_vec, "--emb-after", deb, "--corpus", corpus,
@@ -145,6 +149,7 @@ def test_report_exbias_before_after(tmp_path, en_vec, capsys):
     payload = json.loads(report.read_text())
     assert set(payload["runs"]) == {"orig", "debiased"}
     assert payload["runs"]["debiased"]["f_i"] is not None
+    assert len(reads) == 1  # without --corpus-after, both runs use the one corpus read
 
 
 def sha256(path):
@@ -370,12 +375,18 @@ def test_console_script_entry_point(tmp_path, en_vec):
     assert out.exists()
 
 
-def write_en_rows(path, n, d=300):
-    """n random rows: the builtin en lexicon words, then filler words."""
-    words = lexicon_vocab(builtin_lexicon(), "en")
+def write_lexicon_rows(path, n, tags=("en",), seed=0, d=300):
+    """n random rows: the builtin lexicon words of ``tags``, ``"<tag>:"``
+    prefixed if there are several, then filler words."""
+    lex = builtin_lexicon()
+    if len(tags) == 1:
+        words = list(lex.words(tags[0]))
+    else:
+        words = [f"{t}:{w}" for t in tags for w in lex.words(t)]
     words += [f"filler{i}" for i in range(n - len(words))]
-    save_vec(EmbeddingSpace("en", tuple(words), unit_rows(np.random.default_rng(0), n, d)),
-             str(path))
+    space = EmbeddingSpace("+".join(tags), tuple(words),
+                           unit_rows(np.random.default_rng(seed), n, d))
+    save_vec(space, str(path))
     return str(path)
 
 
@@ -407,29 +418,40 @@ def test_streamed_debias_writes_what_the_library_path_writes(tmp_path, en_vec, m
     assert (tmp_path / "cli.vec.subspace.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
 
 
-def traced_debias_peak(tmp_path, rows):
-    emb = write_en_rows(tmp_path / f"{rows}.vec", rows)
+def traced_peak(tmp_path, rows, argv):
+    """The traced peak memory of the CLI run ``argv`` on a new ``rows``-row en space."""
+    emb = write_lexicon_rows(tmp_path / f"{rows}.vec", rows)
     tracemalloc.start()
     try:
-        assert run(["debias", "--emb", emb, "--languages", "en", "--out",
-                    tmp_path / f"{rows}.out.vec"]) == 0
+        assert run(argv + ["--emb", emb]) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def peak_growth(tmp_path, argv):
+    """How much more ``argv`` peaks at on 4000 rows than on 1000, both more
+    than two full 436-row blocks."""
+    traced_peak(tmp_path, 200, argv)  # loads what every run shares, such as the lexicon
+    small = traced_peak(tmp_path, 1000, argv)
+    return traced_peak(tmp_path, 4000, argv) - small
+
+
 def test_debias_peak_memory_does_not_grow_with_the_row_count(tmp_path):
-    traced_debias_peak(tmp_path, 200)  # loads what every run shares, such as the lexicon
-    # both stream more than two full 436-row blocks
-    small = traced_debias_peak(tmp_path, 1000)
-    large = traced_debias_peak(tmp_path, 4000)
+    argv = ["debias", "--languages", "en", "--out", tmp_path / "out.vec"]
     # 3000 more rows are 7.2 MB of matrix; only the first pass's word index grows
-    assert large - small < embeddings.BLOCK_BYTES
+    assert peak_growth(tmp_path, argv) < embeddings.BLOCK_BYTES
+
+
+def test_report_peak_memory_does_not_grow_with_the_row_count(tmp_path):
+    argv = ["report", "--inbias", "--languages", "en"]
+    # the lexicon's rows are parsed; the filler rows are only scanned
+    assert peak_growth(tmp_path, argv) < embeddings.BLOCK_BYTES
 
 
 def test_malformed_row_after_the_first_block_leaves_no_output(tmp_path, capsys):
     emb = tmp_path / "bad.vec"
-    write_en_rows(emb, 1000)
+    write_lexicon_rows(emb, 1000)
     lines = emb.read_text(encoding="utf-8").splitlines(True)
     lines[900] = lines[900].replace(" ", " x", 1)  # past the first 436-row block
     emb.write_text("".join(lines), encoding="utf-8")
@@ -448,7 +470,7 @@ def test_malformed_row_after_the_first_block_leaves_no_output(tmp_path, capsys):
 
 
 def test_precision_17_output_does_not_depend_on_the_thread_count(tmp_path):
-    emb = write_en_rows(tmp_path / "en.vec", 1000)
+    emb = write_lexicon_rows(tmp_path / "en.vec", 1000)
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                         "NUMEXPR_NUM_THREADS")}
@@ -468,7 +490,7 @@ def test_precision_17_output_does_not_depend_on_the_thread_count(tmp_path):
 
 
 def test_debias_is_the_same_inline_and_on_workers(tmp_path, monkeypatch, capsys):
-    emb = write_en_rows(tmp_path / "en.vec", 1000)  # three 436-row blocks
+    emb = write_lexicon_rows(tmp_path / "en.vec", 1000)  # three 436-row blocks
     bad = tmp_path / "bad.vec"
     lines = (tmp_path / "en.vec").read_text(encoding="utf-8").splitlines(True)
     lines[501] = lines[501].replace(" ", " x", 1)  # in the second block, a worker's
@@ -496,3 +518,87 @@ def test_debias_is_the_same_inline_and_on_workers(tmp_path, monkeypatch, capsys)
     inline, pooled = inline_and_on_workers(monkeypatch, debias)
     assert inline == pooled
     assert f"{bad}: line 502: unparseable number in row for {word!r}" in inline["stderr"]
+
+
+@pytest.mark.parametrize("mode, tags, options", [
+    ("--inbias", ("en",), ["--emb-after", "after"]),
+    ("--inbias", ("hi", "en"), ["--seeds", "lexicon"]),
+    ("--xscore", ("hi", "en"), []),
+    ("--exbias", ("en",), ["--emb-after", "after", "--corpus", "bios"]),
+    ("--exbias", ("hi", "en"), ["--corpus", "bios", "--corpus-lang", "en"]),
+], ids=["inbias", "inbias-merged", "xscore-merged", "exbias", "exbias-merged"])
+def test_report_parses_only_the_rows_it_scores_and_reports_as_on_whole_spaces(
+        tmp_path, monkeypatch, mode, tags, options):
+    emb = write_lexicon_rows(tmp_path / "emb.vec", 1000, tags)  # three 436-row blocks
+    files = {"after": write_lexicon_rows(tmp_path / "after.vec", 1000, tags, seed=1),
+             "bios": write_bios(tmp_path)}
+    if mode == "--exbias":
+        options = options + ["--min-count", "10", "--epochs", "20"]
+    report = tmp_path / "report.json"
+    argv = ["report", mode, "--emb", emb, "--languages", ",".join(tags),
+            *(files.get(o, o) for o in options), "--json", report]
+    normalized = []  # the row count of each space the run normalizes
+    normalize = embeddings.normalize
+    monkeypatch.setattr(embeddings, "normalize",
+                        lambda space: normalized.append(len(space)) or normalize(space))
+
+    def outputs():
+        normalized.clear()
+        assert run(argv) == 0
+        manifest = json.loads(report.with_name("report.json.manifest.json").read_text())
+        del manifest["created_at"]
+        return report.read_bytes(), manifest
+
+    held = outputs()
+    lexicon = builtin_lexicon()
+    assert 0 < max(normalized) <= sum(len(lexicon.words(t)) for t in tags)  # no filler row
+    # the same library calls on the spaces loaded whole
+    load = embeddings.load_vec
+    monkeypatch.setattr(embeddings, "load_vec",
+                        lambda path, tag, hold: SimpleNamespace(held=load(path, tag)))
+    whole = outputs()
+    assert set(normalized) == {1000}
+    assert held == whole
+
+
+@pytest.mark.parametrize("mode", ["--inbias", "--xscore", "--exbias"])
+def test_report_skips_the_format_of_rows_it_does_not_read_but_checks_every_line(
+        tmp_path, capsys, mode):
+    emb = tmp_path / "emb.vec"
+    write_lexicon_rows(emb, 1000)
+    clean = emb.read_bytes().splitlines(True)
+    report = tmp_path / "report.json"
+    argv = ["report", mode, "--emb", emb, "--languages", "en", "--json", report]
+    if mode == "--exbias":
+        bios = write_bios(tmp_path)
+        argv += ["--corpus", bios, "--min-count", "10", "--epochs", "20"]
+
+    def outcome(lines):
+        emb.write_bytes(b"".join(lines))
+        report.unlink(missing_ok=True)
+        code = run(argv)
+        capsys.readouterr()  # the table
+        return code, report.read_bytes() if code == 0 else None
+
+    def changed(index, line):
+        return clean[:index] + [line] + clean[index + 1:]
+
+    expected = outcome(clean)
+    unread, word = clean[900], clean[900].split()[0].decode()  # a filler row, line 901
+    assert word.startswith("filler")
+    read = next(i for i, line in enumerate(clean) if line.startswith(b"doctor "))
+    zero = unread.split()[0] + b" 0" * 300 + b"\n"
+    assert outcome(changed(900, unread.replace(b" ", b" x", 1))) == expected
+    assert outcome(changed(900, zero)) == expected
+    refused = {
+        f"line {read + 1}: unparseable number in row for 'doctor'":
+            changed(read, clean[read].replace(b" ", b" x", 1)),
+        f"line 951: duplicate word {word!r} (first seen at line 901)":
+            changed(950, unread.split()[0] + b" " + clean[950].split(b" ", 1)[1]),
+        "line 901: byte 0xff is not valid UTF-8": changed(900, b"\xff" + unread),
+        "line 1001: header declared 1001 rows, found 1000": [b"1001 300\n"] + clean[1:],
+    }
+    for message, lines in refused.items():
+        emb.write_bytes(b"".join(lines))
+        assert run(argv) == 1
+        assert f"{emb}: {message}" in capsys.readouterr().err

@@ -8,11 +8,12 @@ from debias_embed.lexicon import (
     NeutralWords,
     SeedSets,
     builtin_lexicon,
+    entry_forms,
     load_lexicon,
     split_pairs,
     validate_lexicon,
 )
-from helpers import two_language_lexicon
+from helpers import random_space, two_language_lexicon
 
 
 def test_builtin_lexicon_counts():
@@ -61,6 +62,23 @@ def test_pair_rejects_multi_token():
 def test_neutral_words_merge_dedupes():
     nw = NeutralWords(("doctor", "pilot"), ("kind", "doctor"), ())
     assert nw.all_words() == ("doctor", "pilot", "kind")
+
+
+def test_words_name_every_lexicon_word_once_in_order():
+    lex = two_language_lexicon(n_pairs=2, n_neutral=4)
+    # seeds repeat pair words and occupation pairs repeat neutral words
+    assert lex.words("aa") == ("aam0", "aaf0", "aam1", "aaf1", "aan0", "aan1", "aan2", "aan3")
+
+
+def test_entry_forms_cover_every_row_locate_returns():
+    assert entry_forms([("en", "he"), (None, "she")]) == {"he", "en:he", "she"}
+    words = ("he", "en:she", "hi:he", "x", "hi:x")
+    for tag in ("en", "en+hi"):
+        space = random_space(0, 0, 4, tag=tag, words=words)
+        for language in ("en", "hi", None):
+            held = {w: space.locate(w, language) for w in ("he", "she", "x")}
+            entries = entry_forms((language, w) for w in held)
+            assert {space.vocab[i] for i in held.values() if i is not None} <= entries
 
 
 def test_validate_rejects_pair_neutral_overlap():
