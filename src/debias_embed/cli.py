@@ -445,26 +445,27 @@ def cmd_report(args):
         "subcommand": "report",
         "mode": mode,
         "languages": languages,
-        "seeds_source": args.seeds if mode == "inbias" else None,
-        "epsilon": args.epsilon if mode == "xscore" else None,
+        "seeds_source": args.seeds,
+        "epsilon": args.epsilon,
     }
     if args.lexicon != "builtin":
         inputs.append(args.lexicon)
     return config, {"seed": args.seed}, inputs, [args.json_out], manifest_path
 
 
-#: the output option each subcommand names its other outputs after
-PRIMARY_OUTPUT = {"align": ("out", "--out"), "debias": ("out", "--out"),
-                  "report": ("json_out", "--json")}
+#: the output options of each subcommand, by destination
+OUTPUT_OPTIONS = {"align": {"out": "--out", "merged_out": "--merged-out"},
+                  "debias": {"out": "--out", "subspace_out": "--subspace-out"},
+                  "report": {"json_out": "--json"}}
 
 
-def _refuse_irregular_output(args) -> None:
-    """Refuse a primary output that exists and is not a regular file, such as
-    ``/dev/null``: the run would write its other outputs beside it."""
-    dest, flag = PRIMARY_OUTPUT[args.subcommand]
-    path = getattr(args, dest)
-    if path and os.path.exists(path) and not os.path.isfile(path):
-        raise ValueError(f"{flag} {path}: exists and is not a regular file")
+def _refuse_irregular_outputs(args) -> None:
+    """Refuse any output that exists and is not a regular file, such as
+    ``/dev/null``, before any input is read, so that the run writes nothing."""
+    for dest, flag in OUTPUT_OPTIONS[args.subcommand].items():
+        path = getattr(args, dest)
+        if path and os.path.exists(path) and not os.path.isfile(path):
+            raise ValueError(f"{flag} {path}: exists and is not a regular file")
 
 
 def main(argv=None) -> int:
@@ -482,7 +483,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args = _apply_config_defaults(parser, args, argv)
-        _refuse_irregular_output(args)
+        _refuse_irregular_outputs(args)
         from .manifest import RunManifest, capture_warnings
 
         with capture_warnings() as warnings:

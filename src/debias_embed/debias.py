@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .embeddings import BLOCK_BYTES, EmbeddingSpace, SpaceStream, row_norms, space_fingerprint
+from .embeddings import EmbeddingSpace, SpaceStream, row_blocks, row_norms, space_fingerprint
 from .lexicon import GenderLexicon, PairSplit, entry_forms
 from .subspace import (
     BiasSubspace,
@@ -36,7 +36,6 @@ __all__ = [
     "residuals",
     "debias_space",
     "variant_words",
-    "fit_variant",
     "run_variant",
 ]
 
@@ -74,13 +73,11 @@ def residuals(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     elementwise products and per-row sums rather than BLAS, so its bits
     depend neither on the other rows nor on how the rows are split between
     calls, nor on the BLAS thread count. Temporaries cover one block of
-    about ``BLOCK_BYTES`` of rows at a time.
+    :func:`~.embeddings.row_blocks` at a time.
     """
     out = np.empty_like(rows)
-    n, d = rows.shape
-    step = max(1, BLOCK_BYTES // (rows.itemsize * d))
-    for start in range(0, n, step):
-        x, proj = rows[start:start + step], out[start:start + step]
+    for span in row_blocks(rows):
+        x, proj = rows[span], out[span]
         term = np.empty_like(x)
         for j, b in enumerate(basis):
             np.multiply(x, b, out=term)
@@ -197,7 +194,7 @@ def debias_space(
 
 
 def variant_words(lexicon: GenderLexicon, config: DebiasConfig, splits) -> set[str]:
-    """Every vocabulary entry :func:`fit_variant` may look up.
+    """Every vocabulary entry :func:`run_variant` may look up to fit the subspace.
 
     These are the train pairs' words and, for scope ``neutral``, the
     lexicon's neutral words of each language in ``splits``, in every form
@@ -228,63 +225,6 @@ def _resolve_scope_words(space: EmbeddingSpace, lexicon: GenderLexicon, language
     return scope
 
 
-def fit_variant(
-    space: EmbeddingSpace,
-    lexicon: GenderLexicon,
-    config: DebiasConfig,
-    splits: dict[str, PairSplit],
-    *,
-    center: bool = False,
-    seed: int = 0,
-) -> tuple[BiasSubspace, set[str] | None]:
-    """Build the variant's subspace from train pairs, without debiasing.
-
-    Arguments are those of :func:`run_variant`; ``space`` needs only the
-    rows :func:`variant_words` names. Returns the subspace, its provenance
-    attached except the ``embedding_fingerprint`` of the space to debias,
-    and the vocabulary entries in scope (None for scope ``all``).
-    """
-    if not splits:
-        raise ValueError("at least one language split is required")
-    if center and config.method == "ppa":
-        raise ValueError(
-            "center applies to method 'pca' only: the PPA objective centers its projections"
-        )
-    languages = list(splits)
-    if config.variant == "mono" and len(languages) != 1:
-        raise ValueError(
-            f"variant 'mono' uses exactly one language, got {len(languages)}"
-        )
-    train_pairs = [p for lang in languages for p in splits[lang].train_pairs]
-    diffs = difference_matrix(space, train_pairs)
-
-    if config.variant == "eqr":
-        subspace = equal_rep_basis(
-            diffs, config.k, languages, config.method, center=center, seed=seed
-        )
-    elif config.method == "pca":
-        subspace = pca_basis(diffs, config.k, center=center)
-    else:
-        subspace = ppa_basis(diffs, config.k, seed=seed)
-
-    scope_words = None
-    if config.scope == "neutral":
-        scope_words = _resolve_scope_words(space, lexicon, languages)
-
-    provenance = {
-        "variant": config.variant,
-        "method": config.method,
-        "k": config.k,
-        "scope": config.scope,
-        "seed": seed,
-        "center": center,
-        "languages": list(languages),
-        "train_pair_counts": {lang: len(splits[lang].train_pairs) for lang in languages},
-        "pairs_fingerprint": pairs_fingerprint(train_pairs),
-    }
-    return replace(subspace, provenance=provenance), scope_words
-
-
 def run_variant(
     space: EmbeddingSpace | SpaceStream,
     lexicon: GenderLexicon,
@@ -301,31 +241,69 @@ def run_variant(
     split; ``mono`` expects exactly one language, ``multi``/``eqr`` pool
     every language given (in mapping order). ``center`` (PCA only) centers
     the difference vectors first. Returns the debiased space together with
-    the subspace used, provenance attached.
+    the subspace used, its provenance attached.
 
     ``space`` may be a :class:`~.embeddings.SpaceStream`, fitted from its
     held rows (it must hold those :func:`variant_words` names); the
     debiased space is then a stream too, computed block by block as it is
-    read. ``save``, if given, is called with the debiased space before the
-    input is fingerprinted: for a stream, that makes the pass which writes
-    the output the one pass over the input that the fingerprint needs.
+    read, and a pass over it also hashes the input's blocks and gathers the
+    debias warnings. ``save``, if given, is called with the debiased space
+    before the input is fingerprinted: for a stream, that makes the pass
+    which writes the output the one pass over the input that the
+    fingerprint needs.
     """
     streamed = isinstance(space, SpaceStream)
-    if streamed and space.held is None:
+    held = space.held if streamed else space
+    if held is None:
         raise ValueError("a streamed space needs held rows to fit the subspace from")
-    subspace, scope_words = fit_variant(space.held if streamed else space, lexicon, config,
-                                        splits, center=center, seed=seed)
+    if not splits:
+        raise ValueError("at least one language split is required")
+    if center and config.method == "ppa":
+        raise ValueError(
+            "center applies to method 'pca' only: the PPA objective centers its projections"
+        )
+    languages = list(splits)
+    if config.variant == "mono" and len(languages) != 1:
+        raise ValueError(
+            f"variant 'mono' uses exactly one language, got {len(languages)}"
+        )
+    train_pairs = [p for lang in languages for p in splits[lang].train_pairs]
+    diffs = difference_matrix(held, train_pairs)
+
+    if config.variant == "eqr":
+        subspace = equal_rep_basis(
+            diffs, config.k, languages, config.method, center=center, seed=seed
+        )
+    elif config.method == "pca":
+        subspace = pca_basis(diffs, config.k, center=center)
+    else:
+        subspace = ppa_basis(diffs, config.k, seed=seed)
+
+    scope_words = None
+    if config.scope == "neutral":
+        scope_words = _resolve_scope_words(held, lexicon, languages)
+
     if streamed:
         def step(block):
             notes = DebiasNotes(config, scope_words)
             return debias_space(block, subspace, config, notes=notes), notes
 
         # each block gathers its own notes, wherever it is computed; the pass adds them up
-        debiased = space.derive(step, fingerprint=True,
-                                tap=lambda: DebiasNotes(config, scope_words))
+        debiased = space.hashed().derive(step, tap=lambda: DebiasNotes(config, scope_words))
     else:
         debiased = debias_space(space, subspace, config, scope_words=scope_words)
     if save is not None:
         save(debiased)
-    provenance = dict(subspace.provenance, embedding_fingerprint=space_fingerprint(space))
+    provenance = {
+        "variant": config.variant,
+        "method": config.method,
+        "k": config.k,
+        "scope": config.scope,
+        "seed": seed,
+        "center": center,
+        "languages": languages,
+        "train_pair_counts": {lang: len(splits[lang].train_pairs) for lang in languages},
+        "pairs_fingerprint": pairs_fingerprint(train_pairs),
+        "embedding_fingerprint": space_fingerprint(space),
+    }
     return debiased, replace(subspace, provenance=provenance)

@@ -44,6 +44,7 @@ __all__ = [
     "load_vec",
     "save_vec",
     "normalize",
+    "row_blocks",
     "row_norms",
     "space_fingerprint",
 ]
@@ -101,7 +102,7 @@ class EmbeddingSpace:
         index = dict(zip(vocab, range(n)))  # the map locate uses, built once
         if len(index) != n:
             raise ValueError(f"duplicate word in vocabulary: {_first_duplicate(vocab)!r}")
-        for rows in _row_blocks(arr):
+        for rows in row_blocks(arr):
             finite = np.isfinite(arr[rows])
             if not finite.all():
                 i, j = np.argwhere(~finite)[0]
@@ -144,21 +145,21 @@ class EmbeddingSpace:
 class SpaceStream:
     """A space read a block at a time instead of held, for inputs larger than memory.
 
-    :func:`load_vec` with ``hold`` opens one over a ``.vec`` file;
-    :func:`normalize` and :func:`~.debias.run_variant` derive others from
-    it. Its rows come as consecutive EmbeddingSpace blocks of about
-    ``BLOCK_BYTES``, each computed anew, and on its own, from its byte range
-    of the file whenever it is needed. A row does not depend on the split,
-    so :func:`save_vec` computes the blocks on every CPU; :meth:`blocks`
-    yields them in order, computed in this process. ``held`` is an
-    EmbeddingSpace of the rows of the words :func:`load_vec` was told to
-    hold, in file order (empty if the file has none of them), kept for
-    lookups such as a subspace fit; a stream derived without one, such as
-    the debiased stream of :func:`~.debias.run_variant`, has None. The words
-    themselves are not kept, only the hash :func:`space_fingerprint` starts
-    from.
+    :func:`load_vec` with ``hold`` opens one over a ``.vec`` file; its
+    :meth:`hashed`, :func:`normalize` and :func:`~.debias.run_variant`
+    derive others from it. Its rows come as consecutive EmbeddingSpace
+    blocks of about ``BLOCK_BYTES``, each computed anew, and on its own,
+    from its byte range of the file whenever it is needed. A row does not
+    depend on the split, so :func:`save_vec` computes the blocks on every
+    CPU; :meth:`blocks` yields them in order, computed in this process.
+    Either pass gives the stream's taps, such as the hash of :meth:`hashed`,
+    every block's value in block order. ``held`` is an EmbeddingSpace of the
+    rows of the words :func:`load_vec` was told to hold, in file order
+    (empty if the file has none of them), kept for lookups such as a
+    subspace fit; a stream derived without one, such as the debiased stream
+    of :func:`~.debias.run_variant`, has None. The words themselves are not
+    kept, only the hash :func:`space_fingerprint` starts from.
     """
-
     def __init__(self, language_tag: str, count: int, dim: int, block, block_count: int, *,
                  held=None, normalized: bool = False, vocab_hash, taps=()):
         self.language_tag = language_tag
@@ -178,29 +179,11 @@ class SpaceStream:
     def __len__(self):
         return self._count
 
-    def _plan(self, fingerprint: bool):
-        """The block function and tap makers of a pass; with ``fingerprint``
-        one more tap hashes the blocks and sets ``self.fingerprint``."""
-        if not fingerprint:
-            return self._block, self._taps
-
-        def block(i):
-            space, values = self._block(i)
-            return space, values + (space.matrix,)
-
-        return block, self._taps + (lambda: _Hasher(self),)
-
-    def blocks(self, fingerprint: bool = False):
-        """Yield the rows block by block, computed anew in this process.
-
-        With ``fingerprint``, the blocks are hashed as they pass, and once
-        all have, ``self.fingerprint`` holds what :func:`space_fingerprint`
-        gives, so it needs no pass of its own.
-        """
-        block, makers = self._plan(fingerprint)
-        taps = [make() for make in makers]
+    def blocks(self):
+        """Yield the rows block by block, computed anew in this process."""
+        taps = [make() for make in self._taps]
         for i in range(self._block_count):
-            space, values = block(i)
+            space, values = self._block(i)
             for tap, value in zip(taps, values):
                 tap.add(value)
             del values
@@ -209,19 +192,16 @@ class SpaceStream:
         for tap in taps:
             tap.finish()
 
-    def derive(self, step, *, held=None, normalized: bool = False, fingerprint: bool = False,
-               tap=None) -> SpaceStream:
+    def derive(self, step, *, held=None, normalized: bool = False, tap=None) -> SpaceStream:
         """The stream whose block i is ``step`` of this stream's block i: the
         same words in the same order.
 
         With ``tap``, ``step`` returns the derived block and a value, and each
         pass calls ``tap()`` once, in the process that runs the pass: the
         object made gets every block's value, in block order, through ``add``,
-        and ``finish()`` after the last. With ``fingerprint``, a pass over the
-        derived stream hashes this stream's blocks as they pass, as
-        :meth:`blocks` does.
+        and ``finish()`` after the last.
         """
-        parent, taps = self._plan(fingerprint)
+        parent = self._block
 
         def block(i):
             space, values = parent(i)
@@ -232,7 +212,17 @@ class SpaceStream:
 
         return SpaceStream(self.language_tag, len(self), self.dim, block, self._block_count,
                            held=held, normalized=normalized, vocab_hash=self._vocab_hash,
-                           taps=taps + ((tap,) if tap else ()))
+                           taps=self._taps + ((tap,) if tap else ()))
+
+    def hashed(self) -> SpaceStream:
+        """This stream with one more tap, which hashes the blocks as they pass.
+
+        Once a pass over it, or over a stream derived from it, has read every
+        block, ``self.fingerprint`` holds what :func:`space_fingerprint`
+        gives, so that needs no pass of its own.
+        """
+        return self.derive(lambda space: (space, space.matrix), held=self.held,
+                           normalized=self.normalized, tap=lambda: _Hasher(self))
 
 
 class _Hasher:
@@ -350,8 +340,8 @@ def _block_rows(dim: int) -> int:
     return max(1, BLOCK_BYTES // (8 * max(dim, 1)))
 
 
-def _row_blocks(matrix):
-    """Slices covering the rows of ``matrix`` about ``BLOCK_BYTES`` at a time."""
+def row_blocks(matrix):
+    """Slices covering the rows of a 2-D array about ``BLOCK_BYTES`` at a time."""
     step = _block_rows(matrix.shape[1])
     return (slice(start, start + step) for start in range(0, len(matrix), step))
 
@@ -364,7 +354,7 @@ def row_norms(matrix: np.ndarray) -> np.ndarray:
     of the whole matrix.
     """
     norms = np.empty(len(matrix))
-    for rows in _row_blocks(matrix):
+    for rows in row_blocks(matrix):
         norms[rows] = np.linalg.norm(matrix[rows], axis=1)
     return norms
 
@@ -582,8 +572,8 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     use in practice. The file is written under a temporary name next to
     ``path`` and renamed into place, so it appears complete or not at all;
     a failure leaves no partial file and an existing one as it was. A path
-    that exists but is not a regular file (``/dev/null``) is written
-    directly, in this process.
+    that exists but is not a regular file (``/dev/null``, a directory)
+    raises ValueError before anything is written.
 
     The rows are formatted a block at a time, on every CPU: this process
     writes its blocks into the output, and each worker writes its blocks to
@@ -594,6 +584,9 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     """
     if precision < 1:
         raise ValueError("precision must be at least 1 significant digit")
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise ValueError(f"{path}: exists and is not a regular file")
     line = "%s" + f" %.{precision}g" * space.dim + "\n"
     if isinstance(space, SpaceStream):
         blocks, taps = space._block_count, [make() for make in space._taps]
@@ -602,16 +595,14 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
             block, values = space._block(i)
             return block.vocab, block.matrix, values
     else:
-        spans, taps = list(_row_blocks(space.matrix)), []
+        spans, taps = list(row_blocks(space.matrix)), []
         blocks = len(spans)
 
         def rows(i):  # the words are not copied
             words = map(space.vocab.__getitem__, range(len(space))[spans[i]])
             return words, space.matrix[spans[i]], ()
 
-    target = os.path.realpath(path)
-    direct = os.path.exists(target) and not os.path.isfile(target)
-    tmp = target if direct else f"{target}.{os.getpid()}.tmp"
+    tmp = f"{target}.{os.getpid()}.tmp"
     owner = os.getpid()
     written = 0
 
@@ -636,20 +627,18 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"{len(space)} {space.dim}\n")
-            _map_blocks(task, blocks, take, 1 if direct else _processes(len(space), space.dim))
+            _map_blocks(task, blocks, take, _processes(len(space), space.dim))
             for tap in taps:
                 tap.finish()
             if written != len(space):
                 raise ValueError(
                     f"{path}: {written} rows written, but the header declares {len(space)}"
                 )
-        if not direct:
-            os.replace(tmp, target)
+        os.replace(tmp, target)
     except BaseException:
-        if not direct:
-            for name in [tmp] + [f"{tmp}.{i}" for i in range(blocks)]:
-                with suppress(FileNotFoundError):
-                    os.unlink(name)
+        for name in [tmp] + [f"{tmp}.{i}" for i in range(blocks)]:
+            with suppress(FileNotFoundError):
+                os.unlink(name)
         raise
 
 
@@ -684,7 +673,7 @@ def space_fingerprint(space: EmbeddingSpace | SpaceStream) -> str:
     """
     if isinstance(space, SpaceStream):
         if space.fingerprint is None:
-            for _ in space.blocks(fingerprint=True):
+            for _ in space.hashed().blocks():
                 pass
         return space.fingerprint
     h = _vocab_hash(space.language_tag, space.vocab, space.matrix.shape)

@@ -19,7 +19,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, space_fingerprint
+from .embeddings import EmbeddingSpace
 from .intrinsic import format_table
 from .subspace import BiasSubspace
 

@@ -253,13 +253,18 @@ def test_report_refuses_an_option_its_mode_does_not_read(tmp_path, en_vec, capsy
 
 @pytest.mark.parametrize("argv", [
     ["debias", "--emb", "missing.vec", "--languages", "en", "--out"],
+    ["debias", "--emb", "missing.vec", "--languages", "en", "--out", "o.vec",
+     "--subspace-out"],
     ["align", "--src", "missing.vec", "--src-lang", "hi", "--tgt", "missing.vec",
      "--tgt-lang", "en", "--dict", "missing.tsv", "--out"],
+    ["align", "--src", "missing.vec", "--src-lang", "hi", "--tgt", "missing.vec",
+     "--tgt-lang", "en", "--dict", "missing.tsv", "--out", "a.vec", "--merged-out"],
     ["report", "--xscore", "--emb", "missing.vec", "--languages", "en", "--json"],
-], ids=["debias", "align", "report"])
+], ids=["debias", "debias-subspace-out", "align", "align-merged-out", "report"])
 @pytest.mark.parametrize("output", ["/dev/null", "a directory"])
 def test_an_output_that_is_not_a_regular_file_is_refused_before_any_input_is_read(
-        tmp_path, capsys, argv, output):
+        tmp_path, monkeypatch, capsys, argv, output):
+    monkeypatch.chdir(tmp_path)  # where a relative --out would be written
     path, watched = ("/dev/null", "/dev") if output == "/dev/null" else (str(tmp_path),) * 2
     listed = sorted(os.listdir(watched))
     # a missing input would exit 2; the refusal comes first

@@ -365,7 +365,7 @@ def test_stream_fingerprint_and_normalized_rows_equal_the_held_space(tmp_path, m
     np.testing.assert_array_equal(stream.held.matrix, space.matrix[[2]])
     assert stream.fingerprint is None
     assert space_fingerprint(stream) == space_fingerprint(space)  # a pass of its own
-    rows = [b.matrix for b in stream.blocks(fingerprint=True)]  # a pass that hashes
+    rows = [b.matrix for b in stream.hashed().blocks()]  # a pass that hashes
     np.testing.assert_array_equal(np.vstack(rows), space.matrix)
     assert [len(r) for r in rows] == [4, 4, 1]
     assert stream.fingerprint == space_fingerprint(stream) == space_fingerprint(space)
@@ -386,6 +386,18 @@ def test_failed_save_leaves_no_file_and_an_existing_one_as_it_was(tmp_path):
             save_vec(EmbeddingSpace("xx", ("a", "b c"), np.ones((2, 1))), str(path))
     assert sorted(p.name for p in kept.parent.iterdir()) == ["kept.vec"]
     assert kept.read_bytes() == b"earlier\n"
+
+
+@pytest.mark.parametrize("target", ["/dev/null", "a directory"])
+def test_save_refuses_a_target_that_is_not_a_regular_file(tmp_path, target):
+    path = "/dev/null" if target == "/dev/null" else str(tmp_path)
+    beside = os.path.dirname(os.path.realpath(path))
+    listed = sorted(os.listdir(beside)), sorted(os.listdir(tmp_path))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: exists and is not a regular file")):
+        save_vec(random_space(0, 3, 2), path)
+    # no temporary file or segment beside the target, nor inside a directory
+    assert (sorted(os.listdir(beside)), sorted(os.listdir(tmp_path))) == listed
+
 
 def odd_vec(path, n=11, d=3):
     """n rows of d values: words holding U+00A0, a blank line inside, blank lines at the end."""

@@ -34,6 +34,34 @@ def test_detector_flags_private_and_skips_dunder_names(tmp_path):
     assert private_relative_imports(source) == [(".subspace", "_factor")]
 
 
+def unused_imports(path):
+    """Each name a source file imports and never reads, sorted."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return sorted(imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_detector_flags_unread_names_only(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from .embeddings import load_vec, save_vec as save\n"
+        "def f(x: np.ndarray):\n    return load_vec(x)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(source) == ["os", "save"]
+
+
 def test_every_package_export_is_public_in_its_module():
     import debias_embed
 
