@@ -171,9 +171,10 @@ def _space_tag(languages: list[str]) -> str:
 
 
 # Each subcommand handler does its work and returns what ``main`` records in
-# the run manifest: (config, seeds, inputs, outputs, manifest path), or None
-# when the run wrote no file. The inputs are the files the run read, which
-# for ``report`` depends on the mode, not on every path the command line gave.
+# the run manifest besides the outputs of ``_output_paths``: (config, seeds,
+# inputs), or None when the run wrote no file. The inputs are the files the
+# run read, which for ``report`` depends on the mode, not on every path the
+# command line gave.
 
 
 def cmd_align(args):
@@ -188,10 +189,8 @@ def cmd_align(args):
     del source  # rotated: free it before normalize allocates the next matrix
     aligned = emb.normalize(aligned)
     emb.save_vec(aligned, args.out, args.precision)
-    outputs = [args.out]
     if args.merged_out:
         emb.save_vec(alignmod.merge_spaces(aligned, target), args.merged_out, args.precision)
-        outputs.append(args.merged_out)
     print(f"aligned {len(dictionary)} dictionary pair(s) -> {args.out}")
     config = {
         "subcommand": "align",
@@ -201,8 +200,7 @@ def cmd_align(args):
         "renormalize": True,  # always; the key keeps align manifests' shape
         "fit_pairs": mapping.fit_pair_count,
     }
-    inputs = [args.src, args.tgt, args.dictionary]
-    return config, {}, inputs, outputs, args.out + ".manifest.json"
+    return config, {}, [args.src, args.tgt, args.dictionary]
 
 
 def cmd_debias(args):
@@ -235,8 +233,7 @@ def cmd_debias(args):
         space, lexicon, debias_config, splits, center=args.center, seed=args.seed,
         save=lambda debiased: emb.save_vec(debiased, args.out, args.precision),
     )
-    subspace_out = args.subspace_out or args.out + ".subspace.json"
-    submod.save_subspace(used, subspace_out)
+    submod.save_subspace(used, _output_paths(args)["--subspace-out"])
     print(f"debiased {len(space)} word(s) ({args.variant}/{args.method}, k={args.k})"
           f" -> {args.out}")
     config = {
@@ -252,8 +249,7 @@ def cmd_debias(args):
         "precision": args.precision,
     }
     inputs = [args.emb] + ([args.lexicon] if args.lexicon != "builtin" else [])
-    outputs = [args.out, subspace_out]
-    return config, {"seed": args.seed}, inputs, outputs, args.out + ".manifest.json"
+    return config, {"seed": args.seed}, inputs
 
 
 def _held_space(path, tag, words):
@@ -363,13 +359,15 @@ def _report_exbias(args, languages, lexicon):
     )
 
     def read_corpus(corpus_path):
+        """(train, test, every vocabulary entry the records' tokens may resolve to)"""
         records = extrinsic.load_corpus(corpus_path, args.min_count)
-        return extrinsic.split_corpus(records, args.test_fraction, args.seed)
+        tokens = {t for r in records for t in r.tokens}
+        words = lexmod.entry_forms((args.corpus_lang, t) for t in tokens)
+        return (*extrinsic.split_corpus(records, args.test_fraction, args.seed), words)
 
     def run(embedding_path, corpus):
-        train, test = corpus
-        tokens = lexmod.entry_forms((args.corpus_lang, t) for r in train + test for t in r.tokens)
-        space = _held_space(embedding_path, tag, tokens)
+        train, test, words = corpus
+        space = _held_space(embedding_path, tag, words)
         clf = extrinsic.train_classifier(space, train, train_config, args.corpus_lang)
         return extrinsic.evaluate_gap(clf, test)
 
@@ -436,8 +434,7 @@ def cmd_report(args):
     print(table, end="")
     if not args.json_out:
         return None
-    manifest_path = args.json_out + ".manifest.json"
-    payload["manifest"] = os.path.basename(manifest_path)  # sibling file
+    payload["manifest"] = os.path.basename(_output_paths(args)["manifest"])  # sibling file
     with open(args.json_out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -450,21 +447,38 @@ def cmd_report(args):
     }
     if args.lexicon != "builtin":
         inputs.append(args.lexicon)
-    return config, {"seed": args.seed}, inputs, [args.json_out], manifest_path
+    return config, {"seed": args.seed}, inputs
 
 
-#: the output options of each subcommand, by destination
+#: the output options of each subcommand, by destination; the run manifest is
+#: written beside the first
 OUTPUT_OPTIONS = {"align": {"out": "--out", "merged_out": "--merged-out"},
                   "debias": {"out": "--out", "subspace_out": "--subspace-out"},
                   "report": {"json_out": "--json"}}
 
 
+def _output_paths(args) -> dict[str, str]:
+    """Every file a run writes, keyed by its output option, or by "manifest"
+    for the run manifest ``<first output>.manifest.json``.
+
+    ``debias`` writes its subspace to ``<out>.subspace.json`` when
+    ``--subspace-out`` is not given; ``report`` writes nothing without
+    ``--json``.
+    """
+    paths = {flag: getattr(args, dest) for dest, flag in OUTPUT_OPTIONS[args.subcommand].items()}
+    if args.subcommand == "debias" and not paths["--subspace-out"]:
+        paths["--subspace-out"] = args.out + ".subspace.json"
+    first = next(iter(paths.values()))
+    paths["manifest"] = first and first + ".manifest.json"
+    return {flag: path for flag, path in paths.items() if path}
+
+
 def _refuse_irregular_outputs(args) -> None:
-    """Refuse any output that exists and is not a regular file, such as
-    ``/dev/null``, before any input is read, so that the run writes nothing."""
-    for dest, flag in OUTPUT_OPTIONS[args.subcommand].items():
-        path = getattr(args, dest)
-        if path and os.path.exists(path) and not os.path.isfile(path):
+    """Refuse any output, given or derived, that exists and is not a regular
+    file, such as ``/dev/null``, before any input is read, so that the run
+    writes nothing."""
+    for flag, path in _output_paths(args).items():
+        if os.path.exists(path) and not os.path.isfile(path):
             raise ValueError(f"{flag} {path}: exists and is not a regular file")
 
 
@@ -489,11 +503,13 @@ def main(argv=None) -> int:
         with capture_warnings() as warnings:
             run = args.func(args)
         if run is not None:
-            config, seeds, inputs, outputs, manifest_path = run
+            config, seeds, inputs = run
+            outputs = _output_paths(args)
+            manifest_path = outputs.pop("manifest")
             manifest = RunManifest(["debias-embed"] + argv, config, seeds, {}, warnings=warnings)
             for path in inputs:
                 manifest.add_input(path)
-            for path in outputs:
+            for path in outputs.values():
                 manifest.add_output(path)
             manifest.write(manifest_path)
         return 0

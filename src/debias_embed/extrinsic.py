@@ -2,10 +2,19 @@
 
 A deterministic multinomial linear classifier is trained by full-batch
 gradient descent on cross-entropy over mean-of-token-vector features,
-embeddings frozen. Bias is summarized as the mean absolute gap between
-per-occupation accuracies for male- and female-authored records, and a
-comparison of two runs reports the fraction of occupations whose gap
-strictly shrank.
+embeddings frozen. The features are ``M @ H``, the records x rows
+averaging matrix ``M`` times the distinct token rows ``H`` the records
+use. When the records share few enough distinct rows that products with
+the two factors cost fewer flops than products with the features
+(``r * (n + dim) < n * dim`` for n records and r rows, so r < dim),
+training works on the factors and never materializes the features (see
+``train_classifier``); the weights may then differ in the last bits from
+those of descent on the features, and a prediction can move only for a
+record whose top two scores tie to within that rounding.
+
+Bias is summarized as the mean absolute gap between per-occupation
+accuracies for male- and female-authored records, and a comparison of two
+runs reports the fraction of occupations whose gap strictly shrank.
 
 The corpus format is TSV: ``gender<TAB>occupation<TAB>token token ...``
 with gender ``M`` or ``F``.
@@ -226,13 +235,15 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
 
 
-def featurize(space: EmbeddingSpace, records, language: str | None = None):
-    """Mean-of-token-vector features; returns (features, kept_records).
+def _resolve(space: EmbeddingSpace, records, language):
+    """The matrix rows of each record's in-vocabulary tokens; returns (rows, kept).
 
-    Records with in-vocabulary token coverage below ``MIN_COVERAGE`` (or
-    with no resolvable token at all) are dropped with a warning.
+    ``rows[i]`` lists one row per in-vocabulary token of ``kept[i]``, a
+    repeated token once per occurrence. Records with in-vocabulary token
+    coverage below ``MIN_COVERAGE`` (or with no resolvable token at all)
+    are dropped with one warning.
     """
-    feats, kept, dropped = [], [], 0
+    resolved, kept, dropped = [], [], 0
     for record in records:
         rows = [space.locate(t, language) for t in record.tokens]
         rows = [i for i in rows if i is not None]
@@ -240,7 +251,7 @@ def featurize(space: EmbeddingSpace, records, language: str | None = None):
         if not rows or coverage < MIN_COVERAGE:
             dropped += 1
             continue
-        feats.append(space.matrix[rows].mean(axis=0))
+        resolved.append(rows)
         kept.append(record)
     if dropped:
         log.warning(
@@ -249,8 +260,23 @@ def featurize(space: EmbeddingSpace, records, language: str | None = None):
             dropped + len(kept),
             100.0 * MIN_COVERAGE,
         )
-    features = np.vstack(feats) if feats else np.empty((0, space.dim))
-    return features, kept
+    return resolved, kept
+
+
+def featurize(space: EmbeddingSpace, records, language: str | None = None):
+    """Mean-of-token-vector features; returns (features, kept_records).
+
+    Records with in-vocabulary token coverage below ``MIN_COVERAGE`` (or
+    with no resolvable token at all) are dropped with a warning.
+    """
+    resolved, kept = _resolve(space, records, language)
+    return _mean_rows(space, resolved), kept
+
+
+def _mean_rows(space: EmbeddingSpace, resolved):
+    """The (records x dim) means of each record's resolved rows."""
+    feats = [space.matrix[rows].mean(axis=0) for rows in resolved]
+    return np.vstack(feats) if feats else np.empty((0, space.dim))
 
 
 def cross_entropy_loss_and_grad(weights, bias, features, labels):
@@ -258,17 +284,25 @@ def cross_entropy_loss_and_grad(weights, bias, features, labels):
 
     ``weights`` is (classes x dim), ``bias`` (classes,), ``features``
     (n x dim), ``labels`` integer class ids (n,). Returns
-    (loss, d_weights, d_bias).
+    (loss, d_weights, d_bias). The softmax is taken class-major, on the
+    (classes x n) logits, so each record's max and sum reduce across
+    contiguous rows of n values instead of along rows of a few classes.
+
+    When it trains on the factored features, ``train_classifier`` passes
+    ``W @ H.T`` as the weights and the averaging matrix ``M`` as the
+    features, so the logits are those of ``M @ H`` and ``d_weights`` is
+    the row-space gradient, which it maps back to the weights with ``@ H``.
     """
-    logits = features @ weights.T + bias
-    logits = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
     n = features.shape[0]
-    loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
-    probs[np.arange(n), labels] -= 1.0
+    records = np.arange(n)
+    probs = weights @ features.T + bias[:, None]
+    probs -= probs.max(axis=0)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=0)
+    loss = float(-np.mean(np.log(probs[labels, records] + 1e-300)))
+    probs[labels, records] -= 1.0
     probs /= n
-    return loss, probs.T @ features, probs.sum(axis=0)
+    return loss, probs @ features, probs.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -298,8 +332,22 @@ def train_classifier(
     The embedding stays frozen; only the linear head is learned. At the
     default learning rate (features are means of unit vectors) the loss
     is non-increasing across epochs.
+
+    The descent is that on the ``featurize`` features, which are
+    ``M @ H``: ``H`` the r distinct token rows the n kept records use and
+    ``M`` the records x rows averaging matrix (a token a record holds
+    twice weighs 2/len). Which form an epoch works on is decided from
+    these sizes. When ``r * (n + dim) < n * dim`` (records that share a
+    vocabulary of fewer than ``dim`` rows), each epoch scores ``M``
+    against the weights mapped into row space, ``W @ H.T``, and maps the
+    gradient back with ``@ H``; ``M`` is then smaller than the features
+    and an epoch costs fewer flops. The products are summed in another
+    order than on the features, so the weights and ``loss_history`` may
+    differ from theirs in the last bits. Otherwise (a natural-text
+    vocabulary of thousands of distinct tokens) the epochs run on the
+    materialized (n x dim) features.
     """
-    features, kept = featurize(space, train, language)
+    resolved, kept = _resolve(space, train, language)
     if not kept:
         raise ValueError("no trainable record after coverage filtering")
     label_names = tuple(sorted({r.occupation for r in kept}))
@@ -308,17 +356,35 @@ def train_classifier(
     label_ids = {name: i for i, name in enumerate(label_names)}
     y = np.array([label_ids[r.occupation] for r in kept])
 
+    n, dim = len(kept), space.dim
+    distinct, column = np.unique(np.concatenate(resolved), return_inverse=True)
+    if len(distinct) * (n + dim) < n * dim:
+        lengths = np.array([len(rows) for rows in resolved])
+        token_rows = space.matrix[distinct]
+        features = np.zeros((n, len(distinct)))
+        np.add.at(features, (np.repeat(np.arange(n), lengths), column), 1.0)
+        features /= lengths[:, None]
+    else:
+        token_rows, features = None, _mean_rows(space, resolved)
+
+    def loss_and_grad(weights, bias):
+        if token_rows is None:
+            return cross_entropy_loss_and_grad(weights, bias, features, y)
+        loss, d_scores, d_bias = cross_entropy_loss_and_grad(
+            weights @ token_rows.T, bias, features, y
+        )
+        return loss, d_scores @ token_rows, d_bias
+
     rng = np.random.default_rng(config.seed)
-    weights = 0.01 * rng.standard_normal((len(label_names), space.dim))
+    weights = 0.01 * rng.standard_normal((len(label_names), dim))
     bias = np.zeros(len(label_names))
     history = []
     for _ in range(config.epochs):
-        loss, d_weights, d_bias = cross_entropy_loss_and_grad(weights, bias, features, y)
+        loss, d_weights, d_bias = loss_and_grad(weights, bias)
         history.append(loss)
         weights = weights - config.learning_rate * d_weights
         bias = bias - config.learning_rate * d_bias
-    final_loss, _, _ = cross_entropy_loss_and_grad(weights, bias, features, y)
-    history.append(final_loss)
+    history.append(loss_and_grad(weights, bias)[0])
     weights.setflags(write=False)
     bias.setflags(write=False)
     return Classifier(

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from debias_embed.embeddings import EmbeddingSpace, normalize
+from debias_embed.extrinsic import Classifier, featurize
 from debias_embed.lexicon import GenderLexicon, GenderPair, NeutralWords, SeedSets
+from oracles import reference_train
 
 
 def unit_rows(rng, n, d):
@@ -84,6 +86,18 @@ def planted_marker_space(seed, d=300, k=4, n_perp=200, eta=0.05, tag="xx"):
         vecs.append(off_subspace_unit())
     space = EmbeddingSpace(tag, tuple(words), np.array(vecs), normalized=True)
     return space, basis
+
+
+def reference_classifier(space, train, config, language=None):
+    """``train_classifier``'s result, trained by ``oracles.reference_train`` on
+    the materialized ``featurize`` features."""
+    features, kept = featurize(space, train, language)
+    labels = tuple(sorted({r.occupation for r in kept}))
+    y = np.array([labels.index(r.occupation) for r in kept])
+    weights, bias, history = reference_train(
+        features, y, len(labels), config.learning_rate, config.epochs, config.seed
+    )
+    return Classifier(weights, bias, labels, space, config, language, tuple(history))
 
 
 def inline_and_on_workers(monkeypatch, run, forks=True, cpus=2):

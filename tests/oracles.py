@@ -149,3 +149,37 @@ def vec_text(vocab, matrix, precision):
     for word, row in zip(vocab, matrix):
         lines.append(word + " " + " ".join(format(float(x), f".{precision}g") for x in row) + "\n")
     return "".join(lines)
+
+
+def reference_train(features, labels, n_classes, learning_rate, epochs, seed):
+    """Full-batch softmax-regression descent on materialized features.
+
+    Row-major logits (n x classes), the weights drawn as
+    ``0.01 * default_rng(seed).standard_normal((classes, dim))``, the bias
+    zero. Returns (weights, bias, loss_history), the history holding the
+    loss before each step and after the last.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    records = np.arange(n)
+    weights = 0.01 * np.random.default_rng(seed).standard_normal((n_classes, features.shape[1]))
+    bias = np.zeros(n_classes)
+
+    def loss_and_grad(weights, bias):
+        logits = features @ weights.T + bias
+        logits = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits)
+        probs = exp / exp.sum(axis=1, keepdims=True)
+        loss = float(-np.mean(np.log(probs[records, labels] + 1e-300)))
+        probs[records, labels] -= 1.0
+        probs /= n
+        return loss, probs.T @ features, probs.sum(axis=0)
+
+    history = []
+    for _ in range(epochs):
+        loss, d_weights, d_bias = loss_and_grad(weights, bias)
+        history.append(loss)
+        weights = weights - learning_rate * d_weights
+        bias = bias - learning_rate * d_bias
+    history.append(loss_and_grad(weights, bias)[0])
+    return weights, bias, history

@@ -16,7 +16,7 @@ from debias_embed.debias import DebiasConfig, run_variant
 from debias_embed.embeddings import EmbeddingSpace, load_vec, normalize, save_vec
 from debias_embed.lexicon import builtin_lexicon, split_pairs
 from debias_embed.subspace import save_subspace
-from helpers import inline_and_on_workers, orthonormal_rows, unit_rows
+from helpers import inline_and_on_workers, orthonormal_rows, reference_classifier, unit_rows
 
 
 @pytest.fixture()
@@ -115,11 +115,11 @@ def test_report_xscore_table(tmp_path, en_vec, capsys):
     assert list(tmp_path.glob("*.manifest.json")) == []  # without --json, no file and no manifest
 
 
-def write_bios(tmp_path):
+def write_bios(tmp_path, name="bios.tsv", seed=5):
     """200 doctor/nurse bios skewed 9:1 by gender, written of en profession words."""
-    corpus = tmp_path / "bios.tsv"
+    corpus = tmp_path / name
     professions = builtin_lexicon().neutral_words["en"].professions
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     rows = []
     for i in range(200):
         occ = ("doctor", "nurse")[i % 2]
@@ -251,25 +251,43 @@ def test_report_refuses_an_option_its_mode_does_not_read(tmp_path, en_vec, capsy
     assert not report.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["debias", "--emb", "missing.vec", "--languages", "en", "--out"],
-    ["debias", "--emb", "missing.vec", "--languages", "en", "--out", "o.vec",
-     "--subspace-out"],
-    ["align", "--src", "missing.vec", "--src-lang", "hi", "--tgt", "missing.vec",
-     "--tgt-lang", "en", "--dict", "missing.tsv", "--out"],
-    ["align", "--src", "missing.vec", "--src-lang", "hi", "--tgt", "missing.vec",
-     "--tgt-lang", "en", "--dict", "missing.tsv", "--out", "a.vec", "--merged-out"],
-    ["report", "--xscore", "--emb", "missing.vec", "--languages", "en", "--json"],
-], ids=["debias", "debias-subspace-out", "align", "align-merged-out", "report"])
+DEBIAS = ["debias", "--emb", "missing.vec", "--languages", "en", "--out"]
+ALIGN = ["align", "--src", "missing.vec", "--src-lang", "hi", "--tgt", "missing.vec",
+         "--tgt-lang", "en", "--dict", "missing.tsv", "--out"]
+REPORT = ["report", "--xscore", "--emb", "missing.vec", "--languages", "en", "--json"]
+
+
+@pytest.mark.parametrize("argv, derived", [
+    (DEBIAS, None),
+    (DEBIAS + ["o.vec", "--subspace-out"], None),
+    (ALIGN, None),
+    (ALIGN + ["a.vec", "--merged-out"], None),
+    (REPORT, None),
+    (DEBIAS + ["o.vec"], ("--subspace-out", "o.vec.subspace.json")),
+    (DEBIAS + ["o.vec"], ("manifest", "o.vec.manifest.json")),
+    (DEBIAS + ["o.vec", "--subspace-out", "s.json"], ("manifest", "o.vec.manifest.json")),
+    (ALIGN + ["a.vec", "--merged-out", "m.vec"], ("manifest", "a.vec.manifest.json")),
+    (REPORT + ["r.json"], ("manifest", "r.json.manifest.json")),
+], ids=["debias", "debias-subspace-out", "align", "align-merged-out", "report",
+        "debias-default-subspace-out", "debias-manifest", "debias-manifest-given-subspace-out",
+        "align-manifest", "report-manifest"])
 @pytest.mark.parametrize("output", ["/dev/null", "a directory"])
 def test_an_output_that_is_not_a_regular_file_is_refused_before_any_input_is_read(
-        tmp_path, monkeypatch, capsys, argv, output):
+        tmp_path, monkeypatch, capsys, argv, derived, output):
     monkeypatch.chdir(tmp_path)  # where a relative --out would be written
-    path, watched = ("/dev/null", "/dev") if output == "/dev/null" else (str(tmp_path),) * 2
+    if derived is None:  # the last option names the output
+        path, watched = ("/dev/null", "/dev") if output == "/dev/null" else (str(tmp_path),) * 2
+        flag, argv = argv[-1], argv + [path]
+    else:  # a path the run derives from its options
+        (flag, path), watched = derived, str(tmp_path)
+        if output == "/dev/null":
+            os.symlink("/dev/null", path)
+        else:
+            os.mkdir(path)
     listed = sorted(os.listdir(watched))
     # a missing input would exit 2; the refusal comes first
-    assert run(argv + [path]) == 1
-    assert f"{argv[-1]} {path}: exists and is not a regular file" in capsys.readouterr().err
+    assert run(argv) == 1
+    assert f"{flag} {path}: exists and is not a regular file" in capsys.readouterr().err
     assert sorted(os.listdir(watched)) == listed  # no file written beside it
 
 
@@ -564,6 +582,33 @@ def test_report_parses_only_the_rows_it_scores_and_reports_as_on_whole_spaces(
     whole = outputs()
     assert set(normalized) == {1000}
     assert held == whole
+
+
+@pytest.mark.parametrize("tags, options, d", [
+    (("en",), ["--emb-after", "after"], 300),
+    (("hi", "en"), ["--corpus-lang", "en"], 300),
+    (("en",), ["--emb-after", "after", "--corpus-after", "bios_after"], 300),
+    (("en",), ["--emb-after", "after"], 16),  # ~60 distinct token rows of 16 dims
+], ids=["before-after", "merged-corpus-lang", "corpus-after", "more-rows-than-dims"])
+def test_report_exbias_is_what_descent_on_the_materialized_features_gives(
+        tmp_path, monkeypatch, capsys, tags, options, d):
+    emb = write_lexicon_rows(tmp_path / "emb.vec", 1000, tags, d=d)
+    files = {"after": write_lexicon_rows(tmp_path / "after.vec", 1000, tags, seed=1, d=d),
+             "bios_after": write_bios(tmp_path, "bios_after.tsv", seed=6)}
+    report = tmp_path / "report.json"
+    argv = ["report", "--exbias", "--emb", emb, "--languages", ",".join(tags),
+            "--corpus", write_bios(tmp_path), *(files.get(o, o) for o in options),
+            "--min-count", "10", "--epochs", "80", "--json", report]
+
+    def outputs():
+        assert run(argv) == 0
+        manifest = json.loads(report.with_name("report.json.manifest.json").read_text())
+        del manifest["created_at"]
+        return capsys.readouterr().out, report.read_bytes(), manifest
+
+    factored = outputs()
+    monkeypatch.setattr(extrinsic, "train_classifier", reference_classifier)
+    assert outputs() == factored
 
 
 @pytest.mark.parametrize("mode", ["--inbias", "--xscore", "--exbias"])

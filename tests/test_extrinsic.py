@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debias_embed import extrinsic
 from debias_embed.embeddings import EmbeddingSpace, space_fingerprint
 from debias_embed.extrinsic import (
     BioRecord,
@@ -22,7 +23,7 @@ from debias_embed.extrinsic import (
     train_classifier,
 )
 from debias_embed.subspace import BiasSubspace
-from helpers import planted_marker_space, random_space, unit_rows
+from helpers import planted_marker_space, random_space, reference_classifier, unit_rows
 from oracles import central_difference_grad, softmax_xent
 
 
@@ -160,6 +161,46 @@ def test_low_coverage_records_dropped_with_warning(caplog):
     assert len(kept) == 3
     assert features.shape == (3, space.dim)
     assert any("coverage" in m for m in caplog.messages)
+
+
+@pytest.mark.parametrize("n_records, spread, factored", [
+    (600, False, True),  # 600 records share ~40 distinct rows of 60 dims
+    (120, True, False),  # the 92-word vocabulary: more distinct rows than dims
+], ids=["shared-rows", "more-rows-than-dims"])
+def test_factored_training_matches_descent_on_the_features(
+        caplog, monkeypatch, n_records, spread, factored):
+    space, sub = small_setup()
+    cfg = SynthesisConfig(n_occupations=3, n_records=n_records, bias_strength=0.6, subspace=sub)
+    records = synthesize_corpus(space, cfg, seed=3)
+    # out-of-vocabulary tokens vary the token count per record, one record
+    # holds a token twice, and one falls below the coverage floor
+    records = [BioRecord(r.gender, r.occupation,
+                         r.tokens + ("oov",) * (i % 4) + (space.vocab[i % len(space)],) * spread)
+               for i, r in enumerate(records)]
+    records[0] = BioRecord(records[0].gender, records[0].occupation, ("w001", "w001", "w002"))
+    records.append(BioRecord("F", "occ01", ("w005", "zzz", "qqq")))
+    config = TrainConfig(epochs=150, seed=4)
+    widths = []
+
+    def spy(weights, bias, features, labels):
+        widths.append(features.shape[1])
+        return cross_entropy_loss_and_grad(weights, bias, features, labels)
+
+    monkeypatch.setattr(extrinsic, "cross_entropy_loss_and_grad", spy)
+    with caplog.at_level(logging.WARNING, logger="debias_embed"):
+        clf = train_classifier(space, records, config)
+    assert [m for m in caplog.messages if "coverage" in m] == [
+        f"featurize: dropped 1/{n_records + 1} record(s) with token coverage below 50%"
+    ]
+    assert len(widths) == config.epochs + 1
+    assert all(w < space.dim for w in widths) if factored else set(widths) == {space.dim}
+    ref = reference_classifier(space, records, config)
+    np.testing.assert_allclose(clf.weights, ref.weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(clf.bias, ref.bias, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(clf.loss_history, ref.loss_history, rtol=0, atol=1e-12)
+    assert clf.labels == ref.labels
+    features, _ = featurize(space, records)
+    assert clf.predict(features) == ref.predict(features)
 
 
 def test_gradient_matches_central_differences():
