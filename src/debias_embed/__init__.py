@@ -94,7 +94,7 @@ def thread_cap() -> int | None:
     threads = os.environ.get("DEBIAS_EMBED_THREADS")
     if not threads:
         return None
-    if not threads.isdigit() or int(threads) < 1:
+    if not threads.isdecimal() or int(threads) < 1:
         raise ValueError(f"DEBIAS_EMBED_THREADS must be a positive integer, got {threads!r}")
     return int(threads)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace
+from .embeddings import EmbeddingSpace, decode_line
 
 log = logging.getLogger(__name__)
 
@@ -84,16 +84,17 @@ def load_dictionary(path, source_tag: str, target_tag: str) -> BilingualDictiona
 
     The separator is auto-detected per file from the first data line.
     Duplicate pairs are dropped with a warning; a line that does not split
-    into exactly two tokens raises ValueError with its line number.
+    into exactly two tokens, or is not UTF-8, raises ValueError with its
+    line number.
     """
     entries: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     dropped = 0
     sep: str | None = None
     detected = False
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n").rstrip("\r")
+            line = decode_line(raw, path, lineno).rstrip("\n").rstrip("\r")
             if not line.strip():
                 continue
             if not detected:

@@ -28,12 +28,28 @@ log = logging.getLogger(__name__)
 
 
 def _apply_thread_cap() -> None:
+    """Cap each BLAS thread pool at ``DEBIAS_EMBED_THREADS``: a pool variable
+    already set to a smaller positive integer stays, any other value is
+    replaced by the cap."""
     threads = thread_cap()
     if threads is None:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
+        value = os.environ.get(var, "")
+        if not (value.isdecimal() and 1 <= int(value) < threads):
+            os.environ[var] = str(threads)
+
+
+def _precision(text: str) -> int:
+    """The ``--precision`` value: significant digits, at least 1."""
+    try:
+        digits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if digits < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {digits}")
+    return digits
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bilingual dictionary (source<TAB>target per line)")
     p_align.add_argument("--out", required=True, help="aligned source .vec output")
     p_align.add_argument("--merged-out", help="also write the merged two-language space here")
-    p_align.add_argument("--precision", type=int, default=9,
+    p_align.add_argument("--precision", type=_precision, default=9,
                          help="significant digits in .vec output (default 9)")
     p_align.set_defaults(func=cmd_align)
 
@@ -87,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="defining pairs per language used for the subspace (default 10)")
     p_deb.add_argument("--out", required=True, help="debiased .vec output")
     p_deb.add_argument("--subspace-out", help="subspace JSON output (default <out>.subspace.json)")
-    p_deb.add_argument("--precision", type=int, default=9)
+    p_deb.add_argument("--precision", type=_precision, default=9,
+                       help="significant digits in .vec output (default 9)")
     p_deb.set_defaults(func=cmd_debias)
 
     p_rep = sub.add_parser("report", help="bias metrics as text tables plus JSON")
@@ -229,10 +246,10 @@ def cmd_debias(args):
     space = emb.normalize(emb.load_vec(
         args.emb, tag, hold=debmod.variant_words(lexicon, debias_config, splits)
     ))
-    _, used = debmod.run_variant(
-        space, lexicon, debias_config, splits, center=args.center, seed=args.seed,
-        save=lambda debiased: emb.save_vec(debiased, args.out, args.precision),
+    debiased, used = debmod.run_variant(
+        space, lexicon, debias_config, splits, center=args.center, seed=args.seed
     )
+    emb.save_vec(debiased, args.out, args.precision)
     submod.save_subspace(used, _output_paths(args)["--subspace-out"])
     print(f"debiased {len(space)} word(s) ({args.variant}/{args.method}, k={args.k})"
           f" -> {args.out}")

@@ -199,7 +199,8 @@ def variant_words(lexicon: GenderLexicon, config: DebiasConfig, splits) -> set[s
     These are the train pairs' words and, for scope ``neutral``, the
     lexicon's neutral words of each language in ``splits``, in every form
     :func:`~.lexicon.entry_forms` gives. A space of just these rows fits the
-    same subspace and scope as the whole space.
+    same subspace and scope as the whole space; :func:`run_variant` fits
+    from, and fingerprints, only these rows.
     """
     words = []
     for lang, split in splits.items():
@@ -233,7 +234,6 @@ def run_variant(
     *,
     center: bool = False,
     seed: int = 0,
-    save=None,
 ) -> tuple[EmbeddingSpace | SpaceStream, BiasSubspace]:
     """Build the variant's subspace from train pairs and debias the space.
 
@@ -243,14 +243,12 @@ def run_variant(
     the difference vectors first. Returns the debiased space together with
     the subspace used, its provenance attached.
 
-    ``space`` may be a :class:`~.embeddings.SpaceStream`, fitted from its
-    held rows (it must hold those :func:`variant_words` names); the
-    debiased space is then a stream too, computed block by block as it is
-    read, and a pass over it also hashes the input's blocks and gathers the
-    debias warnings. ``save``, if given, is called with the debiased space
-    before the input is fingerprinted: for a stream, that makes the pass
-    which writes the output the one pass over the input that the
-    fingerprint needs.
+    The subspace and the scope are fitted from the rows :func:`variant_words`
+    names, in vocabulary order, and the provenance's ``embedding_fingerprint``
+    is :func:`~.embeddings.space_fingerprint` of just those rows. ``space``
+    may be a :class:`~.embeddings.SpaceStream`, whose held rows must include
+    them; the debiased space is then a stream too, computed block by block
+    as it is read, and a pass over it gathers the debias warnings.
     """
     streamed = isinstance(space, SpaceStream)
     held = space.held if streamed else space
@@ -267,8 +265,14 @@ def run_variant(
         raise ValueError(
             f"variant 'mono' uses exactly one language, got {len(languages)}"
         )
+    words = variant_words(lexicon, config, splits)
+    rows = sorted(held.index[w] for w in words if w in held.index)  # in vocabulary order
+    matrix = held.matrix[rows]
+    matrix.setflags(write=False)  # fresh and unshared, so the space need not copy it
+    fitted = EmbeddingSpace(held.language_tag, tuple(held.vocab[i] for i in rows), matrix,
+                            normalized=held.normalized)
     train_pairs = [p for lang in languages for p in splits[lang].train_pairs]
-    diffs = difference_matrix(held, train_pairs)
+    diffs = difference_matrix(fitted, train_pairs)
 
     if config.variant == "eqr":
         subspace = equal_rep_basis(
@@ -281,7 +285,7 @@ def run_variant(
 
     scope_words = None
     if config.scope == "neutral":
-        scope_words = _resolve_scope_words(held, lexicon, languages)
+        scope_words = _resolve_scope_words(fitted, lexicon, languages)
 
     if streamed:
         def step(block):
@@ -289,11 +293,9 @@ def run_variant(
             return debias_space(block, subspace, config, notes=notes), notes
 
         # each block gathers its own notes, wherever it is computed; the pass adds them up
-        debiased = space.hashed().derive(step, tap=lambda: DebiasNotes(config, scope_words))
+        debiased = space.derive(step, tap=lambda: DebiasNotes(config, scope_words))
     else:
         debiased = debias_space(space, subspace, config, scope_words=scope_words)
-    if save is not None:
-        save(debiased)
     provenance = {
         "variant": config.variant,
         "method": config.method,
@@ -304,6 +306,6 @@ def run_variant(
         "languages": languages,
         "train_pair_counts": {lang: len(splits[lang].train_pairs) for lang in languages},
         "pairs_fingerprint": pairs_fingerprint(train_pairs),
-        "embedding_fingerprint": space_fingerprint(space),
+        "embedding_fingerprint": space_fingerprint(fitted),
     }
     return debiased, replace(subspace, provenance=provenance)

@@ -40,6 +40,7 @@ log = logging.getLogger(__name__)
 __all__ = [
     "EmbeddingSpace",
     "SpaceStream",
+    "decode_line",
     "iter_vec",
     "load_vec",
     "save_vec",
@@ -145,36 +146,32 @@ class EmbeddingSpace:
 class SpaceStream:
     """A space read a block at a time instead of held, for inputs larger than memory.
 
-    :func:`load_vec` with ``hold`` opens one over a ``.vec`` file; its
-    :meth:`hashed`, :func:`normalize` and :func:`~.debias.run_variant`
-    derive others from it. Its rows come as consecutive EmbeddingSpace
-    blocks of about ``BLOCK_BYTES``, each computed anew, and on its own,
-    from its byte range of the file whenever it is needed. A row does not
-    depend on the split, so :func:`save_vec` computes the blocks on every
-    CPU; :meth:`blocks` yields them in order, computed in this process.
-    Either pass gives the stream's taps, such as the hash of :meth:`hashed`,
+    :func:`load_vec` with ``hold`` opens one over a ``.vec`` file;
+    :func:`normalize` and :func:`~.debias.run_variant` derive others from
+    it. Its rows come as consecutive EmbeddingSpace blocks of about
+    ``BLOCK_BYTES``, each computed anew, and on its own, from its byte range
+    of the file whenever it is needed. A row does not depend on the split,
+    so :func:`save_vec` computes the blocks on every CPU; :meth:`blocks`
+    yields them in order, computed in this process. Either pass gives the
+    stream's taps, such as the debias notes of :func:`~.debias.run_variant`,
     every block's value in block order. ``held`` is an EmbeddingSpace of the
     rows of the words :func:`load_vec` was told to hold, in file order
     (empty if the file has none of them), kept for lookups such as a
     subspace fit; a stream derived without one, such as the debiased stream
-    of :func:`~.debias.run_variant`, has None. The words themselves are not
-    kept, only the hash :func:`space_fingerprint` starts from.
+    of :func:`~.debias.run_variant`, has None. The other words are not kept.
     """
     def __init__(self, language_tag: str, count: int, dim: int, block, block_count: int, *,
-                 held=None, normalized: bool = False, vocab_hash, taps=()):
+                 held=None, normalized: bool = False, taps=()):
         self.language_tag = language_tag
         self.dim = dim
         self.held = held
         self.normalized = normalized
-        #: the digest of the last pass that hashed every block, else None
-        self.fingerprint = None
         self._count = count
         #: i -> (block i, the value of each tap for it)
         self._block = block
         self._block_count = block_count
         #: what makes, for each pass, the objects the tap values go to, in order
         self._taps = taps
-        self._vocab_hash = vocab_hash
 
     def __len__(self):
         return self._count
@@ -211,32 +208,8 @@ class SpaceStream:
             return space, values + (value,)
 
         return SpaceStream(self.language_tag, len(self), self.dim, block, self._block_count,
-                           held=held, normalized=normalized, vocab_hash=self._vocab_hash,
+                           held=held, normalized=normalized,
                            taps=self._taps + ((tap,) if tap else ()))
-
-    def hashed(self) -> SpaceStream:
-        """This stream with one more tap, which hashes the blocks as they pass.
-
-        Once a pass over it, or over a stream derived from it, has read every
-        block, ``self.fingerprint`` holds what :func:`space_fingerprint`
-        gives, so that needs no pass of its own.
-        """
-        return self.derive(lambda space: (space, space.matrix), held=self.held,
-                           normalized=self.normalized, tap=lambda: _Hasher(self))
-
-
-class _Hasher:
-    """The tap that hashes a stream's blocks in order, then sets its fingerprint."""
-
-    def __init__(self, stream: SpaceStream):
-        self.stream = stream
-        self.sha = stream._vocab_hash.copy()
-
-    def add(self, matrix) -> None:
-        self.sha.update(memoryview(matrix))
-
-    def finish(self) -> None:
-        self.stream.fingerprint = self.sha.hexdigest()
 
 
 def _processes(rows: int, dim: int) -> int:
@@ -375,7 +348,7 @@ def iter_vec(fh, keep=None):
     is reported with its line number too.
     """
     name = fh.name
-    header = _decoded(fh.readline(), name, 1)
+    header = decode_line(fh.readline(), name, 1)
     if not header.strip():
         raise ValueError(f"{name}: line 1: expected '<count> <dim>' header")
     fields = header.split()
@@ -390,7 +363,13 @@ def iter_vec(fh, keep=None):
     return count, dim, _vec_rows(fh, name, dim, keep)
 
 
-def _decoded(line, name, lineno):
+def decode_line(line, name, lineno: int) -> str:
+    """A line of a text file read in binary mode, decoded as strict UTF-8.
+
+    An undecodable byte raises ValueError naming the file ``name`` and the
+    line number, as ``<name>: line <lineno>: byte 0xff is not valid UTF-8``.
+    A line that is text already is returned as is.
+    """
     if isinstance(line, str):
         return line
     try:
@@ -403,7 +382,7 @@ def _decoded(line, name, lineno):
 
 def _vec_rows(fh, name, dim, keep, first=2):
     for lineno, raw in enumerate(fh, first):
-        raw = _decoded(raw, name, lineno)
+        raw = decode_line(raw, name, lineno)
         head = _WORD.match(raw)
         word = head[1]
         if not word:
@@ -519,8 +498,7 @@ def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream
             rows.setflags(write=False)
             return EmbeddingSpace(language_tag, tuple(words), rows), ()
 
-        return SpaceStream(language_tag, len(vocab), dim, block, len(blocks), held=held,
-                           vocab_hash=_vocab_hash(language_tag, vocab, (len(vocab), dim)))
+        return SpaceStream(language_tag, len(vocab), dim, block, len(blocks), held=held)
 
     # shared with the forked workers, which parse their blocks straight into it
     matrix = np.frombuffer(mmap.mmap(-1, 8 * len(vocab) * dim), dtype=np.float64)
@@ -579,8 +557,7 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     writes its blocks into the output, and each worker writes its blocks to
     a file of their own beside it, which is appended when its turn comes. A
     :class:`SpaceStream`'s blocks are computed by the process that formats
-    them; its taps (the fingerprint and the notes of a pass) are fed here,
-    in block order.
+    them; its taps, such as the debias notes, are fed here, in block order.
     """
     if precision < 1:
         raise ValueError("precision must be at least 1 significant digit")
@@ -665,34 +642,14 @@ def normalize(space: EmbeddingSpace | SpaceStream) -> EmbeddingSpace | SpaceStre
     return EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=True)
 
 
-def space_fingerprint(space: EmbeddingSpace | SpaceStream) -> str:
-    """Stable sha256 over the vocabulary and raw matrix bytes.
-
-    A :class:`SpaceStream` is read for it, unless a pass that hashes its
-    blocks has read them all already.
-    """
-    if isinstance(space, SpaceStream):
-        if space.fingerprint is None:
-            for _ in space.hashed().blocks():
-                pass
-        return space.fingerprint
-    h = _vocab_hash(space.language_tag, space.vocab, space.matrix.shape)
-    h.update(memoryview(space.matrix))
-    return h.hexdigest()
-
-
-def _vocab_hash(language_tag: str, vocab, shape):
-    """The sha256 state :func:`space_fingerprint` has before the matrix.
-
-    Feeding it the rows' bytes in order, a block at a time, gives the same
-    digest as :func:`space_fingerprint` of the whole space, so a
-    :class:`SpaceStream` keeps this instead of its words.
-    """
+def space_fingerprint(space: EmbeddingSpace) -> str:
+    """Stable sha256 over the language tag, the vocabulary and the raw matrix bytes."""
     h = hashlib.sha256()
-    h.update(language_tag.encode("utf-8"))
+    h.update(space.language_tag.encode("utf-8"))
     h.update(b"\x00")
-    for w in vocab:
+    for w in space.vocab:
         h.update(w.encode("utf-8"))
         h.update(b"\x00")
-    h.update(str(tuple(shape)).encode())
-    return h
+    h.update(str(space.matrix.shape).encode())
+    h.update(memoryview(space.matrix))
+    return h.hexdigest()

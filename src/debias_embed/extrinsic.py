@@ -28,7 +28,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace
+from .embeddings import EmbeddingSpace, decode_line
 from .intrinsic import format_table
 from .subspace import BiasSubspace
 
@@ -86,13 +86,13 @@ class BioRecord:
 def load_corpus(path, min_count: int = 100) -> list[BioRecord]:
     """Read a bios TSV; occupations rarer than ``min_count`` are dropped.
 
-    Unknown gender tokens and empty bio texts raise ValueError with the
-    line number. Dropped occupations are logged.
+    Unknown gender tokens, empty bio texts and undecodable UTF-8 raise
+    ValueError with the line number. Dropped occupations are logged.
     """
     records: list[BioRecord] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n").rstrip("\r")
+            line = decode_line(raw, path, lineno).rstrip("\n").rstrip("\r")
             if not line.strip():
                 continue
             fields = line.split("\t")

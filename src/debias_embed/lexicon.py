@@ -23,6 +23,8 @@ from importlib import resources
 
 import numpy as np
 
+from .embeddings import decode_line
+
 log = logging.getLogger(__name__)
 
 __all__ = [
@@ -168,9 +170,9 @@ def validate_lexicon(lex: GenderLexicon) -> None:
 
 
 def load_lexicon(path) -> GenderLexicon:
-    """Parse and validate a lexicon JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    """Parse and validate a lexicon JSON file; an undecodable byte is named with its line."""
+    with open(path, "rb") as fh:
+        data = json.loads("".join(decode_line(raw, path, n) for n, raw in enumerate(fh, 1)))
     return _lexicon_from_dict(data, str(path))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import debias_embed
-from debias_embed import embeddings, extrinsic
+from debias_embed import cli, embeddings, extrinsic
 from debias_embed.cli import main
 from debias_embed.debias import DebiasConfig, run_variant
 from debias_embed.embeddings import EmbeddingSpace, load_vec, normalize, save_vec
@@ -291,12 +291,42 @@ def test_an_output_that_is_not_a_regular_file_is_refused_before_any_input_is_rea
     assert sorted(os.listdir(watched)) == listed  # no file written beside it
 
 
-def test_undecodable_byte_names_path_and_line(tmp_path, capsys):
-    path = tmp_path / "bad.vec"
-    path.write_bytes(b"3 2\nking 1.0 0.0\nqueen\xff 0.0 1.0\nman 0.5 0.5\n")
-    code = run(["debias", "--emb", path, "--languages", "en", "--out", tmp_path / "o.vec"])
-    assert code == 1
+@pytest.mark.parametrize("kind", ["vec", "dict", "corpus", "lexicon"])
+def test_undecodable_byte_names_path_and_line(tmp_path, en_vec, capsys, kind):
+    path = tmp_path / f"bad.{kind}"
+    path.write_bytes({
+        "vec": b"3 2\nking 1.0 0.0\nqueen\xff 0.0 1.0\nman 0.5 0.5\n",
+        "dict": b"king\tking\r\nman\tman\r\nqueen\xff\tqueen\r\n",
+        "corpus": b"M\tdoctor\the is\nF\tnurse\tshe is\nM\tdoctor\the\xff is\n",
+        "lexicon": b'{\n "languages":\n  {"en\xff": {}}\n}\n',
+    }[kind])
+    out = tmp_path / "o.vec"
+    argv = {
+        "vec": ["debias", "--emb", path, "--languages", "en", "--out", out],
+        "dict": ["align", "--src", en_vec, "--src-lang", "en", "--tgt", en_vec,
+                 "--tgt-lang", "hi", "--dict", path, "--out", out],
+        "corpus": ["report", "--exbias", "--emb", en_vec, "--languages", "en",
+                   "--corpus", path],
+        "lexicon": ["debias", "--emb", en_vec, "--languages", "en", "--lexicon", path,
+                    "--out", out],
+    }[kind]
+    assert run(argv) == 1
     assert f"{path}: line 3: byte 0xff is not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", ["0", "-3"])
+@pytest.mark.parametrize("subcommand", ["align", "debias"])
+def test_precision_below_one_is_refused_before_any_input_is_read(tmp_path, capsys, subcommand,
+                                                                  precision):
+    ghost = tmp_path / "ghost"  # reading any input would fail with exit 2
+    argv = {
+        "align": ["align", "--src", ghost, "--src-lang", "en", "--tgt", ghost,
+                  "--tgt-lang", "hi", "--dict", ghost],
+        "debias": ["debias", "--emb", ghost, "--languages", "en", "--lexicon", ghost],
+    }[subcommand]
+    assert run(argv + ["--out", tmp_path / "o.vec", "--precision", precision]) == 1
+    assert f"argument --precision: must be at least 1, got {precision}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_usage_error_exits_one(tmp_path, capsys):
@@ -381,9 +411,31 @@ def test_reruns_are_byte_identical(tmp_path, en_vec, capsys):
 
 
 def test_thread_cap_validation(monkeypatch, capsys):
-    monkeypatch.setenv("DEBIAS_EMBED_THREADS", "zero")
-    assert main(["report", "--xscore", "--emb", "x", "--languages", "en"]) == 1
-    assert "DEBIAS_EMBED_THREADS" in capsys.readouterr().err
+    for value in ("zero", "0", "\u00b2"):  # a digit, but not a decimal one
+        monkeypatch.setenv("DEBIAS_EMBED_THREADS", value)
+        assert main(["report", "--xscore", "--emb", "x", "--languages", "en"]) == 1
+        assert f"DEBIAS_EMBED_THREADS must be a positive integer, got {value!r}" in (
+            capsys.readouterr().err)
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("cap, before, after", [
+    ("1", ("2", "8", "1", None), ("1", "1", "1", "1")),
+    ("4", ("1", "3", "4", "16"), ("1", "3", "4", "4")),
+    ("2", ("0", "auto", "2,1", ""), ("2", "2", "2", "2")),
+], ids=["larger-lowered", "smaller-kept", "not-an-integer-replaced"])
+def test_thread_cap_lowers_every_blas_pool_above_it(monkeypatch, cap, before, after):
+    monkeypatch.setenv("DEBIAS_EMBED_THREADS", cap)
+    for var, value in zip(BLAS_THREAD_VARS, before):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    cli._apply_thread_cap()
+    assert tuple(os.environ[var] for var in BLAS_THREAD_VARS) == after
 
 
 def test_console_script_entry_point(tmp_path, en_vec):

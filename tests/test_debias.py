@@ -5,15 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debias_embed import embeddings
 from debias_embed.debias import (
     DebiasConfig,
     DebiasNotes,
     debias_space,
     residuals,
     run_variant,
+    variant_words,
 )
-from debias_embed.embeddings import EmbeddingSpace, normalize
-from debias_embed.lexicon import split_pairs
+from debias_embed.embeddings import (
+    EmbeddingSpace,
+    load_vec,
+    normalize,
+    save_vec,
+    space_fingerprint,
+)
+from debias_embed.lexicon import builtin_lexicon, split_pairs
 from debias_embed.subspace import BiasSubspace
 from helpers import (
     orthonormal_rows,
@@ -137,6 +145,40 @@ def test_run_variant_mono_zeroes_projections_and_records_provenance():
     assert prov["languages"] == ["aa"]
     assert prov["train_pair_counts"] == {"aa": 4}
     assert "embedding_fingerprint" in prov and "pairs_fingerprint" in prov
+
+
+@pytest.mark.parametrize("scope", ["all", "neutral"])
+def test_embedding_fingerprint_covers_the_fitted_rows_alone(tmp_path, monkeypatch, scope):
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 10 * 16 * 8)  # ten rows a block
+    lex = builtin_lexicon()
+    config = DebiasConfig(scope=scope)
+    splits = {"en": split_pairs(lex, "en", 10, 0)}
+    fitted = variant_words(lex, config, splits)
+    vocab = lex.words("en") + ("filler0", "filler1")
+    space = EmbeddingSpace("en", vocab, unit_rows(np.random.default_rng(3), len(vocab), 16))
+    outside = [i for i, w in enumerate(vocab) if w not in fitted]
+    inside = [i for i, w in enumerate(vocab) if w in fitted]
+    assert len(outside) > 2 and len(inside) >= 20
+
+    def fingerprints(rows):
+        """The embedding_fingerprint of each way to give run_variant a file of ``rows``."""
+        path = str(tmp_path / "e.vec")
+        save_vec(EmbeddingSpace("en", vocab, rows), path, precision=17)
+        spaces = [load_vec(path, "en"), load_vec(path, "en", hold=fitted),
+                  load_vec(path, "en", hold=set(vocab))]
+        return {run_variant(normalize(s), lex, config, splits)[1]
+                .provenance["embedding_fingerprint"] for s in spaces}
+
+    (first,) = fingerprints(space.matrix)
+    held = normalize(load_vec(str(tmp_path / "e.vec"), "en"))
+    assert first == space_fingerprint(EmbeddingSpace(
+        "en", tuple(vocab[i] for i in inside), held.matrix[inside]))
+    moved = space.matrix.copy()
+    moved[outside] = moved[outside][::-1]
+    assert fingerprints(moved) == {first}
+    moved = space.matrix.copy()
+    moved[inside[-1]] *= -1
+    assert fingerprints(moved) != {first}
 
 
 def test_run_variant_mono_rejects_multiple_splits():

@@ -355,7 +355,7 @@ def test_held_load_parses_only_held_rows_and_its_blocks_parse_all(tmp_path, monk
     np.testing.assert_array_equal(np.vstack([b.matrix for b in blocks]), load_vec(p, "en").matrix)
 
 
-def test_stream_fingerprint_and_normalized_rows_equal_the_held_space(tmp_path, monkeypatch):
+def test_stream_normalized_rows_equal_the_held_space(tmp_path, monkeypatch):
     monkeypatch.setattr("debias_embed.embeddings.BLOCK_BYTES", 4 * 3 * 8)  # four rows a block
     path = str(tmp_path / "a.vec")
     save_vec(random_space(5, 9, 3), path, precision=17)
@@ -363,12 +363,9 @@ def test_stream_fingerprint_and_normalized_rows_equal_the_held_space(tmp_path, m
     stream = normalize(load_vec(path, "xx", hold={"w0002"}))
     assert stream.normalized and stream.held.normalized
     np.testing.assert_array_equal(stream.held.matrix, space.matrix[[2]])
-    assert stream.fingerprint is None
-    assert space_fingerprint(stream) == space_fingerprint(space)  # a pass of its own
-    rows = [b.matrix for b in stream.hashed().blocks()]  # a pass that hashes
+    rows = [b.matrix for b in stream.blocks()]
     np.testing.assert_array_equal(np.vstack(rows), space.matrix)
     assert [len(r) for r in rows] == [4, 4, 1]
-    assert stream.fingerprint == space_fingerprint(stream) == space_fingerprint(space)
 
 
 def test_failed_save_leaves_no_file_and_an_existing_one_as_it_was(tmp_path):
@@ -399,6 +396,39 @@ def test_save_refuses_a_target_that_is_not_a_regular_file(tmp_path, target):
     assert (sorted(os.listdir(beside)), sorted(os.listdir(tmp_path))) == listed
 
 
+def test_a_worker_that_dies_fails_the_save_and_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 3 * 8)  # four rows a block: three blocks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("DEBIAS_EMBED_THREADS", "2")
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    owner = os.getpid()
+    write_rows = embeddings._write_rows
+
+    def write_then_die(words, matrix, fh, line):
+        write_rows(words, matrix, fh, line)
+        if os.getpid() != owner:
+            os._exit(0)  # its segment is written, but its result never sent
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(embeddings, "_write_rows", write_then_die)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(ChildProcessError, match=r"^text worker \d+ died before sending block 1$"):
+        save_vec(random_space(0, 11, 3), str(out / "a.vec"))
+    assert os.listdir(out) == []  # neither the temporary file nor the worker's segment
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):  # reaped
+        os.waitpid(forked[0], os.WNOHANG)
+
+
 def odd_vec(path, n=11, d=3):
     """n rows of d values: words holding U+00A0, a blank line inside, blank lines at the end."""
     rng = np.random.default_rng(n)
@@ -420,7 +450,7 @@ def test_load_and_save_are_the_same_inline_and_on_workers(tmp_path, monkeypatch)
         save_vec(space, str(tmp_path / "held.vec"), precision=17)
         save_vec(stream, str(tmp_path / "stream.vec"))
         return (space.vocab, space.matrix, (tmp_path / "held.vec").read_bytes(),
-                (tmp_path / "stream.vec").read_bytes(), space_fingerprint(stream))
+                (tmp_path / "stream.vec").read_bytes())
 
     inline, pooled = inline_and_on_workers(monkeypatch, run)
     assert inline[0] == pooled[0] and len(inline[0]) == 11 and inline[0][3] == "w\u00a03"

@@ -7,31 +7,67 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "debias_embed"
 
 
-def private_relative_imports(path):
-    """(module, name) for each ``from .module import _name`` in a source file."""
+def private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def dotted(node):
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Attribute):
+        base = dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def private_cross_module_names(path):
+    """(module, name) for each private name a source file takes from another
+    module of the package: ``from .module import _name`` (or the absolute
+    ``debias_embed.module``), ``from . import _module``, and ``alias._name``
+    where ``alias`` is a package module the file imported."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = []
+    found, modules = [], {"debias_embed"}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level > 0:
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").partition(".")[0] == "debias_embed"):
+            module = "." * node.level + (node.module or "")
             for alias in node.names:
-                name = alias.name
-                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
-                    found.append(("." * node.level + (node.module or ""), name))
+                if private(alias.name):
+                    found.append((module, alias.name))
+                elif module.strip(".") in ("", "debias_embed"):  # a submodule, such as ``emb``
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "debias_embed":
+                    modules.add(alias.asname or "debias_embed")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            base = dotted(node.value)
+            if base in modules or (base or "").startswith("debias_embed."):
+                found.append((base, node.attr))
     return found
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_name_imported_across_modules(path):
-    assert private_relative_imports(path) == []
+    assert private_cross_module_names(path) == []
 
 
 def test_detector_flags_private_and_skips_dunder_names(tmp_path):
     source = tmp_path / "mod.py"
     source.write_text(
-        "from .subspace import _factor, pca_basis\nfrom . import __version__\n",
+        "from .subspace import _factor, pca_basis\nfrom . import __version__\n"
+        "from debias_embed.lexicon import _require\nfrom . import _hidden\n"
+        "from . import embeddings as emb\nimport debias_embed.align as al\n"
+        "import debias_embed.debias\n"
+        "emb._block_rows(3), emb.load_vec, al._x, debias_embed.debias._resolve\n"
+        "self._count, parser._actions, emb.__name__\n",
         encoding="utf-8",
     )
-    assert private_relative_imports(source) == [(".subspace", "_factor")]
+    assert sorted(private_cross_module_names(source)) == [
+        (".", "_hidden"), (".subspace", "_factor"), ("al", "_x"),
+        ("debias_embed.debias", "_resolve"), ("debias_embed.lexicon", "_require"),
+        ("emb", "_block_rows"),
+    ]
 
 
 def unused_imports(path):
