@@ -143,28 +143,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_defaults(parser, args, argv):
-    """Re-parse with defaults taken from the ``--config`` JSON, if any.
+def _config_args(parser, args) -> list[str]:
+    """The entries of the ``--config`` JSON as the flags they name.
 
-    Flags given on the command line still win because argparse defaults only
-    fill in absent options.
+    Put before the command line's own arguments, they are parsed as those
+    are, so a flag given on the command line wins. A switch takes true or
+    false; any other flag a string or a number, as ``--flag=value``.
     """
-    path = getattr(args, "config", None)
-    if not path:
-        return args
+    path = args.config
     with open(path, encoding="utf-8") as fh:
-        overrides = json.load(fh)
-    if not isinstance(overrides, dict):
+        entries = json.load(fh)
+    if not isinstance(entries, dict):
         raise ValueError(f"{path}: config must be a JSON object of flag defaults")
-    subparser = parser._by_subcommand[args.subcommand]
-    known = {a.dest for a in subparser._actions} - {"help", "func", "config"}
-    unknown = sorted(set(overrides) - known)
+    actions = {a.dest: a for a in parser._by_subcommand[args.subcommand]._actions
+               if a.dest not in ("help", "config")}
+    unknown = sorted(set(entries) - set(actions))
     if unknown:
         raise ValueError(
             f"{path}: unknown config key(s) {', '.join(unknown)} for {args.subcommand!r}"
         )
-    subparser.set_defaults(**overrides)
-    return parser.parse_args(argv)
+    text = []
+    for key, value in entries.items():
+        flag, switch = actions[key].option_strings[0], actions[key].nargs == 0
+        if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
+            wanted = "true or false" if switch else "a string or a number"
+            raise ValueError(f"{path}: config key {key!r} takes {wanted}, got {json.dumps(value)}")
+        text += [flag] * value if switch else [f"{flag}={value}"]
+    return text
 
 
 def _load_lexicon(source: str):
@@ -510,10 +515,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        args = _apply_config_defaults(parser, args, argv)
+        if args.config:  # argv[0] is the subcommand
+            args = parser.parse_args(argv[:1] + _config_args(parser, args) + argv[1:])
         _refuse_irregular_outputs(args)
         from .manifest import RunManifest, capture_warnings
 
@@ -530,6 +533,8 @@ def main(argv=None) -> int:
                 manifest.add_output(path)
             manifest.write(manifest_path)
         return 0
+    except SystemExit as exc:  # a usage error, or --help
+        return int(exc.code or 0)
     except OSError as exc:
         print(f"debias-embed: i/o error: {exc}", file=sys.stderr)
         return 2

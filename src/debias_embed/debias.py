@@ -20,6 +20,7 @@ import numpy as np
 from .embeddings import EmbeddingSpace, SpaceStream, row_blocks, row_norms, space_fingerprint
 from .lexicon import GenderLexicon, PairSplit, entry_forms
 from .subspace import (
+    PPA_CENTER,
     BiasSubspace,
     difference_matrix,
     equal_rep_basis,
@@ -32,7 +33,6 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "DebiasConfig",
-    "DebiasNotes",
     "residuals",
     "debias_space",
     "variant_words",
@@ -91,47 +91,19 @@ def residuals(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return out
 
 
-class DebiasNotes:
-    """What :func:`debias_space` warns about, gathered over the blocks of one space.
+class _ZeroWords(list):
+    """Words whose residual vanished, logged once by :meth:`finish`. As a tap
+    of a debiased :class:`~.embeddings.SpaceStream`, those of every block,
+    gathered in block order and logged after the pass."""
 
-    Made for one config and its ``scope_words`` (required for scope
-    ``neutral``). Blocks debiased apart, each with notes of its own, are
-    gathered with :meth:`add`; :meth:`finish` logs each warning once.
-    """
-
-    def __init__(self, config: DebiasConfig, scope_words=None):
-        self.wanted = None
-        if config.scope == "neutral":
-            if scope_words is None:
-                raise ValueError("scope 'neutral' needs the scope_words to restrict to")
-            self.wanted = set(scope_words)
-        self.found: set[str] = set()
-        self.unnormalized = False
-        self.zero_words: list[str] = []
-
-    def add(self, other: DebiasNotes) -> None:
-        """Gather the notes of another block of the same space."""
-        self.found |= other.found
-        self.unnormalized |= other.unnormalized
-        self.zero_words += other.zero_words
+    add = list.extend
 
     def finish(self) -> None:
-        """Log each warning gathered, once."""
-        if self.unnormalized:
-            log.warning("debias_space: input space is not normalized")
-        if self.wanted is not None and self.wanted - self.found:
-            log.warning("debias_space: %d scope word(s) not in the vocabulary",
-                        len(self.wanted - self.found))
-        if self.zero_words:
-            shown = ", ".join(repr(w) for w in self.zero_words[:10])
-            more = f" (+{len(self.zero_words) - 10} more)" if len(self.zero_words) > 10 else ""
-            log.warning(
-                "debias_space: %d word(s) lie entirely in the bias subspace and stay "
-                "zero after renormalization: %s%s",
-                len(self.zero_words),
-                shown,
-                more,
-            )
+        if self:
+            shown = ", ".join(repr(w) for w in self[:10])
+            more = f" (+{len(self) - 10} more)" if len(self) > 10 else ""
+            log.warning("debias_space: %d word(s) lie entirely in the bias subspace and stay "
+                        "zero after renormalization: %s%s", len(self), shown, more)
 
 
 def debias_space(
@@ -140,7 +112,7 @@ def debias_space(
     config: DebiasConfig,
     scope_words=None,
     *,
-    notes: DebiasNotes | None = None,
+    zero_words: list | None = None,
 ) -> EmbeddingSpace:
     """Remove the subspace component from every in-scope word.
 
@@ -148,34 +120,35 @@ def debias_space(
     spaces) is required when ``config.scope == "neutral"``; every other
     word is then carried over bit-identically. With
     ``renormalize_after`` residuals are rescaled to unit norm, except
-    residuals that vanished entirely, which stay zero and are logged.
-    Each row is computed by :func:`residuals`, so debiasing the blocks of
-    any split of the space instead, each with notes of its own gathered by
-    :meth:`DebiasNotes.add`, gives the same rows and warnings. Given
-    ``notes``, the scope words are the ones it was made with, and the
-    warnings are gathered there instead of logged.
+    residuals that vanished entirely, which stay zero. Each row is
+    computed by :func:`residuals`, so debiasing the blocks of any split of
+    the space instead gives the same rows.
+
+    Given ``zero_words``, a list, the space is one block of a larger one:
+    the words whose residual vanished are appended to it, and nothing is
+    logged. Without it, an unnormalized input, scope words not in the
+    vocabulary and those words are each logged once.
     """
-    own_notes = notes is None
-    if own_notes:
-        notes = DebiasNotes(config, scope_words)
+    neutral = config.scope == "neutral"
+    if neutral and scope_words is None:
+        raise ValueError("scope 'neutral' needs the scope_words to restrict to")
     if space.dim != subspace.dim:
         raise ValueError(
             f"dimension mismatch: space dim {space.dim} vs basis dim {subspace.dim}"
         )
-    notes.unnormalized |= not space.normalized
-    neutral = notes.wanted is not None
     if neutral:
-        rows = np.array([i for i, w in enumerate(space.vocab) if w in notes.wanted], dtype=int)
-        notes.found.update(space.vocab[i] for i in rows)
+        wanted = set(scope_words)
+        rows = np.array([i for i, w in enumerate(space.vocab) if w in wanted], dtype=int)
     else:
         rows = slice(None)
     sub = residuals(space.matrix[rows], subspace.basis)
 
     normalized = False
+    vanished = []
     if config.renormalize_after:
         norms = row_norms(sub)
         zero = norms < ZERO_RESIDUAL_TOL
-        notes.zero_words += [space.vocab[i] for i in np.arange(len(space))[rows][zero]]
+        vanished = [space.vocab[i] for i in np.arange(len(space))[rows][zero]]
         sub[zero] = 0.0
         np.divide(sub, norms[:, None], out=sub, where=~zero[:, None])
         # unit everywhere only if no residual vanished and any untouched
@@ -188,8 +161,15 @@ def debias_space(
         matrix = sub
     matrix.setflags(write=False)
     debiased = EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=normalized)
-    if own_notes:
-        notes.finish()
+    if zero_words is not None:
+        zero_words += vanished
+        return debiased
+    if not space.normalized:
+        log.warning("debias_space: input space is not normalized")
+    if neutral and len(wanted) > len(rows):
+        log.warning("debias_space: %d scope word(s) not in the vocabulary",
+                    len(wanted) - len(rows))
+    _ZeroWords(vanished).finish()
     return debiased
 
 
@@ -248,7 +228,8 @@ def run_variant(
     is :func:`~.embeddings.space_fingerprint` of just those rows. ``space``
     may be a :class:`~.embeddings.SpaceStream`, whose held rows must include
     them; the debiased space is then a stream too, computed block by block
-    as it is read, and a pass over it gathers the debias warnings.
+    as it is read, and a pass over it logs the words whose residual vanished
+    once, after its last block.
     """
     streamed = isinstance(space, SpaceStream)
     held = space.held if streamed else space
@@ -257,9 +238,7 @@ def run_variant(
     if not splits:
         raise ValueError("at least one language split is required")
     if center and config.method == "ppa":
-        raise ValueError(
-            "center applies to method 'pca' only: the PPA objective centers its projections"
-        )
+        raise ValueError(PPA_CENTER)
     languages = list(splits)
     if config.variant == "mono" and len(languages) != 1:
         raise ValueError(
@@ -287,15 +266,18 @@ def run_variant(
     if config.scope == "neutral":
         scope_words = _resolve_scope_words(fitted, lexicon, languages)
 
-    if streamed:
-        def step(block):
-            notes = DebiasNotes(config, scope_words)
-            return debias_space(block, subspace, config, notes=notes), notes
+    def step(block):
+        """``block`` debiased, and the words whose residual vanished in it."""
+        zero_words = []
+        block = debias_space(block, subspace, config, scope_words, zero_words=zero_words)
+        return block, zero_words
 
-        # each block gathers its own notes, wherever it is computed; the pass adds them up
-        debiased = space.derive(step, tap=lambda: DebiasNotes(config, scope_words))
+    # one step for a held space and for each block of a stream, wherever it is computed
+    if streamed:
+        debiased = space.derive(step, tap=_ZeroWords)
     else:
-        debiased = debias_space(space, subspace, config, scope_words=scope_words)
+        debiased, zero_words = step(space)
+        _ZeroWords(zero_words).finish()
     provenance = {
         "variant": config.variant,
         "method": config.method,

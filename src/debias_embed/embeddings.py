@@ -19,6 +19,7 @@ depend on the number of CPUs.
 from __future__ import annotations
 
 import hashlib
+import io
 import logging
 import mmap
 import os
@@ -153,12 +154,13 @@ class SpaceStream:
     of the file whenever it is needed. A row does not depend on the split,
     so :func:`save_vec` computes the blocks on every CPU; :meth:`blocks`
     yields them in order, computed in this process. Either pass gives the
-    stream's taps, such as the debias notes of :func:`~.debias.run_variant`,
-    every block's value in block order. ``held`` is an EmbeddingSpace of the
-    rows of the words :func:`load_vec` was told to hold, in file order
-    (empty if the file has none of them), kept for lookups such as a
-    subspace fit; a stream derived without one, such as the debiased stream
-    of :func:`~.debias.run_variant`, has None. The other words are not kept.
+    stream's taps, such as the zero-residual words of
+    :func:`~.debias.run_variant`, every block's value in block order.
+    ``held`` is an EmbeddingSpace of the rows of the words :func:`load_vec`
+    was told to hold, in file order (empty if the file has none of them),
+    kept for lookups such as a subspace fit; a stream derived without one,
+    such as the debiased stream of :func:`~.debias.run_variant`, has None.
+    The other words are not kept.
     """
     def __init__(self, language_tag: str, count: int, dim: int, block, block_count: int, *,
                  held=None, normalized: bool = False, taps=()):
@@ -529,15 +531,8 @@ def _append(fh, segment: str) -> None:
     """Move the bytes of the file ``segment`` onto the end of the open file ``fh``."""
     fh.flush()
     with open(segment, "rb", buffering=0) as src:
-        if hasattr(os, "copy_file_range"):  # in the kernel, without reading it in
-            left = os.fstat(src.fileno()).st_size
-            while left:
-                copied = os.copy_file_range(src.fileno(), fh.fileno(), left)
-                if not copied:
-                    raise OSError(f"{segment}: shorter than when it was written")
-                left -= copied
-        else:
-            shutil.copyfileobj(src, fh.buffer)
+        # a file buffer at a time: appending holds no more than formatting does
+        shutil.copyfileobj(src, fh.buffer, io.DEFAULT_BUFFER_SIZE)
     os.unlink(segment)
 
 
@@ -557,7 +552,8 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     writes its blocks into the output, and each worker writes its blocks to
     a file of their own beside it, which is appended when its turn comes. A
     :class:`SpaceStream`'s blocks are computed by the process that formats
-    them; its taps, such as the debias notes, are fed here, in block order.
+    them; its taps, such as the zero-residual words, are fed here, in block
+    order.
     """
     if precision < 1:
         raise ValueError("precision must be at least 1 significant digit")

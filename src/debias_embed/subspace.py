@@ -50,6 +50,8 @@ RANK_RTOL = 1e-10  # singular values below RANK_RTOL * s_max do not count toward
 PPA_STARTS = 32
 PPA_MAX_ITER = 1000
 PPA_GRAD_TOL = 1e-9
+#: why ``center`` is refused with method ``ppa``
+PPA_CENTER = "center applies to method 'pca' only: the PPA objective centers its projections"
 
 
 @dataclass(frozen=True)
@@ -405,7 +407,7 @@ def equal_rep_basis(
     For PCA the pool is every direction up to the numerical rank of the
     matrix PCA factors (centered when ``center``); for PPA it is
     min(rank, max(3k, 16)) directions. The rank comes from the SVD that
-    fits the pool.
+    fits the pool. ``center`` is refused with PPA.
     """
     languages = tuple(languages)
     _per_language(k, languages)  # fail before fitting the pool
@@ -413,6 +415,8 @@ def equal_rep_basis(
         s, vt, rank = _factor(_pca_rows(diffs, center))
         pool = _pca(s, vt, rank, rank)
     elif method == "ppa":
+        if center:
+            raise ValueError(PPA_CENTER)
         _, vt, rank = _factor(diffs.rows)
         pool = _ppa(diffs, vt, rank, min(rank, max(3 * k, 16)), seed)
     else:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -379,6 +380,28 @@ def test_config_file_defaults_and_flag_override(tmp_path, en_vec):
                 "--out", out]) == 1
 
 
+@pytest.mark.parametrize("argv, entries, message", [
+    (DEBIAS, {"precision": 0}, "argument --precision: must be at least 1, got 0"),
+    (DEBIAS, {"k": 2.5}, "argument --k: invalid int value: '2.5'"),
+    (DEBIAS, {"seed": 1.5}, "argument --seed: invalid int value: '1.5'"),
+    (DEBIAS, {"center": "no"}, "config key 'center' takes true or false, got \"no\""),
+    (DEBIAS, {"k": None}, "config key 'k' takes a string or a number, got null"),
+    (REPORT[:1] + ["--exbias", "--corpus", "missing.tsv"] + REPORT[2:], {"epochs": 1.5},
+     "argument --epochs: invalid int value: '1.5'"),
+    (REPORT[:1] + ["--inbias"] + REPORT[2:], {"seeds": "bogus"},
+     "argument --seeds: invalid choice: 'bogus'"),
+    (REPORT, {"inbias": True}, "argument --xscore: not allowed with argument --inbias"),
+], ids=["precision", "k", "seed", "switch", "null", "epochs", "choices", "mode"])
+def test_config_entries_are_parsed_as_the_flags_they_name(tmp_path, capsys, argv, entries,
+                                                          message):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(entries))
+    # refused as the command line is parsed, before the missing input is read
+    assert run(argv + [tmp_path / "out", "--config", config]) == 1
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 def test_reruns_are_byte_identical(tmp_path, en_vec, capsys):
     out = tmp_path / "out.vec"
     report = tmp_path / "r.json"
@@ -564,27 +587,37 @@ def test_precision_17_output_does_not_depend_on_the_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_debias_is_the_same_inline_and_on_workers(tmp_path, monkeypatch, capsys):
+def test_debias_is_the_same_inline_and_on_workers(tmp_path, monkeypatch, capsys, caplog):
     emb = write_lexicon_rows(tmp_path / "en.vec", 1000)  # three 436-row blocks
     bad = tmp_path / "bad.vec"
     lines = (tmp_path / "en.vec").read_text(encoding="utf-8").splitlines(True)
     lines[501] = lines[501].replace(" ", " x", 1)  # in the second block, a worker's
     bad.write_text("".join(lines), encoding="utf-8")
     word = lines[501].split()[0]
+    # rows that are train-pair differences, so that their residuals vanish
+    # with k = 10: one in the first block, two in the worker's, one in the last
+    space = normalize(load_vec(emb, "en"))
+    split = split_pairs(builtin_lexicon(), "en", 10, 0)
+    matrix, zero_rows = space.matrix.copy(), (300, 500, 800, 900)
+    for row, p in zip(zero_rows, split.train_pairs):
+        matrix[row] = matrix[space.index[p.male_word]] - matrix[space.index[p.female_word]]
+    planted = tmp_path / "planted.vec"
+    save_vec(EmbeddingSpace("en", space.vocab, matrix), str(planted), precision=17)
     out = tmp_path / "out"
     out.mkdir()
 
     def debias():
         outputs = {}
-        assert run(["debias", "--emb", emb, "--languages", "en", "--renormalize",
-                    "--out", out / "d.vec"]) == 0
-        outputs["stdout"] = capsys.readouterr().out
-        for name in ("d.vec", "d.vec.subspace.json"):
-            outputs[name] = (out / name).read_bytes()
-        manifest = json.loads((out / "d.vec.manifest.json").read_text())
-        outputs["manifest"] = {k: v for k, v in manifest.items() if k != "created_at"}
-        for name in os.listdir(out):
-            os.unlink(out / name)
+        for name, argv in (("all", [emb]), ("zero", [planted, "--k", "10"])):
+            assert run(["debias", "--emb", *argv, "--languages", "en", "--renormalize",
+                        "--out", out / "d.vec"]) == 0
+            outputs[name, "stdout"] = capsys.readouterr().out
+            for file in ("d.vec", "d.vec.subspace.json"):
+                outputs[name, file] = (out / file).read_bytes()
+            manifest = json.loads((out / "d.vec.manifest.json").read_text())
+            outputs[name, "manifest"] = {k: v for k, v in manifest.items() if k != "created_at"}
+            for file in os.listdir(out):
+                os.unlink(out / file)
         assert run(["debias", "--emb", bad, "--languages", "en", "--out", out / "d.vec"]) == 1
         outputs["stderr"] = capsys.readouterr().err
         assert os.listdir(out) == []  # no segment, no temporary file, no output
@@ -593,6 +626,16 @@ def test_debias_is_the_same_inline_and_on_workers(tmp_path, monkeypatch, capsys)
     inline, pooled = inline_and_on_workers(monkeypatch, debias)
     assert inline == pooled
     assert f"{bad}: line 502: unparseable number in row for {word!r}" in inline["stderr"]
+    zero_words = ", ".join(repr(space.vocab[i]) for i in zero_rows)  # in block order
+    assert inline["zero", "manifest"]["warnings"] == [
+        "debias_space: 4 word(s) lie entirely in the bias subspace and stay zero after "
+        f"renormalization: {zero_words}"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="debias_embed"):
+        run_variant(normalize(load_vec(str(planted), "en")), builtin_lexicon(),
+                    DebiasConfig(k=10, renormalize_after=True), {"en": split})
+    assert caplog.messages == inline["zero", "manifest"]["warnings"]
 
 
 @pytest.mark.parametrize("mode, tags, options", [

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from debias_embed import embeddings
 from debias_embed.debias import (
     DebiasConfig,
-    DebiasNotes,
     debias_space,
     residuals,
     run_variant,
@@ -290,14 +289,11 @@ def test_blocks_debiased_apart_equal_debias_space_and_warn_once(caplog):
     expected = list(caplog.messages)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="debias_embed"):
-        total = DebiasNotes(cfg, scope)
-        streamed = []
+        zero_words, streamed = [], []
         for block in blocks:  # as a streamed run_variant does, in any process
-            notes = DebiasNotes(cfg, scope)
-            streamed.append(debias_space(block, sub, cfg, notes=notes))
-            total.add(notes)
+            streamed.append(debias_space(block, sub, cfg, scope, zero_words=zero_words))
         assert caplog.messages == []
-        total.finish()
     np.testing.assert_array_equal(np.vstack([b.matrix for b in streamed]), whole.matrix)
-    assert caplog.messages == expected
+    assert zero_words == ["w1", "w7"]  # in block order
     assert [m.split(":")[1].split()[0] for m in expected] == ["1", "2"]  # unknown, then zero
+    assert expected[1].endswith("'w1', 'w7'")

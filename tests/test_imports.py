@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "debias_embed"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "debias_embed"
+#: the package's modules and the scripts that use it
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def private(name):
@@ -47,7 +50,7 @@ def private_cross_module_names(path):
     return found
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_private_name_imported_across_modules(path):
     assert private_cross_module_names(path) == []
 
@@ -82,7 +85,7 @@ def unused_imports(path):
     return sorted(imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path) == []
 
@@ -107,3 +110,10 @@ def test_every_package_export_is_public_in_its_module():
         module = import_module(f"debias_embed.{debias_embed._EXPORTS[name]}")
         assert name in module.__all__, f"{name} is exported but not in {module.__name__}.__all__"
         assert getattr(debias_embed, name) is getattr(module, name)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_name_a_module_exports_is_defined_there(path):
+    name = "debias_embed" if path.stem == "__init__" else f"debias_embed.{path.stem}"
+    module = import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

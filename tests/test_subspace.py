@@ -13,6 +13,7 @@ from debias_embed.subspace import (
     BiasSubspace,
     DifferenceMatrix,
     difference_matrix,
+    equal_rep_basis,
     language_orientation,
     load_subspace,
     pca_basis,
@@ -293,6 +294,12 @@ def test_equal_rep_insufficiency_names_language():
     )
     with pytest.raises(ValueError, match="en"):
         select_equal_rep(pool, k=4, languages=["be", "hi", "te", "en"])
+
+
+def test_equal_rep_basis_refuses_center_with_ppa():
+    rows = np.random.default_rng(0).standard_normal((8, 6))
+    with pytest.raises(ValueError, match="center applies to method 'pca' only"):
+        equal_rep_basis(diffs(rows, ("en", "hi") * 4), 2, ["en", "hi"], "ppa", center=True)
 
 
 # --- BiasSubspace invariants and serialization ---
