@@ -20,7 +20,6 @@ _EXPORTS = {
     # embeddings
     "EmbeddingSpace": "embeddings",
     "SpaceStream": "embeddings",
-    "iter_vec": "embeddings",
     "load_vec": "embeddings",
     "save_vec": "embeddings",
     "normalize": "embeddings",

@@ -143,24 +143,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_args(parser, args) -> list[str]:
-    """The entries of the ``--config`` JSON as the flags they name.
+def _config_args(parser, subcommand: str, path) -> list[str]:
+    """The entries of the ``--config`` JSON ``path`` as the flags they name.
 
     Put before the command line's own arguments, they are parsed as those
     are, so a flag given on the command line wins. A switch takes true or
     false; any other flag a string or a number, as ``--flag=value``.
     """
-    path = args.config
     with open(path, encoding="utf-8") as fh:
         entries = json.load(fh)
     if not isinstance(entries, dict):
         raise ValueError(f"{path}: config must be a JSON object of flag defaults")
-    actions = {a.dest: a for a in parser._by_subcommand[args.subcommand]._actions
+    actions = {a.dest: a for a in parser._by_subcommand[subcommand]._actions
                if a.dest not in ("help", "config")}
     unknown = sorted(set(entries) - set(actions))
     if unknown:
         raise ValueError(
-            f"{path}: unknown config key(s) {', '.join(unknown)} for {args.subcommand!r}"
+            f"{path}: unknown config key(s) {', '.join(unknown)} for {subcommand!r}"
         )
     text = []
     for key, value in entries.items():
@@ -184,6 +183,9 @@ def _languages(args) -> list[str]:
     languages = [t for t in args.languages.split(",") if t]
     if not languages:
         raise ValueError("--languages must name at least one language tag")
+    repeated = [t for i, t in enumerate(languages) if t in languages[:i]]
+    if repeated:
+        raise ValueError(f"--languages names {repeated[0]!r} more than once")
     return languages
 
 
@@ -513,10 +515,18 @@ def main(argv=None) -> int:
         print(f"debias-embed: {exc}", file=sys.stderr)
         return 1
     parser = build_parser()
+    # --config is read before the one parse, so that its entries may give
+    # required flags too; a bare --config is left to that parse to refuse
+    config_flag = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    config_flag.add_argument("--config", nargs="?")
     try:
-        args = parser.parse_args(argv)
-        if args.config:  # argv[0] is the subcommand
-            args = parser.parse_args(argv[:1] + _config_args(parser, args) + argv[1:])
+        config = config_flag.parse_known_args(argv)[0].config
+        entries = []
+        if config and argv[0] in parser._by_subcommand:
+            entries = _config_args(parser, argv[0], config)
+        args = parser.parse_args(argv[:1] + entries + argv[1:])
+        if args.config != config:  # abbreviated, so not read above
+            raise ValueError("--config must be spelled out in full")
         _refuse_irregular_outputs(args)
         from .manifest import RunManifest, capture_warnings
 

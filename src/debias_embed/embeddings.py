@@ -42,7 +42,6 @@ __all__ = [
     "EmbeddingSpace",
     "SpaceStream",
     "decode_line",
-    "iter_vec",
     "load_vec",
     "save_vec",
     "normalize",
@@ -334,46 +333,12 @@ def row_norms(matrix: np.ndarray) -> np.ndarray:
     return norms
 
 
-def iter_vec(fh, keep=None):
-    """Parse an open ``.vec`` text file into ``(count, dim, rows)``.
-
-    The header is read and checked at once. ``rows`` is a generator of
-    ``(lineno, word, row)`` for each line that is not blank, ``row`` being
-    a float64 array of ``dim`` components. With ``keep``, a set of words,
-    the rows of other words are not parsed and come as ``None``. Malformed
-    input raises ValueError with the offending line number: bad header,
-    wrong number of components, unparseable or non-finite values (the last
-    three only in parsed rows). Duplicate words and the row count are left
-    to the caller. Decoding is the caller's choice: a file opened in text
-    mode is read with its own decoding, and one opened in binary mode is
-    decoded as strict UTF-8 a line at a time, so that an undecodable byte
-    is reported with its line number too.
-    """
-    name = fh.name
-    header = decode_line(fh.readline(), name, 1)
-    if not header.strip():
-        raise ValueError(f"{name}: line 1: expected '<count> <dim>' header")
-    fields = header.split()
-    try:
-        if len(fields) != 2:
-            raise ValueError
-        count, dim = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise ValueError(f"{name}: line 1: malformed header {header.strip()!r}") from None
-    if count < 1 or dim < 1:
-        raise ValueError(f"{name}: line 1: header must declare positive count and dim")
-    return count, dim, _vec_rows(fh, name, dim, keep)
-
-
-def decode_line(line, name, lineno: int) -> str:
+def decode_line(line: bytes, name, lineno: int) -> str:
     """A line of a text file read in binary mode, decoded as strict UTF-8.
 
     An undecodable byte raises ValueError naming the file ``name`` and the
     line number, as ``<name>: line <lineno>: byte 0xff is not valid UTF-8``.
-    A line that is text already is returned as is.
     """
-    if isinstance(line, str):
-        return line
     try:
         return line.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -383,6 +348,9 @@ def decode_line(line, name, lineno: int) -> str:
 
 
 def _vec_rows(fh, name, dim, keep, first=2):
+    """``(lineno, word, row)`` for each line of ``fh`` that is not blank; the
+    row, of ``dim`` float64 values, is parsed only for a word in ``keep``
+    (every word if None) and is None otherwise."""
     for lineno, raw in enumerate(fh, first):
         raw = decode_line(raw, name, lineno)
         head = _WORD.match(raw)
@@ -420,14 +388,25 @@ def _scan_vec(path, language_tag: str, keep):
     (unnormalized) space of the kept words' rows.
     """
     with open(path, "rb") as fh:
-        count, dim, rows = iter_vec(fh, keep)
+        header = decode_line(fh.readline(), path, 1)
+        if not header.strip():
+            raise ValueError(f"{path}: line 1: expected '<count> <dim>' header")
+        fields = header.split()
+        try:
+            if len(fields) != 2:
+                raise ValueError
+            count, dim = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ValueError(f"{path}: line 1: malformed header {header.strip()!r}") from None
+        if count < 1 or dim < 1:
+            raise ValueError(f"{path}: line 1: header must declare positive count and dim")
         step = _block_rows(dim)
         starts = [(fh.tell(), 2)]
         seen: dict[str, int] = {}
         kept: list[str] = []
         matrix = np.empty((min(count, len(keep)), dim))
         lineno = 1
-        for lineno, word, row in rows:
+        for lineno, word, row in _vec_rows(fh, path, dim, keep):
             if len(seen) >= count:
                 raise ValueError(
                     f"{path}: line {lineno}: more rows than the declared count {count}"
@@ -477,10 +456,12 @@ def _read_rows(path, dim: int, block, out) -> list[str]:
 def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream:
     """Read a ``.vec`` file into an (unnormalized) EmbeddingSpace.
 
-    The file must be UTF-8. Besides :func:`iter_vec`'s format errors, an
-    undecodable byte, a duplicate word and a row count that disagrees with
-    the header raise ValueError with the line number. A first pass checks
-    every line's word, so these come before any format error of a row.
+    The file must be UTF-8; blank lines are skipped. A bad header, a row
+    with the wrong number of components, an unparseable or non-finite value,
+    an undecodable byte, a duplicate word and a row count that disagrees
+    with the header raise ValueError with the line number. A first pass
+    checks every line's word, so the last three come before any format
+    error of a row.
     The rows are then parsed a block at a time, on every CPU.
 
     With ``hold``, a set of words, the rows are streamed instead of held: a

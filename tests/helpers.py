@@ -1,16 +1,29 @@
 """Shared builders for the test suite."""
 
+import importlib.util
 import multiprocessing
 import os
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from debias_embed.embeddings import EmbeddingSpace, normalize
+from debias_embed.embeddings import EmbeddingSpace
 from debias_embed.extrinsic import Classifier, featurize
 from debias_embed.lexicon import GenderLexicon, GenderPair, NeutralWords, SeedSets
 from oracles import reference_train
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    """The module of ``scripts/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def unit_rows(rng, n, d):

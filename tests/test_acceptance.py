@@ -9,8 +9,8 @@ import pytest
 
 from conftest import record_verdict
 from debias_embed.cli import main as cli_main
-from debias_embed.debias import DebiasConfig, debias_space, run_variant
-from debias_embed.embeddings import EmbeddingSpace, load_vec, normalize, save_vec
+from debias_embed.debias import DebiasConfig, debias_space
+from debias_embed.embeddings import EmbeddingSpace, save_vec
 from debias_embed.intrinsic import cross_score_matrix, inbias
 from debias_embed.lexicon import (
     GenderLexicon,
@@ -18,16 +18,11 @@ from debias_embed.lexicon import (
     NeutralWords,
     SeedSets,
     builtin_lexicon,
-    split_pairs,
 )
 from debias_embed.subspace import BiasSubspace, DifferenceMatrix, pca_basis, ppa_basis
 from debias_embed import extrinsic as ex
 from debias_embed.align import BilingualDictionary, procrustes_fit
-from helpers import (
-    orthonormal_rows,
-    planted_marker_space,
-    unit_rows,
-)
+from helpers import load_script, orthonormal_rows, planted_marker_space, unit_rows
 from oracles import grid_best_direction_2d, central_difference_grad, principal_angle_sines
 
 
@@ -237,10 +232,8 @@ def test_08_planted_classifier_gap_reduced_across_seeds():
           f"reduced in {reduced}/10 seeds, {elapsed:.1f}s")
 
 
-WIKI_FILES = {"en": "wiki.en.vec", "hi": "wiki.hi.vec", "be": "wiki.bn.vec", "te": "wiki.te.vec"}
-
-
-def test_09_public_vectors_directional_reproduction():
+def test_09_public_vectors_directional_reproduction(tmp_path):
+    reproduce = load_script("reproduce_mono_inbias")
     wiki_dir = os.environ.get("DEBIAS_EMBED_WIKI_DIR")
     if not wiki_dir:
         record_verdict(
@@ -248,30 +241,18 @@ def test_09_public_vectors_directional_reproduction():
             "  (set DEBIAS_EMBED_WIKI_DIR to a directory with wiki.{en,hi,bn,te}.vec)"
         )
         pytest.skip("needs downloaded fasttext wiki vectors")
-    missing = [f for f in WIKI_FILES.values() if not os.path.exists(os.path.join(wiki_dir, f))]
+    missing = [f for f in reproduce.FILES.values() if not os.path.exists(os.path.join(wiki_dir, f))]
     if missing:
         record_verdict(
             f"[ACCEPTANCE] 09 public-vector reduction for en/hi/be/te: SKIP  (missing {missing})"
         )
         pytest.skip(f"missing vector files: {missing}")
 
-    lex = builtin_lexicon()
-    outcomes = []
-    for tag, filename in WIKI_FILES.items():
-        space = normalize(load_vec(os.path.join(wiki_dir, filename), tag))
-        split = split_pairs(lex, tag, train_count=10, seed=0)
-        debiased, _ = run_variant(
-            space, lex, DebiasConfig(variant="mono", method="pca", k=4), {tag: split}, seed=0
-        )
-        seeds = {
-            tag: (
-                tuple(p.male_word for p in split.test_pairs),
-                tuple(p.female_word for p in split.test_pairs),
-            )
-        }
-        before = inbias(space, lex, [tag], seed_words=seeds).value
-        after = inbias(debiased, lex, [tag], seed_words=seeds).value
-        outcomes.append((tag, before, after))
+    # the published script's own computation, with its defaults: mono, pca, k=4, seed 0
+    out = tmp_path / "inbias.json"
+    assert reproduce.main(["--vectors-dir", wiki_dir, "--json", str(out)]) == 0
+    values = json.loads(out.read_text(encoding="utf-8"))["inbias"]
+    outcomes = [(t, values[t]["orig"], values[t]["debiased"]) for t in reproduce.FILES]
     detail = ", ".join(f"{t}: {b:.4f}->{a:.4f}" for t, b, a in outcomes)
     check(9, "public-vector reduction for en/hi/be/te",
           all(a < b for _, b, a in outcomes), detail)

@@ -402,6 +402,44 @@ def test_config_entries_are_parsed_as_the_flags_they_name(tmp_path, capsys, argv
     assert os.listdir(tmp_path) == ["c.json"]
 
 
+def test_config_may_supply_required_flags_and_the_report_mode(tmp_path, en_vec, capsys):
+    config = tmp_path / "x.json"
+    config.write_text(json.dumps({"xscore": True}))
+    assert run(["report", "--emb", en_vec, "--languages", "en", "--config", config]) == 0
+    from_config = capsys.readouterr().out
+    assert run(["report", "--xscore", "--emb", en_vec, "--languages", "en"]) == 0
+    assert from_config == capsys.readouterr().out
+
+    out = tmp_path / "o.vec"
+    config.write_text(json.dumps({"emb": en_vec, "languages": "en", "out": str(out)}))
+    assert run(["debias", "--config", config]) == 0
+    assert out.exists()
+
+
+def test_abbreviated_config_flag_is_refused(tmp_path, en_vec, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"k": 2}))
+    out = tmp_path / "o.vec"
+    assert run(["debias", "--emb", en_vec, "--languages", "en", "--out", out,
+                "--conf", config]) == 1
+    assert "--config must be spelled out in full" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["debias", "--emb", "missing.vec", "--out", "o.vec"],
+    ["report", "--inbias", "--emb", "missing.vec"],
+    ["report", "--xscore", "--emb", "missing.vec"],
+    ["report", "--exbias", "--emb", "missing.vec", "--corpus", "missing.tsv"],
+], ids=["debias", "inbias", "xscore", "exbias"])
+def test_repeated_language_tag_is_refused_before_any_input_is_read(tmp_path, monkeypatch, capsys,
+                                                                   argv):
+    monkeypatch.chdir(tmp_path)  # reading the missing input would exit 2
+    assert run(argv + ["--languages", "en,hi,en"]) == 1
+    assert "--languages names 'en' more than once" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_reruns_are_byte_identical(tmp_path, en_vec, capsys):
     out = tmp_path / "out.vec"
     report = tmp_path / "r.json"

@@ -2,11 +2,9 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from debias_embed import extrinsic
-from debias_embed.embeddings import EmbeddingSpace, space_fingerprint
+from debias_embed.embeddings import space_fingerprint
 from debias_embed.extrinsic import (
     BioRecord,
     ExtrinsicResult,
@@ -23,7 +21,7 @@ from debias_embed.extrinsic import (
     train_classifier,
 )
 from debias_embed.subspace import BiasSubspace
-from helpers import planted_marker_space, random_space, reference_classifier, unit_rows
+from helpers import planted_marker_space, random_space, reference_classifier
 from oracles import central_difference_grad, softmax_xent
 
 

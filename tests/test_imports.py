@@ -8,6 +8,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "debias_embed"
 #: the package's modules and the scripts that use it
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+#: the test modules, which may patch private names but import no unused ones
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def private(name):
@@ -85,7 +87,7 @@ def unused_imports(path):
     return sorted(imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path) == []
 

@@ -16,7 +16,7 @@ from debias_embed.intrinsic import (
     inbias,
 )
 from debias_embed.lexicon import GenderLexicon, GenderPair, NeutralWords, SeedSets
-from helpers import space_for_lexicon, two_language_lexicon, unit_rows
+from helpers import two_language_lexicon, unit_rows
 from oracles import mean_cosine_distance
 
 

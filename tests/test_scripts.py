@@ -1,78 +1,78 @@
-import importlib.util
+import contextlib
+import hashlib
+import io
+import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from debias_embed import embeddings
 from debias_embed.cli import main
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture
-def fasttext_vec(tmp_path):
-    # fastText writes a space after the last value on every row
-    path = tmp_path / "wiki.xx.vec"
-    path.write_text(
-        "5 3\n"
-        "king 1.0 0.0 0.0 \n"
-        "queen 0.0 1.0 0.0 \n"
-        "king 0.0 0.0 1.0 \n"
-        "void 0.0 0.0 0.0 \n"
-        "man 0.5 0.5 0.0 \n",
-        encoding="utf-8",
-    )
-    return path
-
-
-def test_reproduce_loader_keeps_rows_with_trailing_spaces(fasttext_vec, capsys):
-    load_capped = load_script("reproduce_mono_inbias").load_capped
-    space = load_capped(str(fasttext_vec), "xx", max_words=0)
-    assert space.vocab == ("king", "queen", "man")
-    np.testing.assert_array_equal(
-        space.matrix, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]
-    )
-    assert "xx: dropped 1 duplicate and 1 zero rows" in capsys.readouterr().err
-
-
-def test_reproduce_loader_caps_kept_rows(fasttext_vec):
-    load_capped = load_script("reproduce_mono_inbias").load_capped
-    space = load_capped(str(fasttext_vec), "xx", max_words=2)
-    assert space.vocab == ("king", "queen")
-
+from debias_embed.debias import DebiasConfig, run_variant
+from debias_embed.embeddings import load_vec, normalize
+from debias_embed.intrinsic import inbias
+from debias_embed.lexicon import builtin_lexicon, split_pairs
+from helpers import load_script
 
 DIRTY_VEC = Path(__file__).resolve().parent / "data" / "dirty_fasttext.vec"
 
 
-def test_reproduce_loader_reads_dirty_fasttext_file(capsys):
+def test_reproduction_scores_held_rows_as_the_whole_space_does(tmp_path, monkeypatch):
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 8 * 8 * 8)  # eight rows a block
+    reproduce = load_script("reproduce_mono_inbias")
+    lex = builtin_lexicon()
+    rng = np.random.default_rng(9)
+    for tag, filename in reproduce.FILES.items():
+        words = list(lex.words(tag)) + [f"filler{i}" for i in range(200)]
+        rng.shuffle(words)
+        rows = rng.standard_normal((len(words), 8))
+        # fastText writes a space after the last value on every row
+        (tmp_path / filename).write_text(
+            f"{len(words)} 8\n"
+            + "".join(f"{w} {' '.join(f'{x:.17g}' for x in row)} \n"
+                      for w, row in zip(words, rows)),
+            encoding="utf-8",
+        )
+    out = tmp_path / "inbias.json"
+    assert reproduce.main(["--vectors-dir", str(tmp_path), "--json", str(out)]) == 0
+
+    expected = {}
+    for tag, filename in reproduce.FILES.items():
+        space = normalize(load_vec(tmp_path / filename, tag))
+        split = split_pairs(lex, tag, train_count=10, seed=0)
+        debiased, _ = run_variant(space, lex, DebiasConfig(variant="mono", method="pca", k=4),
+                                  {tag: split}, seed=0)
+        held_out = {tag: split.held_out_words()}
+        expected[tag] = {"orig": inbias(space, lex, [tag], seed_words=held_out).value,
+                         "debiased": inbias(debiased, lex, [tag], seed_words=held_out).value}
+    assert json.loads(out.read_text(encoding="utf-8"))["inbias"] == expected
+
+
+def test_cli_and_reproduction_refuse_dirty_fasttext_file_alike(tmp_path, capsys):
     # trailing spaces, a duplicate, a zero row, a U+00A0 word and a stray 0xff byte
-    load_capped = load_script("reproduce_mono_inbias").load_capped
-    space = load_capped(str(DIRTY_VEC), "xx", max_words=0)
-    assert space.vocab == ("king", "queen", "new\u00a0york", "caf\ufffd", "man")
-    np.testing.assert_array_equal(
-        space.matrix, [[1, 0, 0], [0, 1, 0], [0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]]
-    )
-    assert "xx: dropped 1 duplicate and 1 zero rows" in capsys.readouterr().err
-
-
-def test_cli_refuses_dirty_fasttext_file(tmp_path, capsys):
     out = tmp_path / "out.vec"
     code = main(["debias", "--emb", str(DIRTY_VEC), "--languages", "en", "--out", str(out)])
     assert code == 1
-    assert "debias-embed: " in capsys.readouterr().err
     assert not out.exists()
+    cli_message = capsys.readouterr().err.strip().replace(str(DIRTY_VEC), "<path>")
+
+    copy = shutil.copy(DIRTY_VEC, tmp_path / "wiki.en.vec")
+    reproduce = load_script("reproduce_mono_inbias")
+    with pytest.raises(ValueError) as refused:
+        reproduce.main(["--vectors-dir", str(tmp_path), "--json", str(tmp_path / "r.json")])
+    script_message = str(refused.value).replace(str(copy), "<path>")
+
+    expected = "<path>: line 4: duplicate word 'king' (first seen at line 2)"
+    assert cli_message == f"debias-embed: {expected}"
+    assert script_message == expected
+    assert not (tmp_path / "r.json").exists()
 
 
-def test_reproduce_loader_stops_on_wrong_arity_with_line_number(tmp_path):
-    path = tmp_path / "short.vec"
-    path.write_text("3 3\nking 1.0 0.0 0.0 \nqueen 0.0 1.0 \nman 0.5 0.5 0.0 \n", encoding="utf-8")
-    load_capped = load_script("reproduce_mono_inbias").load_capped
-    with pytest.raises(ValueError, match="line 3: expected 3 components for 'queen', found 2"):
-        load_capped(str(path), "xx", max_words=0)
+def test_synthetic_demo_output_is_pinned():
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert load_script("run_synthetic_demo").main([]) == 0
+    digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+    assert digest == "ce0ca7989d079f84b5958aa947d0b1b23870da2e69a55de7f83a6372b76052a5"
