@@ -4,17 +4,19 @@ Fits the orthogonal matrix W minimizing sum ||W x_i - y_i||^2 over a
 bilingual dictionary (the classic Procrustes problem, solved in closed
 form from one SVD of the cross-covariance of the paired vectors) and
 merges the rotated source space with the target space under
-"<language_tag>:" word prefixes.
+"<language_tag>:" word prefixes. The fit reads only the dictionary rows,
+so the spaces may be streams, rotated and merged as they are read.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, decode_line
+from .embeddings import EmbeddingSpace, SpaceStream, decode_line, row_blocks, save_vec, staged
 
 log = logging.getLogger(__name__)
 
@@ -25,6 +27,7 @@ __all__ = [
     "procrustes_fit",
     "apply_map",
     "merge_spaces",
+    "save_merged",
 ]
 
 ORTHOGONALITY_TOL = 1e-6
@@ -165,8 +168,14 @@ def procrustes_fit(
     return OrthogonalMap(w, source.language_tag, target.language_tag, len(rows_x))
 
 
-def apply_map(mapping: OrthogonalMap, space: EmbeddingSpace) -> EmbeddingSpace:
+def apply_map(mapping: OrthogonalMap, space: EmbeddingSpace | SpaceStream
+              ) -> EmbeddingSpace | SpaceStream:
     """Rotate every row x of the space to W @ x.
+
+    As in :func:`~.debias.residuals`, each row is rotated on its own, with
+    elementwise products and per-row sums rather than BLAS, so its bits
+    depend neither on the block split nor on the BLAS thread count. A
+    :class:`~.embeddings.SpaceStream` is rotated block by block as it is read.
 
     A rotation preserves norms only up to rounding, so the result is not
     marked normalized even when the input is: normalize it again for unit
@@ -176,12 +185,26 @@ def apply_map(mapping: OrthogonalMap, space: EmbeddingSpace) -> EmbeddingSpace:
         raise ValueError(
             f"dimension mismatch: map dim {mapping.dim} vs space dim {space.dim}"
         )
-    rotated = space.matrix @ mapping.matrix.T
+    if isinstance(space, SpaceStream):
+        return space.derive(lambda block: apply_map(mapping, block))
+    rotated = np.empty_like(space.matrix)
+    for span in row_blocks(space.matrix):
+        x = space.matrix[span]
+        term = np.empty_like(x)
+        for j, w in enumerate(mapping.matrix):  # component j of W @ x is w . x
+            np.multiply(x, w, out=term)
+            rotated[span, j] = term.sum(axis=1)
     rotated.setflags(write=False)
     return EmbeddingSpace(space.language_tag, space.vocab, rotated)
 
 
-def merge_spaces(aligned_source: EmbeddingSpace, target: EmbeddingSpace) -> EmbeddingSpace:
+def _word_prefix(language_tag: str) -> str:
+    """What :func:`merge_spaces` puts before the words of a space so tagged."""
+    return "" if "+" in language_tag else f"{language_tag}:"
+
+
+def merge_spaces(aligned_source: EmbeddingSpace | SpaceStream,
+                 target: EmbeddingSpace | SpaceStream) -> EmbeddingSpace | SpaceStream:
     """Stack two same-dimension spaces into one shared vocabulary.
 
     Words are disambiguated as "<language_tag>:<word>", so the same
@@ -189,24 +212,47 @@ def merge_spaces(aligned_source: EmbeddingSpace, target: EmbeddingSpace) -> Embe
     "<source_tag>+<target_tag>". An input that is itself a merged space
     (its tag contains "+") keeps its existing prefixes, so merges chain:
     merging te into en+hi+be yields en+hi+be+te with single-level
-    prefixes throughout.
+    prefixes throughout. Two :class:`~.embeddings.SpaceStream` inputs give
+    the stream of the source's blocks, then the target's, prefixed as read.
     """
     if aligned_source.dim != target.dim:
         raise ValueError(
             f"dimension mismatch: {aligned_source.dim} vs {target.dim}"
         )
+    tag = f"{aligned_source.language_tag}+{target.language_tag}"
+    normalized = aligned_source.normalized and target.normalized
 
     def prefixed(space: EmbeddingSpace) -> tuple[str, ...]:
-        if "+" in space.language_tag:
-            return space.vocab
-        return tuple(f"{space.language_tag}:{w}" for w in space.vocab)
+        prefix = _word_prefix(space.language_tag)
+        return tuple(prefix + w for w in space.vocab) if prefix else space.vocab
 
-    vocab = prefixed(aligned_source) + prefixed(target)
+    if isinstance(aligned_source, SpaceStream):
+        return aligned_source.chain(
+            target, tag, lambda block: EmbeddingSpace(tag, prefixed(block), block.matrix),
+            normalized=normalized,
+        )
     matrix = np.vstack([aligned_source.matrix, target.matrix])
     matrix.setflags(write=False)
     return EmbeddingSpace(
-        f"{aligned_source.language_tag}+{target.language_tag}",
-        vocab,
-        matrix,
-        normalized=aligned_source.normalized and target.normalized,
+        tag, prefixed(aligned_source) + prefixed(target), matrix, normalized=normalized
     )
+
+
+def save_merged(aligned_source: EmbeddingSpace | SpaceStream,
+                target: EmbeddingSpace | SpaceStream, aligned_path, merged_path,
+                precision: int = 9) -> None:
+    """:func:`~.embeddings.save_vec` of ``aligned_source`` to ``aligned_path``
+    and of ``merge_spaces(aligned_source, target)`` to ``merged_path``.
+
+    Each source row is formatted once: the aligned file is the merged file's
+    first half with the source prefix cut off. Neither file is renamed into
+    place before both are complete, as :func:`~.embeddings.staged` does.
+    """
+    cut = len(_word_prefix(aligned_source.language_tag).encode("utf-8"))
+    with staged(aligned_path, merged_path) as (aligned_tmp, merged_tmp):
+        save_vec(merge_spaces(aligned_source, target), merged_tmp, precision)
+        with open(merged_tmp, "rb") as src, open(aligned_tmp, "wb") as out:
+            src.readline()  # the merged header
+            out.write(f"{len(aligned_source)} {aligned_source.dim}\n".encode())
+            for line in islice(src, len(aligned_source)):
+                out.write(line[cut:])

@@ -68,7 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_align = sub.add_parser("align", parents=[], help="rotate a source space onto a target space")
     p_align.add_argument("--src", required=True, help="source .vec file")
     p_align.add_argument("--src-lang", required=True, help="language tag of the source space")
-    p_align.add_argument("--tgt", required=True, help="target .vec file")
+    p_align.add_argument("--tgt", required=True,
+                         help="target .vec file. Without --merged-out only its dictionary "
+                              "rows are parsed: the other rows are checked for UTF-8, "
+                              "duplicates and the row count, but not for number format "
+                              "or zero norm")
     p_align.add_argument("--tgt-lang", required=True, help="language tag of the target space")
     p_align.add_argument("--dict", required=True, dest="dictionary",
                          help="bilingual dictionary (source<TAB>target per line)")
@@ -205,16 +209,20 @@ def cmd_align(args):
     from . import align as alignmod
     from . import embeddings as emb
 
-    source = emb.normalize(emb.load_vec(args.src, args.src_lang))
-    target = emb.normalize(emb.load_vec(args.tgt, args.tgt_lang))
     dictionary = alignmod.load_dictionary(args.dictionary, args.src_lang, args.tgt_lang)
-    mapping = alignmod.procrustes_fit(source, target, dictionary)
-    aligned = alignmod.apply_map(mapping, source)
-    del source  # rotated: free it before normalize allocates the next matrix
-    aligned = emb.normalize(aligned)
-    emb.save_vec(aligned, args.out, args.precision)
+    # The first pass over each input holds only the dictionary rows the fit
+    # reads; the source, and for --merged-out the target, are then read
+    # again, a block of rows at a time, to be written.
+    source = emb.normalize(emb.load_vec(args.src, args.src_lang,
+                                        hold={s for s, _ in dictionary.entries}))
+    target = emb.normalize(emb.load_vec(args.tgt, args.tgt_lang,
+                                        hold={t for _, t in dictionary.entries}))
+    mapping = alignmod.procrustes_fit(source.held, target.held, dictionary)
+    aligned = emb.normalize(alignmod.apply_map(mapping, source))
     if args.merged_out:
-        emb.save_vec(alignmod.merge_spaces(aligned, target), args.merged_out, args.precision)
+        alignmod.save_merged(aligned, target, args.out, args.merged_out, args.precision)
+    else:
+        emb.save_vec(aligned, args.out, args.precision)
     print(f"aligned {len(dictionary)} dictionary pair(s) -> {args.out}")
     config = {
         "subcommand": "align",
@@ -499,11 +507,15 @@ def _output_paths(args) -> dict[str, str]:
 
 def _refuse_irregular_outputs(args) -> None:
     """Refuse any output, given or derived, that exists and is not a regular
-    file, such as ``/dev/null``, before any input is read, so that the run
-    writes nothing."""
+    file, such as ``/dev/null``, or that is the file of another output,
+    before any input is read, so that the run writes nothing."""
+    flags = {}  # the output option of each file
     for flag, path in _output_paths(args).items():
         if os.path.exists(path) and not os.path.isfile(path):
             raise ValueError(f"{flag} {path}: exists and is not a regular file")
+        first = flags.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise ValueError(f"{first} and {flag} name the same file {path}")
 
 
 def main(argv=None) -> int:

@@ -8,11 +8,12 @@ fasttext's own tokenizer, so any other character (U+00A0, U+3000, ...)
 may appear in a word; the numbers are whitespace separated. A word that
 is empty or holds ASCII whitespace cannot be written.
 
-Parsing and formatting the text take most of a run's time, so
-:func:`load_vec` and :func:`save_vec` split the rows into blocks of about
-``BLOCK_BYTES`` and work on as many blocks at once as there are CPUs this
-process may use, capped by ``DEBIAS_EMBED_THREADS`` and by the number of
-full blocks. A row does not depend on the split, so the result does not
+Formatting the text takes most of a run's time, so :func:`save_vec`
+splits the rows into blocks of about ``BLOCK_BYTES`` and works on as many
+blocks at once as there are CPUs this process may use, capped by
+``DEBIAS_EMBED_THREADS`` and by the number of full blocks; the blocks of a
+:class:`SpaceStream`, such as those :func:`load_vec` parses, are computed
+there too. A row does not depend on the split, so the result does not
 depend on the number of CPUs.
 """
 
@@ -21,13 +22,12 @@ from __future__ import annotations
 import hashlib
 import io
 import logging
-import mmap
 import os
 import pickle
 import re
 import shutil
 import signal
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import islice
 from string import whitespace
@@ -44,6 +44,7 @@ __all__ = [
     "decode_line",
     "load_vec",
     "save_vec",
+    "staged",
     "normalize",
     "row_blocks",
     "row_norms",
@@ -212,6 +213,22 @@ class SpaceStream:
                            held=held, normalized=normalized,
                            taps=self._taps + ((tap,) if tap else ()))
 
+    def chain(self, other: SpaceStream, language_tag: str, step, *,
+              normalized: bool = False) -> SpaceStream:
+        """The stream of ``step`` of each of this stream's blocks, then of each
+        of ``other``'s, tagged ``language_tag`` and holding no rows. Neither
+        stream may have taps."""
+        if self._taps or other._taps:
+            raise ValueError("cannot chain a stream that has taps")
+        first = self._block_count
+
+        def block(i):
+            space, _ = self._block(i) if i < first else other._block(i - first)
+            return step(space), ()
+
+        return SpaceStream(language_tag, len(self) + len(other), self.dim, block,
+                           first + other._block_count, normalized=normalized)
+
 
 def _processes(rows: int, dim: int) -> int:
     """How many processes share the text of ``rows`` rows of ``dim`` values:
@@ -238,10 +255,10 @@ def _map_blocks(task, count: int, take, width: int) -> None:
     Workers are reaped before this returns or raises.
 
     Workers are forked, not spawned: they start at once, without importing
-    numpy again, and share the tasks' state, such as the block layout and an
-    output matrix in shared memory, without pickling it. Only the calling
-    thread is copied; the workers run no BLAS, whose own threads OpenBLAS
-    stops and restarts around a fork.
+    numpy again, and share the tasks' state, such as the space being written
+    and the block layout of the file it is read from, without pickling it.
+    Only the calling thread is copied; the workers run no BLAS, whose own
+    threads OpenBLAS stops and restarts around a fork.
     """
     width = min(width, count)
     if width <= 1:
@@ -462,7 +479,7 @@ def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream
     with the header raise ValueError with the line number. A first pass
     checks every line's word, so the last three come before any format
     error of a row.
-    The rows are then parsed a block at a time, on every CPU.
+    The rows are then parsed a block at a time and gathered.
 
     With ``hold``, a set of words, the rows are streamed instead of held: a
     :class:`SpaceStream` is returned that holds only those words' rows and
@@ -473,28 +490,23 @@ def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream
     rows it looks up.
     """
     vocab, dim, blocks, held = _scan_vec(path, language_tag, set() if hold is None else hold)
+
+    def block(i):
+        rows = np.empty((blocks[i][3] - blocks[i][2], dim))
+        words = _read_rows(path, dim, blocks[i], rows)
+        rows = rows[: len(words)]
+        rows.setflags(write=False)
+        return EmbeddingSpace(language_tag, tuple(words), rows), ()
+
+    stream = SpaceStream(language_tag, len(vocab), dim, block, len(blocks), held=held)
     if hold is not None:
-        def block(i):
-            rows = np.empty((blocks[i][3] - blocks[i][2], dim))
-            words = _read_rows(path, dim, blocks[i], rows)
-            rows = rows[: len(words)]
-            rows.setflags(write=False)
-            return EmbeddingSpace(language_tag, tuple(words), rows), ()
-
-        return SpaceStream(language_tag, len(vocab), dim, block, len(blocks), held=held)
-
-    # shared with the forked workers, which parse their blocks straight into it
-    matrix = np.frombuffer(mmap.mmap(-1, 8 * len(vocab) * dim), dtype=np.float64)
-    matrix = matrix.reshape(len(vocab), dim)
-
-    def parse(i):
-        start, stop = blocks[i][2:]
-        return len(_read_rows(path, dim, blocks[i], matrix[start:stop]))
-
-    parsed = []  # rows per block
-    _map_blocks(parse, len(blocks), parsed.append, _processes(len(vocab), dim))
-    if sum(parsed) != len(vocab):
-        raise ValueError(f"{path}: {sum(parsed)} rows read, but the header declares {len(vocab)}")
+        return stream
+    matrix, read = np.empty((len(vocab), dim)), 0
+    for part in stream.blocks():
+        matrix[read:read + len(part)] = part.matrix
+        read += len(part)
+    if read != len(vocab):
+        raise ValueError(f"{path}: {read} rows read, but the header declares {len(vocab)}")
     matrix.setflags(write=False)
     return EmbeddingSpace(language_tag, vocab, matrix)
 
@@ -517,6 +529,32 @@ def _append(fh, segment: str) -> None:
     os.unlink(segment)
 
 
+@contextmanager
+def staged(*paths):
+    """Temporary names beside ``paths`` for a body to write, each renamed onto
+    its path once the body completes and removed if it raises: no file
+    appears before all are written, and a failure leaves every path as it
+    was. A path that exists but is not a regular file (``/dev/null``, a
+    directory), or two paths of one file, raise ValueError at once.
+    """
+    targets = [os.path.realpath(path) for path in paths]
+    for path, target in zip(paths, targets):
+        if os.path.exists(target) and not os.path.isfile(target):
+            raise ValueError(f"{path}: exists and is not a regular file")
+    if len(set(targets)) < len(targets):
+        raise ValueError(f"{' and '.join(map(str, paths))} name the same file")
+    tmps = [f"{target}.{os.getpid()}.tmp" for target in targets]
+    try:
+        yield tmps
+        for tmp, target in zip(tmps, targets):
+            os.replace(tmp, target)
+    except BaseException:
+        for tmp in tmps:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
+
+
 def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> None:
     """Write a ``.vec`` file with ``precision`` significant digits.
 
@@ -524,10 +562,11 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     exact; at precision p the absolute coordinate error stays below
     ``10**(-p + 1)`` for the coordinate magnitudes (< 10) that embeddings
     use in practice. The file is written under a temporary name next to
-    ``path`` and renamed into place, so it appears complete or not at all;
-    a failure leaves no partial file and an existing one as it was. A path
-    that exists but is not a regular file (``/dev/null``, a directory)
-    raises ValueError before anything is written.
+    ``path`` and renamed into place, as :func:`staged` does, so it appears
+    complete or not at all; a failure leaves no partial file and an
+    existing one as it was. A path that exists but is not a regular file
+    (``/dev/null``, a directory) raises ValueError before anything is
+    written.
 
     The rows are formatted a block at a time, on every CPU: this process
     writes its blocks into the output, and each worker writes its blocks to
@@ -538,9 +577,6 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     """
     if precision < 1:
         raise ValueError("precision must be at least 1 significant digit")
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        raise ValueError(f"{path}: exists and is not a regular file")
     line = "%s" + f" %.{precision}g" * space.dim + "\n"
     if isinstance(space, SpaceStream):
         blocks, taps = space._block_count, [make() for make in space._taps]
@@ -556,7 +592,6 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
             words = map(space.vocab.__getitem__, range(len(space))[spans[i]])
             return words, space.matrix[spans[i]], ()
 
-    tmp = f"{target}.{os.getpid()}.tmp"
     owner = os.getpid()
     written = 0
 
@@ -578,22 +613,22 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
             _append(fh, segment)
         written += count
 
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"{len(space)} {space.dim}\n")
-            _map_blocks(task, blocks, take, _processes(len(space), space.dim))
-            for tap in taps:
-                tap.finish()
-            if written != len(space):
-                raise ValueError(
-                    f"{path}: {written} rows written, but the header declares {len(space)}"
-                )
-        os.replace(tmp, target)
-    except BaseException:
-        for name in [tmp] + [f"{tmp}.{i}" for i in range(blocks)]:
-            with suppress(FileNotFoundError):
-                os.unlink(name)
-        raise
+    with staged(path) as (tmp,):
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(f"{len(space)} {space.dim}\n")
+                _map_blocks(task, blocks, take, _processes(len(space), space.dim))
+                for tap in taps:
+                    tap.finish()
+                if written != len(space):
+                    raise ValueError(
+                        f"{path}: {written} rows written, but the header declares {len(space)}"
+                    )
+        except BaseException:
+            for i in range(blocks):
+                with suppress(FileNotFoundError):
+                    os.unlink(f"{tmp}.{i}")
+            raise
 
 
 def normalize(space: EmbeddingSpace | SpaceStream) -> EmbeddingSpace | SpaceStream:

@@ -137,6 +137,19 @@ def test_merge_spaces_prefixes_and_locates():
     np.testing.assert_array_equal(merged.matrix[3:], b.matrix)
 
 
+def test_apply_map_rotates_each_row_on_its_own(monkeypatch):
+    rng = np.random.default_rng(3)
+    space = random_space(4, 50, 300)
+    mapping = OrthogonalMap(orthonormal_rows(rng, 300, 300), "en", "hi", 300)
+    whole = apply_map(mapping, space).matrix
+    np.testing.assert_allclose(whole, space.matrix @ mapping.matrix.T, atol=1e-14)
+    monkeypatch.setattr("debias_embed.embeddings.BLOCK_BYTES", 7 * 300 * 8)  # 7-row blocks
+    assert apply_map(mapping, space).matrix.tobytes() == whole.tobytes()
+    for i in (0, 13, 49):
+        row = EmbeddingSpace("en", (space.vocab[i],), space.matrix[i:i + 1])
+        assert apply_map(mapping, row).matrix.tobytes() == whole[i].tobytes()
+
+
 def test_merge_spaces_chains_without_double_prefixing():
     a = random_space(13, 3, 4, tag="en", words=("x", "y", "z"))
     b = random_space(14, 2, 4, tag="hi", words=("x", "q"))

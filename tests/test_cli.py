@@ -12,6 +12,7 @@ import pytest
 
 import debias_embed
 from debias_embed import cli, embeddings, extrinsic
+from debias_embed.align import apply_map, load_dictionary, merge_spaces, procrustes_fit
 from debias_embed.cli import main
 from debias_embed.debias import DebiasConfig, run_variant
 from debias_embed.embeddings import EmbeddingSpace, load_vec, normalize, save_vec
@@ -292,6 +293,23 @@ def test_an_output_that_is_not_a_regular_file_is_refused_before_any_input_is_rea
     assert sorted(os.listdir(watched)) == listed  # no file written beside it
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["debias", "--emb", "missing.vec", "--languages", "en", "--out", "o.vec",
+      "--subspace-out", "./o.vec"], "--out and --subspace-out"),
+    (["align", "--src", "missing.vec", "--src-lang", "hi", "--tgt", "missing.vec",
+      "--tgt-lang", "en", "--dict", "missing.tsv", "--out", "o.vec", "--merged-out", "o.vec"],
+     "--out and --merged-out"),
+], ids=["debias", "align"])
+def test_two_outputs_of_one_file_are_refused_before_any_input_is_read(
+        tmp_path, monkeypatch, capsys, argv, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o.vec").write_bytes(b"an earlier run's output\n")
+    assert run(argv) == 1  # a missing input would exit 2; the refusal comes first
+    assert f"{flags} name the same file" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["o.vec"]
+    assert (tmp_path / "o.vec").read_bytes() == b"an earlier run's output\n"
+
+
 @pytest.mark.parametrize("kind", ["vec", "dict", "corpus", "lexicon"])
 def test_undecodable_byte_names_path_and_line(tmp_path, en_vec, capsys, kind):
     path = tmp_path / f"bad.{kind}"
@@ -554,23 +572,43 @@ def test_streamed_debias_writes_what_the_library_path_writes(tmp_path, en_vec, m
     assert (tmp_path / "cli.vec.subspace.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
 
 
-def traced_peak(tmp_path, rows, argv):
-    """The traced peak memory of the CLI run ``argv`` on a new ``rows``-row en space."""
-    emb = write_lexicon_rows(tmp_path / f"{rows}.vec", rows)
+def emb_rows(tmp_path, rows):
+    """``--emb`` of a new ``rows``-row en space."""
+    return ["--emb", write_lexicon_rows(tmp_path / f"{rows}.vec", rows)]
+
+
+def align_rows(tmp_path, rows, src_tags=("en",)):
+    """``--src``, ``--tgt`` and ``--dict`` of an ``align`` of a new
+    ``rows``-row space onto another, with the same words: the lexicon's en
+    words, ``"<tag>:"`` prefixed for several source tags, then filler words.
+    The dictionary pairs each lexicon word with itself."""
+    src = write_lexicon_rows(tmp_path / f"src{rows}.vec", rows,
+                             src_tags if len(src_tags) > 1 else ("en",), seed=1)
+    tgt = write_lexicon_rows(tmp_path / f"tgt{rows}.vec", rows)
+    dictionary = tmp_path / "dict.tsv"
+    prefix = "en:" if len(src_tags) > 1 else ""
+    dictionary.write_text("".join(f"{prefix}{w}\t{w}\n" for w in builtin_lexicon().words("en")),
+                          encoding="utf-8")
+    return ["--src", src, "--src-lang", "+".join(src_tags), "--tgt", tgt, "--tgt-lang", "te",
+            "--dict", dictionary]
+
+
+def traced_peak(argv):
+    """The traced peak memory of the CLI run ``argv``."""
     tracemalloc.start()
     try:
-        assert run(argv + ["--emb", emb]) == 0
+        assert run(argv) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def peak_growth(tmp_path, argv):
-    """How much more ``argv`` peaks at on 4000 rows than on 1000, both more
-    than two full 436-row blocks."""
-    traced_peak(tmp_path, 200, argv)  # loads what every run shares, such as the lexicon
-    small = traced_peak(tmp_path, 1000, argv)
-    return traced_peak(tmp_path, 4000, argv) - small
+def peak_growth(tmp_path, argv, inputs=emb_rows):
+    """How much more ``argv`` peaks at with the ``inputs`` of 4000 rows than
+    with those of 1000, both more than two full 436-row blocks."""
+    traced_peak(argv + inputs(tmp_path, 200))  # loads what every run shares, such as the lexicon
+    small = traced_peak(argv + inputs(tmp_path, 1000))
+    return traced_peak(argv + inputs(tmp_path, 4000)) - small
 
 
 def test_debias_peak_memory_does_not_grow_with_the_row_count(tmp_path):
@@ -583,6 +621,106 @@ def test_report_peak_memory_does_not_grow_with_the_row_count(tmp_path):
     argv = ["report", "--inbias", "--languages", "en"]
     # the lexicon's rows are parsed; the filler rows are only scanned
     assert peak_growth(tmp_path, argv) < embeddings.BLOCK_BYTES
+
+
+def test_align_peak_memory_does_not_grow_with_the_row_count(tmp_path):
+    argv = ["align", "--out", tmp_path / "aligned.vec", "--merged-out", tmp_path / "merged.vec"]
+    # 3000 more rows are 7.2 MB of matrix on each side; only the dictionary rows are held
+    assert peak_growth(tmp_path, argv, align_rows) < embeddings.BLOCK_BYTES
+
+
+def align_outputs(tmp_path, inputs, merged=True):
+    """The bytes of ``aligned.vec`` and, with ``merged``, of ``merged.vec``
+    from an ``align`` of ``inputs`` into ``tmp_path / "out"``, at precision 17."""
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    argv = ["align", *inputs, "--precision", "17", "--out", out / "aligned.vec"]
+    assert run(argv + ["--merged-out", out / "merged.vec"] * merged) == 0
+    return (out / "aligned.vec").read_bytes(), merged and (out / "merged.vec").read_bytes()
+
+
+@pytest.mark.parametrize("src_tags", [("hi",), ("hí",), ("hi", "en")],
+                         ids=["plain", "non-ascii-tag", "merged-source"])
+def test_align_writes_what_the_library_writes_for_the_whole_spaces(tmp_path, src_tags):
+    inputs = align_rows(tmp_path, 1000, src_tags)  # three 436-row blocks
+    src_tag = "+".join(src_tags)
+    src, tgt, dict_path = (inputs[i] for i in (1, 5, 9))
+    aligned_vec, merged_vec = align_outputs(tmp_path, inputs)
+    source = normalize(load_vec(src, src_tag))
+    target = normalize(load_vec(tgt, "te"))
+    mapping = procrustes_fit(source, target, load_dictionary(dict_path, src_tag, "te"))
+    aligned = normalize(apply_map(mapping, source))
+    save_vec(aligned, str(tmp_path / "aligned.vec"), precision=17)
+    save_vec(merge_spaces(aligned, target), str(tmp_path / "merged.vec"), precision=17)
+    assert aligned_vec == (tmp_path / "aligned.vec").read_bytes()
+    assert merged_vec == (tmp_path / "merged.vec").read_bytes()
+    first = merged_vec.split(b"\n", 2)[1].split()[0].decode()
+    lexicon = builtin_lexicon()
+    assert first == (f"{src_tag}:{lexicon.words('en')[0]}" if len(src_tags) == 1
+                     else f"hi:{lexicon.words('hi')[0]}")  # a merged source keeps its prefixes
+
+
+def test_align_output_does_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    inputs = align_rows(tmp_path, 1000)
+    default = align_outputs(tmp_path, inputs)
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 7 * 300 * 8)  # 7-row blocks
+    assert align_outputs(tmp_path, inputs) == default
+
+
+def test_align_without_merged_out_only_scans_the_target_rows_outside_the_dictionary(
+        tmp_path, capsys):
+    inputs = align_rows(tmp_path, 1000)
+    tgt = tmp_path / "tgt1000.vec"
+    clean = tgt.read_bytes().splitlines(True)
+    expected = align_outputs(tmp_path, inputs, merged=False)
+    unread, word = clean[900], clean[900].split()[0].decode()  # a filler row, line 901
+    assert word.startswith("filler")
+    # --merged-out parses every target row
+    for line, message in (
+            (unread.replace(b" ", b" x", 1),
+             f"{tgt}: line 901: unparseable number in row for {word!r}"),
+            (unread.split()[0] + b" 0" * 300 + b"\n", f"cannot normalize zero vector(s): {word!r}"),
+    ):
+        tgt.write_bytes(b"".join(clean[:900] + [line] + clean[901:]))
+        assert align_outputs(tmp_path, inputs, merged=False) == expected
+        assert run(["align", *inputs, "--out", tmp_path / "a.vec",
+                    "--merged-out", tmp_path / "m.vec"]) == 1
+        assert message in capsys.readouterr().err
+    read = next(i for i, line in enumerate(clean) if line.startswith(b"doctor "))
+    refused = {
+        f"line {read + 1}: unparseable number in row for 'doctor'":
+            clean[:read] + [clean[read].replace(b" ", b" x", 1)] + clean[read + 1:],
+        "line 901: byte 0xff is not valid UTF-8": clean[:900] + [b"\xff" + unread] + clean[901:],
+        "line 1001: header declared 1001 rows, found 1000": [b"1001 300\n"] + clean[1:],
+    }
+    for message, lines in refused.items():
+        tgt.write_bytes(b"".join(lines))
+        assert run(["align", *inputs, "--out", tmp_path / "a.vec"]) == 1
+        assert f"{tgt}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["src", "tgt"])
+def test_align_malformed_row_after_the_first_block_leaves_no_output(tmp_path, capsys, side):
+    inputs = align_rows(tmp_path, 1000)
+    bad = tmp_path / f"{side}1000.vec"
+    lines = bad.read_text(encoding="utf-8").splitlines(True)
+    lines[900] = lines[900].replace(" ", " x", 1)  # past the first 436-row block
+    bad.write_text("".join(lines), encoding="utf-8")
+    word = lines[900].split()[0]
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    fresh.mkdir()
+    kept.mkdir()
+    for name in ("aligned.vec", "merged.vec"):
+        (kept / name).write_bytes(b"an earlier run's output\n")
+    for out in (fresh, kept):
+        assert run(["align", *inputs, "--out", out / "aligned.vec",
+                    "--merged-out", out / "merged.vec"]) == 1
+        assert (f"{bad}: line 901: unparseable number in row for {word!r}"
+                in capsys.readouterr().err)
+    assert os.listdir(fresh) == []
+    assert sorted(os.listdir(kept)) == ["aligned.vec", "merged.vec"]
+    assert {(kept / name).read_bytes() for name in os.listdir(kept)} == {
+        b"an earlier run's output\n"}
 
 
 def test_malformed_row_after_the_first_block_leaves_no_output(tmp_path, capsys):

@@ -20,6 +20,7 @@ from debias_embed.embeddings import (
     row_norms,
     save_vec,
     space_fingerprint,
+    staged,
 )
 from debias_embed.subspace import BiasSubspace
 from helpers import inline_and_on_workers, orthonormal_rows, random_space, unit_rows
@@ -383,6 +384,25 @@ def test_failed_save_leaves_no_file_and_an_existing_one_as_it_was(tmp_path):
             save_vec(EmbeddingSpace("xx", ("a", "b c"), np.ones((2, 1))), str(path))
     assert sorted(p.name for p in kept.parent.iterdir()) == ["kept.vec"]
     assert kept.read_bytes() == b"earlier\n"
+
+
+def test_staged_files_appear_together_or_not_at_all(tmp_path):
+    a, b = tmp_path / "a.vec", tmp_path / "b.vec"
+    a.write_bytes(b"earlier\n")
+    with pytest.raises(OSError):
+        with staged(a, b) as (tmp_a, tmp_b):
+            save_vec(random_space(0, 3, 2), tmp_a)
+            open(tmp_path / "missing" / "x", "rb")  # fails once one file is written
+    assert sorted(os.listdir(tmp_path)) == ["a.vec"] and a.read_bytes() == b"earlier\n"
+    with pytest.raises(ValueError, match="name the same file"):
+        with staged(a, tmp_path / "." / "a.vec"):
+            pass
+    with staged(a, b) as (tmp_a, tmp_b):
+        for tmp in (tmp_a, tmp_b):
+            save_vec(random_space(0, 3, 2), tmp)
+        assert sorted(os.listdir(tmp_path)) == sorted(["a.vec", os.path.basename(tmp_a),
+                                                       os.path.basename(tmp_b)])
+    assert sorted(os.listdir(tmp_path)) == ["a.vec", "b.vec"] and a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize("target", ["/dev/null", "a directory"])
