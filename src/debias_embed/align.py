@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, SpaceStream, decode_line, row_blocks, save_vec, staged
+from .embeddings import EmbeddingSpace, SpaceStream, decode_line, save_vec, staged
 
 log = logging.getLogger(__name__)
 
@@ -172,10 +172,10 @@ def apply_map(mapping: OrthogonalMap, space: EmbeddingSpace | SpaceStream
               ) -> EmbeddingSpace | SpaceStream:
     """Rotate every row x of the space to W @ x.
 
-    As in :func:`~.debias.residuals`, each row is rotated on its own, with
-    elementwise products and per-row sums rather than BLAS, so its bits
-    depend neither on the block split nor on the BLAS thread count. A
-    :class:`~.embeddings.SpaceStream` is rotated block by block as it is read.
+    Each row is rotated on its own, by ``np.einsum`` rather than BLAS, so
+    its bits depend neither on the block split nor on the BLAS thread
+    count. A :class:`~.embeddings.SpaceStream` is rotated block by block as
+    it is read.
 
     A rotation preserves norms only up to rounding, so the result is not
     marked normalized even when the input is: normalize it again for unit
@@ -187,13 +187,7 @@ def apply_map(mapping: OrthogonalMap, space: EmbeddingSpace | SpaceStream
         )
     if isinstance(space, SpaceStream):
         return space.derive(lambda block: apply_map(mapping, block))
-    rotated = np.empty_like(space.matrix)
-    for span in row_blocks(space.matrix):
-        x = space.matrix[span]
-        term = np.empty_like(x)
-        for j, w in enumerate(mapping.matrix):  # component j of W @ x is w . x
-            np.multiply(x, w, out=term)
-            rotated[span, j] = term.sum(axis=1)
+    rotated = np.einsum("ij,kj->ik", space.matrix, mapping.matrix)  # row i is W @ x_i
     rotated.setflags(write=False)
     return EmbeddingSpace(space.language_tag, space.vocab, rotated)
 

@@ -8,13 +8,21 @@ fasttext's own tokenizer, so any other character (U+00A0, U+3000, ...)
 may appear in a word; the numbers are whitespace separated. A word that
 is empty or holds ASCII whitespace cannot be written.
 
-Formatting the text takes most of a run's time, so :func:`save_vec`
-splits the rows into blocks of about ``BLOCK_BYTES`` and works on as many
-blocks at once as there are CPUs this process may use, capped by
-``DEBIAS_EMBED_THREADS`` and by the number of full blocks; the blocks of a
-:class:`SpaceStream`, such as those :func:`load_vec` parses, are computed
-there too. A row does not depend on the split, so the result does not
-depend on the number of CPUs.
+Parsing and formatting the text take most of a run's time, so
+:func:`save_vec` splits the rows into blocks of about ``BLOCK_BYTES`` and
+works on as many blocks at once as there are CPUs this process may use,
+capped by ``DEBIAS_EMBED_THREADS`` and by the number of full blocks; the
+blocks of a :class:`SpaceStream`, such as those :func:`load_vec` parses,
+are computed there too. A row does not depend on the split, so the result
+does not depend on the number of CPUs.
+
+Each value is written as ``%.{p}g`` writes it. Up to 9 digits, a numpy
+kernel formats the rows a chunk of about 4096 values at a time, from
+lookup tables, for 0 and every value with an exponent from -99 to 0 (all
+of a normalized space's); a row holding any other value, or a value too
+close to a rounding half for the kernel to certify its digits, is
+formatted by ``%``, as every row is above 9 digits. Either way the bytes
+are the same.
 """
 
 from __future__ import annotations
@@ -511,21 +519,137 @@ def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream
     return EmbeddingSpace(language_tag, vocab, matrix)
 
 
-def _write_rows(words, matrix, fh, line: str) -> None:
-    """Format the rows of ``matrix`` onto the open text file ``fh``, one ``line`` each."""
-    # one row at a time: formatting blocks of rows holds their strings at once
-    for word, row in zip(words, matrix):
-        if not word or _WORD.match(word)[1] != word:  # the reader would not get it back
-            raise ValueError(f"cannot write word {word!r}: empty or holds ASCII whitespace")
-        fh.write(line % (word, *row.tolist()))
+#: the most significant digits :func:`_kernel_rows` writes; above, every row goes through ``%``
+_KERNEL_DIGITS = 9
+
+#: :func:`_write_rows` gives :func:`_kernel_rows` the rows of about this many
+#: values at once, 13 rows of 300, whatever the size of the space
+_CHUNK_VALUES = 1 << 12
+
+#: 10**k for k = 0 ... 108, each correctly rounded (``10.0 ** k`` is not, at k = 106)
+_POW10 = np.array([float(f"1e{k}") for k in range(109)])
+#: a bound, relative to ``a * _POW10[k]``, on its distance from the exact
+#: ``a * 10**k``: the product's rounding where the power is exact (k <= 22),
+#: and the power's rounding besides
+_SLACK = np.where(np.arange(109) <= 22, 2.0**-53, 2.0**-51)
+
+
+def _slot_words() -> np.ndarray:
+    """The little-endian uint32 words :func:`_kernel_rows` builds its slots from.
+
+    Words ``2 i`` and ``2 i + 1`` are the prefix ``i = ((form * 2 + dot) * 2 +
+    minus) * 10 + lead``: form 0 is `` -d``, then ``.`` if dot; form f > 0 is
+    `` -0.``, f - 1 zeros and ``d``. From ``_GROUP`` come the 4-digit groups
+    0000 ... 9999, from ``_GROUP + 10_000`` the same without trailing zeros, and
+    from ``_EXP`` ``e-XX`` for XX = 0 ... 99, empty below 5. A byte not
+    written, such as a minus sign not there, is NUL.
+    """
+    form, dot, minus, lead = np.unravel_index(np.arange(200), (5, 2, 2, 10))
+    after = np.arange(4)[:, None]  # the bytes after " -0."
+    prefix = np.concatenate([
+        [np.full(200, 32), 45 * minus, 48 + lead * (form == 0), 46 * ((form > 0) | (dot == 1))],
+        np.select([after < form - 1, after == form - 1], [48, 48 + lead], 0),
+    ]).T
+    # in uint16 and uint8: built in int64, the tables raise the peak memory of a run
+    n = np.arange(10_000, dtype=np.uint16)[:, None]
+    digits = (48 + n // np.array((1000, 100, 10, 1), np.uint16) % 10).astype(np.uint8)
+    # a digit is kept when it or one after it is not 0
+    kept = np.logical_or.accumulate(digits[:, ::-1] != 48, axis=1)[:, ::-1]
+    xx = np.arange(100)
+    exp = np.stack([np.full(100, 101), np.full(100, 45), 48 + xx // 10, 48 + xx % 10], axis=1)
+    exp[xx < 5] = 0
+    parts = [prefix.reshape(-1, 4), digits, digits * kept, exp]
+    return np.frombuffer(np.concatenate([part.astype(np.uint8) for part in parts]).tobytes(), "<u4")
+
+
+_SLOT_WORDS = _slot_words()
+_GROUP = 2 * 200  # after the two words of each of the 200 prefixes
+_EXP = _GROUP + 20_000
+
+
+def _kernel_rows(rows: np.ndarray, precision: int):
+    """The text of each row of ``rows`` but its word, as ``%.{precision}g`` of
+    each value after a space writes it, and whether the row may be used.
+
+    For ``precision`` up to ``_KERNEL_DIGITS``. Each value's exponent comes
+    from ``log10``, and its digits from one float64 product with a power of
+    ten, rounded by ``rint``; they are used only when the product's error
+    cannot move the rounding. A value takes a 16-byte slot gathered from
+    :func:`_slot_words`: a prefix such as `` -0.00d`` and two 4-digit groups,
+    or `` -d.``, the groups and ``e-XX``; the NULs padding them are dropped.
+    A row may not be used when one of its values is
+    neither 0 nor written with an exponent from -99 to 0 (1e-99 <= |x| < 10,
+    less roundings up to 10), or rounds too close to a half to certify.
+    """
+    p = precision
+    x = rows.ravel()
+    a = np.abs(x)
+    e = np.floor(np.log10(a, out=np.zeros_like(a), where=a > 0))  # 0 for 0
+    np.clip(e, -100, 0, out=e)  # a value beyond is refused below
+    k = (p - 1 - e).astype(np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = a * _POW10[k]
+        d = np.rint(scaled)
+        ok = np.abs(scaled - d) < 0.5 - _SLACK[k] * scaled
+    top = 10.0**p
+    carry = d == top  # 10**p is 10**(p - 1) at the next exponent
+    e += carry
+    ok &= (d <= top) & ((d >= top / 10) | (a == 0)) & (e >= -99) & (e <= 0)
+    d[carry] = top / 10
+    d = np.where(ok, d, 0).astype(np.int64)
+    xx = (-e * ok).astype(np.intp)
+    lead, rest = np.divmod(d, 10 ** (p - 1))
+    high, low = np.divmod(rest * 10 ** (9 - p), 10_000)  # the other digits, 0-padded to 8
+    form = np.where(xx <= 4, xx, 0)  # exponents -1 ... -4 write "0." and zeros
+    prefix = 2 * (((form * 2 + (rest != 0)) * 2 + np.signbit(x)) * 10 + lead)
+    high += _GROUP + 10_000 * (low == 0)
+    low += _GROUP + 10_000
+    fixed = form > 0  # " -0.00d", then both groups; else " -d.", the groups, e-XX
+    slots = np.stack((prefix, np.where(fixed, prefix + 1, high), np.where(fixed, high, low),
+                      np.where(fixed, low, _EXP + xx)), axis=1)
+    text = _SLOT_WORDS[slots].reshape(len(rows), -1)
+    return [row.tobytes().translate(None, b"\0") for row in text], ok.reshape(rows.shape).all(1)
+
+
+def _format_row(line: str, word: str, row) -> bytes:
+    """A row's text by ``%``, where ``line`` holds ``%s`` and then ``%.{p}g`` for each value."""
+    return (line % (word, *row.tolist())).encode("utf-8")
+
+
+def _write_rows(words, matrix, fh, precision: int) -> None:
+    """Format the rows of ``matrix`` onto the open binary file ``fh``: each
+    row's word, then ``%.{precision}g`` of each value after a space.
+
+    Up to ``_KERNEL_DIGITS`` digits, :func:`_kernel_rows` formats the rows
+    about ``_CHUNK_VALUES`` values at a time, and a row it cannot is given to
+    :func:`_format_row`; above, every row is, one at a time, as a chunk of
+    rows formatted by ``%`` would hold all their strings at once.
+    """
+    line = "%s" + f" %.{precision}g" * matrix.shape[1] + "\n"
+    kernel = precision <= _KERNEL_DIGITS
+    step = max(1, _CHUNK_VALUES // matrix.shape[1]) if kernel else 1
+    words = iter(words)
+    for start in range(0, len(matrix), step):
+        rows = matrix[start:start + step]
+        names = list(islice(words, len(rows)))
+        for word in names:
+            if not word or _WORD.match(word)[1] != word:  # the reader would not get it back
+                raise ValueError(f"cannot write word {word!r}: empty or holds ASCII whitespace")
+        if not kernel:
+            fh.write(_format_row(line, names[0], rows[0]))
+            continue
+        bodies, usable = _kernel_rows(rows, precision)
+        fh.write(b"".join([word.encode("utf-8") + body + b"\n" if ok else
+                           _format_row(line, word, row)
+                           for word, row, body, ok in zip(names, rows, bodies, usable)]))
 
 
 def _append(fh, segment: str) -> None:
-    """Move the bytes of the file ``segment`` onto the end of the open file ``fh``."""
+    """Move the bytes of the file ``segment`` onto the end of the open binary file ``fh``."""
     fh.flush()
     with open(segment, "rb", buffering=0) as src:
         # a file buffer at a time: appending holds no more than formatting does
-        shutil.copyfileobj(src, fh.buffer, io.DEFAULT_BUFFER_SIZE)
+        shutil.copyfileobj(src, fh, io.DEFAULT_BUFFER_SIZE)
     os.unlink(segment)
 
 
@@ -574,10 +698,16 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     :class:`SpaceStream`'s blocks are computed by the process that formats
     them; its taps, such as the zero-residual words, are fed here, in block
     order.
+
+    Each value is written as ``%.{precision}g`` writes it. Up to 9 digits,
+    :func:`_kernel_rows` formats the rows a chunk at a time: 0, -0 and every
+    value whose exponent is from -99 to 0 (1e-99 <= |x| < 10, which covers
+    a normalized space). A row holding another value, or one the kernel
+    cannot certify, as it rounds too close to a half, is formatted by ``%``,
+    one row at a time, as every row is from 10 digits on.
     """
     if precision < 1:
         raise ValueError("precision must be at least 1 significant digit")
-    line = "%s" + f" %.{precision}g" * space.dim + "\n"
     if isinstance(space, SpaceStream):
         blocks, taps = space._block_count, [make() for make in space._taps]
 
@@ -598,10 +728,10 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     def task(i):
         words, matrix, values = rows(i)
         if os.getpid() == owner:  # every earlier block is in the output already
-            _write_rows(words, matrix, fh, line)
+            _write_rows(words, matrix, fh, precision)
             return len(matrix), values, None
-        with open(f"{tmp}.{i}", "w", encoding="utf-8", newline="\n") as segment:
-            _write_rows(words, matrix, segment, line)
+        with open(f"{tmp}.{i}", "wb") as segment:
+            _write_rows(words, matrix, segment, precision)
         return len(matrix), values, segment.name
 
     def take(result):
@@ -615,8 +745,8 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
 
     with staged(path) as (tmp,):
         try:
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(f"{len(space)} {space.dim}\n")
+            with open(tmp, "wb") as fh:
+                fh.write(f"{len(space)} {space.dim}\n".encode())
                 _map_blocks(task, blocks, take, _processes(len(space), space.dim))
                 for tap in taps:
                     tap.finish()

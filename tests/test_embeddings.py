@@ -264,6 +264,94 @@ def test_save_vec_bytes_match_per_value_formatter(tmp_path_factory, words, d, pr
     assert path.read_bytes() == vec_text(vocab, matrix, precision).encode("utf-8")
 
 
+signs = st.sampled_from("+-")
+#: values in the formatting kernel's domain: 0, and exponents from -99 to 0; the
+#: test beside them draws unit rows and halfway points from a seed
+kernel_values = st.one_of(
+    st.floats(-1, 1),
+    # a carry into the next exponent, such as 0.99999999995 and 9.9999999995e-5
+    st.builds(lambda s, nines, e: float(f"{s}0.{'9' * nines}5e{e}"), signs, st.integers(1, 10),
+              st.integers(-99, 0)),
+    st.sampled_from([0.0, -0.0, 1e-99, -1e-99, np.nextafter(1e-99, 0), np.nextafter(1e-99, 1)]),
+)
+#: values the kernel hands to ``%``
+percent_values = st.sampled_from([10.0, -12.5, 1e5, 9.99999999e-100, -5e-324, 1.7e308])
+
+
+def halfway_points(rng, precision, shape):
+    """The doubles nearest random halfway points (k + 1/2) 10**(e - precision + 1)
+    of ``precision`` digits, for e from -99 to -1, either sign."""
+    digits = rng.integers(10 ** (precision - 1), 10**precision, shape).ravel().tolist()
+    exponents = rng.integers(-99, 0, shape).ravel().tolist()
+    minus = rng.choice(["", "-"], shape).ravel().tolist()
+    return np.reshape([float(f"{s}{k}5e{e - precision}")
+                       for s, k, e in zip(minus, digits, exponents)], shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    precision=st.sampled_from([1, 4, 9]),
+    d=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+    chunk=st.sampled_from([1, 7, 4096]),
+    data=st.data(),
+)
+def test_save_vec_bytes_match_per_value_formatter_over_the_kernel_domain(
+        tmp_path_factory, precision, d, seed, chunk, data):
+    n = data.draw(st.integers(1, 6))
+    values = np.array(data.draw(st.lists(kernel_values, min_size=n * d, max_size=n * d)))
+    for i, value in data.draw(st.lists(st.tuples(st.integers(0, n * d - 1), percent_values),
+                                       max_size=3)):
+        values[i] = value  # a row mixing both
+    rng = np.random.default_rng(seed)
+    matrix = np.vstack([values.reshape(n, d), unit_rows(rng, 2, d),
+                        halfway_points(rng, precision, (32, d))])
+    vocab = tuple(f"w{i}" for i in range(len(matrix)))
+    path = tmp_path_factory.mktemp("vec") / "k.vec"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embeddings, "_CHUNK_VALUES", chunk)
+        save_vec(EmbeddingSpace("xx", vocab, matrix), str(path), precision=precision)
+    assert path.read_bytes() == vec_text(vocab, matrix, precision).encode("utf-8")
+
+
+def test_unit_rows_at_the_default_precision_are_formatted_without_percent(tmp_path, monkeypatch):
+    monkeypatch.setenv("DEBIAS_EMBED_THREADS", "1")  # every row is formatted in this process
+    formatted = []
+    format_row = embeddings._format_row
+
+    def counted(line, word, row):
+        formatted.append(word)
+        return format_row(line, word, row)
+
+    monkeypatch.setattr(embeddings, "_format_row", counted)
+    space = random_space(5, 2000, 300)
+    save_vec(space, str(tmp_path / "unit.vec"), precision=9)
+    assert formatted == []
+    # a value outside the kernel's domain sends its row, and that row alone, to %
+    matrix = space.matrix[:40].copy()
+    matrix[17, 3] = 12.5
+    save_vec(EmbeddingSpace("xx", space.vocab[:40], matrix), str(tmp_path / "mixed.vec"))
+    assert formatted == ["w0017"]
+    expected = vec_text(space.vocab[:40], matrix, 9).encode("utf-8")
+    assert (tmp_path / "mixed.vec").read_bytes() == expected
+
+
+@pytest.mark.parametrize("n", [2000, 8000])
+def test_save_at_the_default_precision_holds_a_chunk_of_rows_not_the_space(
+        tmp_path, monkeypatch, n):
+    monkeypatch.setenv("DEBIAS_EMBED_THREADS", "1")  # every row is formatted in this process
+    space = random_space(0, n, 300)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        save_vec(space, str(tmp_path / "out.vec"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the same bound at both sizes: a quarter of one 2000 x 300 float64 matrix
+    assert peak < 0.25 * 2000 * 300 * 8
+
+
 def test_space_does_not_alias_a_writeable_caller_array(tmp_path):
     arr = np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 2.0]])
     space = EmbeddingSpace("en", ("a", "b", "c"), arr)
