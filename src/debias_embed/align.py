@@ -27,6 +27,7 @@ __all__ = [
     "procrustes_fit",
     "apply_map",
     "merge_spaces",
+    "merged_tag",
     "save_merged",
 ]
 
@@ -197,23 +198,38 @@ def _word_prefix(language_tag: str) -> str:
     return "" if "+" in language_tag else f"{language_tag}:"
 
 
+def merged_tag(source_tag: str, target_tag: str) -> str:
+    """The tag of :func:`merge_spaces` of spaces tagged ``source_tag`` and
+    ``target_tag``: "<source_tag>+<target_tag>".
+
+    Tags that share a language, split on "+" (``en`` and ``en``, ``en+hi``
+    and ``hi``), raise ValueError: the merged space would prefix that
+    language's words the same way twice.
+    """
+    shared = [tag for tag in target_tag.split("+") if tag in source_tag.split("+")]
+    if shared:
+        raise ValueError(f"cannot merge a space tagged {target_tag!r} into one tagged"
+                         f" {source_tag!r}: both hold language {shared[0]!r}")
+    return f"{source_tag}+{target_tag}"
+
+
 def merge_spaces(aligned_source: EmbeddingSpace | SpaceStream,
                  target: EmbeddingSpace | SpaceStream) -> EmbeddingSpace | SpaceStream:
     """Stack two same-dimension spaces into one shared vocabulary.
 
     Words are disambiguated as "<language_tag>:<word>", so the same
     surface form may appear under both tags. The merged tag is
-    "<source_tag>+<target_tag>". An input that is itself a merged space
-    (its tag contains "+") keeps its existing prefixes, so merges chain:
-    merging te into en+hi+be yields en+hi+be+te with single-level
-    prefixes throughout. Two :class:`~.embeddings.SpaceStream` inputs give
+    :func:`merged_tag`'s, so two inputs that share a language are refused.
+    An input that is itself a merged space (its tag contains "+") keeps its
+    existing prefixes, so merges chain: merging te into en+hi+be yields
+    en+hi+be+te with single-level prefixes throughout. Two :class:`~.embeddings.SpaceStream` inputs give
     the stream of the source's blocks, then the target's, prefixed as read.
     """
     if aligned_source.dim != target.dim:
         raise ValueError(
             f"dimension mismatch: {aligned_source.dim} vs {target.dim}"
         )
-    tag = f"{aligned_source.language_tag}+{target.language_tag}"
+    tag = merged_tag(aligned_source.language_tag, target.language_tag)
     normalized = aligned_source.normalized and target.normalized
 
     def prefixed(space: EmbeddingSpace) -> tuple[str, ...]:

@@ -209,6 +209,8 @@ def cmd_align(args):
     from . import align as alignmod
     from . import embeddings as emb
 
+    if args.merged_out:  # refused before any input is read
+        alignmod.merged_tag(args.src_lang, args.tgt_lang)
     dictionary = alignmod.load_dictionary(args.dictionary, args.src_lang, args.tgt_lang)
     # The first pass over each input holds only the dictionary rows the fit
     # reads; the source, and for --merged-out the target, are then read
@@ -488,6 +490,13 @@ OUTPUT_OPTIONS = {"align": {"out": "--out", "merged_out": "--merged-out"},
                   "debias": {"out": "--out", "subspace_out": "--subspace-out"},
                   "report": {"json_out": "--json"}}
 
+#: the input options of each subcommand, by destination; ``--lexicon builtin``
+#: names no file
+INPUT_OPTIONS = {"align": {"src": "--src", "tgt": "--tgt", "dictionary": "--dict"},
+                 "debias": {"emb": "--emb", "lexicon": "--lexicon"},
+                 "report": {"emb": "--emb", "emb_after": "--emb-after", "lexicon": "--lexicon",
+                            "corpus": "--corpus", "corpus_after": "--corpus-after"}}
+
 
 def _output_paths(args) -> dict[str, str]:
     """Every file a run writes, keyed by its output option, or by "manifest"
@@ -507,9 +516,14 @@ def _output_paths(args) -> dict[str, str]:
 
 def _refuse_irregular_outputs(args) -> None:
     """Refuse any output, given or derived, that exists and is not a regular
-    file, such as ``/dev/null``, or that is the file of another output,
-    before any input is read, so that the run writes nothing."""
-    flags = {}  # the output option of each file
+    file, such as ``/dev/null``, or that is the file of another output or of
+    an input, before any input is read, so that the run writes nothing and
+    reads no file it has written."""
+    flags = {}  # the first option of each file
+    for dest, flag in INPUT_OPTIONS[args.subcommand].items():
+        path = getattr(args, dest)
+        if path and not (flag == "--lexicon" and path == "builtin"):
+            flags.setdefault(os.path.realpath(path), flag)
     for flag, path in _output_paths(args).items():
         if os.path.exists(path) and not os.path.isfile(path):
             raise ValueError(f"{flag} {path}: exists and is not a regular file")

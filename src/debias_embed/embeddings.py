@@ -10,7 +10,7 @@ is empty or holds ASCII whitespace cannot be written.
 
 Parsing and formatting the text take most of a run's time, so
 :func:`save_vec` splits the rows into blocks of about ``BLOCK_BYTES`` and
-works on as many blocks at once as there are CPUs this process may use,
+the blocks into one consecutive share for each CPU this process may use,
 capped by ``DEBIAS_EMBED_THREADS`` and by the number of full blocks; the
 blocks of a :class:`SpaceStream`, such as those :func:`load_vec` parses,
 are computed there too. A row does not depend on the split, so the result
@@ -160,10 +160,11 @@ class SpaceStream:
     it. Its rows come as consecutive EmbeddingSpace blocks of about
     ``BLOCK_BYTES``, each computed anew, and on its own, from its byte range
     of the file whenever it is needed. A row does not depend on the split,
-    so :func:`save_vec` computes the blocks on every CPU; :meth:`blocks`
-    yields them in order, computed in this process. Either pass gives the
-    stream's taps, such as the zero-residual words of
-    :func:`~.debias.run_variant`, every block's value in block order.
+    so :func:`save_vec` computes the blocks on every CPU, one consecutive
+    share of them per process; :meth:`blocks` yields them in order, computed
+    in this process. Either pass gives the stream's taps, such as the
+    zero-residual words of :func:`~.debias.run_variant`, every block's value
+    in block order.
     ``held`` is an EmbeddingSpace of the rows of the words :func:`load_vec`
     was told to hold, in file order (empty if the file has none of them),
     kept for lookups such as a subspace fit; a stream derived without one,
@@ -249,89 +250,40 @@ def _processes(rows: int, dim: int) -> int:
     return max(1, min(cpus, thread_cap() or cpus, rows // _block_rows(dim)))
 
 
-def _map_blocks(task, count: int, take, width: int) -> None:
-    """Call ``take(task(i))`` for i = 0, 1, ..., count - 1, in that order.
-
-    With ``width`` > 1 and more than one task, this process runs tasks 0,
-    width, 2 width, ... itself, and ``width - 1`` forked workers run the
-    others and send their results, pickled, through a pipe each; otherwise
-    every task runs here. ``take`` always runs here, in order, and this
-    process runs a task only once every earlier result has been taken. A
-    task's exception is raised at its turn, so the first error raised is
-    the one a run in this process alone would raise. Results should be
-    small: a worker's share of a large output goes to a file instead.
-    Workers are reaped before this returns or raises.
+def _fork(share, k: int, segment: str):
+    """Fork a worker that writes ``share(k, fh)`` onto a new file ``segment``
+    and sends one reply, pickled, through a pipe: ``(True, what share
+    returned)``, or ``(False, its exception)``. Returns the worker's pid and
+    the pipe, open for reading.
 
     Workers are forked, not spawned: they start at once, without importing
-    numpy again, and share the tasks' state, such as the space being written
-    and the block layout of the file it is read from, without pickling it.
-    Only the calling thread is copied; the workers run no BLAS, whose own
-    threads OpenBLAS stops and restarts around a fork.
+    numpy again, and share the state of ``share``, such as the space being
+    written and the block layout of the file it is read from, without
+    pickling it. Only the calling thread is copied; the workers run no BLAS,
+    whose own threads OpenBLAS stops and restarts around a fork. A worker
+    exits without cleaning up the state it shares with this process.
     """
-    width = min(width, count)
-    if width <= 1:
-        for i in range(count):
-            take(task(i))
-        return
-    workers = []  # (pid, the pipe its results come through)
-    finished = False
+    r, w = os.pipe()
     try:
-        for first in range(1, width):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                os.close(r)
-                _serve(task, range(first, count, width), w)
-            os.close(w)
-            # a small buffer: a large result is read straight into its own memory
-            workers.append((pid, open(r, "rb", buffering=1024)))
-        for i in range(count):
-            # no name holds a result once it is taken
-            take(_received(*workers[i % width - 1], i) if i % width else task(i))
-        finished = True
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    try:  # a reply not sent is seen as the pipe's end
+        os.close(r)
+        try:
+            with open(segment, "wb") as fh:
+                reply = True, share(k, fh)
+        except Exception as exc:  # sent, to be raised in its turn
+            reply = False, exc
+        with open(w, "wb") as out:
+            out.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))  # all or nothing is sent
     finally:
-        for pid, results in workers:
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
-            results.close()
-            os.waitpid(pid, 0)
-
-
-def _received(pid: int, results, i: int):
-    """The next result a worker of :func:`_map_blocks` sent, that of task ``i``."""
-    try:
-        ok, result = pickle.load(results)
-    except EOFError:
-        raise ChildProcessError(f"text worker {pid} died before sending block {i}") from None
-    if not ok:
-        raise result
-    return result
-
-
-def _serve(task, indices, fd: int) -> None:
-    """A worker of :func:`_map_blocks`: run its tasks and send each outcome
-    through ``fd``, up to the first error, then exit without cleaning up
-    the state it shares with the process that forked it."""
-    code = 1
-    try:
-        with open(fd, "wb") as out:
-            for i in indices:
-                try:
-                    reply = True, task(i)
-                except Exception as exc:  # sent, to be raised at its turn
-                    reply = False, exc
-                pickle.dump(reply, out, pickle.HIGHEST_PROTOCOL)
-                out.flush()
-                if not reply[0]:
-                    break
-        code = 0
-    finally:
-        os._exit(code)
+        os._exit(0)
 
 
 def _block_rows(dim: int) -> int:
@@ -692,12 +644,14 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     (``/dev/null``, a directory) raises ValueError before anything is
     written.
 
-    The rows are formatted a block at a time, on every CPU: this process
-    writes its blocks into the output, and each worker writes its blocks to
-    a file of their own beside it, which is appended when its turn comes. A
-    :class:`SpaceStream`'s blocks are computed by the process that formats
-    them; its taps, such as the zero-residual words, are fed here, in block
-    order.
+    The blocks are split into one consecutive share per process, as
+    :func:`_processes` counts them. This process writes the first share,
+    the smallest, straight into the output while each forked worker writes
+    its own share to a file beside it; then it appends those files in
+    order. A :class:`SpaceStream`'s blocks are computed by the process that
+    formats them; its taps, such as the zero-residual words, are fed here,
+    in block order. The first error in file order is raised, and no worker
+    outlives the call.
 
     Each value is written as ``%.{precision}g`` writes it. Up to 9 digits,
     :func:`_kernel_rows` formats the rows a chunk at a time: 0, -0 and every
@@ -722,43 +676,54 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
             words = map(space.vocab.__getitem__, range(len(space))[spans[i]])
             return words, space.matrix[spans[i]], ()
 
-    owner = os.getpid()
-    written = 0
+    width = _processes(len(space), space.dim)
 
-    def task(i):
+    def write(i, fh):
         words, matrix, values = rows(i)
-        if os.getpid() == owner:  # every earlier block is in the output already
-            _write_rows(words, matrix, fh, precision)
-            return len(matrix), values, None
-        with open(f"{tmp}.{i}", "wb") as segment:
-            _write_rows(words, matrix, segment, precision)
-        return len(matrix), values, segment.name
+        _write_rows(words, matrix, fh, precision)
+        return len(matrix), values
 
-    def take(result):
-        nonlocal written
-        count, values, segment = result
-        for tap, value in zip(taps, values):
-            tap.add(value)
-        if segment is not None:
-            _append(fh, segment)
-        written += count
+    def share(k, fh):
+        """Format the k-th of ``width`` consecutive shares of the blocks onto
+        ``fh``; return each block's row count and tap values."""
+        return [write(i, fh) for i in range(k * blocks // width, (k + 1) * blocks // width)]
 
+    workers = []  # (pid, the pipe its reply comes through)
     with staged(path) as (tmp,):
         try:
             with open(tmp, "wb") as fh:
                 fh.write(f"{len(space)} {space.dim}\n".encode())
-                _map_blocks(task, blocks, take, _processes(len(space), space.dim))
+                for k in range(1, width):
+                    workers.append(_fork(share, k, f"{tmp}.{k}"))
+                done = share(0, fh)
+                for k, (pid, pipe) in enumerate(workers, 1):
+                    try:
+                        ok, reply = pickle.load(pipe)
+                    except EOFError:
+                        raise ChildProcessError(f"text worker {pid} died before sending"
+                                                f" block {k * blocks // width}") from None
+                    if not ok:
+                        raise reply
+                    _append(fh, f"{tmp}.{k}")
+                    done += reply
+                for _, values in done:
+                    for tap, value in zip(taps, values):
+                        tap.add(value)
                 for tap in taps:
                     tap.finish()
+                written = sum(count for count, _ in done)
                 if written != len(space):
                     raise ValueError(
                         f"{path}: {written} rows written, but the header declares {len(space)}"
                     )
-        except BaseException:
-            for i in range(blocks):
+        finally:
+            for pid, pipe in workers:
+                os.kill(pid, signal.SIGKILL)  # one that has replied has nothing left to do
+                pipe.close()
+                os.waitpid(pid, 0)
+            for k in range(1, width):
                 with suppress(FileNotFoundError):
-                    os.unlink(f"{tmp}.{i}")
-            raise
+                    os.unlink(f"{tmp}.{k}")
 
 
 def normalize(space: EmbeddingSpace | SpaceStream) -> EmbeddingSpace | SpaceStream:

@@ -13,7 +13,7 @@ from debias_embed.align import (
     merge_spaces,
     procrustes_fit,
 )
-from debias_embed.embeddings import EmbeddingSpace
+from debias_embed.embeddings import EmbeddingSpace, load_vec, save_vec
 from helpers import orthonormal_rows, random_space, unit_rows
 from oracles import best_rotation_by_grid, rotation
 
@@ -159,6 +159,22 @@ def test_merge_spaces_chains_without_double_prefixing():
     assert merged.vocab == ("en:x", "en:y", "en:z", "hi:x", "hi:q", "te:y", "te:r")
     assert merged.locate("y", "te") == 5
     assert merged.locate("y", "en") == 1
+
+
+@pytest.mark.parametrize("tags, shared", [(("en", "en"), "en"), (("en+hi", "hi"), "hi"),
+                                          (("hi", "en+hi"), "hi")])
+@pytest.mark.parametrize("streamed", [False, True], ids=["held", "streamed"])
+def test_merge_spaces_refuses_tags_that_share_a_language(tmp_path, tags, shared, streamed):
+    # different words, which would not collide: the shared tag alone is refused
+    spaces = [random_space(13 + i, 2, 4, tag=tag, words=(f"x{i}", f"y{i}"))
+              for i, tag in enumerate(tags)]
+    if streamed:
+        for i, space in enumerate(spaces):
+            save_vec(space, str(tmp_path / f"{i}.vec"))
+        spaces = [load_vec(str(tmp_path / f"{i}.vec"), tag, hold=set())
+                  for i, tag in enumerate(tags)]
+    with pytest.raises(ValueError, match=f"both hold language {shared!r}"):
+        merge_spaces(*spaces)
 
 
 def test_load_dictionary_tabs_and_whitespace(tmp_path):

@@ -310,6 +310,54 @@ def test_two_outputs_of_one_file_are_refused_before_any_input_is_read(
     assert (tmp_path / "o.vec").read_bytes() == b"an earlier run's output\n"
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["debias", "--emb", "o.vec", "--languages", "en", "--out", "./o.vec"], "--emb and --out"),
+    (["debias", "--emb", "e.vec", "--languages", "en", "--lexicon", "./o.vec", "--out",
+      "x.vec", "--subspace-out", "o.vec"], "--lexicon and --subspace-out"),
+    (["debias", "--emb", "o.vec.manifest.json", "--languages", "en", "--out", "o.vec"],
+     "--emb and manifest"),
+    (ALIGN[:2] + ["o.vec"] + ALIGN[3:] + ["o.vec"], "--src and --out"),
+    (ALIGN[:6] + ["o.vec"] + ALIGN[7:] + ["a.vec", "--merged-out", "o.vec"],
+     "--tgt and --merged-out"),
+    (ALIGN[:10] + ["o.vec"] + ALIGN[11:] + ["o.vec"], "--dict and --out"),
+    (["report", "--xscore", "--emb", "o.vec", "--languages", "en", "--json", "o.vec"],
+     "--emb and --json"),
+    (REPORT + ["o.vec", "--emb-after", "o.vec"], "--emb-after and --json"),
+    (REPORT + ["o.vec", "--lexicon", "o.vec"], "--lexicon and --json"),
+    (["report", "--exbias", "--emb", "e.vec", "--languages", "en", "--corpus", "o.vec",
+      "--json", "o.vec"], "--corpus and --json"),
+    (["report", "--exbias", "--emb", "e.vec", "--languages", "en", "--corpus", "c.tsv",
+      "--corpus-after", "o.vec", "--json", "o.vec"], "--corpus-after and --json"),
+], ids=["debias-emb", "debias-lexicon", "debias-manifest", "align-src", "align-tgt",
+        "align-dict", "report-emb", "report-emb-after", "report-lexicon", "report-corpus",
+        "report-corpus-after"])
+def test_an_output_that_is_an_input_is_refused_before_any_input_is_read(
+        tmp_path, monkeypatch, capsys, argv, flags):
+    # a run in place would hash its input after overwriting it
+    monkeypatch.chdir(tmp_path)
+    name = "o.vec.manifest.json" if "manifest" in flags else "o.vec"
+    (tmp_path / name).write_bytes(b"an earlier run's output\n")
+    assert run(argv) == 1  # a missing input would exit 2; the refusal comes first
+    assert f"{flags} name the same file" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == [name]
+    assert (tmp_path / name).read_bytes() == b"an earlier run's output\n"
+
+
+@pytest.mark.parametrize("src_lang, tgt_lang, shared", [("en", "en", "en"),
+                                                        ("en+hi", "hi", "hi"),
+                                                        ("te", "hi+te", "te")])
+def test_align_merged_out_refuses_tags_that_share_a_language_before_any_input_is_read(
+        tmp_path, capsys, src_lang, tgt_lang, shared):
+    # the merged file would hold the shared language's words twice, which no reader takes
+    ghost = tmp_path / "ghost"  # reading any input would fail with exit 2
+    argv = ["align", "--src", ghost, "--src-lang", src_lang, "--tgt", ghost,
+            "--tgt-lang", tgt_lang, "--dict", ghost, "--out", tmp_path / "a.vec"]
+    assert run(argv + ["--merged-out", tmp_path / "m.vec"]) == 1
+    assert f"both hold language {shared!r}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    assert run(argv) == 2  # without a merge, the tags may share a language
+
+
 @pytest.mark.parametrize("kind", ["vec", "dict", "corpus", "lexicon"])
 def test_undecodable_byte_names_path_and_line(tmp_path, en_vec, capsys, kind):
     path = tmp_path / f"bad.{kind}"

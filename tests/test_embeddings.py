@@ -605,6 +605,74 @@ def test_malformed_row_in_a_worker_block_is_named_the_same_and_leaves_no_file(tm
     assert messages == [[f"{path}: line 7: unparseable number in row for 'w5'"] * 2] * 2
 
 
+@pytest.mark.parametrize("rows, block_rows, cpus", [(11, 4, 2), (40, 2, 8)],
+                         ids=["3-blocks-2-cpus", "20-blocks-8-cpus"])
+def test_each_process_formats_one_consecutive_share_and_this_one_the_first(
+        tmp_path, monkeypatch, rows, block_rows, cpus):
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", block_rows * 3 * 8)
+    log = tmp_path / "log"
+    write_rows, append = embeddings._write_rows, embeddings._append
+    appended = []
+
+    def logged_write_rows(words, matrix, fh, precision):
+        words = list(words)
+        # one write to a file opened for appending: the processes' lines do not mix
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, f"{os.getpid()} {words[0]}\n".encode())
+        os.close(fd)
+        write_rows(words, matrix, fh, precision)
+
+    def counted_append(fh, segment):
+        appended.append(segment)
+        append(fh, segment)
+
+    monkeypatch.setattr(embeddings, "_write_rows", logged_write_rows)
+    monkeypatch.setattr(embeddings, "_append", counted_append)
+    space = random_space(0, rows, 3)
+
+    def run():
+        log.write_bytes(b"")
+        appended.clear()
+        save_vec(space, str(tmp_path / "o.vec"))
+        shares = {}  # pid -> the blocks it formatted, in the order it did
+        for line in log.read_text().splitlines():
+            pid, word = line.split()
+            shares.setdefault(int(pid), []).append(space.index[word] // block_rows)
+        return shares, len(appended), (tmp_path / "o.vec").read_bytes()
+
+    inline, pooled = inline_and_on_workers(monkeypatch, run, cpus=cpus)
+    blocks = -(-rows // block_rows)
+    assert inline[0] == {os.getpid(): list(range(blocks))} and inline[1] == 0
+    shares, segments, text = pooled
+    assert len(shares) == cpus and segments == cpus - 1 and text == inline[2]
+    runs = sorted(shares.values())
+    # one run of consecutive blocks each, together every block once
+    assert [block for run in runs for block in run] == list(range(blocks))
+    assert shares[os.getpid()] == runs[0] and len(runs[0]) == min(map(len, runs))
+
+
+@pytest.mark.parametrize("first, later", [(5, 9), (2, 13)],
+                         ids=["two-workers", "this-and-a-worker"])
+def test_first_error_in_file_order_wins_across_shares(tmp_path, monkeypatch, first, later):
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 2 * 2 * 8)  # two rows a block: 8 blocks
+    rows = [f"w{i} {i} 1" for i in range(16)]
+    rows[first] = f"w{first} 1 x"
+    rows[later] = f"w{later} 1"  # another error, that must not be the one raised
+    path = write_vec(tmp_path / "a.vec", ["16 2"] + rows)
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def run():
+        with pytest.raises(ValueError) as err:
+            save_vec(normalize(load_vec(path, "xx", hold=set())), str(out / "o.vec"))
+        assert os.listdir(out) == []  # no segment, no temporary file, no output
+        return str(err.value)
+
+    # four shares of two blocks, four rows, each
+    messages = inline_and_on_workers(monkeypatch, run, cpus=4)
+    assert messages == [f"{path}: line {first + 2}: unparseable number in row for 'w{first}'"] * 2
+
+
 def test_more_workers_than_cpus_load_and_save_the_same(tmp_path, monkeypatch):
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", 2 * 3 * 8)  # two rows a block: 20 blocks
     path = odd_vec(tmp_path / "a.vec", n=40)
