@@ -517,10 +517,10 @@ def _output_paths(args) -> dict[str, str]:
 def _refuse_irregular_outputs(args) -> None:
     """Refuse any output, given or derived, that exists and is not a regular
     file, such as ``/dev/null``, or that is the file of another output or of
-    an input, before any input is read, so that the run writes nothing and
-    reads no file it has written."""
+    an input, ``--config`` included, before any input is read, so that the
+    run writes nothing and reads no file it has written."""
     flags = {}  # the first option of each file
-    for dest, flag in INPUT_OPTIONS[args.subcommand].items():
+    for dest, flag in {"config": "--config", **INPUT_OPTIONS[args.subcommand]}.items():
         path = getattr(args, dest)
         if path and not (flag == "--lexicon" and path == "builtin"):
             flags.setdefault(os.path.realpath(path), flag)
@@ -546,12 +546,12 @@ def main(argv=None) -> int:
     config_flag = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     config_flag.add_argument("--config", nargs="?")
     try:
-        config = config_flag.parse_known_args(argv)[0].config
+        config_path = config_flag.parse_known_args(argv)[0].config
         entries = []
-        if config and argv[0] in parser._by_subcommand:
-            entries = _config_args(parser, argv[0], config)
+        if config_path and argv[0] in parser._by_subcommand:
+            entries = _config_args(parser, argv[0], config_path)
         args = parser.parse_args(argv[:1] + entries + argv[1:])
-        if args.config != config:  # abbreviated, so not read above
+        if args.config != config_path:  # abbreviated, so not read above
             raise ValueError("--config must be spelled out in full")
         _refuse_irregular_outputs(args)
         from .manifest import RunManifest, capture_warnings
@@ -563,7 +563,7 @@ def main(argv=None) -> int:
             outputs = _output_paths(args)
             manifest_path = outputs.pop("manifest")
             manifest = RunManifest(["debias-embed"] + argv, config, seeds, {}, warnings=warnings)
-            for path in inputs:
+            for path in ([config_path] if config_path else []) + inputs:
                 manifest.add_input(path)
             for path in outputs.values():
                 manifest.add_output(path)

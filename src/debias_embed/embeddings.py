@@ -23,6 +23,14 @@ of a normalized space's); a row holding any other value, or a value too
 close to a rounding half for the kernel to certify its digits, is
 formatted by ``%``, as every row is above 9 digits. Either way the bytes
 are the same.
+
+Each value is read as ``float()`` reads it. A block is read about 64 KiB
+of lines at a time. A numpy kernel parses a chunk whose lines are each a
+word and its numbers, one space before each and maybe one before the LF,
+and whose numbers are each ``[-]d.f[e(+|-)dd]``, an integer of at most
+2**53 times a power of ten from -22 to 22: the usual fastText rows, ``%.8f``
+text and this module's output up to 15 digits. Any other chunk is read a
+line at a time, with the same values, line numbers and messages.
 """
 
 from __future__ import annotations
@@ -360,9 +368,10 @@ def _scan_vec(path, language_tag: str, keep):
     Every line is decoded and checked for duplicates and the row count, but
     only the rows of the words in ``keep`` are parsed. Returns every word, in
     file order; the dim; the blocks of about ``BLOCK_BYTES`` of rows, as
-    ``(offset, lineno, start, stop)``: the byte offset and line number
-    :func:`_read_rows` parses rows ``start:stop`` from; and an
-    (unnormalized) space of the kept words' rows.
+    ``(offset, end, lineno, start, stop)``: the byte range and first line
+    number :func:`_read_rows` parses rows ``start:stop`` from, the last
+    block's range ending where the file did; and an (unnormalized) space of
+    the kept words' rows.
     """
     with open(path, "rb") as fh:
         header = decode_line(fh.readline(), path, 1)
@@ -404,29 +413,198 @@ def _scan_vec(path, language_tag: str, keep):
             raise ValueError(
                 f"{path}: line {lineno}: header declared {count} rows, found {len(seen)}"
             )
+        ends = [offset for offset, _ in starts[1:]] + [fh.tell()]
     vocab = tuple(seen)
     del seen  # so it and the space's word index never hold the words at once
-    blocks = [(offset, line, start, min(start + step, count))
-              for (offset, line), start in zip(starts, range(0, count, step))]
+    blocks = [(offset, end, line, start, min(start + step, count))
+              for (offset, line), end, start in zip(starts, ends, range(0, count, step))]
     matrix = matrix[: len(kept)]
     matrix.setflags(write=False)  # fresh and unshared, so the space need not copy it
     return vocab, dim, blocks, EmbeddingSpace(language_tag, tuple(kept), matrix)
 
 
+#: :func:`_read_rows` reads a block about this many bytes at a time
+_CHUNK_BYTES = 1 << 16
+
+#: 10**k for k = 0 ... 108, each correctly rounded (``10.0 ** k`` is not, at k = 106)
+_POW10 = np.array([float(f"1e{k}") for k in range(109)])
+
+#: bytes before a chunk of :func:`_line_chunks`, so that every 16-byte window
+#: ending in a number starts inside the buffer; 2 more after it cover the
+#: bytes :func:`_kernel_parse` may read past a malformed number's end
+_PAD = 16
+_MARGIN = b"0" * _PAD
+#: by the count f of fraction digits, the masks of the high and the low
+#: little-endian word of the 16 bytes that end where the fraction does,
+#: keeping its last f bytes
+_HIGH_MASKS, _LOW_MASKS = (np.array([-1 << max(0, bits - 8 * f) if bits - 8 * f < 64 else 0
+                                     for f in range(17)]) for bits in (128, 64))
+#: the (multiplier, shift, mask) of each step of :func:`_kernel_parse`'s sum of
+#: 8 digits in an int64: to 4 sums of 2 digits, 2 of 4, then 1 of 8. A shift
+#: brings in copies of the sign bit, which the masks clear; the last sum is
+#: below 2**31, so its sign bit is 0
+_SUM_STEPS = ((10 << 8 | 1, 8, 0x00FF00FF00FF00FF), (100 << 16 | 1, 16, 0x0000FFFF0000FFFF),
+              (10_000 << 32 | 1, 32, None))
+_INT_POW10 = 10 ** np.arange(17)
+#: 10**k for k = 0 ... 22, exact in float64, then their negations, for a minus sign
+_DIVISORS = np.concatenate([_POW10[:23], -_POW10[:23]])
+
+
+def _kernel_parse(buf: bytes, dim: int):
+    """The words and the ``(rows, dim)`` float64 rows of a chunk of whole
+    ``.vec`` lines from :func:`_line_chunks`, between its margins, or None
+    when the kernel cannot vouch for every value.
+
+    Its domain: every line is ``word SP num (SP num)*(dim - 1) [SP] LF``, its
+    word valid UTF-8, and no other byte of the chunk below 0x21; every number
+    is ``[-]d.f[e(+|-)dd]`` with 1 to 16 fraction digits, so that it is an
+    integer ``M <= 2**53`` of the digits times ``10**k``, ``|k| <= 22``. Both
+    are exact doubles, so ``M / 10**-k`` or ``M * 10**k``, with the sign put
+    on after, is one correctly rounded operation: the value ``float()`` gives
+    (Clinger 1990, "How to Read Floating Point Numbers Accurately").
+
+    The separators come from one ``flatnonzero``; the fraction digits of each
+    number from the 16 bytes ending where it does, masked to its digits and
+    summed 8 at a time in an int64 with three multiplies.
+    """
+    b = np.frombuffer(buf, np.uint8)
+    ws = np.flatnonzero(b <= 32)
+    if len(ws) <= dim or ws[-1] != len(buf) - 3:
+        return None
+    sep = b[ws]
+    width = dim + 1 + (sep[dim] != 10)  # with a space before each LF, or not
+    rows = len(ws) // width
+    line = np.full(width, 32, np.uint8)
+    line[-1] = 10
+    if rows * width != len(ws) or not (sep.reshape(rows, width) == line).all():
+        return None
+    ws = ws.reshape(rows, width)
+    if width > dim + 1 and not (ws[:, -1] - ws[:, -2] == 1).all():
+        return None
+    ends = ws[:, 0]
+    starts = np.concatenate(([_PAD], ws[:-1, -1] + 1))
+    if not (ends > starts).all():
+        return None
+    try:
+        words = [buf[a:e].decode("utf-8") for a, e in zip(starts.tolist(), ends.tolist())]
+    except UnicodeDecodeError:
+        return None
+    lead = (ws[:, :dim] + 1).ravel()  # where each number starts
+    end = ws[:, 1:dim + 1].ravel()  # where each number ends, then its fraction
+    del ws, sep, ends, starts
+    neg = b[lead] == 45
+    lead += neg  # now the digit before the point
+    expo = b[end - 4] == 101
+    if expo.any():
+        at = np.flatnonzero(expo)
+        tail = end[at]
+        sign, tens, ones = b[tail - 3], b[tail - 2] ^ np.uint8(48), b[tail - 1] ^ np.uint8(48)
+        if not (((sign == 43) | (sign == 45)) & (tens <= 9) & (ones <= 9)).all():
+            return None
+        end[at] = tail - 4
+        exponent = (tens * np.uint8(10) + ones).astype(np.intp)
+        exponent[sign == 45] *= -1
+    digits = end - lead
+    digits -= 2
+    d0 = b[lead] ^ np.uint8(48)
+    lead += 1
+    if not ((d0 <= 9) & (b[lead] == 46) & (digits >= 1) & (digits <= 16)).all():
+        return None
+    del lead
+    end -= 16
+    windows = np.ndarray((len(buf) - 15,), np.complex128, buf, 0, (1,))  # 16 bytes from each
+    v = windows[end].view(np.int64)  # per number, its 16 bytes as two little-endian words
+    del end
+    v ^= 0x3030303030303030  # each ASCII digit to its value
+    v = v.reshape(-1, 2)
+    v[:, 0] &= _HIGH_MASKS[digits]
+    v[:, 1] &= _LOW_MASKS[digits]
+    if (v.view(np.uint8) > 9).any():  # a byte that was not a digit
+        return None
+    for mul, shift, mask in _SUM_STEPS:
+        v *= mul
+        v >>= shift
+        if mask is not None:
+            v &= mask
+    m = v[:, 0] * 10**8
+    m += v[:, 1]
+    del v
+    lead = _INT_POW10[digits]
+    lead *= d0
+    m += lead
+    del lead
+    if (m > 2**53).any():
+        return None
+    k = digits  # now -k: the power of ten to divide by
+    up = ()  # the numbers with a positive power: divided by 1, then multiplied
+    if expo.any():
+        k[at] -= exponent
+        if (np.abs(k[at]) > 22).any():
+            return None
+        up = at[k[at] < 0]
+        scale = _POW10[-k[up]]
+        k[up] = 0
+    k += 23 * neg
+    values = m.astype(np.float64)
+    values /= _DIVISORS[k]
+    if len(up):
+        values[up] *= scale
+    return words, values.reshape(rows, dim)
+
+
+def _line_chunks(fh, size: int):
+    """The next ``size`` bytes of ``fh`` in chunks of about ``_CHUNK_BYTES``,
+    each cut after a LF but the last, which ends where the bytes do. Each
+    comes between the margins :func:`_kernel_parse` reads: ``_PAD`` bytes
+    before it and 2 after, all ``0``."""
+    rest = b""
+    while size > 0:
+        data = fh.read(min(_CHUNK_BYTES, size))
+        if not data:
+            break
+        size -= len(data)
+        cut = data.rfind(b"\n") + 1 if size > 0 else len(data)
+        if not cut:  # no line ends in it
+            rest += data
+            continue
+        chunk = b"".join((_MARGIN, rest, memoryview(data)[:cut], b"00"))
+        rest = data[cut:]
+        del data  # not alive while the chunk is parsed
+        yield chunk
+    if rest:
+        yield b"".join((_MARGIN, rest, b"00"))
+
+
 def _read_rows(path, dim: int, block, out) -> list[str]:
     """Parse one block of :func:`_scan_vec` into the rows of ``out``; return its words.
 
-    Line numbers and messages are those of a read of the whole file. Blank
-    lines are skipped as there; a file that shrank since the scan gives
-    fewer rows. Duplicates and the row count are the scan's to check.
+    The block is read a chunk of lines at a time. :func:`_kernel_parse`
+    parses a chunk in its domain, and :func:`_vec_rows` any other chunk,
+    from its first line, so values, line numbers and messages are those of
+    a read of the whole file. Blank lines are skipped as there; a file that
+    shrank since the scan gives fewer rows. Duplicates and the row count
+    are the scan's to check.
     """
-    offset, lineno, start, stop = block
+    offset, end, lineno, start, stop = block
     words: list[str] = []
     with open(path, "rb") as fh:
         fh.seek(offset)
-        for _, word, row in islice(_vec_rows(fh, fh.name, dim, None, lineno), stop - start):
-            out[len(words)] = row
-            words.append(word)
+        for chunk in _line_chunks(fh, end - offset):
+            left = stop - start - len(words)
+            parsed = _kernel_parse(chunk, dim)
+            if parsed is None:
+                lines = io.BytesIO(chunk[_PAD:-2])
+                for _, word, row in islice(_vec_rows(lines, fh.name, dim, None, lineno), left):
+                    out[len(words)] = row
+                    words.append(word)
+                lineno += chunk.count(b"\n")
+            else:  # a line for each row
+                names, rows = parsed
+                out[len(words):len(words) + len(names[:left])] = rows[:left]
+                words += names[:left]
+                lineno += len(names)
+            if len(words) == stop - start:
+                break
     return words
 
 
@@ -441,6 +619,18 @@ def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream
     error of a row.
     The rows are then parsed a block at a time and gathered.
 
+    Each value is the one ``float()`` gives for its text. A block is read in
+    chunks of about ``_CHUNK_BYTES`` that end at a line end, and a chunk
+    goes through the numpy kernel :func:`_kernel_parse` when every line is
+    ``word SP num (SP num)*(dim - 1) [SP] LF`` with no other byte below
+    0x21 and every number is ``[-]d.f[e(+|-)dd]`` with 1 to 16 fraction
+    digits, an integer of its digits of at most 2**53 and a power of ten
+    from -22 to 22. That covers values written with ``%.8f`` and this
+    module's output up to 15 digits, ``1.23456789e-05`` forms included. Any
+    other chunk, such as one with a tab, a CR, a blank line, ``0``, ``+0.5``
+    or 17 digits, is read by the per-line reader from its first line, so
+    values, line numbers and messages do not depend on the path.
+
     With ``hold``, a set of words, the rows are streamed instead of held: a
     :class:`SpaceStream` is returned that holds only those words' rows and
     reads the file again on each pass over its blocks. Every line is
@@ -452,7 +642,7 @@ def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream
     vocab, dim, blocks, held = _scan_vec(path, language_tag, set() if hold is None else hold)
 
     def block(i):
-        rows = np.empty((blocks[i][3] - blocks[i][2], dim))
+        rows = np.empty((blocks[i][4] - blocks[i][3], dim))
         words = _read_rows(path, dim, blocks[i], rows)
         rows = rows[: len(words)]
         rows.setflags(write=False)
@@ -478,8 +668,6 @@ _KERNEL_DIGITS = 9
 #: values at once, 13 rows of 300, whatever the size of the space
 _CHUNK_VALUES = 1 << 12
 
-#: 10**k for k = 0 ... 108, each correctly rounded (``10.0 ** k`` is not, at k = 106)
-_POW10 = np.array([float(f"1e{k}") for k in range(109)])
 #: a bound, relative to ``a * _POW10[k]``, on its distance from the exact
 #: ``a * 10**k``: the product's rounding where the power is exact (k <= 22),
 #: and the power's rounding besides

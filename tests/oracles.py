@@ -151,6 +151,23 @@ def vec_text(vocab, matrix, precision):
     return "".join(lines)
 
 
+def vec_rows(text, dim):
+    """The words and the ``(rows, dim)`` float64 rows of ``.vec`` lines after
+    the header, each value read by ``float()`` from its own token.
+
+    Lines end at ``\n`` and fields at whitespace; the first field is the
+    word, and a line without fields is skipped.
+    """
+    words, rows = [], []
+    for line in text.split("\n"):
+        fields = line.split()
+        if fields:
+            assert len(fields) == dim + 1, line
+            words.append(fields[0])
+            rows.append([float(token) for token in fields[1:]])
+    return words, np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+
+
 def reference_train(features, labels, n_classes, learning_rate, epochs, seed):
     """Full-batch softmax-regression descent on materialized features.
 

@@ -343,6 +343,33 @@ def test_an_output_that_is_an_input_is_refused_before_any_input_is_read(
     assert (tmp_path / name).read_bytes() == b"an earlier run's output\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["debias", "--out", "c.json"], "--out"),
+    (["debias", "--out", "o.vec", "--subspace-out", "c.json"], "--subspace-out"),
+    (ALIGN + ["c.json"], "--out"),
+    (["report", "--xscore", "--json", "c.json"], "--json"),
+], ids=["debias-out", "debias-subspace-out", "align-out", "report-json"])
+def test_an_output_that_is_the_config_file_is_refused_before_any_input_is_read(
+        tmp_path, monkeypatch, capsys, argv, flag):
+    # the run would overwrite its own record of how it was configured
+    monkeypatch.chdir(tmp_path)
+    config = json.dumps({"emb": "missing.vec", "languages": "en"} if argv[0] != "align" else {})
+    (tmp_path / "c.json").write_text(config)
+    assert run(argv + ["--config", "c.json"]) == 1  # a missing input would exit 2
+    assert f"--config and {flag} name the same file c.json" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.json"]
+    assert (tmp_path / "c.json").read_text() == config
+
+
+def test_manifest_lists_the_config_file_among_the_inputs(tmp_path, en_vec):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"emb": en_vec, "languages": "en", "k": 2}))
+    out = tmp_path / "o.vec"
+    assert run(["debias", "--config", config, "--out", out]) == 0
+    manifest = json.loads((tmp_path / "o.vec.manifest.json").read_text())
+    assert manifest["inputs"] == {str(config): sha256(config), en_vec: sha256(en_vec)}
+
+
 @pytest.mark.parametrize("src_lang, tgt_lang, shared", [("en", "en", "en"),
                                                         ("en+hi", "hi", "hi"),
                                                         ("te", "hi+te", "te")])
