@@ -2,8 +2,9 @@
 """End-to-end demo on synthetic embeddings with a planted gender direction.
 
 Builds one space per bundled language over the bundled lexicon vocabulary,
-plants a per-language bias direction (pairwise correlated across languages),
-then walks the whole pipeline without downloading anything:
+plants a per-language bias direction (pairwise correlated across languages;
+the worlds come from ``planted.py`` beside this script), then walks the
+whole pipeline without downloading anything:
 
   1. per-language debiasing plus the two pooled variants, with the
      seed-distance gap before/after each,
@@ -17,8 +18,6 @@ Run:  python3 scripts/run_synthetic_demo.py [--dim 64] [--seed 0]
 import argparse
 import sys
 
-import numpy as np
-
 from debias_embed.align import merge_spaces
 from debias_embed.debias import DebiasConfig, debias_space, run_variant
 from debias_embed.embeddings import EmbeddingSpace
@@ -31,69 +30,7 @@ from debias_embed.intrinsic import (
 from debias_embed.lexicon import builtin_lexicon, split_pairs
 from debias_embed.subspace import BiasSubspace
 from debias_embed import extrinsic as ex
-
-ANGLES_DEG = {"en": 25.0, "hi": 35.0, "be": 45.0, "te": 55.0}
-
-
-def unit(rng, d):
-    v = rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
-def planted_language_space(tag, lexicon, direction, rng, dim, beta, noise):
-    """Unit-row space over the lexicon vocabulary for one language.
-
-    Words from defining pairs and seed sets sit at +-beta along the
-    planted direction (plus per-word jitter so the pair differences
-    have rank > 1); occupation words get graded tilts; everything else
-    is isotropic noise.
-    """
-    rows: dict[str, np.ndarray] = {}
-
-    def place(word, component):
-        v = np.sqrt(max(0.0, 1.0 - component**2)) * unit(rng, dim)
-        v += component * direction + noise * rng.standard_normal(dim)
-        rows[word] = v / np.linalg.norm(v)
-
-    for pair in lexicon.defining_pairs[tag]:
-        shared = unit(rng, dim)
-        for word, sign in ((pair.male_word, 1.0), (pair.female_word, -1.0)):
-            v = np.sqrt(1.0 - beta**2) * shared + sign * beta * direction
-            v += noise * rng.standard_normal(dim)
-            rows.setdefault(word, v / np.linalg.norm(v))
-    seeds = lexicon.seed_sets[tag]
-    for word in seeds.male:
-        if word not in rows:
-            place(word, beta)
-    for word in seeds.female:
-        if word not in rows:
-            place(word, -beta)
-    occupations = [m for m, _ in lexicon.occupation_pairs[tag]]
-    tilts = np.linspace(-0.45, 0.45, len(occupations))
-    for word, tilt in zip(occupations, tilts):
-        place(word, tilt)
-    neutral = lexicon.neutral_words[tag]
-    for word in neutral.adjectives + neutral.transliterations:
-        if word not in rows:
-            place(word, 0.0)
-    vocab = tuple(rows)
-    return EmbeddingSpace(tag, vocab, np.array([rows[w] for w in vocab]),
-                          normalized=True)
-
-
-def build_spaces(lexicon, dim, beta, noise, seed):
-    rng = np.random.default_rng(seed)
-    common = unit(rng, dim)
-    spaces = {}
-    for tag, angle in ANGLES_DEG.items():
-        perp = rng.standard_normal(dim)
-        perp -= (perp @ common) * common
-        perp /= np.linalg.norm(perp)
-        theta = np.radians(angle)
-        direction = np.cos(theta) * common + np.sin(theta) * perp
-        spaces[tag] = planted_language_space(tag, lexicon, direction, rng,
-                                             dim, beta, noise)
-    return spaces
+from planted import ANGLES_DEG, bios, language_world, marker_world
 
 
 def merge_all(spaces):
@@ -147,47 +84,25 @@ def cross_section(lexicon, merged, out):
     out.write("\n")
 
 
-def marker_space(rng, dim, k, n_plain, eta=0.05):
-    """Tiny space whose gendered markers hug the first planted direction."""
-    basis = np.linalg.qr(rng.standard_normal((dim, k)))[0].T
-    words, vecs = [], []
-    for i in range(6):
-        for prefix, sign in (("him", 1.0), ("her", -1.0)):
-            perp = rng.standard_normal(dim)
-            perp -= basis @ perp @ basis
-            perp /= np.linalg.norm(perp)
-            words.append(f"{prefix}{i}")
-            vecs.append(np.sqrt(1 - eta**2) * sign * basis[0] + eta * perp)
-    for i in range(n_plain):
-        v = rng.standard_normal(dim)
-        v -= basis.T @ (basis @ v)
-        words.append(f"plain{i}")
-        vecs.append(v / np.linalg.norm(v))
-    space = EmbeddingSpace("xx", tuple(words), np.array(vecs), normalized=True)
-    return space, BiasSubspace(basis, "pca", tuple(float(k - i) for i in range(k)))
-
-
 def extrinsic_section(seed, n_records, epochs, out):
-    rng = np.random.default_rng(seed + 99)
-    space, sub = marker_space(rng, dim=60, k=2, n_plain=80)
+    words, rows, basis = marker_world(seed + 99, dim=60, k=2, n_plain=80)
+    space = EmbeddingSpace("xx", words, rows, normalized=True)
+    sub = BiasSubspace(basis, "pca", (2.0, 1.0))
     debiased = debias_space(space, sub, DebiasConfig(k=2))
     hyper = ex.TrainConfig(epochs=epochs, seed=seed)
 
-    rows = []
+    table = []
     for strength, label in ((1.0, "planted link"), (0.0, "no link")):
-        config = ex.SynthesisConfig(
-            n_occupations=4, n_records=n_records, bias_strength=strength,
-            subspace=sub,
-        )
-        records = ex.synthesize_corpus(space, config, seed=seed)
+        records = bios(words, rows, basis, n_occupations=4, n_records=n_records,
+                       bias_strength=strength, seed=seed)
         train, test = ex.split_corpus(records, seed=seed)
         before = ex.evaluate_gap(ex.train_classifier(space, train, hyper), test)
         after = ex.evaluate_gap(ex.train_classifier(debiased, train, hyper), test)
         f_i = ex.compare_runs(before, after).f_i
-        rows.append((f"orig ({label})", before, None))
-        rows.append((f"debiased ({label})", after, f_i))
+        table.append((f"orig ({label})", before, None))
+        table.append((f"debiased ({label})", after, f_i))
     out.write("== occupation accuracy gap on a planted-marker corpus ==\n")
-    out.write(ex.format_gap_table(rows))
+    out.write(ex.format_gap_table(table))
     out.write("\n")
 
 
@@ -204,7 +119,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     lexicon = builtin_lexicon()
-    spaces = build_spaces(lexicon, args.dim, args.beta, args.noise, args.seed)
+    world = language_world(lexicon, args.dim, args.beta, args.noise, args.seed)
+    spaces = {tag: EmbeddingSpace(tag, lang.words, lang.rows, normalized=True)
+              for tag, lang in world.items()}
     merged = intrinsic_section(lexicon, spaces, args.k, args.seed, sys.stdout)
     cross_section(lexicon, merged, sys.stdout)
     extrinsic_section(args.seed, args.records, args.epochs, sys.stdout)

@@ -67,11 +67,9 @@ _EXPORTS = {
     # extrinsic harness
     "BioRecord": "extrinsic",
     "TrainConfig": "extrinsic",
-    "SynthesisConfig": "extrinsic",
     "ExtrinsicResult": "extrinsic",
     "GapComparison": "extrinsic",
     "load_corpus": "extrinsic",
-    "synthesize_corpus": "extrinsic",
     "split_corpus": "extrinsic",
     "train_classifier": "extrinsic",
     "evaluate_gap": "extrinsic",

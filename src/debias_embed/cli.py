@@ -459,6 +459,10 @@ def cmd_report(args):
     for dest in UNREAD_FLAGS[mode]:
         if getattr(args, dest) is not None:
             raise ValueError(f"--{dest.replace('_', '-')} is not read by --{mode}")
+    if mode == "exbias" and args.corpus_after is not None and not args.emb_after:
+        raise ValueError("--corpus-after is not read by --exbias without --emb-after")
+    if mode == "inbias" and args.train_count is not None and args.seeds == "lexicon":
+        raise ValueError("--train-count is not read by --inbias --seeds lexicon")
     for dest, default in MODE_OPTIONS[mode].items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)

@@ -30,19 +30,16 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace, decode_line
 from .intrinsic import format_table
-from .subspace import BiasSubspace
 
 log = logging.getLogger(__name__)
 
 __all__ = [
     "BioRecord",
     "TrainConfig",
-    "SynthesisConfig",
     "Classifier",
     "ExtrinsicResult",
     "GapComparison",
     "load_corpus",
-    "synthesize_corpus",
     "split_corpus",
     "featurize",
     "cross_entropy_loss_and_grad",
@@ -56,15 +53,6 @@ GENDERS = ("M", "F")
 
 #: ``featurize`` drops a record when less than this share of its tokens is in the vocabulary
 MIN_COVERAGE = 0.5
-
-# planted-correlation corpus: indicator words per occupation, marker words per
-# gender, indicator and marker tokens drawn per record, and the largest skew of
-# an occupation's male share away from 0.5
-INDICATORS_PER_OCCUPATION = 8
-MARKERS_PER_GENDER = 6
-INDICATOR_TOKENS = 8
-GENDERED_TOKENS = 4
-MAX_SKEW = 0.4
 
 
 @dataclass(frozen=True)
@@ -123,82 +111,6 @@ def load_corpus(path, min_count: int = 100) -> list[BioRecord]:
         records = [r for r in records if r.occupation not in rare]
     if not records:
         raise ValueError(f"{path}: no records left after the min-count filter")
-    return records
-
-
-@dataclass(frozen=True)
-class SynthesisConfig:
-    """Knobs for the planted-correlation corpus generator.
-
-    ``bias_strength`` in [0, 1] sets how strongly author gender (and so
-    the gendered marker words each record carries) co-occurs with the
-    occupation label: occupation i leans male for even i and female for
-    odd i, with the male share at 0.5 + MAX_SKEW * bias_strength * (+-1).
-    Marker words are the vocabulary entries with the most positive /
-    most negative projection on the first direction of ``subspace``;
-    occupation-indicator words are picked from the least gender-loaded
-    part of the vocabulary.
-    """
-
-    n_occupations: int
-    n_records: int
-    bias_strength: float
-    subspace: BiasSubspace
-
-    def __post_init__(self):
-        if self.n_occupations < 2:
-            raise ValueError("need at least 2 occupations")
-        if self.n_records < self.n_occupations:
-            raise ValueError("need at least one record per occupation")
-        if not 0.0 <= self.bias_strength <= 1.0:
-            raise ValueError("bias_strength must lie in [0, 1]")
-
-
-def synthesize_corpus(
-    space: EmbeddingSpace, config: SynthesisConfig, seed: int = 0
-) -> list[BioRecord]:
-    """Deterministically generate bios with a planted gender-occupation link."""
-    need = config.n_occupations * INDICATORS_PER_OCCUPATION + 2 * MARKERS_PER_GENDER
-    if len(space) < need:
-        raise ValueError(
-            f"vocabulary too small: {len(space)} words, {need} needed for this config"
-        )
-    b1 = config.subspace.basis[0]
-    proj = space.matrix @ b1
-    order = np.argsort(proj, kind="stable")
-    m = MARKERS_PER_GENDER
-    female_markers = [space.vocab[i] for i in order[:m]]
-    male_markers = [space.vocab[i] for i in order[-m:]]
-    marker_rows = set(order[:m]) | set(order[-m:])
-
-    loading = np.linalg.norm(space.matrix @ config.subspace.basis.T, axis=1)
-    neutral_order = [
-        i for i in np.argsort(loading, kind="stable") if i not in marker_rows
-    ]
-    per = INDICATORS_PER_OCCUPATION
-    indicator_sets = []
-    for occ in range(config.n_occupations):
-        rows = neutral_order[occ * per : (occ + 1) * per]
-        indicator_sets.append([space.vocab[i] for i in rows])
-
-    rng = np.random.default_rng(seed)
-    base, extra = divmod(config.n_records, config.n_occupations)
-    records: list[BioRecord] = []
-    for occ in range(config.n_occupations):
-        name = f"occ{occ:02d}"
-        count = base + (1 if occ < extra else 0)
-        polarity = 1.0 if occ % 2 == 0 else -1.0
-        male_share = 0.5 + MAX_SKEW * config.bias_strength * polarity
-        n_male = int(round(count * male_share))
-        n_male = min(max(n_male, 0), count)
-        genders = np.array(["M"] * n_male + ["F"] * (count - n_male))
-        rng.shuffle(genders)
-        indicators = indicator_sets[occ]
-        for g in genders:
-            ind = rng.choice(indicators, size=INDICATOR_TOKENS, replace=True)
-            markers = male_markers if g == "M" else female_markers
-            gen = rng.choice(markers, size=GENDERED_TOKENS, replace=True)
-            records.append(BioRecord(str(g), name, tuple(ind) + tuple(gen)))
     return records
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import multiprocessing
 import os
 import signal
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from oracles import reference_train
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+sys.path.insert(0, str(SCRIPTS))  # the tests import ``planted`` from there, as the scripts do
 
 
 def load_script(name):
@@ -70,35 +72,6 @@ def space_for_lexicon(lexicon, tags, d=20, seed=0, merged=None):
         vocab = tuple(f"{t}:{w}" for t in tags for w in lexicon.words(t))
         tag = merged or "+".join(tags)
     return EmbeddingSpace(tag, vocab, unit_rows(rng, len(vocab), d), normalized=True)
-
-
-def planted_marker_space(seed, d=300, k=4, n_perp=200, eta=0.05, tag="xx"):
-    """Space with gendered marker words hugging +/- the first basis direction
-    and a pool of words exactly orthogonal to the whole subspace.
-
-    Returns (space, basis) where basis is a k x d orthonormal array.
-    """
-    rng = np.random.default_rng(seed)
-    basis = orthonormal_rows(rng, k, d)
-    b1 = basis[0]
-
-    def off_subspace_unit():
-        v = rng.standard_normal(d)
-        v -= basis.T @ (basis @ v)
-        return v / np.linalg.norm(v)
-
-    words, vecs = [], []
-    for j in range(6):
-        words.append(f"him{j}")
-        vecs.append(np.sqrt(1 - eta**2) * b1 + eta * off_subspace_unit())
-    for j in range(6):
-        words.append(f"her{j}")
-        vecs.append(-np.sqrt(1 - eta**2) * b1 + eta * off_subspace_unit())
-    for j in range(n_perp):
-        words.append(f"w{j:03d}")
-        vecs.append(off_subspace_unit())
-    space = EmbeddingSpace(tag, tuple(words), np.array(vecs), normalized=True)
-    return space, basis
 
 
 def reference_classifier(space, train, config, language=None):

@@ -22,8 +22,9 @@ from debias_embed.lexicon import (
 from debias_embed.subspace import BiasSubspace, DifferenceMatrix, pca_basis, ppa_basis
 from debias_embed import extrinsic as ex
 from debias_embed.align import BilingualDictionary, procrustes_fit
-from helpers import load_script, orthonormal_rows, planted_marker_space, unit_rows
+from helpers import load_script, orthonormal_rows, unit_rows
 from oracles import grid_best_direction_2d, central_difference_grad, principal_angle_sines
+from planted import bios, marker_world
 
 
 def check(number, name, passed, detail=""):
@@ -215,12 +216,11 @@ def test_08_planted_classifier_gap_reduced_across_seeds():
     start = time.perf_counter()
     reduced = 0
     for seed in range(10):
-        space, basis = planted_marker_space(seed, d=300, k=4, n_perp=200)
+        words, rows, basis = marker_world(seed, dim=300, k=4, n_plain=200)
+        space = EmbeddingSpace("xx", words, rows, normalized=True)
         sub = BiasSubspace(basis, "pca", (4.0, 3.0, 2.0, 1.0))
-        config = ex.SynthesisConfig(
-            n_occupations=4, n_records=2000, bias_strength=1.0, subspace=sub
-        )
-        records = ex.synthesize_corpus(space, config, seed=seed)
+        records = bios(words, rows, basis, n_occupations=4, n_records=2000, bias_strength=1.0,
+                       seed=seed)
         train, test = ex.split_corpus(records, seed=seed)
         hyper = ex.TrainConfig(epochs=150, seed=seed)
         before = ex.evaluate_gap(ex.train_classifier(space, train, hyper), test)

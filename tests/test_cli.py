@@ -219,8 +219,9 @@ def test_manifest_records_exactly_what_the_run_read_and_wrote(tmp_path, en_vec, 
     ("--xscore", "--corpus-after"),
     ("--inbias", "--corpus"),
     ("--inbias", "--corpus-after"),
+    ("--exbias", "--corpus-after"),  # read only for an --emb-after run
 ], ids=["xscore-emb-after", "xscore-corpus", "xscore-corpus-after", "inbias-corpus",
-        "inbias-corpus-after"])
+        "inbias-corpus-after", "exbias-corpus-after-without-emb-after"])
 def test_report_refuses_a_file_flag_its_mode_does_not_read(tmp_path, en_vec, capsys, mode, flag):
     report = tmp_path / "r.json"
     code = run(["report", mode, "--emb", en_vec, "--languages", "en", flag, en_vec,
@@ -234,13 +235,14 @@ def test_report_refuses_a_file_flag_its_mode_does_not_read(tmp_path, en_vec, cap
     ("--inbias", ["--epsilon", "0.5"]),
     ("--xscore", ["--seeds", "lexicon"]),
     ("--exbias", ["--train-count", "3"]),
-], ids=["inbias-epsilon", "xscore-seeds", "exbias-train-count"])
+    ("--inbias --seeds lexicon", ["--train-count", "3"]),  # read only for --seeds test
+], ids=["inbias-epsilon", "xscore-seeds", "exbias-train-count", "inbias-seeds-lexicon-train-count"])
 @pytest.mark.parametrize("given_in", ["argv", "config"])
 def test_report_refuses_an_option_its_mode_does_not_read(tmp_path, en_vec, capsys, mode, option,
                                                         given_in):
     flag, value = option
     report = tmp_path / "r.json"
-    argv = ["report", mode, "--emb", en_vec, "--languages", "en", "--json", report]
+    argv = ["report", *mode.split(), "--emb", en_vec, "--languages", "en", "--json", report]
     if given_in == "argv":
         argv += option
     else:

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from debias_embed import extrinsic
-from debias_embed.embeddings import space_fingerprint
+from debias_embed.embeddings import EmbeddingSpace, space_fingerprint
 from debias_embed.extrinsic import (
     BioRecord,
     ExtrinsicResult,
-    SynthesisConfig,
     TrainConfig,
     compare_runs,
     cross_entropy_loss_and_grad,
@@ -17,12 +16,12 @@ from debias_embed.extrinsic import (
     format_gap_table,
     load_corpus,
     split_corpus,
-    synthesize_corpus,
     train_classifier,
 )
 from debias_embed.subspace import BiasSubspace
-from helpers import planted_marker_space, random_space, reference_classifier
+from helpers import random_space, reference_classifier
 from oracles import central_difference_grad, softmax_xent
+from planted import bios, marker_world
 
 
 def write_corpus(path, rows):
@@ -31,9 +30,9 @@ def write_corpus(path, rows):
 
 
 def small_setup(seed=0):
-    space, basis = planted_marker_space(seed, d=60, k=2, n_perp=80)
-    sub = BiasSubspace(basis, "pca", (2.0, 1.0))
-    return space, sub
+    words, rows, basis = marker_world(seed, dim=60, k=2, n_plain=80)
+    space = EmbeddingSpace("xx", words, rows, normalized=True)
+    return space, BiasSubspace(basis, "pca", (2.0, 1.0))
 
 
 # --- corpus I/O ---
@@ -76,18 +75,16 @@ def test_load_corpus_drops_rare_occupations_with_warning(tmp_path, caplog):
 
 def test_synthesize_is_deterministic():
     space, sub = small_setup()
-    cfg = SynthesisConfig(n_occupations=3, n_records=120, bias_strength=0.7, subspace=sub)
-    a = synthesize_corpus(space, cfg, seed=3)
-    b = synthesize_corpus(space, cfg, seed=3)
+    a, b, c = (bios(space.vocab, space.matrix, sub.basis, n_occupations=3, n_records=120,
+                    bias_strength=0.7, seed=seed) for seed in (3, 3, 4))
     assert a == b
-    c = synthesize_corpus(space, cfg, seed=4)
     assert a != c
 
 
 def test_synthesize_balanced_when_bias_strength_zero():
     space, sub = small_setup()
-    cfg = SynthesisConfig(n_occupations=2, n_records=400, bias_strength=0.0, subspace=sub)
-    records = synthesize_corpus(space, cfg, seed=0)
+    records = bios(space.vocab, space.matrix, sub.basis, n_occupations=2, n_records=400,
+                   bias_strength=0.0, seed=0)
     for occ in {r.occupation for r in records}:
         genders = [r.gender for r in records if r.occupation == occ]
         assert abs(genders.count("M") - genders.count("F")) <= 1
@@ -97,10 +94,9 @@ def test_synthesize_rejects_tiny_vocab():
     space = random_space(0, 8, 12)
     basis = np.zeros((2, 12))
     basis[0, 0] = basis[1, 1] = 1.0
-    sub = BiasSubspace(basis, "pca", (2.0, 1.0))
-    cfg = SynthesisConfig(n_occupations=5, n_records=50, bias_strength=1.0, subspace=sub)
     with pytest.raises(ValueError):
-        synthesize_corpus(space, cfg, seed=0)
+        bios(space.vocab, space.matrix, basis, n_occupations=5, n_records=50, bias_strength=1.0,
+             seed=0)
 
 
 # --- training ---
@@ -108,8 +104,8 @@ def test_synthesize_rejects_tiny_vocab():
 
 def test_training_reaches_perfect_accuracy_on_separable_data():
     space, sub = small_setup()
-    cfg = SynthesisConfig(n_occupations=2, n_records=200, bias_strength=0.0, subspace=sub)
-    records = synthesize_corpus(space, cfg, seed=1)
+    records = bios(space.vocab, space.matrix, sub.basis, n_occupations=2, n_records=200,
+                   bias_strength=0.0, seed=1)
     clf = train_classifier(space, records, TrainConfig(epochs=200, seed=0))
     features, kept = featurize(space, records)
     predictions = clf.predict(features)
@@ -118,8 +114,8 @@ def test_training_reaches_perfect_accuracy_on_separable_data():
 
 def test_training_loss_monotone_non_increasing():
     space, sub = small_setup()
-    cfg = SynthesisConfig(n_occupations=3, n_records=150, bias_strength=0.5, subspace=sub)
-    records = synthesize_corpus(space, cfg, seed=2)
+    records = bios(space.vocab, space.matrix, sub.basis, n_occupations=3, n_records=150,
+                   bias_strength=0.5, seed=2)
     clf = train_classifier(space, records, TrainConfig(epochs=120, seed=0))
     losses = clf.loss_history
     assert len(losses) == 121
@@ -135,8 +131,8 @@ def test_training_needs_two_classes():
 
 def test_training_deterministic_and_freezes_embeddings():
     space, sub = small_setup()
-    cfg = SynthesisConfig(n_occupations=2, n_records=100, bias_strength=0.3, subspace=sub)
-    records = synthesize_corpus(space, cfg, seed=5)
+    records = bios(space.vocab, space.matrix, sub.basis, n_occupations=2, n_records=100,
+                   bias_strength=0.3, seed=5)
     before = space_fingerprint(space)
     a = train_classifier(space, records, TrainConfig(epochs=50, seed=7))
     b = train_classifier(space, records, TrainConfig(epochs=50, seed=7))
@@ -168,8 +164,8 @@ def test_low_coverage_records_dropped_with_warning(caplog):
 def test_factored_training_matches_descent_on_the_features(
         caplog, monkeypatch, n_records, spread, factored):
     space, sub = small_setup()
-    cfg = SynthesisConfig(n_occupations=3, n_records=n_records, bias_strength=0.6, subspace=sub)
-    records = synthesize_corpus(space, cfg, seed=3)
+    records = bios(space.vocab, space.matrix, sub.basis, n_occupations=3, n_records=n_records,
+                   bias_strength=0.6, seed=3)
     # out-of-vocabulary tokens vary the token count per record, one record
     # holds a token twice, and one falls below the coverage floor
     records = [BioRecord(r.gender, r.occupation,
@@ -233,8 +229,8 @@ def test_gradient_matches_central_differences():
 
 def test_split_corpus_stratified():
     space, sub = small_setup()
-    cfg = SynthesisConfig(n_occupations=2, n_records=200, bias_strength=0.5, subspace=sub)
-    records = synthesize_corpus(space, cfg, seed=6)
+    records = bios(space.vocab, space.matrix, sub.basis, n_occupations=2, n_records=200,
+                   bias_strength=0.5, seed=6)
     train, test = split_corpus(records, test_fraction=0.2, seed=0)
     assert len(train) + len(test) == len(records)
     for occ in {r.occupation for r in records}:
@@ -247,8 +243,8 @@ def test_split_corpus_stratified():
 
 def test_evaluate_gap_perfect_classifier_has_zero_diff():
     space, sub = small_setup()
-    cfg = SynthesisConfig(n_occupations=2, n_records=300, bias_strength=0.0, subspace=sub)
-    records = synthesize_corpus(space, cfg, seed=8)
+    records = bios(space.vocab, space.matrix, sub.basis, n_occupations=2, n_records=300,
+                   bias_strength=0.0, seed=8)
     train, test = split_corpus(records, seed=0)
     clf = train_classifier(space, train, TrainConfig(epochs=200, seed=0))
     result = evaluate_gap(clf, test)
@@ -259,8 +255,8 @@ def test_evaluate_gap_perfect_classifier_has_zero_diff():
 def test_planted_imbalance_golden_gap():
     # frozen after the first verified run of this exact configuration
     space, sub = small_setup(seed=0)
-    cfg = SynthesisConfig(n_occupations=2, n_records=400, bias_strength=1.0, subspace=sub)
-    records = synthesize_corpus(space, cfg, seed=0)
+    records = bios(space.vocab, space.matrix, sub.basis, n_occupations=2, n_records=400,
+                   bias_strength=1.0, seed=0)
     train, test = split_corpus(records, seed=0)
     clf = train_classifier(space, train, TrainConfig(epochs=150, seed=0))
     result = evaluate_gap(clf, test)
@@ -270,8 +266,8 @@ def test_planted_imbalance_golden_gap():
 
 def test_balanced_corpus_has_no_gap_golden():
     space, sub = small_setup(seed=0)
-    cfg = SynthesisConfig(n_occupations=2, n_records=400, bias_strength=0.0, subspace=sub)
-    records = synthesize_corpus(space, cfg, seed=0)
+    records = bios(space.vocab, space.matrix, sub.basis, n_occupations=2, n_records=400,
+                   bias_strength=0.0, seed=0)
     train, test = split_corpus(records, seed=0)
     clf = train_classifier(space, train, TrainConfig(epochs=150, seed=0))
     assert evaluate_gap(clf, test).diff == pytest.approx(0.0, abs=1e-9)

@@ -1,4 +1,5 @@
 import ast
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -101,6 +102,18 @@ def test_unused_import_detector_flags_unread_names_only(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(source) == ["os", "save"]
+
+
+def test_planted_worlds_import_numpy_and_the_standard_library_only():
+    # a world built with the package's own code could not check it
+    path = ROOT / "scripts" / "planted.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {"." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert [m for m in modules if m.partition(".")[0] == "debias_embed"] == []
+    assert {m.partition(".")[0] for m in modules} - set(sys.stdlib_module_names) == {"numpy"}
 
 
 def test_every_package_export_is_public_in_its_module():

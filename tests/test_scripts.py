@@ -11,10 +11,12 @@ import pytest
 from debias_embed import embeddings
 from debias_embed.cli import main
 from debias_embed.debias import DebiasConfig, run_variant
-from debias_embed.embeddings import load_vec, normalize
+from debias_embed.embeddings import EmbeddingSpace, load_vec, normalize
 from debias_embed.intrinsic import inbias
 from debias_embed.lexicon import builtin_lexicon, split_pairs
+from debias_embed.subspace import difference_matrix, pca_basis
 from helpers import load_script
+from planted import ANGLES_DEG, language_world, marker_world
 
 DIRTY_VEC = Path(__file__).resolve().parent / "data" / "dirty_fasttext.vec"
 
@@ -76,3 +78,32 @@ def test_synthetic_demo_output_is_pinned():
         assert load_script("run_synthetic_demo").main([]) == 0
     digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
     assert digest == "ce0ca7989d079f84b5958aa947d0b1b23870da2e69a55de7f83a6372b76052a5"
+
+
+def test_language_world_records_the_direction_it_planted():
+    # at the demo's settings; a random 64-d direction has |cos| about 0.1
+    lexicon = builtin_lexicon()
+    for seed in range(5):
+        world = language_world(lexicon, dim=64, beta=0.5, noise=0.08, seed=seed)
+        assert list(world) == list(ANGLES_DEG)
+        for tag, language in world.items():
+            assert np.linalg.norm(language.direction) == pytest.approx(1.0, abs=1e-12)
+            space = EmbeddingSpace(tag, language.words, language.rows, normalized=True)
+            train = split_pairs(lexicon, tag, seed=seed).train_pairs
+            fitted = pca_basis(difference_matrix(space, train), k=1).basis[0]
+            assert abs(fitted @ language.direction) >= 0.9, (seed, tag)
+
+
+@pytest.mark.parametrize("dim, k, n_plain", [(60, 2, 80), (300, 4, 200)])
+def test_marker_world_plants_its_basis(dim, k, n_plain):
+    words, rows, basis = marker_world(0, dim=dim, k=k, n_plain=n_plain)
+    np.testing.assert_allclose(basis @ basis.T, np.eye(k), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-12)
+    plain = rows[12:]
+    assert words[12:] == tuple(f"w{j:03d}" for j in range(n_plain))
+    assert np.abs(plain @ basis.T).max() < 1e-12
+    # the markers sit at sine 0.05 from +-basis[0], off it only outside the basis
+    signs = np.repeat([1.0, -1.0], 6)
+    np.testing.assert_allclose(rows[:12] @ basis.T,
+                               np.outer(signs * np.sqrt(1 - 0.05**2), np.eye(k)[0]),
+                               rtol=0, atol=1e-12)
