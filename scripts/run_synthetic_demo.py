@@ -98,7 +98,7 @@ def extrinsic_section(seed, n_records, epochs, out):
         train, test = ex.split_corpus(records, seed=seed)
         before = ex.evaluate_gap(ex.train_classifier(space, train, hyper), test)
         after = ex.evaluate_gap(ex.train_classifier(debiased, train, hyper), test)
-        f_i = ex.compare_runs(before, after).f_i
+        f_i = ex.compare_runs(before, after)
         table.append((f"orig ({label})", before, None))
         table.append((f"debiased ({label})", after, f_i))
     out.write("== occupation accuracy gap on a planted-marker corpus ==\n")

@@ -51,7 +51,6 @@ _EXPORTS = {
     "select_equal_rep": "subspace",
     "equal_rep_basis": "subspace",
     "save_subspace": "subspace",
-    "load_subspace": "subspace",
     # debias
     "DebiasConfig": "debias",
     "debias_space": "debias",
@@ -61,14 +60,12 @@ _EXPORTS = {
     "dis": "intrinsic",
     "inbias": "intrinsic",
     "InBiasResult": "intrinsic",
-    "cross_score": "intrinsic",
     "cross_score_matrix": "intrinsic",
     "CrossScoreMatrix": "intrinsic",
     # extrinsic harness
     "BioRecord": "extrinsic",
     "TrainConfig": "extrinsic",
     "ExtrinsicResult": "extrinsic",
-    "GapComparison": "extrinsic",
     "load_corpus": "extrinsic",
     "split_corpus": "extrinsic",
     "train_classifier": "extrinsic",

@@ -57,8 +57,6 @@ class OrthogonalMap:
     """A dim x dim orthogonal matrix applied to source vectors as W @ x."""
 
     matrix: np.ndarray
-    source_tag: str
-    target_tag: str
     fit_pair_count: int
 
     def __post_init__(self):
@@ -75,12 +73,6 @@ class OrthogonalMap:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def inverse(self) -> "OrthogonalMap":
-        """The reverse map (transpose), target language back to source."""
-        return OrthogonalMap(
-            self.matrix.T.copy(), self.target_tag, self.source_tag, self.fit_pair_count
-        )
 
 
 def load_dictionary(path, source_tag: str, target_tag: str) -> BilingualDictionary:
@@ -166,7 +158,7 @@ def procrustes_fit(
     y = target.matrix[rows_y]
     u, _, vt = np.linalg.svd(y.T @ x)
     w = u @ vt
-    return OrthogonalMap(w, source.language_tag, target.language_tag, len(rows_x))
+    return OrthogonalMap(w, len(rows_x))
 
 
 def apply_map(mapping: OrthogonalMap, space: EmbeddingSpace | SpaceStream

@@ -409,11 +409,9 @@ def _report_exbias(args, languages, lexicon):
     before = run(args.emb, corpus)
     inputs = [args.emb, args.corpus]
     rows = [("orig", before, None)]
-    comparison = None
     if args.emb_after:
         after = run(args.emb_after, read_corpus(args.corpus_after) if args.corpus_after else corpus)
-        comparison = extrinsic.compare_runs(before, after)
-        rows.append(("debiased", after, comparison.f_i))
+        rows.append(("debiased", after, extrinsic.compare_runs(before, after)))
         inputs += [p for p in (args.emb_after, args.corpus_after) if p]
     table = extrinsic.format_gap_table(rows)
     payload = {

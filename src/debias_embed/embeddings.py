@@ -366,8 +366,8 @@ def _scan_vec(path, language_tag: str, keep):
     """First of two passes over a ``.vec`` file, for :func:`load_vec`.
 
     Every line is decoded and checked for duplicates and the row count, but
-    only the rows of the words in ``keep`` are parsed. Returns every word, in
-    file order; the dim; the blocks of about ``BLOCK_BYTES`` of rows, as
+    only the rows of the words in ``keep`` are parsed. Returns the row count;
+    the dim; the blocks of about ``BLOCK_BYTES`` of rows, as
     ``(offset, end, lineno, start, stop)``: the byte range and first line
     number :func:`_read_rows` parses rows ``start:stop`` from, the last
     block's range ending where the file did; and an (unnormalized) space of
@@ -414,13 +414,11 @@ def _scan_vec(path, language_tag: str, keep):
                 f"{path}: line {lineno}: header declared {count} rows, found {len(seen)}"
             )
         ends = [offset for offset, _ in starts[1:]] + [fh.tell()]
-    vocab = tuple(seen)
-    del seen  # so it and the space's word index never hold the words at once
     blocks = [(offset, end, line, start, min(start + step, count))
               for (offset, line), end, start in zip(starts, ends, range(0, count, step))]
     matrix = matrix[: len(kept)]
     matrix.setflags(write=False)  # fresh and unshared, so the space need not copy it
-    return vocab, dim, blocks, EmbeddingSpace(language_tag, tuple(kept), matrix)
+    return count, dim, blocks, EmbeddingSpace(language_tag, tuple(kept), matrix)
 
 
 #: :func:`_read_rows` reads a block about this many bytes at a time
@@ -639,7 +637,7 @@ def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream
     ``report`` uses ``held`` alone and makes no pass, so it parses only the
     rows it looks up.
     """
-    vocab, dim, blocks, held = _scan_vec(path, language_tag, set() if hold is None else hold)
+    count, dim, blocks, held = _scan_vec(path, language_tag, set() if hold is None else hold)
 
     def block(i):
         rows = np.empty((blocks[i][4] - blocks[i][3], dim))
@@ -648,17 +646,17 @@ def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream
         rows.setflags(write=False)
         return EmbeddingSpace(language_tag, tuple(words), rows), ()
 
-    stream = SpaceStream(language_tag, len(vocab), dim, block, len(blocks), held=held)
+    stream = SpaceStream(language_tag, count, dim, block, len(blocks), held=held)
     if hold is not None:
         return stream
-    matrix, read = np.empty((len(vocab), dim)), 0
+    matrix, vocab = np.empty((count, dim)), []
     for part in stream.blocks():
-        matrix[read:read + len(part)] = part.matrix
-        read += len(part)
-    if read != len(vocab):
-        raise ValueError(f"{path}: {read} rows read, but the header declares {len(vocab)}")
+        matrix[len(vocab):len(vocab) + len(part)] = part.matrix
+        vocab += part.vocab
+    if len(vocab) != count:
+        raise ValueError(f"{path}: {len(vocab)} rows read, but the header declares {count}")
     matrix.setflags(write=False)
-    return EmbeddingSpace(language_tag, vocab, matrix)
+    return EmbeddingSpace(language_tag, tuple(vocab), matrix)
 
 
 #: the most significant digits :func:`_kernel_rows` writes; above, every row goes through ``%``
@@ -760,14 +758,14 @@ def _write_rows(words, matrix, fh, precision: int) -> None:
     """Format the rows of ``matrix`` onto the open binary file ``fh``: each
     row's word, then ``%.{precision}g`` of each value after a space.
 
-    Up to ``_KERNEL_DIGITS`` digits, :func:`_kernel_rows` formats the rows
-    about ``_CHUNK_VALUES`` values at a time, and a row it cannot is given to
-    :func:`_format_row`; above, every row is, one at a time, as a chunk of
-    rows formatted by ``%`` would hold all their strings at once.
+    The rows go about ``_CHUNK_VALUES`` values at a time. Up to
+    ``_KERNEL_DIGITS`` digits, :func:`_kernel_rows` formats a chunk, and a
+    row it cannot, like every row above, is given to :func:`_format_row`.
+    Each row's text is written on its own, never joined with the rest of
+    its chunk.
     """
     line = "%s" + f" %.{precision}g" * matrix.shape[1] + "\n"
-    kernel = precision <= _KERNEL_DIGITS
-    step = max(1, _CHUNK_VALUES // matrix.shape[1]) if kernel else 1
+    step = max(1, _CHUNK_VALUES // matrix.shape[1])
     words = iter(words)
     for start in range(0, len(matrix), step):
         rows = matrix[start:start + step]
@@ -775,13 +773,10 @@ def _write_rows(words, matrix, fh, precision: int) -> None:
         for word in names:
             if not word or _WORD.match(word)[1] != word:  # the reader would not get it back
                 raise ValueError(f"cannot write word {word!r}: empty or holds ASCII whitespace")
-        if not kernel:
-            fh.write(_format_row(line, names[0], rows[0]))
-            continue
-        bodies, usable = _kernel_rows(rows, precision)
-        fh.write(b"".join([word.encode("utf-8") + body + b"\n" if ok else
-                           _format_row(line, word, row)
-                           for word, row, body, ok in zip(names, rows, bodies, usable)]))
+        bodies, usable = (_kernel_rows(rows, precision) if precision <= _KERNEL_DIGITS
+                          else (rows, np.zeros(len(rows), dtype=bool)))
+        for word, row, body, ok in zip(names, rows, bodies, usable):
+            fh.write(word.encode("utf-8") + body + b"\n" if ok else _format_row(line, word, row))
 
 
 def _append(fh, segment: str) -> None:

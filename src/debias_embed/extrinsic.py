@@ -38,7 +38,6 @@ __all__ = [
     "TrainConfig",
     "Classifier",
     "ExtrinsicResult",
-    "GapComparison",
     "load_corpus",
     "split_corpus",
     "featurize",
@@ -322,7 +321,6 @@ class ExtrinsicResult:
     diff: float
     male_acc: float
     female_acc: float
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "per_occupation", tuple(self.per_occupation))
@@ -381,39 +379,21 @@ def evaluate_gap(classifier: Classifier, test) -> ExtrinsicResult:
         diff=float(np.mean([row[3] for row in per_occupation])),
         male_acc=m_hits / m_total,
         female_acc=f_hits / f_total,
-        seed=classifier.config.seed,
     )
 
 
-@dataclass(frozen=True)
-class GapComparison:
-    """Occupation-level view of how gaps moved between two runs.
-
-    ``f_i`` is the fraction of occupations whose gap strictly shrank;
-    ``per_occupation_delta`` rows are (occupation, gap_before, gap_after).
-    """
-
-    f_i: float
-    per_occupation_delta: tuple[tuple[str, float, float], ...]
-
-
-def compare_runs(before: ExtrinsicResult, after: ExtrinsicResult) -> GapComparison:
+def compare_runs(before: ExtrinsicResult, after: ExtrinsicResult) -> float:
+    """f_i: the fraction of occupations whose gap strictly shrank from ``before`` to ``after``."""
     if before.occupations() != after.occupations():
         raise ValueError(
             "occupation sets differ between runs: "
             f"{before.occupations()} vs {after.occupations()}"
         )
-    deltas = []
-    reduced = 0
-    for (occ, _, _, gap_b), (_, _, _, gap_a) in zip(
-        before.per_occupation, after.per_occupation
-    ):
-        deltas.append((occ, gap_b, gap_a))
-        if gap_a < gap_b:  # ties do not count as reduced
-            reduced += 1
-    return GapComparison(
-        f_i=reduced / len(deltas), per_occupation_delta=tuple(deltas)
+    reduced = sum(
+        gap_a < gap_b  # ties do not count as reduced
+        for (_, _, _, gap_b), (_, _, _, gap_a) in zip(before.per_occupation, after.per_occupation)
     )
+    return reduced / len(before.per_occupation)
 
 
 def format_gap_table(rows: list[tuple[str, ExtrinsicResult, float | None]]) -> str:

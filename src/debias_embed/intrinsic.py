@@ -5,10 +5,11 @@
   between the masculine form's distance to the male seeds and the
   feminine form's distance to the female seeds, each word scored
   against its own language's seeds.
-* :func:`cross_score` measures how much removing one language's top
-  gender direction moves another language's neutral words along that
-  other language's own top gender direction (relative change of the
-  absolute projection). A language against itself scores exactly 1.
+* :func:`cross_score_matrix` measures, for each ordered pair of
+  languages, how much removing one language's top gender direction
+  moves the other language's neutral words along that other language's
+  own top gender direction (relative change of the absolute
+  projection). A language against itself scores exactly 1.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "dis",
     "InBiasResult",
     "inbias",
-    "cross_score",
     "CrossScoreMatrix",
     "cross_score_matrix",
     "format_table",
@@ -138,18 +138,13 @@ def inbias(
     return InBiasResult(value=value, per_occupation=tuple(gaps), skipped=tuple(skipped))
 
 
-def _top_direction(space, lexicon, lang) -> np.ndarray:
-    if lang not in lexicon.defining_pairs:
-        raise ValueError(f"unknown language {lang!r} in lexicon")
-    diffs = difference_matrix(space, lexicon.defining_pairs[lang])
-    return pca_basis(diffs, k=1).basis[0]
-
-
 def _language_terms(space, lexicon, lang, epsilon):
     """``lang``'s top direction, its neutral vectors that pass the guard, their projections."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    direction = _top_direction(space, lexicon, lang)
+    if lang not in lexicon.defining_pairs:
+        raise ValueError(f"unknown language {lang!r} in lexicon")
+    direction = pca_basis(difference_matrix(space, lexicon.defining_pairs[lang]), k=1).basis[0]
     rows = []
     missing = 0
     for w in lexicon.neutral_words[lang].all_words():
@@ -182,30 +177,10 @@ def _relative_change(b1, b2, vecs, proj) -> float:
     return float(np.mean(np.abs(np.abs(new_proj) - np.abs(proj)) / np.abs(proj)))
 
 
-def cross_score(
-    space: EmbeddingSpace,
-    lexicon: GenderLexicon,
-    l1: str,
-    l2: str,
-    epsilon: float = 1e-8,
-) -> float:
-    """Relative projection change of l2's neutral words along l2's own
-    top gender direction after removing l1's top gender direction.
-
-    Words whose original absolute projection falls below ``epsilon`` are
-    skipped (their relative change is numerically meaningless); if every
-    word is skipped that is an error. This is one cell of
-    :func:`cross_score_matrix`, which fits each language's direction once.
-    """
-    b1 = _top_direction(space, lexicon, l1)
-    return _relative_change(b1, *_language_terms(space, lexicon, l2, epsilon))
-
-
 @dataclass(frozen=True)
 class CrossScoreMatrix:
     languages: tuple[str, ...]
     values: np.ndarray  # row = direction language l1, column = evaluated language l2
-    epsilon: float
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64)
@@ -220,17 +195,21 @@ class CrossScoreMatrix:
 def cross_score_matrix(
     space: EmbeddingSpace, lexicon: GenderLexicon, languages, epsilon: float = 1e-8
 ) -> CrossScoreMatrix:
-    """All ordered language pairs; errors from any cell propagate.
+    """Relative projection change of each l2's neutral words along l2's own
+    top gender direction after removing each l1's top gender direction,
+    for all ordered language pairs; errors from any cell propagate.
 
-    Each language's top direction is fitted, and its neutral words are
-    resolved, once; every cell equals :func:`cross_score` exactly.
+    Words whose original absolute projection falls below ``epsilon`` are
+    skipped (their relative change is numerically meaningless); if every
+    word is skipped that is an error. Each language's top direction is
+    fitted, and its neutral words are resolved, once.
     """
     languages = tuple(languages)
     if not languages:
         raise ValueError("at least one language is required")
     terms = [_language_terms(space, lexicon, lang, epsilon) for lang in languages]
     values = [[_relative_change(t1[0], *t2) for t2 in terms] for t1 in terms]
-    return CrossScoreMatrix(languages=languages, values=values, epsilon=epsilon)
+    return CrossScoreMatrix(languages=languages, values=values)
 
 
 def format_table(header: list[str], rows: list[list[str]]) -> str:

@@ -199,7 +199,7 @@ def _lexicon_from_dict(data, origin) -> GenderLexicon:
                 isinstance(item, list) and len(item) == 2,
                 f"{where}: each pair must be a [male, female] list",
             )
-            pairs.append(GenderPair(item[0], item[1], tag))
+            pairs.append(GenderPair(*_token_list(item, f"{where}: pair"), tag))
         defining[tag] = tuple(pairs)
 
         cats = entry["neutral"]

@@ -41,7 +41,6 @@ __all__ = [
     "select_equal_rep",
     "equal_rep_basis",
     "save_subspace",
-    "load_subspace",
 ]
 
 BASIS_TOL = 1e-8  # orthonormality tolerance for any produced basis
@@ -453,19 +452,3 @@ def save_subspace(subspace: BiasSubspace, path) -> None:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
-
-def load_subspace(path) -> BiasSubspace:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    prov = dict(payload.get("provenance") or {})
-    for key in ("seed", "embedding_fingerprint", "pairs_fingerprint"):
-        if payload.get(key) is not None:
-            prov[key] = payload[key]
-    labels = payload.get("orientation_labels")
-    return BiasSubspace(
-        basis=np.array(payload["basis"], dtype=np.float64),
-        method=payload["method"],
-        scores=np.array(payload["scores"], dtype=np.float64),
-        orientation_labels=tuple(labels) if labels else None,
-        provenance=prov or None,
-    )

@@ -200,3 +200,27 @@ def reference_train(features, labels, n_classes, learning_rate, epochs, seed):
         bias = bias - learning_rate * d_bias
     history.append(loss_and_grad(weights, bias)[0])
     return weights, bias, history
+
+
+def cross_score_cell(diffs_1, diffs_2, neutral_2, epsilon):
+    """Mean relative change of |<w, b2>| over the rows w of ``neutral_2``
+    once b1 is projected out of w; rows with |<w, b2>| below ``epsilon`` are
+    left out.
+
+    b1 and b2 are the top directions of the difference rows ``diffs_1`` and
+    ``diffs_2``: the eigenvector of D^T D with the largest eigenvalue, from
+    ``np.linalg.eigh``, not an SVD. Only absolute projections enter, so
+    their signs do not matter. The change is computed one word at a time.
+    """
+    def top(diffs):
+        d = np.asarray(diffs, dtype=np.float64)
+        return np.linalg.eigh(d.T @ d)[1][:, -1]
+
+    b1, b2 = top(diffs_1), top(diffs_2)
+    changes = []
+    for w in np.asarray(neutral_2, dtype=np.float64):
+        before = abs(float(w @ b2))
+        if before >= epsilon:
+            after = abs(float((w - float(w @ b1) * b1) @ b2))
+            changes.append(abs(after - before) / before)
+    return sum(changes) / len(changes)

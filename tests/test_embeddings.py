@@ -365,7 +365,7 @@ def test_space_does_not_alias_a_writeable_caller_array(tmp_path):
     loaded = load_vec(str(path), "en")
     normed = normalize(loaded)
     subspace = BiasSubspace(np.array([[1.0, 0.0]]), "pca", (1.0,))
-    rotated = apply_map(OrthogonalMap(np.array([[0.0, -1.0], [1.0, 0.0]]), "en", "hi", 3), normed)
+    rotated = apply_map(OrthogonalMap(np.array([[0.0, -1.0], [1.0, 0.0]]), 3), normed)
     built = {
         "load_vec": loaded,
         "normalize": normed,
@@ -412,7 +412,7 @@ def test_apply_map_and_merge_allocate_no_matrix_sized_temporary():
     words = tuple(f"w{i}" for i in range(n))
     source = EmbeddingSpace("hi", words, unit_rows(rng, n, d), normalized=True)
     target = EmbeddingSpace("en", words, unit_rows(rng, n, d), normalized=True)
-    mapping = OrthogonalMap(orthonormal_rows(rng, d, d), "hi", "en", n)
+    mapping = OrthogonalMap(orthonormal_rows(rng, d, d), n)
     tracemalloc.start()
     try:
         # a rotation keeps unit norms only up to rounding, so, as in align, the

@@ -276,29 +276,29 @@ def test_balanced_corpus_has_no_gap_golden():
 def result_with_gaps(gaps):
     per = [(f"occ{i:02d}", 0.8, 0.8 - g, abs(g)) for i, g in enumerate(gaps)]
     diff = float(np.mean([abs(g) for g in gaps]))
-    return ExtrinsicResult(per, diff, 0.8, 0.7, seed=0)
+    return ExtrinsicResult(per, diff, 0.8, 0.7)
 
 
 def test_compare_runs_fraction_examples():
     before = result_with_gaps([0.2, 0.3, 0.1])
     all_better = result_with_gaps([0.1, 0.2, 0.05])
-    assert compare_runs(before, all_better).f_i == 1.0
+    assert compare_runs(before, all_better) == 1.0
     unchanged = result_with_gaps([0.2, 0.3, 0.1])
-    assert compare_runs(before, unchanged).f_i == 0.0  # ties are not reductions
+    assert compare_runs(before, unchanged) == 0.0  # ties are not reductions
 
 
 def test_compare_runs_eleven_of_seventeen():
     before = result_with_gaps([0.2] * 17)
     after_gaps = [0.1] * 11 + [0.25] * 6
     after = result_with_gaps(after_gaps)
-    comparison = compare_runs(before, after)
-    assert comparison.f_i == pytest.approx(11 / 17)
-    assert f"{comparison.f_i:.3f}" == "0.647"
+    f_i = compare_runs(before, after)
+    assert f_i == pytest.approx(11 / 17)
+    assert f"{f_i:.3f}" == "0.647"
 
 
 def test_compare_runs_occupation_mismatch():
     before = result_with_gaps([0.2, 0.3])
-    after = ExtrinsicResult([("other", 0.8, 0.7, 0.1)], 0.1, 0.8, 0.7, seed=0)
+    after = ExtrinsicResult([("other", 0.8, 0.7, 0.1)], 0.1, 0.8, 0.7)
     with pytest.raises(ValueError):
         compare_runs(before, after)
 
@@ -316,4 +316,4 @@ def test_gap_table_layout():
 
 def test_extrinsic_result_validates_diff():
     with pytest.raises(ValueError):
-        ExtrinsicResult([("a", 0.8, 0.6, 0.2)], diff=0.9, male_acc=0.8, female_acc=0.6, seed=0)
+        ExtrinsicResult([("a", 0.8, 0.6, 0.2)], diff=0.9, male_acc=0.8, female_acc=0.6)

@@ -132,3 +132,21 @@ def test_every_name_a_module_exports_is_defined_there(path):
     name = "debias_embed" if path.stem == "__init__" else f"debias_embed.{path.stem}"
     module = import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_every_exported_name_is_read_by_the_package_or_a_script():
+    # a public name only tests read is surface to keep up for no caller
+    read = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = import_module("debias_embed" if path.stem == "__init__"
+                               else f"debias_embed.{path.stem}")
+        unread += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
+                   if name not in read]
+    assert unread == []

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from debias_embed import intrinsic
 from debias_embed.embeddings import EmbeddingSpace
 from debias_embed.intrinsic import (
-    cross_score,
     cross_score_matrix,
     dis,
     format_cross_table,
@@ -17,7 +16,7 @@ from debias_embed.intrinsic import (
 )
 from debias_embed.lexicon import GenderLexicon, GenderPair, NeutralWords, SeedSets
 from helpers import two_language_lexicon, unit_rows
-from oracles import mean_cosine_distance
+from oracles import cross_score_cell, mean_cosine_distance
 
 
 def test_dis_of_self_is_zero():
@@ -157,16 +156,10 @@ def two_language_orthogonal_space():
     return EmbeddingSpace("aa+bb", tuple(words), mat, normalized=True), lex
 
 
-def test_cross_score_diagonal_is_one():
+def test_cross_score_is_one_on_the_diagonal_and_zero_for_orthogonal_directions():
     space, lex = two_language_orthogonal_space()
-    assert cross_score(space, lex, "aa", "aa") == pytest.approx(1.0, abs=1e-9)
-    assert cross_score(space, lex, "bb", "bb") == pytest.approx(1.0, abs=1e-9)
-
-
-def test_cross_score_zero_for_orthogonal_directions():
-    space, lex = two_language_orthogonal_space()
-    assert cross_score(space, lex, "aa", "bb") == pytest.approx(0.0, abs=1e-9)
-    assert cross_score(space, lex, "bb", "aa") == pytest.approx(0.0, abs=1e-9)
+    matrix = cross_score_matrix(space, lex, ["aa", "bb"])
+    np.testing.assert_allclose(matrix.values, np.eye(2), rtol=0.0, atol=1e-9)
 
 
 def test_cross_score_matrix_layout_and_table():
@@ -186,12 +179,15 @@ def test_cross_score_matrix_layout_and_table():
 @pytest.mark.parametrize("languages", [["aa"], ["aa", "bb"], ["bb", "aa"]])
 def test_cross_score_matrix_fits_each_language_once(monkeypatch, caplog, languages):
     space, lex = two_language_orthogonal_space()
-    # one defining word of aa and one neutral word of bb are out of vocabulary
+    # one defining word of aa and one neutral word of bb are out of vocabulary; a
+    # skew tilts both gender directions off their axes, so no off-diagonal cell is 0
     dropped = {"aa:aam5", "bb:bbn4"}
     rows = [i for i, w in enumerate(space.vocab) if w not in dropped]
+    skew = np.eye(space.dim) + 0.3 * np.random.default_rng(7).standard_normal((space.dim,) * 2)
+    skewed = space.matrix[rows] @ skew
+    skewed /= np.linalg.norm(skewed, axis=1, keepdims=True)
     space = EmbeddingSpace(
-        space.language_tag, tuple(space.vocab[i] for i in rows), space.matrix[rows],
-        normalized=True,
+        space.language_tag, tuple(space.vocab[i] for i in rows), skewed, normalized=True
     )
     fits = []
     real_pca_basis = intrinsic.pca_basis
@@ -211,17 +207,27 @@ def test_cross_score_matrix_fits_each_language_once(monkeypatch, caplog, languag
         "bb": "cross_score: 1 neutral bb word(s) are out of vocabulary",
     }
     assert set(messages) == {expected[lang] for lang in languages}
+    row = dict(zip(space.vocab, space.matrix))
+
+    def diffs(lang):
+        pairs = [(f"{lang}:{p.male_word}", f"{lang}:{p.female_word}")
+                 for p in lex.defining_pairs[lang]]
+        return [row[m] - row[f] for m, f in pairs if m in row and f in row]
+
     for i, l1 in enumerate(languages):
         for j, l2 in enumerate(languages):
-            assert matrix.values[i, j] == cross_score(space, lex, l1, l2)
+            neutral = [row[w] for w in (f"{l2}:{w}" for w in lex.neutral_words[l2].all_words())
+                       if w in row]
+            expected = cross_score_cell(diffs(l1), diffs(l2), neutral, 1e-8)
+            assert matrix.values[i, j] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 def test_cross_score_epsilon_guard_error():
     space, lex = two_language_orthogonal_space()
     with pytest.raises(ValueError, match="guard"):
-        cross_score(space, lex, "aa", "bb", epsilon=10.0)
-    with pytest.raises(ValueError):
-        cross_score(space, lex, "aa", "bb", epsilon=0.0)
+        cross_score_matrix(space, lex, ["aa", "bb"], epsilon=10.0)
+    with pytest.raises(ValueError, match="positive"):
+        cross_score_matrix(space, lex, ["aa", "bb"], epsilon=0.0)
 
 
 def test_inbias_table_formats_missing_values():

@@ -164,3 +164,17 @@ def test_load_lexicon_rejects_non_object(tmp_path):
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(ValueError):
         load_lexicon(str(path))
+
+
+@pytest.mark.parametrize("pair", [[1, "she"], ["he", ["x"]], ["he", None], ["", "she"]])
+def test_load_lexicon_rejects_a_pair_word_that_is_not_a_string(tmp_path, pair):
+    data = {"languages": {"en": {
+        "pairs": [pair],
+        "neutral": {"professions": ["doctor"], "adjectives": [], "transliterations": []},
+        "seeds": {"male": ["he"], "female": ["she"]},
+        "occupation_pairs": [],
+    }}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"language 'en': pair: entries must be non-empty strings"):
+        load_lexicon(str(path))
