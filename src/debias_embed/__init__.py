@@ -5,10 +5,12 @@ files, gendered lexicons, orthogonal cross-lingual alignment, gender
 subspace estimation (PCA or kurtosis-based projection pursuit), linear
 projection debiasing, and intrinsic/extrinsic bias metrics.
 
-Submodules are imported lazily so that the command-line entry point can
-cap BLAS thread pools before numpy loads. ``DEBIAS_EMBED_THREADS`` (see
-:func:`thread_cap`) caps those pools and the processes that parse and
-format ``.vec`` text.
+Every name in a library module's ``__all__`` (each module but ``cli``)
+is also importable from the package itself. Those modules are imported
+lazily, only when a name is first looked up, so that the command-line
+entry point can cap BLAS thread pools before numpy loads.
+``DEBIAS_EMBED_THREADS`` (see :func:`thread_cap`) caps those pools and the
+processes that parse and format ``.vec`` text.
 """
 
 import os
@@ -16,67 +18,10 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    # embeddings
-    "EmbeddingSpace": "embeddings",
-    "SpaceStream": "embeddings",
-    "load_vec": "embeddings",
-    "save_vec": "embeddings",
-    "normalize": "embeddings",
-    "space_fingerprint": "embeddings",
-    # lexicon
-    "GenderPair": "lexicon",
-    "NeutralWords": "lexicon",
-    "SeedSets": "lexicon",
-    "GenderLexicon": "lexicon",
-    "PairSplit": "lexicon",
-    "load_lexicon": "lexicon",
-    "builtin_lexicon": "lexicon",
-    "split_pairs": "lexicon",
-    "entry_forms": "lexicon",
-    # align
-    "BilingualDictionary": "align",
-    "OrthogonalMap": "align",
-    "load_dictionary": "align",
-    "procrustes_fit": "align",
-    "apply_map": "align",
-    "merge_spaces": "align",
-    # subspace
-    "DifferenceMatrix": "subspace",
-    "BiasSubspace": "subspace",
-    "difference_matrix": "subspace",
-    "pca_basis": "subspace",
-    "ppa_basis": "subspace",
-    "language_orientation": "subspace",
-    "select_equal_rep": "subspace",
-    "equal_rep_basis": "subspace",
-    "save_subspace": "subspace",
-    # debias
-    "DebiasConfig": "debias",
-    "debias_space": "debias",
-    "run_variant": "debias",
-    "variant_words": "debias",
-    # intrinsic metrics
-    "dis": "intrinsic",
-    "inbias": "intrinsic",
-    "InBiasResult": "intrinsic",
-    "cross_score_matrix": "intrinsic",
-    "CrossScoreMatrix": "intrinsic",
-    # extrinsic harness
-    "BioRecord": "extrinsic",
-    "TrainConfig": "extrinsic",
-    "ExtrinsicResult": "extrinsic",
-    "load_corpus": "extrinsic",
-    "split_corpus": "extrinsic",
-    "train_classifier": "extrinsic",
-    "evaluate_gap": "extrinsic",
-    "compare_runs": "extrinsic",
-    # manifest
-    "RunManifest": "manifest",
-    "file_fingerprint": "manifest",
-}
-
-__all__ = sorted(_EXPORTS) + ["__version__"]
+#: the library modules, in the order a package-level name is looked up in
+#: their ``__all__``; manifest, the one without numpy, comes first
+_MODULES = ("manifest", "embeddings", "lexicon", "align", "subspace", "debias", "intrinsic",
+            "extrinsic")
 
 
 def thread_cap() -> int | None:
@@ -94,8 +39,12 @@ def thread_cap() -> int | None:
 
 
 def __getattr__(name):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(import_module(f".{module}", __name__), name)
+    modules = (import_module(f".{module}", __name__) for module in _MODULES)
+    if name == "__all__":
+        return sorted(n for module in modules for n in module.__all__) + ["__version__"]
+    # a submodule's name is left to the import system, which imports only it
+    if not name.startswith("__") and name not in _MODULES + ("cli",):
+        for module in modules:
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

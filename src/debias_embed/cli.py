@@ -21,6 +21,7 @@ import os
 import sys
 
 from . import thread_cap
+from .manifest import RunManifest, capture_warnings, write_json
 
 __all__ = ["main", "build_parser"]
 
@@ -199,10 +200,8 @@ def _space_tag(languages: list[str]) -> str:
 
 
 # Each subcommand handler does its work and returns what ``main`` records in
-# the run manifest besides the outputs of ``_output_paths``: (config, seeds,
-# inputs), or None when the run wrote no file. The inputs are the files the
-# run read, which for ``report`` depends on the mode, not on every path the
-# command line gave.
+# the run manifest besides the files of ``_input_paths`` and ``_output_paths``:
+# (config, seeds), or None when the run wrote no file.
 
 
 def cmd_align(args):
@@ -234,7 +233,7 @@ def cmd_align(args):
         "renormalize": True,  # always; the key keeps align manifests' shape
         "fit_pairs": mapping.fit_pair_count,
     }
-    return config, {}, [args.src, args.tgt, args.dictionary]
+    return config, {}
 
 
 def cmd_debias(args):
@@ -282,8 +281,7 @@ def cmd_debias(args):
         "train_count": args.train_count,
         "precision": args.precision,
     }
-    inputs = [args.emb] + ([args.lexicon] if args.lexicon != "builtin" else [])
-    return config, {"seed": args.seed}, inputs
+    return config, {"seed": args.seed}
 
 
 def _held_space(path, tag, words):
@@ -360,7 +358,7 @@ def _report_inbias(args, languages, lexicon):
             for label in columns
         },
     }
-    return table, payload, [path for _, path in runs]
+    return table, payload
 
 
 def _report_xscore(args, languages, lexicon):
@@ -378,7 +376,7 @@ def _report_xscore(args, languages, lexicon):
             for i, l1 in enumerate(languages)
         },
     }
-    return table, payload, [args.emb]
+    return table, payload
 
 
 def _report_exbias(args, languages, lexicon):
@@ -407,12 +405,10 @@ def _report_exbias(args, languages, lexicon):
 
     corpus = read_corpus(args.corpus)
     before = run(args.emb, corpus)
-    inputs = [args.emb, args.corpus]
     rows = [("orig", before, None)]
     if args.emb_after:
         after = run(args.emb_after, read_corpus(args.corpus_after) if args.corpus_after else corpus)
         rows.append(("debiased", after, extrinsic.compare_runs(before, after)))
-        inputs += [p for p in (args.emb_after, args.corpus_after) if p]
     table = extrinsic.format_gap_table(rows)
     payload = {
         "metric": "extrinsic_gap",
@@ -432,7 +428,7 @@ def _report_exbias(args, languages, lexicon):
             for label, result, f_i in rows
         },
     }
-    return table, payload, inputs
+    return table, payload
 
 
 #: the options only one report mode reads, with their defaults
@@ -465,15 +461,13 @@ def cmd_report(args):
         if getattr(args, dest) is None:
             setattr(args, dest, default)
     report = {"inbias": _report_inbias, "xscore": _report_xscore, "exbias": _report_exbias}[mode]
-    table, payload, inputs = report(args, languages, _load_lexicon(args.lexicon))
+    table, payload = report(args, languages, _load_lexicon(args.lexicon))
 
     print(table, end="")
     if not args.json_out:
         return None
     payload["manifest"] = os.path.basename(_output_paths(args)["manifest"])  # sibling file
-    with open(args.json_out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(args.json_out, payload)
     config = {
         "subcommand": "report",
         "mode": mode,
@@ -481,9 +475,7 @@ def cmd_report(args):
         "seeds_source": args.seeds,
         "epsilon": args.epsilon,
     }
-    if args.lexicon != "builtin":
-        inputs.append(args.lexicon)
-    return config, {"seed": args.seed}, inputs
+    return config, {"seed": args.seed}
 
 
 #: the output options of each subcommand, by destination; the run manifest is
@@ -492,8 +484,7 @@ OUTPUT_OPTIONS = {"align": {"out": "--out", "merged_out": "--merged-out"},
                   "debias": {"out": "--out", "subspace_out": "--subspace-out"},
                   "report": {"json_out": "--json"}}
 
-#: the input options of each subcommand, by destination; ``--lexicon builtin``
-#: names no file
+#: the input options of each subcommand, by destination
 INPUT_OPTIONS = {"align": {"src": "--src", "tgt": "--tgt", "dictionary": "--dict"},
                  "debias": {"emb": "--emb", "lexicon": "--lexicon"},
                  "report": {"emb": "--emb", "emb_after": "--emb-after", "lexicon": "--lexicon",
@@ -516,16 +507,27 @@ def _output_paths(args) -> dict[str, str]:
     return {flag: path for flag, path in paths.items() if path}
 
 
+def _input_paths(args) -> dict[str, str]:
+    """Every file a run reads, keyed by its option: ``--config`` and each
+    input option given, but not ``--lexicon builtin``, which names no file.
+
+    A report mode that does not read an input option refuses it before the
+    run, so each path here is one the run read.
+    """
+    paths = {flag: getattr(args, dest)
+             for dest, flag in {"config": "--config", **INPUT_OPTIONS[args.subcommand]}.items()}
+    return {flag: path for flag, path in paths.items()
+            if path and not (flag == "--lexicon" and path == "builtin")}
+
+
 def _refuse_irregular_outputs(args) -> None:
     """Refuse any output, given or derived, that exists and is not a regular
     file, such as ``/dev/null``, or that is the file of another output or of
     an input, ``--config`` included, before any input is read, so that the
     run writes nothing and reads no file it has written."""
     flags = {}  # the first option of each file
-    for dest, flag in {"config": "--config", **INPUT_OPTIONS[args.subcommand]}.items():
-        path = getattr(args, dest)
-        if path and not (flag == "--lexicon" and path == "builtin"):
-            flags.setdefault(os.path.realpath(path), flag)
+    for flag, path in _input_paths(args).items():
+        flags.setdefault(os.path.realpath(path), flag)
     for flag, path in _output_paths(args).items():
         if os.path.exists(path) and not os.path.isfile(path):
             raise ValueError(f"{flag} {path}: exists and is not a regular file")
@@ -556,16 +558,14 @@ def main(argv=None) -> int:
         if args.config != config_path:  # abbreviated, so not read above
             raise ValueError("--config must be spelled out in full")
         _refuse_irregular_outputs(args)
-        from .manifest import RunManifest, capture_warnings
-
         with capture_warnings() as warnings:
             run = args.func(args)
         if run is not None:
-            config, seeds, inputs = run
+            config, seeds = run
             outputs = _output_paths(args)
             manifest_path = outputs.pop("manifest")
             manifest = RunManifest(["debias-embed"] + argv, config, seeds, {}, warnings=warnings)
-            for path in ([config_path] if config_path else []) + inputs:
+            for path in _input_paths(args).values():
                 manifest.add_input(path)
             for path in outputs.values():
                 manifest.add_output(path)

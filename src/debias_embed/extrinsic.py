@@ -23,6 +23,7 @@ with gender ``M`` or ``F``.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from collections import Counter, defaultdict
 
@@ -140,8 +141,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
 

@@ -15,6 +15,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +141,6 @@ def inbias(
 
 def _language_terms(space, lexicon, lang, epsilon):
     """``lang``'s top direction, its neutral vectors that pass the guard, their projections."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
     if lang not in lexicon.defining_pairs:
         raise ValueError(f"unknown language {lang!r} in lexicon")
     direction = pca_basis(difference_matrix(space, lexicon.defining_pairs[lang]), k=1).basis[0]
@@ -204,6 +203,8 @@ def cross_score_matrix(
     word is skipped that is an error. Each language's top direction is
     fitted, and its neutral words are resolved, once.
     """
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     languages = tuple(languages)
     if not languages:
         raise ValueError("at least one language is required")

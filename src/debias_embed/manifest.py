@@ -17,7 +17,7 @@ import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["RunManifest", "file_fingerprint", "capture_warnings"]
+__all__ = ["RunManifest", "file_fingerprint", "write_json", "capture_warnings"]
 
 
 def file_fingerprint(path) -> str:
@@ -27,6 +27,13 @@ def file_fingerprint(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as JSON: one-space indent, sorted keys, LF line ends, final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass
@@ -52,7 +59,7 @@ class RunManifest:
 
             self.tool_version = __version__
         self.created_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        payload = {
+        write_json(path, {
             "command": list(self.command),
             "config": self.config,
             "seeds": self.seeds,
@@ -61,10 +68,7 @@ class RunManifest:
             "warnings": list(self.warnings),
             "tool_version": self.tool_version,
             "created_at": self.created_at,
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        })
 
 
 class _Collector(logging.Handler):

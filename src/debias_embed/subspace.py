@@ -21,13 +21,13 @@ positive) and every produced basis is orthonormal.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .embeddings import EmbeddingSpace
+from .manifest import write_json
 
 log = logging.getLogger(__name__)
 
@@ -435,7 +435,7 @@ def pairs_fingerprint(pairs) -> str:
 def save_subspace(subspace: BiasSubspace, path) -> None:
     """Serialize a subspace to JSON (basis at full float precision)."""
     prov = dict(subspace.provenance or {})
-    payload = {
+    write_json(path, {
         "method": subspace.method,
         "k": subspace.k,
         "seed": prov.pop("seed", None),
@@ -447,8 +447,5 @@ def save_subspace(subspace: BiasSubspace, path) -> None:
         "embedding_fingerprint": prov.pop("embedding_fingerprint", None),
         "pairs_fingerprint": prov.pop("pairs_fingerprint", None),
         "provenance": prov or None,
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
 

@@ -255,6 +255,25 @@ def test_report_refuses_an_option_its_mode_does_not_read(tmp_path, en_vec, capsy
     assert not report.exists()
 
 
+@pytest.mark.parametrize("mode, option", [("--exbias", "--learning-rate"),
+                                          ("--xscore", "--epsilon")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_report_refuses_a_non_finite_rate_or_guard(tmp_path, en_vec, mode, option, value):
+    # in a child process, so that every log line and numpy warning reaches its stderr
+    report = tmp_path / "r.json"
+    argv = ["report", mode, "--emb", en_vec, "--languages", "en", option, value,
+            "--json", str(report)]
+    if mode == "--exbias":
+        argv += ["--corpus", str(write_bios(tmp_path)), "--min-count", "10"]
+    proc = subprocess.run([sys.executable, "-m", "debias_embed.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    name = option[2:].replace("-", "_")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"debias-embed: {name} must be positive and finite, got {value}"]
+    assert not report.exists()
+
+
 DEBIAS = ["debias", "--emb", "missing.vec", "--languages", "en", "--out"]
 ALIGN = ["align", "--src", "missing.vec", "--src-lang", "hi", "--tgt", "missing.vec",
          "--tgt-lang", "en", "--dict", "missing.tsv", "--out"]

@@ -129,6 +129,12 @@ def test_training_needs_two_classes():
         train_classifier(space, records, TrainConfig(epochs=5, seed=0))
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_train_config_rejects_a_rate_that_is_not_positive_and_finite(rate):
+    with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+        TrainConfig(learning_rate=rate)
+
+
 def test_training_deterministic_and_freezes_embeddings():
     space, sub = small_setup()
     records = bios(space.vocab, space.matrix, sub.basis, n_occupations=2, n_records=100,

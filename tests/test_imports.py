@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -116,15 +117,38 @@ def test_planted_worlds_import_numpy_and_the_standard_library_only():
     assert {m.partition(".")[0] for m in modules} - set(sys.stdlib_module_names) == {"numpy"}
 
 
-def test_every_package_export_is_public_in_its_module():
+def test_the_package_exports_each_public_name_of_its_library_modules():
     import debias_embed
 
-    for name in debias_embed.__all__:
-        if name == "__version__":
-            continue
-        module = import_module(f"debias_embed.{debias_embed._EXPORTS[name]}")
-        assert name in module.__all__, f"{name} is exported but not in {module.__name__}.__all__"
-        assert getattr(debias_embed, name) is getattr(module, name)
+    owners = {}
+    for module in debias_embed._MODULES:
+        module = import_module(f"debias_embed.{module}")
+        for name in module.__all__:
+            assert name not in owners, f"{owners.get(name)} and {module.__name__} export {name}"
+            owners[name] = module.__name__
+            assert getattr(debias_embed, name) is getattr(module, name)
+    assert debias_embed.__all__ == sorted(owners) + ["__version__"]
+
+
+def test_the_library_modules_are_every_module_but_the_command_line():
+    import debias_embed
+
+    assert sorted(debias_embed._MODULES) == sorted(
+        path.stem for path in PACKAGE.glob("*.py") if path.stem not in ("__init__", "cli"))
+
+
+def test_importing_the_package_and_its_command_line_loads_no_numpy():
+    # DEBIAS_EMBED_THREADS caps BLAS only if numpy is not loaded before the cap
+    code = ("import sys, debias_embed, debias_embed.cli\n"
+            "print('numpy' in sys.modules)\n"
+            "from debias_embed import lexicon\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('debias_embed.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    # a submodule imported by name loads only itself and what it imports
+    assert proc.stdout.splitlines() == [
+        "False",
+        "debias_embed.cli debias_embed.embeddings debias_embed.lexicon debias_embed.manifest"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

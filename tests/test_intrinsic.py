@@ -226,8 +226,9 @@ def test_cross_score_epsilon_guard_error():
     space, lex = two_language_orthogonal_space()
     with pytest.raises(ValueError, match="guard"):
         cross_score_matrix(space, lex, ["aa", "bb"], epsilon=10.0)
-    with pytest.raises(ValueError, match="positive"):
-        cross_score_matrix(space, lex, ["aa", "bb"], epsilon=0.0)
+    for epsilon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            cross_score_matrix(space, lex, ["aa", "bb"], epsilon=epsilon)
 
 
 def test_inbias_table_formats_missing_values():
