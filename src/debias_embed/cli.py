@@ -42,15 +42,19 @@ def _apply_thread_cap() -> None:
             os.environ[var] = str(threads)
 
 
-def _precision(text: str) -> int:
-    """The ``--precision`` value: significant digits, at least 1."""
-    try:
-        digits = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if digits < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {digits}")
-    return digits
+def _at_least(minimum: int):
+    """The argparse type of an integer flag whose value is at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bilingual dictionary (source<TAB>target per line)")
     p_align.add_argument("--out", required=True, help="aligned source .vec output")
     p_align.add_argument("--merged-out", help="also write the merged two-language space here")
-    p_align.add_argument("--precision", type=_precision, default=9,
+    p_align.add_argument("--precision", type=_at_least(1), default=9,
                          help="significant digits in .vec output (default 9)")
     p_align.set_defaults(func=cmd_align)
 
@@ -97,18 +101,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_deb.add_argument("--k", type=int, default=4, help="subspace dimension (default 4)")
     p_deb.add_argument("--scope", choices=("all", "neutral"), default="all",
                        help="debias every word or only the lexicon's neutral words")
-    p_deb.add_argument("--center", action="store_true",
-                       help="center difference vectors before PCA (PCA only; "
-                            "rejected with --method ppa)")
     p_deb.add_argument("--renormalize", action="store_true",
                        help="rescale residuals to unit norm")
-    p_deb.add_argument("--seed", type=int, default=0,
+    p_deb.add_argument("--seed", type=_at_least(0), default=0,
                        help="seed for the pair split and projection pursuit (default 0)")
     p_deb.add_argument("--train-count", type=int, default=10,
                        help="defining pairs per language used for the subspace (default 10)")
     p_deb.add_argument("--out", required=True, help="debiased .vec output")
     p_deb.add_argument("--subspace-out", help="subspace JSON output (default <out>.subspace.json)")
-    p_deb.add_argument("--precision", type=_precision, default=9,
+    p_deb.add_argument("--precision", type=_at_least(1), default=9,
                        help="significant digits in .vec output (default 9)")
     p_deb.set_defaults(func=cmd_debias)
 
@@ -122,8 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--languages", required=True, help="comma-separated language tags")
     p_rep.add_argument("--lexicon", default="builtin")
     p_rep.add_argument("--json", dest="json_out", help="write the report as JSON here")
-    p_rep.add_argument("--seed", type=int, default=0)
-    # the options of one mode; their defaults, in MODE_OPTIONS, are filled in by cmd_report
+    # the options of some modes; their defaults, in MODE_OPTIONS, are filled in by cmd_report
+    p_rep.add_argument("--seed", type=_at_least(0),
+                       help="inbias --seeds test: pair split; exbias: corpus split and "
+                            "classifier (default 0)")
     p_rep.add_argument("--seeds", choices=("test", "lexicon"),
                        help="inbias: score against held-out pair sides (default) or static seeds")
     p_rep.add_argument("--train-count", type=int,
@@ -230,7 +233,6 @@ def cmd_align(args):
         "src_lang": args.src_lang,
         "tgt_lang": args.tgt_lang,
         "precision": args.precision,
-        "renormalize": True,  # always; the key keeps align manifests' shape
         "fit_pairs": mapping.fit_pair_count,
     }
     return config, {}
@@ -262,9 +264,7 @@ def cmd_debias(args):
     space = emb.normalize(emb.load_vec(
         args.emb, tag, hold=debmod.variant_words(lexicon, debias_config, splits)
     ))
-    debiased, used = debmod.run_variant(
-        space, lexicon, debias_config, splits, center=args.center, seed=args.seed
-    )
+    debiased, used = debmod.run_variant(space, lexicon, debias_config, splits, seed=args.seed)
     emb.save_vec(debiased, args.out, args.precision)
     submod.save_subspace(used, _output_paths(args)["--subspace-out"])
     print(f"debiased {len(space)} word(s) ({args.variant}/{args.method}, k={args.k})"
@@ -275,7 +275,6 @@ def cmd_debias(args):
         "method": args.method,
         "k": args.k,
         "scope": args.scope,
-        "center": args.center,
         "renormalize": args.renormalize,
         "languages": languages,
         "train_count": args.train_count,
@@ -431,18 +430,19 @@ def _report_exbias(args, languages, lexicon):
     return table, payload
 
 
-#: the options only one report mode reads, with their defaults
+#: the options only some report modes read, with their defaults
 MODE_OPTIONS = {
-    "inbias": {"seeds": "test", "train_count": 10},
+    "inbias": {"seeds": "test", "train_count": 10, "seed": 0},
     "xscore": {"epsilon": 1e-8},
     "exbias": {"corpus": None, "corpus_after": None, "corpus_lang": None, "min_count": 100,
-               "test_fraction": 0.2, "learning_rate": 1.0, "epochs": 300},
+               "test_fraction": 0.2, "learning_rate": 1.0, "epochs": 300, "seed": 0},
 }
 
 #: what each report mode does not read; giving one, as a flag or in --config, is refused
 UNREAD_FLAGS = {
     mode: ("emb_after",) * (mode == "xscore")
-    + tuple(dest for other in MODE_OPTIONS if other != mode for dest in MODE_OPTIONS[other])
+    + tuple(dict.fromkeys(dest for other in MODE_OPTIONS for dest in MODE_OPTIONS[other]
+                          if dest not in MODE_OPTIONS[mode]))
     for mode in MODE_OPTIONS
 }
 
@@ -455,9 +455,14 @@ def cmd_report(args):
             raise ValueError(f"--{dest.replace('_', '-')} is not read by --{mode}")
     if mode == "exbias" and args.corpus_after is not None and not args.emb_after:
         raise ValueError("--corpus-after is not read by --exbias without --emb-after")
-    if mode == "inbias" and args.train_count is not None and args.seeds == "lexicon":
-        raise ValueError("--train-count is not read by --inbias --seeds lexicon")
-    for dest, default in MODE_OPTIONS[mode].items():
+    read = dict(MODE_OPTIONS[mode])
+    if mode == "inbias" and args.seeds == "lexicon":  # static seeds: no pair split is drawn
+        for dest in ("train_count", "seed"):
+            del read[dest]
+            if getattr(args, dest) is not None:
+                raise ValueError(
+                    f"--{dest.replace('_', '-')} is not read by --inbias --seeds lexicon")
+    for dest, default in read.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
     report = {"inbias": _report_inbias, "xscore": _report_xscore, "exbias": _report_exbias}[mode]
@@ -468,14 +473,10 @@ def cmd_report(args):
         return None
     payload["manifest"] = os.path.basename(_output_paths(args)["manifest"])  # sibling file
     write_json(args.json_out, payload)
-    config = {
-        "subcommand": "report",
-        "mode": mode,
-        "languages": languages,
-        "seeds_source": args.seeds,
-        "epsilon": args.epsilon,
-    }
-    return config, {"seed": args.seed}
+    config = {"subcommand": "report", "mode": mode, "languages": languages}
+    config.update((dest, getattr(args, dest)) for dest in read
+                  if dest not in ("corpus", "corpus_after", "seed"))  # in inputs and seeds
+    return config, {"seed": args.seed} if "seed" in read else {}
 
 
 #: the output options of each subcommand, by destination; the run manifest is

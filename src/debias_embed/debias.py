@@ -20,7 +20,6 @@ import numpy as np
 from .embeddings import EmbeddingSpace, SpaceStream, row_blocks, row_norms, space_fingerprint
 from .lexicon import GenderLexicon, PairSplit, entry_forms
 from .subspace import (
-    PPA_CENTER,
     BiasSubspace,
     difference_matrix,
     equal_rep_basis,
@@ -212,16 +211,14 @@ def run_variant(
     config: DebiasConfig,
     splits: dict[str, PairSplit],
     *,
-    center: bool = False,
     seed: int = 0,
 ) -> tuple[EmbeddingSpace | SpaceStream, BiasSubspace]:
     """Build the variant's subspace from train pairs and debias the space.
 
     ``splits`` maps each participating language to its train/test pair
     split; ``mono`` expects exactly one language, ``multi``/``eqr`` pool
-    every language given (in mapping order). ``center`` (PCA only) centers
-    the difference vectors first. Returns the debiased space together with
-    the subspace used, its provenance attached.
+    every language given (in mapping order). Returns the debiased space
+    together with the subspace used, its provenance attached.
 
     The subspace and the scope are fitted from the rows :func:`variant_words`
     names, in vocabulary order, and the provenance's ``embedding_fingerprint``
@@ -237,8 +234,6 @@ def run_variant(
         raise ValueError("a streamed space needs held rows to fit the subspace from")
     if not splits:
         raise ValueError("at least one language split is required")
-    if center and config.method == "ppa":
-        raise ValueError(PPA_CENTER)
     languages = list(splits)
     if config.variant == "mono" and len(languages) != 1:
         raise ValueError(
@@ -254,11 +249,9 @@ def run_variant(
     diffs = difference_matrix(fitted, train_pairs)
 
     if config.variant == "eqr":
-        subspace = equal_rep_basis(
-            diffs, config.k, languages, config.method, center=center, seed=seed
-        )
+        subspace = equal_rep_basis(diffs, config.k, languages, config.method, seed=seed)
     elif config.method == "pca":
-        subspace = pca_basis(diffs, config.k, center=center)
+        subspace = pca_basis(diffs, config.k)
     else:
         subspace = ppa_basis(diffs, config.k, seed=seed)
 
@@ -284,7 +277,6 @@ def run_variant(
         "k": config.k,
         "scope": config.scope,
         "seed": seed,
-        "center": center,
         "languages": languages,
         "train_pair_counts": {lang: len(splits[lang].train_pairs) for lang in languages},
         "pairs_fingerprint": pairs_fingerprint(train_pairs),

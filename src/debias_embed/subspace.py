@@ -2,8 +2,10 @@
 
 Two estimators are provided over the stacked difference matrix:
 
-* :func:`pca_basis` takes the top-k right singular vectors (optionally
-  after centering); scores are explained-variance fractions.
+* :func:`pca_basis` takes the top-k right singular vectors of the rows
+  as they are, as hard debiasing does: their mean is not subtracted,
+  since the offset the pairs share is the gender direction itself;
+  scores are explained-variance fractions.
 * :func:`ppa_basis` is projection pursuit: it finds unit directions that
   maximize the excess kurtosis of the projected differences, one at a
   time, each constrained to the orthogonal complement of the previous
@@ -49,8 +51,6 @@ RANK_RTOL = 1e-10  # singular values below RANK_RTOL * s_max do not count toward
 PPA_STARTS = 32
 PPA_MAX_ITER = 1000
 PPA_GRAD_TOL = 1e-9
-#: why ``center`` is refused with method ``ppa``
-PPA_CENTER = "center applies to method 'pca' only: the PPA objective centers its projections"
 
 
 @dataclass(frozen=True)
@@ -185,24 +185,22 @@ def _check_k(k: int, rank: int) -> None:
         )
 
 
-def _pca_rows(diffs: DifferenceMatrix, center: bool) -> np.ndarray:
-    return diffs.rows - diffs.rows.mean(axis=0) if center else diffs.rows
-
-
 def _pca(s: np.ndarray, vt: np.ndarray, rank: int, k: int) -> BiasSubspace:
     _check_k(k, rank)
     scores = (s**2 / np.sum(s**2))[:k]
     return BiasSubspace(basis=_canonical_signs(vt[:k]), method="pca", scores=scores)
 
 
-def pca_basis(diffs: DifferenceMatrix, k: int, center: bool = False) -> BiasSubspace:
+def pca_basis(diffs: DifferenceMatrix, k: int) -> BiasSubspace:
     """Top-k principal directions of the difference matrix.
 
-    Scores are explained-variance fractions (squared singular values over
-    their total), so they are non-increasing. ``k`` above the numerical
-    rank raises ValueError naming the achievable k.
+    The rows are factored as they are: subtracting their mean would remove
+    the offset they share, which is the direction sought. Scores are
+    explained-variance fractions (squared singular values over their
+    total), so they are non-increasing. ``k`` above the numerical rank
+    raises ValueError naming the achievable k.
     """
-    return _pca(*_factor(_pca_rows(diffs, center)), k)
+    return _pca(*_factor(diffs.rows), k)
 
 
 def _kurtosis_and_grad(coords_c: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,28 +396,23 @@ def select_equal_rep(pool: BiasSubspace, k: int, languages) -> BiasSubspace:
 
 
 def equal_rep_basis(
-    diffs: DifferenceMatrix, k: int, languages, method: str = "pca", *,
-    center: bool = False, seed: int = 0,
+    diffs: DifferenceMatrix, k: int, languages, method: str = "pca", *, seed: int = 0
 ) -> BiasSubspace:
     """The eqr subspace: a candidate pool, language-labeled, then k/L per language.
 
     For PCA the pool is every direction up to the numerical rank of the
-    matrix PCA factors (centered when ``center``); for PPA it is
-    min(rank, max(3k, 16)) directions. The rank comes from the SVD that
-    fits the pool. ``center`` is refused with PPA.
+    difference matrix; for PPA it is min(rank, max(3k, 16)) directions.
+    The rank comes from the one SVD that fits the pool.
     """
     languages = tuple(languages)
     _per_language(k, languages)  # fail before fitting the pool
-    if method == "pca":
-        s, vt, rank = _factor(_pca_rows(diffs, center))
-        pool = _pca(s, vt, rank, rank)
-    elif method == "ppa":
-        if center:
-            raise ValueError(PPA_CENTER)
-        _, vt, rank = _factor(diffs.rows)
-        pool = _ppa(diffs, vt, rank, min(rank, max(3 * k, 16)), seed)
-    else:
+    if method not in ("pca", "ppa"):
         raise ValueError(f"unknown subspace method {method!r}")
+    s, vt, rank = _factor(diffs.rows)
+    if method == "pca":
+        pool = _pca(s, vt, rank, rank)
+    else:
+        pool = _ppa(diffs, vt, rank, min(rank, max(3 * k, 16)), seed)
     pool = language_orientation(pool, diffs, language_order=languages)
     return select_equal_rep(pool, k, languages)
 

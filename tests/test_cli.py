@@ -213,6 +213,27 @@ def test_manifest_records_exactly_what_the_run_read_and_wrote(tmp_path, en_vec, 
                 in manifest["warnings"])
 
 
+@pytest.mark.parametrize("mode, config, seeds", [
+    ("--inbias", {"seeds": "test", "train_count": 10}, {"seed": 0}),
+    ("--inbias --seeds lexicon", {"seeds": "lexicon"}, {}),
+    ("--xscore", {"epsilon": 1e-8}, {}),
+    ("--exbias", {"corpus_lang": None, "min_count": 10, "test_fraction": 0.2,
+                  "learning_rate": 1.0, "epochs": 20}, {"seed": 0}),
+], ids=["inbias", "inbias-seeds-lexicon", "xscore", "exbias"])
+def test_report_manifest_records_exactly_the_options_its_mode_reads(tmp_path, en_vec, mode,
+                                                                    config, seeds):
+    # the corpus paths are among the manifest's inputs, so not in its config
+    report = tmp_path / "r.json"
+    argv = ["report", *mode.split(), "--emb", en_vec, "--languages", "en", "--json", report]
+    if mode == "--exbias":
+        argv += ["--corpus", write_bios(tmp_path), "--min-count", "10", "--epochs", "20"]
+    assert run(argv) == 0
+    manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    assert manifest["config"] == {"subcommand": "report", "mode": mode.split()[0][2:],
+                                  "languages": ["en"], **config}
+    assert manifest["seeds"] == seeds
+
+
 @pytest.mark.parametrize("mode, flag", [
     ("--xscore", "--emb-after"),
     ("--xscore", "--corpus"),
@@ -235,8 +256,11 @@ def test_report_refuses_a_file_flag_its_mode_does_not_read(tmp_path, en_vec, cap
     ("--inbias", ["--epsilon", "0.5"]),
     ("--xscore", ["--seeds", "lexicon"]),
     ("--exbias", ["--train-count", "3"]),
+    ("--xscore", ["--seed", "3"]),
     ("--inbias --seeds lexicon", ["--train-count", "3"]),  # read only for --seeds test
-], ids=["inbias-epsilon", "xscore-seeds", "exbias-train-count", "inbias-seeds-lexicon-train-count"])
+    ("--inbias --seeds lexicon", ["--seed", "7"]),
+], ids=["inbias-epsilon", "xscore-seeds", "exbias-train-count", "xscore-seed",
+        "inbias-seeds-lexicon-train-count", "inbias-seeds-lexicon-seed"])
 @pytest.mark.parametrize("given_in", ["argv", "config"])
 def test_report_refuses_an_option_its_mode_does_not_read(tmp_path, en_vec, capsys, mode, option,
                                                         given_in):
@@ -451,6 +475,9 @@ def test_usage_error_exits_one(tmp_path, capsys):
     assert run(["align", "--src", "a.vec", "--src-lang", "hi", "--tgt", "b.vec",
                 "--tgt-lang", "en", "--dict", "d.tsv", "--out", "o.vec",
                 "--no-renormalize"]) == 1
+    # debias fits PCA to the differences as they are; the flag that centered them is gone
+    assert run(["debias", "--emb", "e.vec", "--languages", "en", "--out", "o.vec",
+                "--center"]) == 1
     err = capsys.readouterr().err
     assert "error" in err
 
@@ -468,14 +495,6 @@ def test_validation_error_exits_one(tmp_path, en_vec, capsys):
                 "--out", out]) == 1
     assert run(["debias", "--emb", en_vec, "--languages", "en,hi", "--variant", "mono",
                 "--out", out]) == 1
-
-
-def test_center_with_ppa_exits_one(tmp_path, en_vec, capsys):
-    out = tmp_path / "o.vec"
-    assert run(["debias", "--emb", en_vec, "--languages", "en", "--method", "ppa",
-                "--center", "--out", out]) == 1
-    assert "pca" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, en_vec):
@@ -498,14 +517,19 @@ def test_config_file_defaults_and_flag_override(tmp_path, en_vec):
     (DEBIAS, {"precision": 0}, "argument --precision: must be at least 1, got 0"),
     (DEBIAS, {"k": 2.5}, "argument --k: invalid int value: '2.5'"),
     (DEBIAS, {"seed": 1.5}, "argument --seed: invalid int value: '1.5'"),
-    (DEBIAS, {"center": "no"}, "config key 'center' takes true or false, got \"no\""),
+    (DEBIAS, {"seed": -1}, "argument --seed: must be at least 0, got -1"),
+    (REPORT[:1] + ["--exbias", "--corpus", "missing.tsv"] + REPORT[2:], {"seed": -1},
+     "argument --seed: must be at least 0, got -1"),
+    (DEBIAS, {"renormalize": "no"}, "config key 'renormalize' takes true or false, got \"no\""),
+    (DEBIAS, {"center": True}, "unknown config key(s) center for 'debias'"),
     (DEBIAS, {"k": None}, "config key 'k' takes a string or a number, got null"),
     (REPORT[:1] + ["--exbias", "--corpus", "missing.tsv"] + REPORT[2:], {"epochs": 1.5},
      "argument --epochs: invalid int value: '1.5'"),
     (REPORT[:1] + ["--inbias"] + REPORT[2:], {"seeds": "bogus"},
      "argument --seeds: invalid choice: 'bogus'"),
     (REPORT, {"inbias": True}, "argument --xscore: not allowed with argument --inbias"),
-], ids=["precision", "k", "seed", "switch", "null", "epochs", "choices", "mode"])
+], ids=["precision", "k", "seed", "negative-seed", "report-negative-seed", "switch", "gone",
+        "null", "epochs", "choices", "mode"])
 def test_config_entries_are_parsed_as_the_flags_they_name(tmp_path, capsys, argv, entries,
                                                           message):
     config = tmp_path / "c.json"
@@ -642,8 +666,8 @@ def write_lexicon_rows(path, n, tags=("en",), seed=0, d=300):
 
 @pytest.mark.parametrize("flags", [
     [], ["--scope", "neutral"], ["--renormalize"], ["--scope", "neutral", "--renormalize"],
-    ["--center"], ["--variant", "eqr"], ["--method", "ppa", "--k", "2"],
-], ids=["default", "neutral", "renormalize", "neutral-renormalize", "center", "eqr", "ppa"])
+    ["--variant", "eqr"], ["--method", "ppa", "--k", "2"],
+], ids=["default", "neutral", "renormalize", "neutral-renormalize", "eqr", "ppa"])
 def test_streamed_debias_writes_what_the_library_path_writes(tmp_path, en_vec, monkeypatch,
                                                              flags):
     # 10-row blocks, so the 151-word space streams through 16 of them
@@ -660,8 +684,7 @@ def test_streamed_debias_writes_what_the_library_path_writes(tmp_path, en_vec, m
     )
     space = normalize(load_vec(en_vec, "en"))
     splits = {"en": split_pairs(builtin_lexicon(), "en", 10, 0)}
-    debiased, used = run_variant(space, builtin_lexicon(), config, splits,
-                                 center="--center" in flags, seed=0)
+    debiased, used = run_variant(space, builtin_lexicon(), config, splits, seed=0)
     save_vec(debiased, str(tmp_path / "lib.vec"), precision=17)
     save_subspace(used, str(tmp_path / "lib.json"))
     assert out.read_bytes() == (tmp_path / "lib.vec").read_bytes()

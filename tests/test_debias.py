@@ -206,33 +206,6 @@ def test_run_variant_eqr_divisibility_error():
         run_variant(space, lex, DebiasConfig(variant="eqr", k=3), splits, seed=0)
 
 
-def test_run_variant_eqr_pca_center_sizes_pool_from_centered_rank():
-    # 20 pooled pairs in 300 dims: centering drops the rank from 20 to 19,
-    # so a pool sized from the uncentered rows cannot be fitted
-    lex = two_language_lexicon(n_pairs=12)
-    space = space_for_lexicon(lex, ["aa", "bb"], d=300, seed=8)
-    splits = {t: split_pairs(lex, t, train_count=10, seed=0) for t in ("aa", "bb")}
-    cfg = DebiasConfig(variant="eqr", method="pca", k=4)
-    out, sub = run_variant(space, lex, cfg, splits, center=True, seed=0)
-    assert sub.k == 4
-    assert sub.orientation_labels.count("aa") == sub.orientation_labels.count("bb") == 2
-    assert sub.provenance["center"] is True
-    assert np.abs(out.matrix @ sub.basis.T).max() < 1e-12
-
-
-@pytest.mark.parametrize("variant", ["mono", "multi", "eqr"])
-def test_run_variant_rejects_center_with_ppa(variant):
-    # the PPA objective centers its projections, so center would be recorded
-    # in the provenance without changing the basis
-    lex = two_language_lexicon()
-    tags = ["aa"] if variant == "mono" else ["aa", "bb"]
-    space = space_for_lexicon(lex, tags, d=16, seed=9)
-    splits = {t: split_pairs(lex, t, train_count=4, seed=0) for t in tags}
-    cfg = DebiasConfig(variant=variant, method="ppa", k=2)
-    with pytest.raises(ValueError, match="pca"):
-        run_variant(space, lex, cfg, splits, center=True, seed=0)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 12),

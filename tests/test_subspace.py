@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debias_embed import subspace
 from debias_embed.embeddings import EmbeddingSpace
 from debias_embed.lexicon import GenderPair
 from debias_embed.manifest import capture_warnings
@@ -108,14 +109,6 @@ def test_pca_rank_error_names_achievable_k():
     rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])  # rank 2
     with pytest.raises(ValueError, match="2"):
         pca_basis(diffs(rows), k=3)
-
-
-def test_pca_centering_changes_the_answer():
-    rows = np.array([[5.0, 0.1], [5.0, -0.1], [5.0, 0.2], [5.0, -0.2]])
-    plain = pca_basis(diffs(rows), k=1)
-    centered = pca_basis(diffs(rows), k=1, center=True)
-    np.testing.assert_allclose(np.abs(plain.basis[0]), [1.0, 0.0], atol=1e-3)
-    np.testing.assert_allclose(np.abs(centered.basis[0]), [0.0, 1.0], atol=1e-12)
 
 
 # --- ppa_basis ---
@@ -295,10 +288,36 @@ def test_equal_rep_insufficiency_names_language():
         select_equal_rep(pool, k=4, languages=["be", "hi", "te", "en"])
 
 
-def test_equal_rep_basis_refuses_center_with_ppa():
-    rows = np.random.default_rng(0).standard_normal((8, 6))
-    with pytest.raises(ValueError, match="center applies to method 'pca' only"):
-        equal_rep_basis(diffs(rows, ("en", "hi") * 4), 2, ["en", "hi"], "ppa", center=True)
+def counted_factor(monkeypatch):
+    """The list of row counts of each ``subspace._factor`` call from now on."""
+    calls = []
+    factor = subspace._factor
+    monkeypatch.setattr(subspace, "_factor", lambda rows: calls.append(len(rows)) or factor(rows))
+    return calls
+
+
+@pytest.mark.parametrize("method", ["pca", "ppa"])
+def test_equal_rep_basis_selects_rows_of_the_pool_from_one_factorization(monkeypatch, method):
+    # 8 rows in 12 dims have rank 8: the PCA pool is every direction, and the
+    # PPA pool min(rank, max(3k, 16)) = 8 of them
+    dm = diffs(np.random.default_rng(4).standard_normal((8, 12)), ("en", "hi") * 4)
+    pool = pca_basis(dm, 8) if method == "pca" else ppa_basis(dm, 8, seed=3)
+    calls = counted_factor(monkeypatch)
+    out = equal_rep_basis(dm, 2, ["en", "hi"], method, seed=3)
+    assert calls == [8]
+    assert out.k == 2 and out.method == method
+    assert sorted(out.orientation_labels) == ["en", "hi"]
+    for row in out.basis:
+        assert any(row.tobytes() == candidate.tobytes() for candidate in pool.basis)
+
+
+def test_equal_rep_basis_refuses_an_uneven_k_before_any_fit(monkeypatch):
+    calls = counted_factor(monkeypatch)
+    dm = diffs(np.random.default_rng(0).standard_normal((8, 6)), ("en", "hi") * 4)
+    for method in ("pca", "ppa"):
+        with pytest.raises(ValueError, match="k=3 is not divisible by the language count 2"):
+            equal_rep_basis(dm, 3, ["en", "hi"], method)
+    assert calls == []
 
 
 # --- BiasSubspace invariants and serialization ---
