@@ -298,12 +298,14 @@ def _held_space(path, tag, words):
 def _lexicon_entries(lexicon, languages):
     """Every vocabulary entry a lexicon metric over ``languages`` may look up.
 
-    A language the lexicon lacks adds none; the metric names it.
+    A language the lexicon lacks is refused, before any input is read.
     """
     from . import lexicon as lexmod
 
-    return lexmod.entry_forms((lang, w) for lang in languages
-                              if lang in lexicon.defining_pairs for w in lexicon.words(lang))
+    for lang in languages:
+        if lang not in lexicon.defining_pairs:
+            raise ValueError(f"unknown language {lang!r} in lexicon")
+    return lexmod.entry_forms((lang, w) for lang in languages for w in lexicon.words(lang))
 
 
 def _report_inbias(args, languages, lexicon):

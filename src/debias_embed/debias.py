@@ -180,7 +180,17 @@ def variant_words(lexicon: GenderLexicon, config: DebiasConfig, splits) -> set[s
     :func:`~.lexicon.entry_forms` gives. A space of just these rows fits the
     same subspace and scope as the whole space; :func:`run_variant` fits
     from, and fingerprints, only these rows.
+
+    Raises ValueError, before any row is read or fitted, for languages the
+    variant cannot use: none, more than one for ``mono``, or a count that
+    does not divide ``k`` for ``eqr``.
     """
+    if not splits:
+        raise ValueError("at least one language split is required")
+    if config.variant == "mono" and len(splits) != 1:
+        raise ValueError(f"variant 'mono' uses exactly one language, got {len(splits)}")
+    if config.variant == "eqr" and config.k % len(splits) != 0:
+        raise ValueError(f"k={config.k} is not divisible by the language count {len(splits)}")
     words = []
     for lang, split in splits.items():
         words += [(p.language_tag, w) for p in split.train_pairs
@@ -232,14 +242,8 @@ def run_variant(
     held = space.held if streamed else space
     if held is None:
         raise ValueError("a streamed space needs held rows to fit the subspace from")
-    if not splits:
-        raise ValueError("at least one language split is required")
-    languages = list(splits)
-    if config.variant == "mono" and len(languages) != 1:
-        raise ValueError(
-            f"variant 'mono' uses exactly one language, got {len(languages)}"
-        )
     words = variant_words(lexicon, config, splits)
+    languages = list(splits)
     rows = sorted(held.index[w] for w in words if w in held.index)  # in vocabulary order
     matrix = held.matrix[rows]
     matrix.setflags(write=False)  # fresh and unshared, so the space need not copy it

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,6 @@ __all__ = [
     "difference_matrix",
     "pca_basis",
     "ppa_basis",
-    "language_orientation",
-    "select_equal_rep",
     "equal_rep_basis",
     "save_subspace",
 ]
@@ -318,103 +316,67 @@ def _ppa(diffs: DifferenceMatrix, vt: np.ndarray, rank: int, k: int, seed: int) 
     )
 
 
-def language_orientation(
-    subspace: BiasSubspace, diffs: DifferenceMatrix, language_order=None
+def equal_rep_basis(
+    diffs: DifferenceMatrix, k: int, languages, method: str = "pca", *, seed: int = 0
 ) -> BiasSubspace:
-    """Label each basis vector with its closest language.
+    """The eqr subspace: k/L directions for each of the L ``languages``.
 
-    The label is the language maximizing |cos| between the basis vector
-    and the mean difference vector of that language's rows; ties go to
-    the earlier language in ``language_order`` (default: order of first
-    appearance in the difference matrix).
+    1. A candidate pool is fitted from one SVD of the difference matrix:
+       for PCA every direction up to its numerical rank, for PPA
+       min(rank, max(3k, 16)) directions, in score order.
+    2. Each pool vector is labeled with the language whose mean
+       difference row it is closest to, by |cos|. Ties go to the earlier
+       language in ``languages``, and so does a vector orthogonal to every
+       mean, which is logged as a warning.
+    3. The first k/L vectors labeled with each language are kept, in pool
+       order, with their labels as ``orientation_labels``. A row subset of
+       an orthonormal pool is orthonormal, so they are used as they are.
+
+    Raises ValueError before any fit when ``languages`` is empty, k is
+    not divisible by L, ``method`` is unknown or a language has no rows;
+    after the fit, when fewer than k/L pool vectors are labeled with some
+    language (a PPA pool is small and may hold none).
     """
-    if language_order is None:
-        language_order = tuple(dict.fromkeys(diffs.row_languages))
-    else:
-        language_order = tuple(language_order)
-        present = set(diffs.row_languages)
-        for lang in language_order:
-            if lang not in present:
-                raise ValueError(f"language {lang!r} has no rows in the difference matrix")
-    if not language_order:
-        raise ValueError("no languages to label with")
-    tags = np.asarray(diffs.row_languages)
-    means = np.vstack([diffs.rows[tags == lang].mean(axis=0) for lang in language_order])
-    mean_norms = np.linalg.norm(means, axis=1)
-    labels = []
-    for vec in subspace.basis:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cos = np.abs(means @ vec) / (mean_norms * np.linalg.norm(vec))
-        cos = np.where(np.isfinite(cos), cos, 0.0)
-        if np.max(cos) == 0.0:
-            log.warning(
-                "language_orientation: basis vector is orthogonal to every language mean; "
-                "labeling it %r by order",
-                language_order[0],
-            )
-        labels.append(language_order[int(np.argmax(cos))])
-    return replace(subspace, orientation_labels=tuple(labels))
-
-
-def _per_language(k: int, languages: tuple[str, ...]) -> int:
+    languages = tuple(languages)
     if not languages:
         raise ValueError("no languages given")
     if k % len(languages) != 0:
         raise ValueError(f"k={k} is not divisible by the language count {len(languages)}")
-    return k // len(languages)
-
-
-def select_equal_rep(pool: BiasSubspace, k: int, languages) -> BiasSubspace:
-    """Pick k components with equal per-language representation.
-
-    From an orientation-labeled candidate pool (ordered by score), the
-    k/L best components per language are taken and kept in pool order.
-    A row subset of an orthonormal pool is orthonormal, so the chosen
-    rows are used as they are.
-    """
-    languages = tuple(languages)
-    per_language = _per_language(k, languages)
-    if pool.orientation_labels is None:
-        raise ValueError("candidate pool has no orientation labels")
-    chosen: list[int] = []
-    for lang in languages:
-        rows = [i for i, lab in enumerate(pool.orientation_labels) if lab == lang]
-        if len(rows) < per_language:
-            raise ValueError(
-                f"pool has only {len(rows)} component(s) labeled {lang!r}; "
-                f"{per_language} needed ({per_language - len(rows)} short)"
-            )
-        chosen.extend(rows[:per_language])
-    chosen.sort()  # keep the original pool (score) order
-    return BiasSubspace(
-        basis=pool.basis[chosen],
-        method=pool.method,
-        scores=tuple(pool.scores[i] for i in chosen),
-        orientation_labels=tuple(pool.orientation_labels[i] for i in chosen),
-        provenance=pool.provenance,
-    )
-
-
-def equal_rep_basis(
-    diffs: DifferenceMatrix, k: int, languages, method: str = "pca", *, seed: int = 0
-) -> BiasSubspace:
-    """The eqr subspace: a candidate pool, language-labeled, then k/L per language.
-
-    For PCA the pool is every direction up to the numerical rank of the
-    difference matrix; for PPA it is min(rank, max(3k, 16)) directions.
-    The rank comes from the one SVD that fits the pool.
-    """
-    languages = tuple(languages)
-    _per_language(k, languages)  # fail before fitting the pool
     if method not in ("pca", "ppa"):
         raise ValueError(f"unknown subspace method {method!r}")
+    for lang in languages:
+        if lang not in diffs.row_languages:
+            raise ValueError(f"language {lang!r} has no rows in the difference matrix")
     s, vt, rank = _factor(diffs.rows)
     if method == "pca":
         pool = _pca(s, vt, rank, rank)
     else:
         pool = _ppa(diffs, vt, rank, min(rank, max(3 * k, 16)), seed)
-    pool = language_orientation(pool, diffs, language_order=languages)
-    return select_equal_rep(pool, k, languages)
+    tags = np.asarray(diffs.row_languages)
+    means = np.vstack([diffs.rows[tags == lang].mean(axis=0) for lang in languages])
+    mean_norms = np.linalg.norm(means, axis=1)
+    labels = []
+    for vec in pool.basis:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cos = np.abs(means @ vec) / (mean_norms * np.linalg.norm(vec))
+        cos = np.where(np.isfinite(cos), cos, 0.0)
+        if np.max(cos) == 0.0:
+            log.warning("equal_rep_basis: basis vector is orthogonal to every language mean; "
+                        "labeling it %r by order", languages[0])
+        labels.append(languages[int(np.argmax(cos))])
+    per_language = k // len(languages)
+    chosen: list[int] = []
+    for lang in languages:
+        rows = [i for i, label in enumerate(labels) if label == lang]
+        if len(rows) < per_language:
+            raise ValueError(
+                f"pool has only {len(rows)} component(s) labeled {lang!r}; "
+                f"{per_language} needed ({per_language - len(rows)} short)"
+            )
+        chosen += rows[:per_language]
+    chosen.sort()  # keep the pool (score) order
+    return BiasSubspace(pool.basis[chosen], method, tuple(pool.scores[i] for i in chosen),
+                        orientation_labels=tuple(labels[i] for i in chosen))
 
 
 def pairs_fingerprint(pairs) -> str:

@@ -18,7 +18,14 @@ from debias_embed.debias import DebiasConfig, run_variant
 from debias_embed.embeddings import EmbeddingSpace, load_vec, normalize, save_vec
 from debias_embed.lexicon import builtin_lexicon, split_pairs
 from debias_embed.subspace import save_subspace
-from helpers import inline_and_on_workers, orthonormal_rows, reference_classifier, unit_rows
+from helpers import (
+    inline_and_on_workers,
+    load_script,
+    orthonormal_rows,
+    reference_classifier,
+    unit_rows,
+)
+from planted import language_world
 
 
 @pytest.fixture()
@@ -576,6 +583,39 @@ def test_repeated_language_tag_is_refused_before_any_input_is_read(tmp_path, mon
     assert run(argv + ["--languages", "en,hi,en"]) == 1
     assert "--languages names 'en' more than once" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["debias", "--variant", "mono", "--languages", "en,hi", "--out", "o.vec"],
+     "variant 'mono' uses exactly one language, got 2"),
+    (["debias", "--variant", "eqr", "--k", "3", "--languages", "en,hi", "--out", "o.vec"],
+     "k=3 is not divisible by the language count 2"),
+    (["report", "--xscore", "--languages", "en,xx", "--json", "r.json"],
+     "unknown language 'xx' in lexicon"),
+    (["report", "--inbias", "--seeds", "lexicon", "--languages", "xx", "--json", "r.json"],
+     "unknown language 'xx' in lexicon"),
+], ids=["debias-mono", "debias-eqr", "xscore", "inbias-lexicon"])
+def test_languages_a_run_cannot_use_are_refused_before_any_input_is_read(
+        tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)  # reading the missing input would exit 2
+    assert run(argv + ["--emb", "missing.vec"]) == 1
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_eqr_ppa_refuses_a_language_no_pool_direction_is_closest_to(tmp_path, capsys):
+    # the demo's merged planted world: of the 16 directions of the ppa pool,
+    # none is closest to the mean pair difference of 'en'
+    world = language_world(builtin_lexicon(), dim=64, beta=0.5, noise=0.08, seed=0)
+    spaces = {tag: EmbeddingSpace(tag, lang.words, lang.rows, normalized=True)
+              for tag, lang in world.items()}
+    path = tmp_path / "world.vec"
+    save_vec(load_script("run_synthetic_demo").merge_all(spaces), str(path))
+    assert run(["debias", "--emb", path, "--languages", ",".join(world), "--variant", "eqr",
+                "--method", "ppa", "--k", "4", "--seed", "0", "--out", tmp_path / "o.vec"]) == 1
+    assert ("pool has only 0 component(s) labeled 'en'; 1 needed (1 short)"
+            in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["world.vec"]  # no .vec, subspace or manifest
 
 
 def test_reruns_are_byte_identical(tmp_path, en_vec, capsys):

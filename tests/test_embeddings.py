@@ -400,7 +400,6 @@ def test_load_normalize_debias_and_save_stay_within_memory_budget(tmp_path):
     finally:
         tracemalloc.stop()
     # input and output of one step; norms, checks and the residual use no third matrix
-    assert pipeline_peak < 3.5 * matrix_bytes
     assert pipeline_peak < 2.6 * matrix_bytes
     # a couple of rows of text, never a block of rows
     assert save_peak < 0.0075 * matrix_bytes

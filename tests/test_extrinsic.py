@@ -50,14 +50,21 @@ def test_load_corpus_parses_records(tmp_path):
 
 def test_load_corpus_rejects_unknown_gender(tmp_path):
     p = write_corpus(tmp_path / "c.tsv", [("X", "professor", "text here")])
-    with pytest.raises(ValueError, match="line 1"):
+    with pytest.raises(ValueError, match="line 1: gender must be 'M' or 'F', got 'X'"):
         load_corpus(p, min_count=1)
 
 
 def test_load_corpus_rejects_empty_text(tmp_path):
     p = (tmp_path / "c.tsv")
     p.write_text("M\tprofessor\t\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 1"):
+    with pytest.raises(ValueError, match="line 1: record has no tokens"):
+        load_corpus(str(p), min_count=1)
+
+
+def test_load_corpus_rejects_empty_occupation(tmp_path):
+    p = (tmp_path / "c.tsv")
+    p.write_text("M\t\ttext here\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 1: empty occupation"):
         load_corpus(str(p), min_count=1)
 
 

@@ -15,13 +15,10 @@ from debias_embed.subspace import (
     DifferenceMatrix,
     difference_matrix,
     equal_rep_basis,
-    language_orientation,
     pca_basis,
     ppa_basis,
     save_subspace,
-    select_equal_rep,
 )
-from helpers import unit_rows
 from oracles import (
     eig_top_directions_2d,
     excess_kurtosis,
@@ -196,96 +193,7 @@ def test_ppa_does_not_warn_below_single_outlier_bound():
     assert messages == []
 
 
-# --- language_orientation ---
-
-
-def test_orientation_self_match():
-    rows = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
-    dm = diffs(rows, tags=("hi", "hi", "en", "en"))
-    hi_mean = rows[:2].mean(axis=0)
-    basis = np.array([hi_mean / np.linalg.norm(hi_mean)])
-    sub = BiasSubspace(basis, "pca", (1.0,))
-    labeled = language_orientation(sub, dm)
-    assert labeled.orientation_labels == ("hi",)
-
-
-def test_orientation_tie_breaks_by_configured_order(caplog):
-    rows = np.array([[1.0, 0.0], [1.0, 0.0]])
-    dm = diffs(rows, tags=("aa", "bb"))  # identical language means
-    sub = BiasSubspace(np.array([[1.0, 0.0]]), "pca", (1.0,))
-    assert language_orientation(sub, dm, language_order=["aa", "bb"]).orientation_labels == ("aa",)
-    assert language_orientation(sub, dm, language_order=["bb", "aa"]).orientation_labels == ("bb",)
-
-
-def test_orientation_all_zero_cosines_warns_and_uses_first(caplog):
-    rows = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    dm = diffs(rows, tags=("aa", "bb"))
-    sub = BiasSubspace(np.array([[0.0, 0.0, 1.0]]), "pca", (1.0,))
-    with caplog.at_level(logging.WARNING, logger="debias_embed"):
-        labeled = language_orientation(sub, dm, language_order=["bb", "aa"])
-    assert labeled.orientation_labels == ("bb",)
-    assert any("orthogonal to every language mean" in m for m in caplog.messages)
-
-
-def test_orientation_errors_on_language_without_rows():
-    dm = diffs(np.array([[1.0, 0.0]]), tags=("aa",))
-    sub = BiasSubspace(np.array([[1.0, 0.0]]), "pca", (1.0,))
-    with pytest.raises(ValueError, match="bb"):
-        language_orientation(sub, dm, language_order=["aa", "bb"])
-
-
-@settings(max_examples=30, deadline=None)
-@given(scale=st.floats(0.01, 100.0), seed=st.integers(0, 2**16))
-def test_orientation_invariant_to_positive_row_rescaling(scale, seed):
-    rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((6, 4))
-    tags = ("aa", "aa", "aa", "bb", "bb", "bb")
-    basis = unit_rows(rng, 2, 4)
-    q, _ = np.linalg.qr(basis.T)
-    sub = BiasSubspace(q.T.copy(), "pca", (2.0, 1.0))
-    plain = language_orientation(sub, diffs(rows, tags))
-    scaled = language_orientation(sub, diffs(rows * scale, tags))
-    assert plain.orientation_labels == scaled.orientation_labels
-
-
-# --- select_equal_rep ---
-
-
-def equal_rep_pool():
-    basis = np.eye(7)
-    scores = tuple(float(x) for x in range(7, 0, -1))
-    labels = ("be", "hi", "te", "hi", "en", "be", "te")
-    return BiasSubspace(basis, "pca", scores, orientation_labels=labels)
-
-
-def test_equal_rep_takes_top_share_per_language_in_pool_order():
-    pool = equal_rep_pool()
-    out = select_equal_rep(pool, k=4, languages=["be", "hi", "te", "en"])
-    assert out.orientation_labels == ("be", "hi", "te", "en")
-    # pool rows 0,1,2,4 in original rank order
-    np.testing.assert_array_equal(out.basis, np.eye(7)[[0, 1, 2, 4]])
-    assert out.scores == (7.0, 6.0, 5.0, 3.0)
-
-
-def test_equal_rep_counts_per_language():
-    pool = equal_rep_pool()
-    out = select_equal_rep(pool, k=4, languages=["be", "hi", "te", "en"])
-    for lang in ("be", "hi", "te", "en"):
-        assert out.orientation_labels.count(lang) == 1
-
-
-def test_equal_rep_divisibility_error():
-    with pytest.raises(ValueError, match="divisible"):
-        select_equal_rep(equal_rep_pool(), k=5, languages=["be", "hi", "te", "en"])
-
-
-def test_equal_rep_insufficiency_names_language():
-    basis = np.eye(4)
-    pool = BiasSubspace(
-        basis, "pca", (4.0, 3.0, 2.0, 1.0), orientation_labels=("hi", "hi", "te", "be")
-    )
-    with pytest.raises(ValueError, match="en"):
-        select_equal_rep(pool, k=4, languages=["be", "hi", "te", "en"])
+# --- equal_rep_basis ---
 
 
 def counted_factor(monkeypatch):
@@ -294,6 +202,71 @@ def counted_factor(monkeypatch):
     factor = subspace._factor
     monkeypatch.setattr(subspace, "_factor", lambda rows: calls.append(len(rows)) or factor(rows))
     return calls
+
+
+def test_equal_rep_basis_keeps_each_languages_first_pool_rows_in_pool_order():
+    # rows along distinct axes with distinct norms: the PCA pool is those
+    # axes in norm order, each closest to the mean of its own language
+    tags = ("be", "hi", "te", "hi", "en", "be", "te")
+    dm = diffs(np.diag(np.arange(7.0, 0.0, -1.0)), tags)
+    out = equal_rep_basis(dm, 4, ["en", "te", "hi", "be"])
+    np.testing.assert_array_equal(out.basis, np.eye(7)[[0, 1, 2, 4]])
+    assert out.orientation_labels == ("be", "hi", "te", "en")
+    assert out.scores == tuple(x / 140.0 for x in (49.0, 36.0, 25.0, 9.0))
+
+
+def test_equal_rep_basis_labels_a_vector_orthogonal_to_every_mean_by_order():
+    # the pool is the three axes; the third is orthogonal to both language means
+    rows = [[2.0, 0.0, 1.0], [2.0, 0.0, -1.0], [0.0, 1.5, 0.5], [0.0, 1.5, -0.5]]
+    with capture_warnings() as messages:
+        out = equal_rep_basis(diffs(rows, ("aa", "aa", "bb", "bb")), 2, ["aa", "bb"])
+    assert out.orientation_labels == ("aa", "bb")
+    np.testing.assert_array_equal(out.basis, np.eye(3)[:2])
+    assert messages == ["equal_rep_basis: basis vector is orthogonal to every language mean; "
+                        "labeling it 'aa' by order"]
+
+
+def test_equal_rep_basis_labels_by_cosine_not_by_projection_length():
+    # the pool is the two axes; the second projects 1.5 on the mean (3, 1.5)
+    # of 'aa' and 1 on the mean (0, 1) of 'bb', but is parallel to the latter
+    rows = [[3.0, 1.5], [3.0, 1.5], [6.0, 0.25], [-6.0, 1.75]]
+    out = equal_rep_basis(diffs(rows, ("aa", "aa", "bb", "bb")), 2, ["aa", "bb"])
+    np.testing.assert_allclose(out.basis, np.eye(2), atol=1e-12)
+    assert out.orientation_labels == ("aa", "bb")
+
+
+@pytest.mark.parametrize("languages, short", [(["aa", "bb"], "bb"), (["bb", "aa"], "aa")])
+def test_equal_rep_basis_gives_ties_to_the_earlier_language_and_names_the_one_left_short(
+        languages, short):
+    # identical language means: the one pool vector goes to the earlier language
+    dm = diffs([[1.0, 0.0], [1.0, 0.0]], ("aa", "bb"))
+    with pytest.raises(ValueError, match=f"pool has only 0 component\\(s\\) labeled '{short}'; "
+                                         "1 needed"):
+        equal_rep_basis(dm, 2, languages)
+
+
+def test_equal_rep_basis_refuses_a_language_without_rows_before_any_fit(monkeypatch):
+    calls = counted_factor(monkeypatch)
+    dm = diffs(np.random.default_rng(0).standard_normal((8, 6)), ("aa",) * 8)
+    for method in ("pca", "ppa"):
+        with pytest.raises(ValueError, match="language 'bb' has no rows in the difference matrix"):
+            equal_rep_basis(dm, 2, ["aa", "bb"], method)
+    assert calls == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(scale=st.floats(0.01, 100.0), seed=st.integers(0, 2**16))
+def test_equal_rep_basis_labels_are_invariant_to_positive_row_rescaling(scale, seed):
+    rows = np.random.default_rng(seed).standard_normal((6, 4))
+    tags = ("aa", "aa", "aa", "bb", "bb", "bb")
+
+    def outcome(dm):
+        try:
+            return equal_rep_basis(dm, 2, ["aa", "bb"]).orientation_labels
+        except ValueError as exc:  # a language no pool vector is closest to
+            return str(exc)
+
+    assert outcome(diffs(rows, tags)) == outcome(diffs(rows * scale, tags))
 
 
 @pytest.mark.parametrize("method", ["pca", "ppa"])
@@ -338,7 +311,7 @@ def test_saved_subspace_reads_back_bit_for_bit(tmp_path):
     rng = np.random.default_rng(31)
     rows = rng.standard_normal((10, 4))
     sub = pca_basis(diffs(rows), k=2)
-    sub = language_orientation(sub, diffs(rows))
+    sub = BiasSubspace(sub.basis, sub.method, sub.scores, orientation_labels=("en", "hi"))
     path = tmp_path / "sub.json"
     save_subspace(sub, str(path))
     with open(path, encoding="utf-8") as fh:
