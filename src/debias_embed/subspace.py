@@ -14,7 +14,11 @@ Two estimators are provided over the stacked difference matrix:
   difference rows. Each direction is located by multi-start projected
   gradient ascent (32 seeded starts, ascended together as one batch) so
   the result is deterministic for a given seed; scores are the achieved
-  excess kurtosis values.
+  excess kurtosis values. The batch keeps each matrix product's operand
+  shapes fixed (see :func:`_ascend`): a column of a BLAS product can
+  change in its last bits with the count and layout of the columns
+  beside it, and the best starts of one step can agree to 1e-14, so a
+  different batching could pick a different direction.
 
 Basis vectors are sign-canonicalized (first non-negligible coordinate
 positive) and every produced basis is orthonormal.
@@ -120,16 +124,19 @@ def difference_matrix(space: EmbeddingSpace, pairs) -> DifferenceMatrix:
     """Stack male-minus-female vectors for every resolvable pair.
 
     Pairs with a missing word, or whose two words share one vector, are
-    skipped with a warning; no resolvable pair at all is an error.
+    skipped with a warning. No resolvable pair at all is an error naming
+    each language of the pairs, and saying so when the space holds no
+    ``<lang>:`` entry for one, as a space read under a merged tag but
+    never merged does.
     """
     if not space.normalized:
         log.warning("difference_matrix: space is not normalized")
-    rows, langs, skipped = [], [], 0
+    rows, langs, unresolved = [], [], {}
     for pair in pairs:
         i = space.locate(pair.male_word, pair.language_tag)
         j = space.locate(pair.female_word, pair.language_tag)
         if i is None or j is None:
-            skipped += 1
+            unresolved[pair.language_tag] = None
             log.warning(
                 "difference_matrix: skipping pair (%s, %s) [%s]: word missing",
                 pair.male_word,
@@ -139,7 +146,7 @@ def difference_matrix(space: EmbeddingSpace, pairs) -> DifferenceMatrix:
             continue
         delta = space.matrix[i] - space.matrix[j]
         if not np.any(delta):
-            skipped += 1
+            unresolved[pair.language_tag] = None
             log.warning(
                 "difference_matrix: skipping pair (%s, %s) [%s]: identical vectors",
                 pair.male_word,
@@ -150,8 +157,17 @@ def difference_matrix(space: EmbeddingSpace, pairs) -> DifferenceMatrix:
         rows.append(delta)
         langs.append(pair.language_tag)
     if not rows:
-        raise ValueError("no gender pair is resolvable in the space")
+        raise ValueError("no gender pair is resolvable in the space" + "".join(
+            f"; none of {lang!r} resolved" + _no_entries(space, lang) for lang in unresolved
+        ))
     return DifferenceMatrix(np.vstack(rows), tuple(langs))
+
+
+def _no_entries(space: EmbeddingSpace, lang: str) -> str:
+    prefix = f"{lang}:"
+    if space.language_tag == lang or any(w.startswith(prefix) for w in space.vocab):
+        return ""
+    return f" (the space holds no {prefix!r} entries)"
 
 
 def _canonical_signs(basis: np.ndarray) -> np.ndarray:
@@ -204,21 +220,26 @@ def pca_basis(diffs: DifferenceMatrix, k: int) -> BiasSubspace:
 def _kurtosis_and_grad(coords_c: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Excess kurtosis of ``coords_c @ u`` and its gradient, one column per direction."""
     # coords_c is column-centered, so projections come out centered too
+    n = float(coords_c.shape[0])
     z = coords_c @ u
     z2 = z * z
-    m2 = np.mean(z2, axis=0)
-    m4 = np.mean(z2 * z2, axis=0)
-    flat = m2 < 1e-30
-    m2 = np.where(flat, 1.0, m2)
-    grad = coords_c.T @ ((4.0 / coords_c.shape[0]) * z * (z2 / m2**2 - m4 / m2**3))
-    grad[:, flat] = 0.0
-    return np.where(flat, -3.0, m4 / m2**2 - 3.0), grad
+    m2 = np.add.reduce(z2, axis=0) / n
+    m4 = np.add.reduce(z2 * z2, axis=0) / n
+    some_flat = np.minimum.reduce(m2) < 1e-30
+    if some_flat:  # there m4 < n * 1e-60, so with m2 = 1 the value is -3.0 exactly
+        flat = m2 < 1e-30
+        m2 = np.where(flat, 1.0, m2)
+    m2sq = m2**2
+    grad = coords_c.T @ ((4.0 / n) * z * (z2 / m2sq - m4 / m2**3))
+    if some_flat:
+        grad[:, flat] = 0.0
+    return m4 / m2sq - 3.0, grad
 
 
 def _tangent(projector: np.ndarray, grad: np.ndarray, u: np.ndarray):
     direction = projector @ grad
-    direction -= np.sum(direction * u, axis=0) * u
-    return direction, np.linalg.norm(direction, axis=0)
+    direction -= np.add.reduce(direction * u, axis=0) * u
+    return direction, np.sqrt(np.add.reduce(direction * direction, axis=0))
 
 
 def _ascend(coords_c: np.ndarray, starts: np.ndarray, projector: np.ndarray):
@@ -230,33 +251,45 @@ def _ascend(coords_c: np.ndarray, starts: np.ndarray, projector: np.ndarray):
     accepted steps; stop once the tangent gradient is below PPA_GRAD_TOL.
     Returns the final columns and their values (-inf for a start that
     vanishes under the projector).
+
+    Every product keeps its operand shapes: the candidate and gradient
+    products run at the live count, the tangent product at the accepted
+    count. Any other batching could change the winner, as a column of
+    ``A @ X[:, :m]`` need not have the bits of that column of ``A @ X``
+    and the best starts can agree to 1e-14. ``u`` and ``direction`` are
+    held column-major, so with every column live they serve as operands
+    without a gather, in the layout a gather gives.
     """
     u = projector @ starts
-    norms = np.linalg.norm(u, axis=0)
+    norms = np.sqrt(np.add.reduce(u * u, axis=0))
     live = norms > 0.0
     u /= np.where(live, norms, 1.0)
     value, grad = _kurtosis_and_grad(coords_c, u)
     value[~live] = -np.inf
     direction, gnorm = _tangent(projector, grad, u)
+    gnorm2 = gnorm**2
     live &= gnorm >= PPA_GRAD_TOL
-    step = np.ones(u.shape[1])
-    accepted = np.zeros(u.shape[1], dtype=int)
-    while live.any():
-        idx = np.flatnonzero(live)
-        cand = projector @ (u[:, idx] + step[idx] * direction[:, idx])
-        cn = np.linalg.norm(cand, axis=0)
-        cand /= np.where(cn > 0.0, cn, 1.0)
+    u, direction = np.asfortranarray(u), np.asfortranarray(direction)
+    width = u.shape[1]
+    step = np.ones(width)
+    accepted = np.zeros(width, dtype=int)
+    while (idx := np.flatnonzero(live)).size:
+        cols = idx if idx.size < width else slice(None)  # no gather when every column is live
+        cand = projector @ (u[:, cols] + step[cols] * direction[:, cols])
+        # norm at least about 1: u is a unit vector in the projector's range, and
+        # direction lies in that range, orthogonal to u
+        cand /= np.sqrt(np.add.reduce(cand * cand, axis=0))
         cand_value, cand_grad = _kurtosis_and_grad(coords_c, cand)
-        ok = (cn > 0.0) & (cand_value > value[idx] + 1e-4 * step[idx] * gnorm[idx] ** 2)
-        up, down = idx[ok], idx[~ok]
-        u[:, up] = cand[:, ok]
+        ok = cand_value > value[cols] + 1e-4 * step[cols] * gnorm2[cols]
+        up, cand = idx[ok], cand[:, ok]
+        u[:, up] = cand
         value[up] = cand_value[ok]
-        direction[:, up], gnorm[up] = _tangent(projector, cand_grad[:, ok], cand[:, ok])
-        step[up] = np.minimum(step[up] * 2.0, 1e6)
+        direction[:, up], gnorm = _tangent(projector, cand_grad[:, ok], cand)
+        gnorm2[up] = gnorm**2
+        step[cols] = np.where(ok, np.minimum(step[cols] * 2.0, 1e6), step[cols] * 0.5)
+        live[cols] = step[cols] > 1e-18  # an accepted column's step grew, so it passes
         accepted[up] += 1
-        live[up] = (gnorm[up] >= PPA_GRAD_TOL) & (accepted[up] < PPA_MAX_ITER)
-        step[down] *= 0.5
-        live[down] = step[down] > 1e-18
+        live[up] &= (gnorm >= PPA_GRAD_TOL) & (accepted[up] < PPA_MAX_ITER)
     return u, value
 
 

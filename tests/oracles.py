@@ -224,3 +224,69 @@ def cross_score_cell(diffs_1, diffs_2, neutral_2, epsilon):
             after = abs(float((w - float(w @ b1) * b1) @ b2))
             changes.append(abs(after - before) / before)
     return sum(changes) / len(changes)
+
+
+# Projection pursuit's batched ascent as it was written before its per-iteration
+# overhead was cut: gathers at the live count, np.mean/np.linalg.norm and
+# unconditional flat-column masks. The library's ascent must give the same bits,
+# so this copy is the bitwise reference; only the module constants became
+# parameters (``grad_tol`` for PPA_GRAD_TOL, ``max_iter`` for PPA_MAX_ITER).
+
+
+def _kurtosis_and_grad(coords_c, u):
+    """Excess kurtosis of ``coords_c @ u`` and its gradient, one column per direction."""
+    # coords_c is column-centered, so projections come out centered too
+    z = coords_c @ u
+    z2 = z * z
+    m2 = np.mean(z2, axis=0)
+    m4 = np.mean(z2 * z2, axis=0)
+    flat = m2 < 1e-30
+    m2 = np.where(flat, 1.0, m2)
+    grad = coords_c.T @ ((4.0 / coords_c.shape[0]) * z * (z2 / m2**2 - m4 / m2**3))
+    grad[:, flat] = 0.0
+    return np.where(flat, -3.0, m4 / m2**2 - 3.0), grad
+
+
+def _tangent(projector, grad, u):
+    direction = projector @ grad
+    direction -= np.sum(direction * u, axis=0) * u
+    return direction, np.linalg.norm(direction, axis=0)
+
+
+def ppa_ascend(coords_c, starts, projector, grad_tol, max_iter):
+    """Projected gradient ascent on the unit sphere, one column per start.
+
+    Every column runs its own search: backtracking (Armijo) line search
+    whose step doubles after an accepted step, up to 1e6, and halves
+    after a rejected one, giving up below 1e-18; at most ``max_iter``
+    accepted steps; stop once the tangent gradient is below ``grad_tol``.
+    Returns the final columns and their values (-inf for a start that
+    vanishes under the projector).
+    """
+    u = projector @ starts
+    norms = np.linalg.norm(u, axis=0)
+    live = norms > 0.0
+    u /= np.where(live, norms, 1.0)
+    value, grad = _kurtosis_and_grad(coords_c, u)
+    value[~live] = -np.inf
+    direction, gnorm = _tangent(projector, grad, u)
+    live &= gnorm >= grad_tol
+    step = np.ones(u.shape[1])
+    accepted = np.zeros(u.shape[1], dtype=int)
+    while live.any():
+        idx = np.flatnonzero(live)
+        cand = projector @ (u[:, idx] + step[idx] * direction[:, idx])
+        cn = np.linalg.norm(cand, axis=0)
+        cand /= np.where(cn > 0.0, cn, 1.0)
+        cand_value, cand_grad = _kurtosis_and_grad(coords_c, cand)
+        ok = (cn > 0.0) & (cand_value > value[idx] + 1e-4 * step[idx] * gnorm[idx] ** 2)
+        up, down = idx[ok], idx[~ok]
+        u[:, up] = cand[:, ok]
+        value[up] = cand_value[ok]
+        direction[:, up], gnorm[up] = _tangent(projector, cand_grad[:, ok], cand[:, ok])
+        step[up] = np.minimum(step[up] * 2.0, 1e6)
+        accepted[up] += 1
+        live[up] = (gnorm[up] >= grad_tol) & (accepted[up] < max_iter)
+        step[down] *= 0.5
+        live[down] = step[down] > 1e-18
+    return u, value

@@ -115,6 +115,20 @@ def test_report_inbias_json(tmp_path, en_vec, capsys):
     assert (tmp_path / "inbias.json.manifest.json").exists()
 
 
+def test_a_language_without_entries_is_named_when_no_pair_resolves(tmp_path, en_vec, capsys):
+    # an unmerged en.vec read under the merged tag en+hi resolves no pair;
+    # xscore fits one language at a time and stops at the first, debias pools them
+    xscore = ["report", "--xscore", "--emb", en_vec, "--languages", "en,hi"]
+    debias = ["debias", "--emb", en_vec, "--languages", "en,hi", "--variant", "multi",
+              "--out", tmp_path / "out.vec"]
+    for argv, named in ((xscore, ["en"]), (debias, ["en", "hi"])):
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "debias-embed: no gender pair is resolvable in the space" + "".join(
+                f"; none of {lang!r} resolved (the space holds no '{lang}:' entries)"
+                for lang in named))
+
+
 def test_report_xscore_table(tmp_path, en_vec, capsys):
     code = run(["report", "--xscore", "--emb", en_vec, "--languages", "en"])
     assert code == 0
@@ -902,24 +916,40 @@ def test_malformed_row_after_the_first_block_leaves_no_output(tmp_path, capsys):
     assert kept.read_bytes() == b"an earlier run's output\n"
 
 
-def test_precision_17_output_does_not_depend_on_the_thread_count(tmp_path):
-    emb = write_lexicon_rows(tmp_path / "en.vec", 1000)
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                        "NUMEXPR_NUM_THREADS")}
+def debias_at_each_thread_count(tmp_path, argv):
+    """The bytes of ``debias <argv> --out ...`` and its subspace JSON, run
+    once at DEBIAS_EMBED_THREADS=1 and once at 2."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(debias_embed.__file__))
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"out{threads}.vec"
         proc = subprocess.run(
-            [sys.executable, "-m", "debias_embed.cli", "debias", "--emb", emb, "--languages",
-             "en", "--precision", "17", "--out", str(out)],
+            [sys.executable, "-m", "debias_embed.cli", "debias", *argv, "--out", str(out)],
             env=dict(env, DEBIAS_EMBED_THREADS=threads), capture_output=True, text=True,
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+        subspace = tmp_path / f"out{threads}.vec.subspace.json"
+        outputs.append((out.read_bytes(), subspace.read_bytes()))
+    return outputs
+
+
+def test_precision_17_output_does_not_depend_on_the_thread_count(tmp_path):
+    emb = write_lexicon_rows(tmp_path / "en.vec", 1000)
+    first, second = debias_at_each_thread_count(
+        tmp_path, ["--emb", emb, "--languages", "en", "--precision", "17"])
+    assert first == second
+
+
+@pytest.mark.parametrize("flags", [["--variant", "multi"], ["--variant", "eqr", "--k", "8"]],
+                         ids=["multi", "eqr-k8"])
+def test_ppa_output_does_not_depend_on_the_thread_count(tmp_path, flags):
+    tags = ("en", "hi", "be", "te")
+    emb = write_lexicon_rows(tmp_path / "merged.vec", 600, tags)
+    first, second = debias_at_each_thread_count(
+        tmp_path, ["--emb", emb, "--languages", ",".join(tags), "--method", "ppa", *flags])
+    assert first == second
 
 
 def test_debias_is_the_same_inline_and_on_workers(tmp_path, monkeypatch, capsys, caplog):

@@ -19,10 +19,12 @@ from debias_embed.subspace import (
     ppa_basis,
     save_subspace,
 )
+from helpers import orthonormal_rows
 from oracles import (
     eig_top_directions_2d,
     excess_kurtosis,
     grid_best_direction_2d,
+    ppa_ascend,
     principal_angle_sines,
     row_span_sines,
 )
@@ -59,8 +61,19 @@ def test_difference_matrix_skips_oov_with_warning(caplog):
 def test_difference_matrix_errors_when_nothing_resolves():
     mat = np.array([[1.0, 0.0]])
     space = EmbeddingSpace("en", ("hello",), mat, normalized=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no gender pair is resolvable in the space; "
+                                         "none of 'en' resolved$"):
         difference_matrix(space, [GenderPair("king", "queen", "en")])
+
+
+def test_difference_matrix_names_each_language_and_a_missing_prefix():
+    mat = np.array([[1.0, 0.0], [0.0, 1.0]])
+    space = EmbeddingSpace("aa+bb", ("aa:m", "aa:f"), mat, normalized=True)
+    pairs = [GenderPair("m", "x", "aa"), GenderPair("m", "f", "bb"), GenderPair("x", "f", "aa")]
+    with pytest.raises(ValueError) as exc:
+        difference_matrix(space, pairs)
+    assert str(exc.value) == ("no gender pair is resolvable in the space; none of 'aa' resolved; "
+                              "none of 'bb' resolved (the space holds no 'bb:' entries)")
 
 
 def test_difference_matrix_skips_identical_vectors(caplog):
@@ -191,6 +204,67 @@ def test_ppa_does_not_warn_below_single_outlier_bound():
     with capture_warnings() as messages:
         ppa_basis(diffs(rows), k=2, seed=0)
     assert messages == []
+
+
+def ascent_inputs(n, r, found_count, seed):
+    """Centered heavy-tailed coordinates, a projector off ``found_count``
+    orthonormal directions, and 32 starts laid out as ``_ppa`` lays them out."""
+    rng = np.random.default_rng(seed)
+    coords = rng.standard_t(df=3, size=(n, r))
+    found = orthonormal_rows(rng, found_count, r) if found_count else np.zeros((0, r))
+    starts = rng.standard_normal((subspace.PPA_STARTS, r))
+    return coords - coords.mean(axis=0), starts.T, np.eye(r) - found.T @ found
+
+
+def assert_ascent_matches_oracle(coords_c, starts, projector):
+    u, values = subspace._ascend(coords_c, starts.copy(), projector)
+    want_u, want_values = ppa_ascend(coords_c, starts.copy(), projector,
+                                     subspace.PPA_GRAD_TOL, subspace.PPA_MAX_ITER)
+    assert np.array_equal(u, want_u)
+    assert np.array_equal(values, want_values)
+    return values
+
+
+# 40 x 40 is one deflation step on the pursuit benchmark's 40 pairs, under the
+# projectors of steps 1-4; in each run the early iterations have every column
+# live and the late ones a subset
+@pytest.mark.parametrize("n, r, found_count", [
+    (40, 40, 0), (40, 40, 1), (40, 40, 2), (40, 40, 3),
+    (10, 10, 1), (20, 12, 1), (76, 50, 1), (12, 8, 1),
+])
+def test_ascent_is_bit_equal_to_the_oracle(n, r, found_count):
+    assert_ascent_matches_oracle(*ascent_inputs(n, r, found_count, seed=n + found_count))
+
+
+def test_ascent_is_bit_equal_to_the_oracle_for_vanishing_and_flat_starts():
+    coords_c, starts, _ = ascent_inputs(12, 8, 0, seed=7)
+    coords_c[:, 2] = 0.0  # a zero-variance coordinate
+    coords_c[:, 3] *= 1e-20  # a variance below the 1e-30 floor
+    projector = np.diag([0.0] + [1.0] * 7)  # off the first axis, exactly
+    starts[:, 1] = np.eye(8)[0]  # vanishes under the projector
+    starts[:, 2:4] = np.eye(8)[:, 2:4]  # project to a constant, or nearly
+    values = assert_ascent_matches_oracle(coords_c, starts, projector)
+    assert values[1] == -np.inf and values[2] == values[3] == -3.0
+
+
+def test_ascent_is_bit_equal_to_the_oracle_when_the_iteration_cap_stops_it(monkeypatch):
+    monkeypatch.setattr(subspace, "PPA_MAX_ITER", 3)
+    assert_ascent_matches_oracle(*ascent_inputs(40, 40, 2, seed=11))
+
+
+def test_ppa_and_eqr_bases_are_bit_equal_with_the_oracle_ascent(monkeypatch):
+    rows = np.random.default_rng(18).standard_t(df=3, size=(16, 10))
+    dm = diffs(rows, ("aa", "bb") * 8)
+
+    def fits():
+        return [ppa_basis(dm, 4, seed=2), equal_rep_basis(dm, 4, ["aa", "bb"], "ppa", seed=2)]
+
+    fast = fits()
+    monkeypatch.setattr(subspace, "_ascend", lambda coords_c, starts, projector: ppa_ascend(
+        coords_c, starts, projector, subspace.PPA_GRAD_TOL, subspace.PPA_MAX_ITER))
+    for got, want in zip(fast, fits()):
+        assert np.array_equal(got.basis, want.basis)
+        assert got.scores == want.scores
 
 
 # --- equal_rep_basis ---
