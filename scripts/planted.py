@@ -35,6 +35,13 @@ class Bio(NamedTuple):
     tokens: tuple
 
 
+class OffsetWorld(NamedTuple):
+    rows: np.ndarray  # pair-difference rows, each language's in a block, in pair_counts order
+    row_languages: tuple  # the language of each row
+    directions: dict  # {tag: the unit direction its rows were planted along}
+    pair_counts: dict  # {tag: its row count}
+
+
 def _unit(rng, d):
     v = rng.standard_normal(d)
     return v / np.linalg.norm(v)
@@ -98,6 +105,27 @@ def language_world(lexicon, dim, beta, noise, seed):
         world[tag] = Language(*_language_rows(lexicon, tag, direction, rng, dim, beta, noise),
                               direction)
     return world
+
+
+def offset_world(pair_counts, dim, own, seed):
+    """Pair-difference rows of the offset model, with their truth, as an ``OffsetWorld``.
+
+    Language l's direction is g_l = unit(shared + own * own_l), for random
+    unit vectors ``shared`` and ``own_l``. Each of its ``pair_counts[l]``
+    rows is a_i * g_l + N(0, 1/dim) noise, with the loading a_i uniform on
+    [0.5, 1.5]: an offset along g_l that every pair shares.
+    """
+    rng = np.random.default_rng(seed)
+    shared = _unit(rng, dim)
+    rows, row_languages, directions = [], [], {}
+    for tag, n in pair_counts.items():
+        g = shared + own * _unit(rng, dim)
+        g /= np.linalg.norm(g)
+        loadings = rng.uniform(0.5, 1.5, size=n)
+        rows.append(np.outer(loadings, g) + rng.standard_normal((n, dim)) / np.sqrt(dim))
+        row_languages += [tag] * n
+        directions[tag] = g
+    return OffsetWorld(np.vstack(rows), tuple(row_languages), directions, dict(pair_counts))
 
 
 def marker_world(seed, dim, k, n_plain):

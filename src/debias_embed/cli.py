@@ -93,7 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated language tags (one for mono)")
     p_deb.add_argument("--lexicon", default="builtin",
                        help="lexicon JSON path, or 'builtin' (default)")
-    p_deb.add_argument("--variant", choices=("mono", "multi", "eqr"), default="mono")
+    p_deb.add_argument("--variant", choices=("mono", "multi", "eqr"), default="mono",
+                       help="mono (default): one language's train pairs; "
+                            "multi: the train pairs of every language, pooled; "
+                            "eqr: the span of each of L languages' own top k/L directions")
     p_deb.add_argument("--method", choices=("pca", "ppa"), default="pca",
                        help="subspace estimator (default pca). ppa, kurtosis projection "
                             "pursuit, currently removes a direction that isolates one pair "

@@ -6,8 +6,8 @@ in which defining pairs build the subspace:
 
 * ``mono``  - one language's train pairs,
 * ``multi`` - the pooled train pairs of several languages,
-* ``eqr``   - pooled pairs, but the basis is selected so every language
-  contributes the same number of orientation-labeled components.
+* ``eqr``   - each of the L languages fits its top k/L directions to its
+  own train pairs, and the basis spans all k, each labeled with its language.
 """
 
 from __future__ import annotations
@@ -226,9 +226,9 @@ def run_variant(
     """Build the variant's subspace from train pairs and debias the space.
 
     ``splits`` maps each participating language to its train/test pair
-    split; ``mono`` expects exactly one language, ``multi``/``eqr`` pool
-    every language given (in mapping order). Returns the debiased space
-    together with the subspace used, its provenance attached.
+    split; ``mono`` expects exactly one language, ``multi`` pools them all
+    (in mapping order), and ``eqr`` fits each one's own k/L directions.
+    Returns the debiased space and the subspace used, provenance attached.
 
     The subspace and the scope are fitted from the rows :func:`variant_words`
     names, in vocabulary order, and the provenance's ``embedding_fingerprint``

@@ -139,11 +139,9 @@ def inbias(
     return InBiasResult(value=value, per_occupation=tuple(gaps), skipped=tuple(skipped))
 
 
-def _language_terms(space, lexicon, lang, epsilon):
-    """``lang``'s top direction, its neutral vectors that pass the guard, their projections."""
-    if lang not in lexicon.defining_pairs:
-        raise ValueError(f"unknown language {lang!r} in lexicon")
-    direction = pca_basis(difference_matrix(space, lexicon.defining_pairs[lang]), k=1).basis[0]
+def _language_terms(space, lexicon, lang, diffs, epsilon):
+    """``lang``'s top direction from ``diffs``, its guarded neutral vectors, their projections."""
+    direction = pca_basis(diffs, k=1).basis[0]
     rows = []
     missing = 0
     for w in lexicon.neutral_words[lang].all_words():
@@ -196,7 +194,8 @@ def cross_score_matrix(
 ) -> CrossScoreMatrix:
     """Relative projection change of each l2's neutral words along l2's own
     top gender direction after removing each l1's top gender direction,
-    for all ordered language pairs; errors from any cell propagate.
+    for all ordered language pairs; errors from any cell propagate, and
+    one error names every language none of whose pairs resolves.
 
     Words whose original absolute projection falls below ``epsilon`` are
     skipped (their relative change is numerically meaningless); if every
@@ -208,7 +207,19 @@ def cross_score_matrix(
     languages = tuple(languages)
     if not languages:
         raise ValueError("at least one language is required")
-    terms = [_language_terms(space, lexicon, lang, epsilon) for lang in languages]
+    terms, unresolved = [], []
+    for lang in languages:
+        if lang not in lexicon.defining_pairs:
+            raise ValueError(f"unknown language {lang!r} in lexicon")
+        try:
+            diffs = difference_matrix(space, lexicon.defining_pairs[lang])
+        except ValueError as exc:  # raised only when none of the pairs resolves
+            unresolved.append(str(exc))  # naming lang after "; "
+            continue
+        if not unresolved:  # past such a language, only look for more of them
+            terms.append(_language_terms(space, lexicon, lang, diffs, epsilon))
+    if unresolved:
+        raise ValueError(unresolved[0] + "".join(m[m.index("; "):] for m in unresolved[1:]))
     values = [[_relative_change(t1[0], *t2) for t2 in terms] for t1 in terms]
     return CrossScoreMatrix(languages=languages, values=values)
 

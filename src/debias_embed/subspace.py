@@ -20,6 +20,9 @@ Two estimators are provided over the stacked difference matrix:
   beside it, and the best starts of one step can agree to 1e-14, so a
   different batching could pick a different direction.
 
+:func:`equal_rep_basis`, the multilingual eqr subspace, fits either one to
+each language's own rows and orthonormalizes the union with one QR.
+
 Basis vectors are sign-canonicalized (first non-negligible coordinate
 positive) and every produced basis is orthonormal.
 """
@@ -199,12 +202,6 @@ def _check_k(k: int, rank: int) -> None:
         )
 
 
-def _pca(s: np.ndarray, vt: np.ndarray, rank: int, k: int) -> BiasSubspace:
-    _check_k(k, rank)
-    scores = (s**2 / np.sum(s**2))[:k]
-    return BiasSubspace(basis=_canonical_signs(vt[:k]), method="pca", scores=scores)
-
-
 def pca_basis(diffs: DifferenceMatrix, k: int) -> BiasSubspace:
     """Top-k principal directions of the difference matrix.
 
@@ -214,7 +211,10 @@ def pca_basis(diffs: DifferenceMatrix, k: int) -> BiasSubspace:
     total), so they are non-increasing. ``k`` above the numerical rank
     raises ValueError naming the achievable k.
     """
-    return _pca(*_factor(diffs.rows), k)
+    s, vt, rank = _factor(diffs.rows)
+    _check_k(k, rank)
+    scores = (s**2 / np.sum(s**2))[:k]
+    return BiasSubspace(basis=_canonical_signs(vt[:k]), method="pca", scores=scores)
 
 
 def _kurtosis_and_grad(coords_c: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,13 +305,10 @@ def ppa_basis(diffs: DifferenceMatrix, k: int, seed: int = 0) -> BiasSubspace:
     (n-2) + 1/(n-1) - 3 separates one pair from the rest, which is
     logged as a warning. Results are deterministic for a given seed.
     """
-    return _ppa(diffs, *_factor(diffs.rows)[1:], k, seed)
-
-
-def _ppa(diffs: DifferenceMatrix, vt: np.ndarray, rank: int, k: int, seed: int) -> BiasSubspace:
     n, dim = diffs.shape
     if n < 4:
         raise ValueError(f"projection pursuit needs at least 4 difference rows, got {n}")
+    _, vt, rank = _factor(diffs.rows)
     _check_k(k, rank)
     span = vt[:rank]
     coords = diffs.rows @ span.T
@@ -352,23 +349,19 @@ def _ppa(diffs: DifferenceMatrix, vt: np.ndarray, rank: int, k: int, seed: int) 
 def equal_rep_basis(
     diffs: DifferenceMatrix, k: int, languages, method: str = "pca", *, seed: int = 0
 ) -> BiasSubspace:
-    """The eqr subspace: k/L directions for each of the L ``languages``.
+    """The eqr subspace: the span of each of the L ``languages``' own top k/L directions.
 
-    1. A candidate pool is fitted from one SVD of the difference matrix:
-       for PCA every direction up to its numerical rank, for PPA
-       min(rank, max(3k, 16)) directions, in score order.
-    2. Each pool vector is labeled with the language whose mean
-       difference row it is closest to, by |cos|. Ties go to the earlier
-       language in ``languages``, and so does a vector orthogonal to every
-       mean, which is logged as a warning.
-    3. The first k/L vectors labeled with each language are kept, in pool
-       order, with their labels as ``orientation_labels``. A row subset of
-       an orthonormal pool is orthonormal, so they are used as they are.
+    :func:`pca_basis` or :func:`ppa_basis` fits k/L directions, and their
+    scores, to each language's rows alone. The k directions are ordered by
+    score (ties keep the order of ``languages``), orthonormalized by one QR
+    and sign-canonicalized, and labeled with their languages; their span
+    does not depend on the order of ``languages``.
 
-    Raises ValueError before any fit when ``languages`` is empty, k is
-    not divisible by L, ``method`` is unknown or a language has no rows;
-    after the fit, when fewer than k/L pool vectors are labeled with some
-    language (a PPA pool is small and may hold none).
+    Raises ValueError before any fit when ``languages`` is empty, k is not
+    divisible by L, ``method`` is unknown or a language has no rows; after,
+    naming the language, when its rows cannot give k/L directions or a
+    direction's part outside the span of those before it (its QR diagonal)
+    is below BASIS_TOL.
     """
     languages = tuple(languages)
     if not languages:
@@ -380,36 +373,28 @@ def equal_rep_basis(
     for lang in languages:
         if lang not in diffs.row_languages:
             raise ValueError(f"language {lang!r} has no rows in the difference matrix")
-    s, vt, rank = _factor(diffs.rows)
-    if method == "pca":
-        pool = _pca(s, vt, rank, rank)
-    else:
-        pool = _ppa(diffs, vt, rank, min(rank, max(3 * k, 16)), seed)
-    tags = np.asarray(diffs.row_languages)
-    means = np.vstack([diffs.rows[tags == lang].mean(axis=0) for lang in languages])
-    mean_norms = np.linalg.norm(means, axis=1)
-    labels = []
-    for vec in pool.basis:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cos = np.abs(means @ vec) / (mean_norms * np.linalg.norm(vec))
-        cos = np.where(np.isfinite(cos), cos, 0.0)
-        if np.max(cos) == 0.0:
-            log.warning("equal_rep_basis: basis vector is orthogonal to every language mean; "
-                        "labeling it %r by order", languages[0])
-        labels.append(languages[int(np.argmax(cos))])
     per_language = k // len(languages)
-    chosen: list[int] = []
+    tags = np.asarray(diffs.row_languages)
+    fits = []
     for lang in languages:
-        rows = [i for i, label in enumerate(labels) if label == lang]
-        if len(rows) < per_language:
-            raise ValueError(
-                f"pool has only {len(rows)} component(s) labeled {lang!r}; "
-                f"{per_language} needed ({per_language - len(rows)} short)"
-            )
-        chosen += rows[:per_language]
-    chosen.sort()  # keep the pool (score) order
-    return BiasSubspace(pool.basis[chosen], method, tuple(pool.scores[i] for i in chosen),
-                        orientation_labels=tuple(labels[i] for i in chosen))
+        own = DifferenceMatrix(diffs.rows[tags == lang], [lang] * int(np.sum(tags == lang)))
+        try:
+            fits.append(pca_basis(own, per_language) if method == "pca"
+                        else ppa_basis(own, per_language, seed=seed))
+        except ValueError as exc:
+            raise ValueError(f"language {lang!r} cannot give {per_language} direction(s): {exc}")
+    scores = np.concatenate([fit.scores for fit in fits])
+    labels = [lang for lang in languages for _ in range(per_language)]
+    order = np.argsort(-scores, kind="stable")
+    q, r = np.linalg.qr(np.vstack([fit.basis for fit in fits])[order].T)
+    # r has no diagonal past the dimension, where every direction lies in the span
+    outside = np.pad(np.abs(np.diag(r)), (0, k - len(r)))
+    if (inside := np.flatnonzero(outside < BASIS_TOL)).size:
+        j = inside[0]
+        raise ValueError(f"a direction of language {labels[order[j]]!r} lies in the span of "
+                         f"the {j} direction(s) before it (QR diagonal {outside[j]:.1e})")
+    return BiasSubspace(_canonical_signs(q.T), method, scores[order],
+                        orientation_labels=tuple(labels[i] for i in order))
 
 
 def pairs_fingerprint(pairs) -> str:

@@ -117,16 +117,16 @@ def test_report_inbias_json(tmp_path, en_vec, capsys):
 
 def test_a_language_without_entries_is_named_when_no_pair_resolves(tmp_path, en_vec, capsys):
     # an unmerged en.vec read under the merged tag en+hi resolves no pair;
-    # xscore fits one language at a time and stops at the first, debias pools them
+    # xscore fits one language at a time, debias pools them, and both name each
     xscore = ["report", "--xscore", "--emb", en_vec, "--languages", "en,hi"]
     debias = ["debias", "--emb", en_vec, "--languages", "en,hi", "--variant", "multi",
               "--out", tmp_path / "out.vec"]
-    for argv, named in ((xscore, ["en"]), (debias, ["en", "hi"])):
+    for argv in (xscore, debias):
         assert run(argv) == 1
         assert capsys.readouterr().err.splitlines()[-1] == (
             "debias-embed: no gender pair is resolvable in the space" + "".join(
                 f"; none of {lang!r} resolved (the space holds no '{lang}:' entries)"
-                for lang in named))
+                for lang in ["en", "hi"]))
 
 
 def test_report_xscore_table(tmp_path, en_vec, capsys):
@@ -617,19 +617,17 @@ def test_languages_a_run_cannot_use_are_refused_before_any_input_is_read(
     assert os.listdir(tmp_path) == []
 
 
-def test_eqr_ppa_refuses_a_language_no_pool_direction_is_closest_to(tmp_path, capsys):
-    # the demo's merged planted world: of the 16 directions of the ppa pool,
-    # none is closest to the mean pair difference of 'en'
+def test_eqr_ppa_gives_each_language_its_share_on_the_demo_world(tmp_path):
+    # the demo's merged planted world: each language fits its own k/L directions
     world = language_world(builtin_lexicon(), dim=64, beta=0.5, noise=0.08, seed=0)
     spaces = {tag: EmbeddingSpace(tag, lang.words, lang.rows, normalized=True)
               for tag, lang in world.items()}
     path = tmp_path / "world.vec"
     save_vec(load_script("run_synthetic_demo").merge_all(spaces), str(path))
     assert run(["debias", "--emb", path, "--languages", ",".join(world), "--variant", "eqr",
-                "--method", "ppa", "--k", "4", "--seed", "0", "--out", tmp_path / "o.vec"]) == 1
-    assert ("pool has only 0 component(s) labeled 'en'; 1 needed (1 short)"
-            in capsys.readouterr().err)
-    assert os.listdir(tmp_path) == ["world.vec"]  # no .vec, subspace or manifest
+                "--method", "ppa", "--k", "4", "--seed", "0", "--out", tmp_path / "o.vec"]) == 0
+    saved = json.loads((tmp_path / "o.vec.subspace.json").read_text(encoding="utf-8"))
+    assert sorted(saved["orientation_labels"]) == sorted(world)
 
 
 def test_reruns_are_byte_identical(tmp_path, en_vec, capsys):
@@ -942,13 +940,16 @@ def test_precision_17_output_does_not_depend_on_the_thread_count(tmp_path):
     assert first == second
 
 
-@pytest.mark.parametrize("flags", [["--variant", "multi"], ["--variant", "eqr", "--k", "8"]],
-                         ids=["multi", "eqr-k8"])
-def test_ppa_output_does_not_depend_on_the_thread_count(tmp_path, flags):
+@pytest.mark.parametrize("flags", [
+    ["--method", "ppa", "--variant", "multi"],
+    ["--method", "ppa", "--variant", "eqr", "--k", "8"],
+    ["--method", "pca", "--variant", "eqr", "--k", "8"],  # four SVDs and a QR
+], ids=["ppa-multi", "ppa-eqr-k8", "pca-eqr-k8"])
+def test_multilingual_output_does_not_depend_on_the_thread_count(tmp_path, flags):
     tags = ("en", "hi", "be", "te")
     emb = write_lexicon_rows(tmp_path / "merged.vec", 600, tags)
     first, second = debias_at_each_thread_count(
-        tmp_path, ["--emb", emb, "--languages", ",".join(tags), "--method", "ppa", *flags])
+        tmp_path, ["--emb", emb, "--languages", ",".join(tags), *flags])
     assert first == second
 
 

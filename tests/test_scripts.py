@@ -77,7 +77,7 @@ def test_synthetic_demo_output_is_pinned():
     with contextlib.redirect_stdout(stdout):
         assert load_script("run_synthetic_demo").main([]) == 0
     digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
-    assert digest == "ce0ca7989d079f84b5958aa947d0b1b23870da2e69a55de7f83a6372b76052a5"
+    assert digest == "10642d95c6e1c2c0d53e82d1a48783eaa899134936a0edd26d58c712affc56a7"
 
 
 def test_language_world_records_the_direction_it_planted():
