@@ -19,7 +19,6 @@ Run:  python3 scripts/reproduce_mono_inbias.py --vectors-dir DIR
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -27,6 +26,7 @@ from debias_embed.debias import DebiasConfig, run_variant
 from debias_embed.embeddings import load_vec, normalize
 from debias_embed.intrinsic import format_inbias_table, inbias
 from debias_embed.lexicon import builtin_lexicon, entry_forms, split_pairs
+from debias_embed.manifest import write_json
 
 FILES = {"en": "wiki.en.vec", "hi": "wiki.hi.vec", "be": "wiki.bn.vec",
          "te": "wiki.te.vec"}
@@ -70,9 +70,7 @@ def main(argv=None):
             "method": args.method, "k": args.k, "seed": args.seed,
             "inbias": {t: v for t, v in rows},
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, payload)
     return 0
 
 

@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_deb.add_argument("--scope", choices=("all", "neutral"), default="all",
                        help="debias every word or only the lexicon's neutral words")
     p_deb.add_argument("--renormalize", action="store_true",
-                       help="rescale residuals to unit norm")
+                       help="rescale residuals to unit norm; a word inside the subspace, "
+                            "whose residual vanishes, is refused (exit 1, no output)")
     p_deb.add_argument("--seed", type=_at_least(0), default=0,
                        help="seed for the pair split and projection pursuit (default 0)")
     p_deb.add_argument("--train-count", type=int, default=10,
@@ -332,32 +333,27 @@ def _report_inbias(args, languages, lexicon):
         runs.append(("debiased", args.emb_after))
     row_keys = list(languages) + (["all"] if len(languages) > 1 else [])
     words = _lexicon_entries(lexicon, languages)
-    per_run = {}
+    per_run, values = {}, {}
     for label, path in runs:
-        space = _held_space(path, tag, words)
-        per_run[label] = {
-            key: intrinsic.inbias(
-                space, lexicon, languages if key == "all" else [key], seed_words=seed_words
-            )
-            for key in row_keys
-        }
+        result = intrinsic.inbias(_held_space(path, tag, words), lexicon, languages,
+                                  seed_words=seed_words)
+        per_run[label] = result
+        values[label] = {lang: result.language_value(lang) for lang in languages}
+        if len(languages) > 1:
+            values[label]["all"] = result.value
 
     columns = [label for label, _ in runs]
-    table_rows = [
-        (key, {label: per_run[label][key].value for label in columns}) for key in row_keys
-    ]
+    table_rows = [(key, {label: values[label][key] for label in columns}) for key in row_keys]
     table = intrinsic.format_inbias_table(columns, table_rows)
     payload = {
         "metric": "inbias",
         "languages": languages,
         "seeds": args.seeds,
-        "values": {
-            label: {key: per_run[label][key].value for key in row_keys} for label in columns
-        },
+        "values": values,
         "per_occupation": {
             label: [
                 {"language": lang, "masculine": m, "feminine": f, "gap": gap}
-                for (lang, m, f, gap) in per_run[label][row_keys[-1]].per_occupation
+                for (lang, m, f, gap) in per_run[label].per_occupation
             ]
             for label in columns
         },

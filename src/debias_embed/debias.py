@@ -8,6 +8,10 @@ in which defining pairs build the subspace:
 * ``multi`` - the pooled train pairs of several languages,
 * ``eqr``   - each of the L languages fits its top k/L directions to its
   own train pairs, and the basis spans all k, each labeled with its language.
+
+With ``renormalize_after`` each residual is rescaled to unit norm, as
+hard-debias's neutralize step does; a word inside the subspace has no
+residual to rescale and is refused.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ VARIANTS = ("mono", "multi", "eqr")
 METHODS = ("pca", "ppa")
 SCOPES = ("all", "neutral")
 
-#: residuals with norm below this are treated as zero when renormalizing
+#: a residual with norm below this cannot be renormalized and is refused
 ZERO_RESIDUAL_TOL = 1e-12
 
 
@@ -90,43 +94,22 @@ def residuals(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return out
 
 
-class _ZeroWords(list):
-    """Words whose residual vanished, logged once by :meth:`finish`. As a tap
-    of a debiased :class:`~.embeddings.SpaceStream`, those of every block,
-    gathered in block order and logged after the pass."""
-
-    add = list.extend
-
-    def finish(self) -> None:
-        if self:
-            shown = ", ".join(repr(w) for w in self[:10])
-            more = f" (+{len(self) - 10} more)" if len(self) > 10 else ""
-            log.warning("debias_space: %d word(s) lie entirely in the bias subspace and stay "
-                        "zero after renormalization: %s%s", len(self), shown, more)
-
-
 def debias_space(
     space: EmbeddingSpace,
     subspace: BiasSubspace,
     config: DebiasConfig,
     scope_words=None,
-    *,
-    zero_words: list | None = None,
 ) -> EmbeddingSpace:
     """Remove the subspace component from every in-scope word.
 
     ``scope_words`` (vocabulary entries, prefixed form for merged
     spaces) is required when ``config.scope == "neutral"``; every other
     word is then carried over bit-identically. With
-    ``renormalize_after`` residuals are rescaled to unit norm, except
-    residuals that vanished entirely, which stay zero. Each row is
-    computed by :func:`residuals`, so debiasing the blocks of any split of
-    the space instead gives the same rows.
-
-    Given ``zero_words``, a list, the space is one block of a larger one:
-    the words whose residual vanished are appended to it, and nothing is
-    logged. Without it, an unnormalized input, scope words not in the
-    vocabulary and those words are each logged once.
+    ``renormalize_after`` residuals are rescaled to unit norm; a residual
+    of norm below ``ZERO_RESIDUAL_TOL``, a word inside the subspace, has
+    no unit direction, and the first such word in vocabulary order raises
+    ValueError. Each row is computed by :func:`residuals`, so debiasing the
+    blocks of any split of the space instead gives the same rows.
     """
     neutral = config.scope == "neutral"
     if neutral and scope_words is None:
@@ -143,33 +126,22 @@ def debias_space(
     sub = residuals(space.matrix[rows], subspace.basis)
 
     normalized = False
-    vanished = []
     if config.renormalize_after:
         norms = row_norms(sub)
-        zero = norms < ZERO_RESIDUAL_TOL
-        vanished = [space.vocab[i] for i in np.arange(len(space))[rows][zero]]
-        sub[zero] = 0.0
-        np.divide(sub, norms[:, None], out=sub, where=~zero[:, None])
-        # unit everywhere only if no residual vanished and any untouched
-        # out-of-scope rows were unit to begin with
-        normalized = bool(not zero.any() and (not neutral or space.normalized))
+        if (zero := np.flatnonzero(norms < ZERO_RESIDUAL_TOL)).size:
+            word = space.vocab[np.arange(len(space))[rows][zero[0]]]
+            raise ValueError(f"cannot renormalize {word!r}: it lies in the bias subspace"
+                             f" (residual norm {norms[zero[0]]:.1e})")
+        sub /= norms[:, None]
+        # unit everywhere only if any untouched out-of-scope rows were unit to begin with
+        normalized = not neutral or space.normalized
     if neutral:
         matrix = space.matrix.copy()
         matrix[rows] = sub
     else:
         matrix = sub
     matrix.setflags(write=False)
-    debiased = EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=normalized)
-    if zero_words is not None:
-        zero_words += vanished
-        return debiased
-    if not space.normalized:
-        log.warning("debias_space: input space is not normalized")
-    if neutral and len(wanted) > len(rows):
-        log.warning("debias_space: %d scope word(s) not in the vocabulary",
-                    len(wanted) - len(rows))
-    _ZeroWords(vanished).finish()
-    return debiased
+    return EmbeddingSpace(space.language_tag, space.vocab, matrix, normalized=normalized)
 
 
 def variant_words(lexicon: GenderLexicon, config: DebiasConfig, splits) -> set[str]:
@@ -234,9 +206,8 @@ def run_variant(
     names, in vocabulary order, and the provenance's ``embedding_fingerprint``
     is :func:`~.embeddings.space_fingerprint` of just those rows. ``space``
     may be a :class:`~.embeddings.SpaceStream`, whose held rows must include
-    them; the debiased space is then a stream too, computed block by block
-    as it is read, and a pass over it logs the words whose residual vanished
-    once, after its last block.
+    them; the debiased space is then a stream too, each block debiased by
+    :func:`debias_space` as it is read.
     """
     streamed = isinstance(space, SpaceStream)
     held = space.held if streamed else space
@@ -264,17 +235,10 @@ def run_variant(
         scope_words = _resolve_scope_words(fitted, lexicon, languages)
 
     def step(block):
-        """``block`` debiased, and the words whose residual vanished in it."""
-        zero_words = []
-        block = debias_space(block, subspace, config, scope_words, zero_words=zero_words)
-        return block, zero_words
+        return debias_space(block, subspace, config, scope_words)
 
     # one step for a held space and for each block of a stream, wherever it is computed
-    if streamed:
-        debiased = space.derive(step, tap=_ZeroWords)
-    else:
-        debiased, zero_words = step(space)
-        _ZeroWords(zero_words).finish()
+    debiased = space.derive(step) if streamed else step(space)
     provenance = {
         "variant": config.variant,
         "method": config.method,

@@ -170,9 +170,7 @@ class SpaceStream:
     of the file whenever it is needed. A row does not depend on the split,
     so :func:`save_vec` computes the blocks on every CPU, one consecutive
     share of them per process; :meth:`blocks` yields them in order, computed
-    in this process. Either pass gives the stream's taps, such as the
-    zero-residual words of :func:`~.debias.run_variant`, every block's value
-    in block order.
+    in this process.
     ``held`` is an EmbeddingSpace of the rows of the words :func:`load_vec`
     was told to hold, in file order (empty if the file has none of them),
     kept for lookups such as a subspace fit; a stream derived without one,
@@ -180,68 +178,41 @@ class SpaceStream:
     The other words are not kept.
     """
     def __init__(self, language_tag: str, count: int, dim: int, block, block_count: int, *,
-                 held=None, normalized: bool = False, taps=()):
+                 held=None, normalized: bool = False):
         self.language_tag = language_tag
         self.dim = dim
         self.held = held
         self.normalized = normalized
         self._count = count
-        #: i -> (block i, the value of each tap for it)
+        #: i -> block i
         self._block = block
         self._block_count = block_count
-        #: what makes, for each pass, the objects the tap values go to, in order
-        self._taps = taps
 
     def __len__(self):
         return self._count
 
     def blocks(self):
         """Yield the rows block by block, computed anew in this process."""
-        taps = [make() for make in self._taps]
         for i in range(self._block_count):
-            space, values = self._block(i)
-            for tap, value in zip(taps, values):
-                tap.add(value)
-            del values
+            space = self._block(i)
             yield space
             del space  # not alive while the next block is computed
-        for tap in taps:
-            tap.finish()
 
-    def derive(self, step, *, held=None, normalized: bool = False, tap=None) -> SpaceStream:
+    def derive(self, step, *, held=None, normalized: bool = False) -> SpaceStream:
         """The stream whose block i is ``step`` of this stream's block i: the
-        same words in the same order.
-
-        With ``tap``, ``step`` returns the derived block and a value, and each
-        pass calls ``tap()`` once, in the process that runs the pass: the
-        object made gets every block's value, in block order, through ``add``,
-        and ``finish()`` after the last.
-        """
+        same words in the same order."""
         parent = self._block
-
-        def block(i):
-            space, values = parent(i)
-            if tap is None:
-                return step(space), values
-            space, value = step(space)
-            return space, values + (value,)
-
-        return SpaceStream(self.language_tag, len(self), self.dim, block, self._block_count,
-                           held=held, normalized=normalized,
-                           taps=self._taps + ((tap,) if tap else ()))
+        return SpaceStream(self.language_tag, len(self), self.dim, lambda i: step(parent(i)),
+                           self._block_count, held=held, normalized=normalized)
 
     def chain(self, other: SpaceStream, language_tag: str, step, *,
               normalized: bool = False) -> SpaceStream:
         """The stream of ``step`` of each of this stream's blocks, then of each
-        of ``other``'s, tagged ``language_tag`` and holding no rows. Neither
-        stream may have taps."""
-        if self._taps or other._taps:
-            raise ValueError("cannot chain a stream that has taps")
+        of ``other``'s, tagged ``language_tag`` and holding no rows."""
         first = self._block_count
 
         def block(i):
-            space, _ = self._block(i) if i < first else other._block(i - first)
-            return step(space), ()
+            return step(self._block(i) if i < first else other._block(i - first))
 
         return SpaceStream(language_tag, len(self) + len(other), self.dim, block,
                            first + other._block_count, normalized=normalized)
@@ -644,7 +615,7 @@ def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream
         words = _read_rows(path, dim, blocks[i], rows)
         rows = rows[: len(words)]
         rows.setflags(write=False)
-        return EmbeddingSpace(language_tag, tuple(words), rows), ()
+        return EmbeddingSpace(language_tag, tuple(words), rows)
 
     stream = SpaceStream(language_tag, count, dim, block, len(blocks), held=held)
     if hold is not None:
@@ -832,8 +803,7 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     the smallest, straight into the output while each forked worker writes
     its own share to a file beside it; then it appends those files in
     order. A :class:`SpaceStream`'s blocks are computed by the process that
-    formats them; its taps, such as the zero-residual words, are fed here,
-    in block order. The first error in file order is raised, and no worker
+    formats them. The first error in file order is raised, and no worker
     outlives the call.
 
     Each value is written as ``%.{precision}g`` writes it. Up to 9 digits,
@@ -846,30 +816,30 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     if precision < 1:
         raise ValueError("precision must be at least 1 significant digit")
     if isinstance(space, SpaceStream):
-        blocks, taps = space._block_count, [make() for make in space._taps]
+        blocks = space._block_count
 
         def rows(i):
-            block, values = space._block(i)
-            return block.vocab, block.matrix, values
+            block = space._block(i)
+            return block.vocab, block.matrix
     else:
-        spans, taps = list(row_blocks(space.matrix)), []
+        spans = list(row_blocks(space.matrix))
         blocks = len(spans)
 
         def rows(i):  # the words are not copied
             words = map(space.vocab.__getitem__, range(len(space))[spans[i]])
-            return words, space.matrix[spans[i]], ()
+            return words, space.matrix[spans[i]]
 
     width = _processes(len(space), space.dim)
 
     def write(i, fh):
-        words, matrix, values = rows(i)
+        words, matrix = rows(i)
         _write_rows(words, matrix, fh, precision)
-        return len(matrix), values
+        return len(matrix)
 
     def share(k, fh):
         """Format the k-th of ``width`` consecutive shares of the blocks onto
-        ``fh``; return each block's row count and tap values."""
-        return [write(i, fh) for i in range(k * blocks // width, (k + 1) * blocks // width)]
+        ``fh``; return its row count."""
+        return sum(write(i, fh) for i in range(k * blocks // width, (k + 1) * blocks // width))
 
     workers = []  # (pid, the pipe its reply comes through)
     with staged(path) as (tmp,):
@@ -878,7 +848,7 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
                 fh.write(f"{len(space)} {space.dim}\n".encode())
                 for k in range(1, width):
                     workers.append(_fork(share, k, f"{tmp}.{k}"))
-                done = share(0, fh)
+                written = share(0, fh)
                 for k, (pid, pipe) in enumerate(workers, 1):
                     try:
                         ok, reply = pickle.load(pipe)
@@ -888,13 +858,7 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
                     if not ok:
                         raise reply
                     _append(fh, f"{tmp}.{k}")
-                    done += reply
-                for _, values in done:
-                    for tap, value in zip(taps, values):
-                        tap.add(value)
-                for tap in taps:
-                    tap.finish()
-                written = sum(count for count, _ in done)
+                    written += reply
                 if written != len(space):
                     raise ValueError(
                         f"{path}: {written} rows written, but the header declares {len(space)}"

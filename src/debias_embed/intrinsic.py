@@ -67,6 +67,14 @@ class InBiasResult:
     per_occupation: tuple[tuple[str, str, str, float], ...]
     skipped: tuple[tuple[str, str, str], ...]
 
+    def language_value(self, lang: str) -> float:
+        """The mean of ``lang``'s gaps: the value :func:`inbias` over ``lang``
+        alone gives, bit for bit, as its gaps are the same in the same order."""
+        gaps = [g[3] for g in self.per_occupation if g[0] == lang]
+        if not gaps:
+            raise ValueError("no occupation pair is resolvable in the space")
+        return float(np.mean(gaps))
+
 
 def _seed_matrix(space, words, lang, side):
     rows = []

@@ -303,7 +303,7 @@ def ppa_basis(diffs: DifferenceMatrix, k: int, seed: int = 0) -> BiasSubspace:
     directions 1..j-1; at least 4 rows are needed for a meaningful fourth
     moment. A direction whose score reaches the single-outlier bound
     (n-2) + 1/(n-1) - 3 separates one pair from the rest, which is
-    logged as a warning. Results are deterministic for a given seed.
+    logged as a warning naming the rows' languages. Results are deterministic for a given seed.
     """
     n, dim = diffs.shape
     if n < 4:
@@ -333,11 +333,12 @@ def ppa_basis(diffs: DifferenceMatrix, k: int, seed: int = 0) -> BiasSubspace:
     if saturated:
         log.warning(
             "ppa_basis: %d of %d direction(s) reach the single-outlier kurtosis bound %.3f "
-            "for %d rows; each isolates one pair rather than a shared direction",
+            "for %d rows [%s]; each isolates one pair rather than a shared direction",
             saturated,
             k,
             bound,
             n,
+            ", ".join(dict.fromkeys(diffs.row_languages)),
         )
     order = np.argsort(-np.asarray(scores), kind="stable")
     basis = _canonical_signs(found[order] @ span)

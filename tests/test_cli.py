@@ -1,6 +1,5 @@
 import hashlib
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -16,6 +15,7 @@ from debias_embed.align import apply_map, load_dictionary, merge_spaces, procrus
 from debias_embed.cli import main
 from debias_embed.debias import DebiasConfig, run_variant
 from debias_embed.embeddings import EmbeddingSpace, load_vec, normalize, save_vec
+from debias_embed.intrinsic import inbias
 from debias_embed.lexicon import builtin_lexicon, split_pairs
 from debias_embed.subspace import save_subspace
 from helpers import (
@@ -113,6 +113,25 @@ def test_report_inbias_json(tmp_path, en_vec, capsys):
     assert set(payload["values"]) == {"orig", "debiased"}
     assert payload["manifest"] == "inbias.json.manifest.json"
     assert (tmp_path / "inbias.json.manifest.json").exists()
+
+
+def test_report_inbias_logs_each_warning_once_and_scores_each_language_alone(tmp_path):
+    lex = builtin_lexicon()
+    seed = lex.seed_sets["hi"].male[0]
+    words = tuple(f"{t}:{w}" for t in ("hi", "en") for w in lex.words(t) if (t, w) != ("hi", seed))
+    emb, report = tmp_path / "merged.vec", tmp_path / "r.json"
+    space = EmbeddingSpace("hi+en", words, unit_rows(np.random.default_rng(4), len(words), 16))
+    save_vec(space, str(emb), precision=17)
+    assert run(["report", "--inbias", "--emb", emb, "--languages", "hi,en", "--seeds", "lexicon",
+                "--json", report]) == 0
+    warnings = json.loads((tmp_path / "r.json.manifest.json").read_text())["warnings"]
+    assert len(warnings) == len(set(warnings))
+    assert f"inbias: male seed {seed!r} [hi] is out of vocabulary" in warnings
+    # each row is the value inbias gives over that language alone, bit for bit
+    space = normalize(load_vec(emb, "hi+en"))
+    assert json.loads(report.read_text())["values"]["orig"] == {
+        key: inbias(space, lex, langs).value
+        for key, langs in (("hi", ["hi"]), ("en", ["en"]), ("all", ["hi", "en"]))}
 
 
 def test_a_language_without_entries_is_named_when_no_pair_resolves(tmp_path, en_vec, capsys):
@@ -628,6 +647,10 @@ def test_eqr_ppa_gives_each_language_its_share_on_the_demo_world(tmp_path):
                 "--method", "ppa", "--k", "4", "--seed", "0", "--out", tmp_path / "o.vec"]) == 0
     saved = json.loads((tmp_path / "o.vec.subspace.json").read_text(encoding="utf-8"))
     assert sorted(saved["orientation_labels"]) == sorted(world)
+    # each language's own fit saturates here, and its warning names it
+    warnings = json.loads((tmp_path / "o.vec.manifest.json").read_text())["warnings"]
+    assert [w.split("[")[1].split("]")[0] for w in warnings if w.startswith("ppa_basis:")] \
+        == list(world)
 
 
 def test_reruns_are_byte_identical(tmp_path, en_vec, capsys):
@@ -953,7 +976,7 @@ def test_multilingual_output_does_not_depend_on_the_thread_count(tmp_path, flags
     assert first == second
 
 
-def test_debias_is_the_same_inline_and_on_workers(tmp_path, monkeypatch, capsys, caplog):
+def test_debias_is_the_same_inline_and_on_workers(tmp_path, monkeypatch, capsys):
     emb = write_lexicon_rows(tmp_path / "en.vec", 1000)  # three 436-row blocks
     bad = tmp_path / "bad.vec"
     lines = (tmp_path / "en.vec").read_text(encoding="utf-8").splitlines(True)
@@ -961,10 +984,10 @@ def test_debias_is_the_same_inline_and_on_workers(tmp_path, monkeypatch, capsys,
     bad.write_text("".join(lines), encoding="utf-8")
     word = lines[501].split()[0]
     # rows that are train-pair differences, so that their residuals vanish
-    # with k = 10: one in the first block, two in the worker's, one in the last
+    # with k = 10: all in the worker's share, two in its first block, one in the last
     space = normalize(load_vec(emb, "en"))
     split = split_pairs(builtin_lexicon(), "en", 10, 0)
-    matrix, zero_rows = space.matrix.copy(), (300, 500, 800, 900)
+    matrix, zero_rows = space.matrix.copy(), (500, 600, 900)
     for row, p in zip(zero_rows, split.train_pairs):
         matrix[row] = matrix[space.index[p.male_word]] - matrix[space.index[p.female_word]]
     planted = tmp_path / "planted.vec"
@@ -974,34 +997,32 @@ def test_debias_is_the_same_inline_and_on_workers(tmp_path, monkeypatch, capsys,
 
     def debias():
         outputs = {}
-        for name, argv in (("all", [emb]), ("zero", [planted, "--k", "10"])):
-            assert run(["debias", "--emb", *argv, "--languages", "en", "--renormalize",
-                        "--out", out / "d.vec"]) == 0
-            outputs[name, "stdout"] = capsys.readouterr().out
-            for file in ("d.vec", "d.vec.subspace.json"):
-                outputs[name, file] = (out / file).read_bytes()
-            manifest = json.loads((out / "d.vec.manifest.json").read_text())
-            outputs[name, "manifest"] = {k: v for k, v in manifest.items() if k != "created_at"}
-            for file in os.listdir(out):
-                os.unlink(out / file)
-        assert run(["debias", "--emb", bad, "--languages", "en", "--out", out / "d.vec"]) == 1
-        outputs["stderr"] = capsys.readouterr().err
-        assert os.listdir(out) == []  # no segment, no temporary file, no output
+        assert run(["debias", "--emb", emb, "--languages", "en", "--renormalize",
+                    "--out", out / "d.vec"]) == 0
+        outputs["stdout"] = capsys.readouterr().out
+        for file in ("d.vec", "d.vec.subspace.json"):
+            outputs[file] = (out / file).read_bytes()
+        manifest = json.loads((out / "d.vec.manifest.json").read_text())
+        outputs["manifest"] = {k: v for k, v in manifest.items() if k != "created_at"}
+        for file in os.listdir(out):
+            os.unlink(out / file)
+        for name, argv in (("bad", [bad]), ("zero", [planted, "--k", "10", "--renormalize"])):
+            assert run(["debias", "--emb", *argv, "--languages", "en",
+                        "--out", out / "d.vec"]) == 1
+            outputs[name] = capsys.readouterr().err
+            assert os.listdir(out) == []  # no segment, no temporary file, no output
         return outputs
 
     inline, pooled = inline_and_on_workers(monkeypatch, debias)
     assert inline == pooled
-    assert f"{bad}: line 502: unparseable number in row for {word!r}" in inline["stderr"]
-    zero_words = ", ".join(repr(space.vocab[i]) for i in zero_rows)  # in block order
-    assert inline["zero", "manifest"]["warnings"] == [
-        "debias_space: 4 word(s) lie entirely in the bias subspace and stay zero after "
-        f"renormalization: {zero_words}"
-    ]
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="debias_embed"):
+    assert f"{bad}: line 502: unparseable number in row for {word!r}" in inline["bad"]
+    first = space.vocab[zero_rows[0]]  # in file order
+    assert inline["zero"].startswith(f"debias-embed: cannot renormalize {first!r}: it lies in"
+                                     " the bias subspace (residual norm ")
+    with pytest.raises(ValueError) as refused:
         run_variant(normalize(load_vec(str(planted), "en")), builtin_lexicon(),
                     DebiasConfig(k=10, renormalize_after=True), {"en": split})
-    assert caplog.messages == inline["zero", "manifest"]["warnings"]
+    assert inline["zero"] == f"debias-embed: {refused.value}\n"
 
 
 @pytest.mark.parametrize("mode, tags, options", [

@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,16 +58,18 @@ def test_two_axis_removal_and_renormalization():
     assert renorm.normalized
 
 
-def test_renormalize_zeroes_and_warns_on_words_inside_subspace(caplog):
-    mat = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    space = EmbeddingSpace("en", ("doomed", "safe"), mat, normalized=True)
+def test_renormalize_refuses_the_first_word_inside_the_subspace():
+    mat = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    space = EmbeddingSpace("en", ("safe", "doomed", "lost"), mat, normalized=True)
     sub = axis_subspace([0, 1], 3)
-    with caplog.at_level(logging.WARNING, logger="debias_embed"):
-        out = debias_space(space, sub, DebiasConfig(k=2, renormalize_after=True))
-    np.testing.assert_array_equal(out.matrix[0], [0.0, 0.0, 0.0])
-    np.testing.assert_allclose(out.matrix[1], [0.0, 0.0, 1.0])
-    assert not out.normalized  # a zero row survived, so the flag must stay off
-    assert any("doomed" in m for m in caplog.messages)
+    with pytest.raises(ValueError, match=r"^cannot renormalize 'doomed': it lies in the bias "
+                                         r"subspace \(residual norm 0\.0e\+00\)$"):
+        debias_space(space, sub, DebiasConfig(k=2, renormalize_after=True))
+    # out of scope, a word inside the subspace is carried over, not refused
+    cfg = DebiasConfig(k=2, scope="neutral", renormalize_after=True)
+    out = debias_space(space, sub, cfg, scope_words=["safe"])
+    np.testing.assert_array_equal(out.matrix, mat)
+    assert out.normalized
 
 
 def test_out_of_scope_rows_bit_identical():
@@ -246,27 +246,29 @@ def test_residual_rows_are_bitwise_the_same_in_any_block_split(n, d, k, seed, da
                                atol=1e-12 * np.abs(rows).max())
 
 
-def test_blocks_debiased_apart_equal_debias_space_and_warn_once(caplog):
+def test_blocks_debiased_apart_equal_debias_space_and_refuse_alike():
     rng = np.random.default_rng(3)
     mat = unit_rows(rng, 9, 4)
-    mat[[1, 7]] = [[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]]  # inside the subspace
+    mat[3] = [1.0, 0.0, 0.0, 0.0]  # inside the subspace, but out of scope
     words = tuple(f"w{i}" for i in range(9))
-    space = EmbeddingSpace("en", words, mat, normalized=True)
-    blocks = [EmbeddingSpace("en", words[a:b], mat[a:b], normalized=True)
-              for a, b in ((0, 4), (4, 5), (5, 9))]
     sub = axis_subspace([0, 1], 4)
     cfg = DebiasConfig(k=2, scope="neutral", renormalize_after=True)
     scope = ["w1", "w2", "w5", "w7", "absent"]
-    with caplog.at_level(logging.WARNING, logger="debias_embed"):
-        whole = debias_space(space, sub, cfg, scope_words=scope)
-    expected = list(caplog.messages)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="debias_embed"):
-        zero_words, streamed = [], []
-        for block in blocks:  # as a streamed run_variant does, in any process
-            streamed.append(debias_space(block, sub, cfg, scope, zero_words=zero_words))
-        assert caplog.messages == []
+
+    def whole_and_blocks():
+        space = EmbeddingSpace("en", words, mat, normalized=True)
+        return [space] + [EmbeddingSpace("en", words[a:b], mat[a:b], normalized=True)
+                          for a, b in ((0, 4), (4, 5), (5, 9))]
+
+    space, *blocks = whole_and_blocks()
+    whole = debias_space(space, sub, cfg, scope_words=scope)
+    streamed = [debias_space(block, sub, cfg, scope) for block in blocks]  # as a stream's are
     np.testing.assert_array_equal(np.vstack([b.matrix for b in streamed]), whole.matrix)
-    assert zero_words == ["w1", "w7"]  # in block order
-    assert [m.split(":")[1].split()[0] for m in expected] == ["1", "2"]  # unknown, then zero
-    assert expected[1].endswith("'w1', 'w7'")
+
+    mat[[5, 7]] = [[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]  # inside, in scope
+    space, *blocks = whole_and_blocks()
+    for part in (space, blocks[2]):  # the first word inside, in vocabulary order, is named
+        with pytest.raises(ValueError, match="^cannot renormalize 'w5'"):
+            debias_space(part, sub, cfg, scope)
+    for part in blocks[:2]:
+        debias_space(part, sub, cfg, scope)

@@ -1,7 +1,7 @@
 import ast
 import subprocess
 import sys
-from importlib import import_module
+from importlib import import_module, util
 from pathlib import Path
 
 import pytest
@@ -174,3 +174,19 @@ def test_every_exported_name_is_read_by_the_package_or_a_script():
         unread += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
                    if name not in read]
     assert unread == []
+
+
+def test_every_traced_name_is_a_callable_of_the_package():
+    # the benchmark's tracer wraps these by name: a rename fails here, not as failed ops there
+    spec = util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # reads the table; imports no package module
+    unresolved = []
+    for name in tracer.TRACED:
+        layer, *path = name.split(".")
+        owner = import_module(f"debias_embed.{layer}")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            unresolved.append(name)
+    assert unresolved == []

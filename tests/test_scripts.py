@@ -14,6 +14,7 @@ from debias_embed.debias import DebiasConfig, run_variant
 from debias_embed.embeddings import EmbeddingSpace, load_vec, normalize
 from debias_embed.intrinsic import inbias
 from debias_embed.lexicon import builtin_lexicon, split_pairs
+from debias_embed.manifest import write_json
 from debias_embed.subspace import difference_matrix, pca_basis
 from helpers import load_script
 from planted import ANGLES_DEG, language_world, marker_world
@@ -49,7 +50,10 @@ def test_reproduction_scores_held_rows_as_the_whole_space_does(tmp_path, monkeyp
         held_out = {tag: split.held_out_words()}
         expected[tag] = {"orig": inbias(space, lex, [tag], seed_words=held_out).value,
                          "debiased": inbias(debiased, lex, [tag], seed_words=held_out).value}
-    assert json.loads(out.read_text(encoding="utf-8"))["inbias"] == expected
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["inbias"] == expected
+    write_json(tmp_path / "again.json", payload)  # the package's one JSON layout
+    assert out.read_bytes() == (tmp_path / "again.json").read_bytes()
 
 
 def test_cli_and_reproduction_refuse_dirty_fasttext_file_alike(tmp_path, capsys):
