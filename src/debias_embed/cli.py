@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--languages", required=True, help="comma-separated language tags")
     p_rep.add_argument("--lexicon", default="builtin")
     p_rep.add_argument("--json", dest="json_out", help="write the report as JSON here")
-    # the options of some modes; their defaults, in MODE_OPTIONS, are filled in by cmd_report
+    # the options of some modes; their defaults, in MODE_OPTIONS, are filled in by main
     p_rep.add_argument("--seed", type=_at_least(0),
                        help="inbias --seeds test: pair split; exbias: corpus split and "
                             "classifier (default 0)")
@@ -191,24 +191,14 @@ def _load_lexicon(source: str):
     return lexmod.load_lexicon(source)
 
 
-def _languages(args) -> list[str]:
-    languages = [t for t in args.languages.split(",") if t]
-    if not languages:
-        raise ValueError("--languages must name at least one language tag")
-    repeated = [t for i, t in enumerate(languages) if t in languages[:i]]
-    if repeated:
-        raise ValueError(f"--languages names {repeated[0]!r} more than once")
-    return languages
-
-
 def _space_tag(languages: list[str]) -> str:
     """Language tag of a loaded space: the tag itself, or ``a+b`` for a merged space."""
     return languages[0] if len(languages) == 1 else "+".join(languages)
 
 
-# Each subcommand handler does its work and returns what ``main`` records in
-# the run manifest besides the files of ``_input_paths`` and ``_output_paths``:
-# (config, seeds), or None when the run wrote no file.
+# Each subcommand handler does its work with the options the run reads, which
+# ``main`` records in the run manifest, and returns what it adds to their
+# config: the values that no option holds, or None when the run wrote no file.
 
 
 def cmd_align(args):
@@ -232,14 +222,7 @@ def cmd_align(args):
     else:
         emb.save_vec(aligned, args.out, args.precision)
     print(f"aligned {len(dictionary)} dictionary pair(s) -> {args.out}")
-    config = {
-        "subcommand": "align",
-        "src_lang": args.src_lang,
-        "tgt_lang": args.tgt_lang,
-        "precision": args.precision,
-        "fit_pairs": mapping.fit_pair_count,
-    }
-    return config, {}
+    return {"fit_pairs": mapping.fit_pair_count}
 
 
 def cmd_debias(args):
@@ -248,7 +231,6 @@ def cmd_debias(args):
     from . import lexicon as lexmod
     from . import subspace as submod
 
-    languages = _languages(args)
     debias_config = debmod.DebiasConfig(
         variant=args.variant,
         k=args.k,
@@ -257,10 +239,10 @@ def cmd_debias(args):
         renormalize_after=args.renormalize,
     )
     lexicon = _load_lexicon(args.lexicon)
-    tag = _space_tag(languages)
+    tag = _space_tag(args.languages)
     splits = {
         lang: lexmod.split_pairs(lexicon, lang, args.train_count, args.seed)
-        for lang in languages
+        for lang in args.languages
     }
     # Two passes over the input, so the matrix is never held. The first
     # checks every line but holds only the rows the subspace fit reads; the
@@ -270,21 +252,10 @@ def cmd_debias(args):
     ))
     debiased, used = debmod.run_variant(space, lexicon, debias_config, splits, seed=args.seed)
     emb.save_vec(debiased, args.out, args.precision)
-    submod.save_subspace(used, _output_paths(args)["--subspace-out"])
+    submod.save_subspace(used, _files(args)[1]["--subspace-out"])
     print(f"debiased {len(space)} word(s) ({args.variant}/{args.method}, k={args.k})"
           f" -> {args.out}")
-    config = {
-        "subcommand": "debias",
-        "variant": args.variant,
-        "method": args.method,
-        "k": args.k,
-        "scope": args.scope,
-        "renormalize": args.renormalize,
-        "languages": languages,
-        "train_count": args.train_count,
-        "precision": args.precision,
-    }
-    return config, {"seed": args.seed}
+    return {}
 
 
 def _held_space(path, tag, words):
@@ -439,87 +410,93 @@ MODE_OPTIONS = {
                "test_fraction": 0.2, "learning_rate": 1.0, "epochs": 300, "seed": 0},
 }
 
-#: what each report mode does not read; giving one, as a flag or in --config, is refused
-UNREAD_FLAGS = {
-    mode: ("emb_after",) * (mode == "xscore")
-    + tuple(dict.fromkeys(dest for other in MODE_OPTIONS for dest in MODE_OPTIONS[other]
-                          if dest not in MODE_OPTIONS[mode]))
-    for mode in MODE_OPTIONS
-}
+
+def _unread(args, mode) -> dict[str, str]:
+    """The report options that ``mode`` does not read, with the other options
+    given, each with what it is not read by."""
+    unread = dict.fromkeys(("emb_after",) * (mode == "xscore")
+                           + tuple(dest for options in MODE_OPTIONS.values() for dest in options
+                                   if dest not in MODE_OPTIONS[mode]), f"--{mode}")
+    if mode == "exbias" and not args.emb_after:
+        unread["corpus_after"] = "--exbias without --emb-after"
+    if mode == "inbias" and args.seeds == "lexicon":  # static seeds: no pair split is drawn
+        unread.update(dict.fromkeys(("train_count", "seed"), "--inbias --seeds lexicon"))
+    return unread
+
+
+def _keep_read_options(args) -> None:
+    """Leave in ``args`` exactly the options the run reads: ``--languages`` as
+    its list of tags and, for ``report``, the ``mode`` and each option it
+    reads, at its default in MODE_OPTIONS when not given. An option the mode
+    does not read, given as a flag or in ``--config``, is refused."""
+    if hasattr(args, "languages"):
+        languages = [t for t in args.languages.split(",") if t]
+        if not languages:
+            raise ValueError("--languages must name at least one language tag")
+        repeated = [t for i, t in enumerate(languages) if t in languages[:i]]
+        if repeated:
+            raise ValueError(f"--languages names {repeated[0]!r} more than once")
+        args.languages = languages
+    if args.subcommand != "report":
+        return
+    args.mode = next(mode for mode in MODE_OPTIONS if getattr(args, mode))
+    unread = _unread(args, args.mode)
+    for dest, by in unread.items():
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} is not read by {by}")
+    for dest, default in MODE_OPTIONS[args.mode].items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+    for dest in (*MODE_OPTIONS, *unread):  # the mode switches, and what the mode does not read
+        delattr(args, dest)
 
 
 def cmd_report(args):
-    languages = _languages(args)
-    mode = "inbias" if args.inbias else "xscore" if args.xscore else "exbias"
-    for dest in UNREAD_FLAGS[mode]:
-        if getattr(args, dest) is not None:
-            raise ValueError(f"--{dest.replace('_', '-')} is not read by --{mode}")
-    if mode == "exbias" and args.corpus_after is not None and not args.emb_after:
-        raise ValueError("--corpus-after is not read by --exbias without --emb-after")
-    read = dict(MODE_OPTIONS[mode])
-    if mode == "inbias" and args.seeds == "lexicon":  # static seeds: no pair split is drawn
-        for dest in ("train_count", "seed"):
-            del read[dest]
-            if getattr(args, dest) is not None:
-                raise ValueError(
-                    f"--{dest.replace('_', '-')} is not read by --inbias --seeds lexicon")
-    for dest, default in read.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-    report = {"inbias": _report_inbias, "xscore": _report_xscore, "exbias": _report_exbias}[mode]
-    table, payload = report(args, languages, _load_lexicon(args.lexicon))
+    report = {"inbias": _report_inbias, "xscore": _report_xscore, "exbias": _report_exbias}
+    table, payload = report[args.mode](args, args.languages, _load_lexicon(args.lexicon))
 
     print(table, end="")
     if not args.json_out:
         return None
-    payload["manifest"] = os.path.basename(_output_paths(args)["manifest"])  # sibling file
+    payload["manifest"] = os.path.basename(_files(args)[1]["manifest"])  # sibling file
     write_json(args.json_out, payload)
-    config = {"subcommand": "report", "mode": mode, "languages": languages}
-    config.update((dest, getattr(args, dest)) for dest in read
-                  if dest not in ("corpus", "corpus_after", "seed"))  # in inputs and seeds
-    return config, {"seed": args.seed} if "seed" in read else {}
+    return {}
 
 
-#: the output options of each subcommand, by destination; the run manifest is
-#: written beside the first
-OUTPUT_OPTIONS = {"align": {"out": "--out", "merged_out": "--merged-out"},
-                  "debias": {"out": "--out", "subspace_out": "--subspace-out"},
-                  "report": {"json_out": "--json"}}
+#: the file options of each subcommand, by destination: those it reads, then
+#: those it writes, the first of which the run manifest is named after
+FILE_OPTIONS = {
+    "align": ({"src": "--src", "tgt": "--tgt", "dictionary": "--dict"},
+              {"out": "--out", "merged_out": "--merged-out"}),
+    "debias": ({"emb": "--emb", "lexicon": "--lexicon"},
+               {"out": "--out", "subspace_out": "--subspace-out"}),
+    "report": ({"emb": "--emb", "emb_after": "--emb-after", "lexicon": "--lexicon",
+                "corpus": "--corpus", "corpus_after": "--corpus-after"},
+               {"json_out": "--json"}),
+}
 
-#: the input options of each subcommand, by destination
-INPUT_OPTIONS = {"align": {"src": "--src", "tgt": "--tgt", "dictionary": "--dict"},
-                 "debias": {"emb": "--emb", "lexicon": "--lexicon"},
-                 "report": {"emb": "--emb", "emb_after": "--emb-after", "lexicon": "--lexicon",
-                            "corpus": "--corpus", "corpus_after": "--corpus-after"}}
 
+def _files(args) -> tuple[dict[str, str], dict[str, str]]:
+    """(every file a run reads, every file it writes), each keyed by its option.
 
-def _output_paths(args) -> dict[str, str]:
-    """Every file a run writes, keyed by its output option, or by "manifest"
-    for the run manifest ``<first output>.manifest.json``.
-
-    ``debias`` writes its subspace to ``<out>.subspace.json`` when
-    ``--subspace-out`` is not given; ``report`` writes nothing without
-    ``--json``.
+    The inputs are ``--config`` and each input option that ``args`` holds and
+    gives, but not ``--lexicon builtin``, which names no file. The outputs
+    include the derived ones: ``debias``'s subspace at
+    ``<out>.subspace.json`` when ``--subspace-out`` is not given, and the run
+    manifest ``<first output>.manifest.json``, keyed "manifest"; ``report``
+    writes nothing without ``--json``.
     """
-    paths = {flag: getattr(args, dest) for dest, flag in OUTPUT_OPTIONS[args.subcommand].items()}
-    if args.subcommand == "debias" and not paths["--subspace-out"]:
-        paths["--subspace-out"] = args.out + ".subspace.json"
-    first = next(iter(paths.values()))
-    paths["manifest"] = first and first + ".manifest.json"
-    return {flag: path for flag, path in paths.items() if path}
-
-
-def _input_paths(args) -> dict[str, str]:
-    """Every file a run reads, keyed by its option: ``--config`` and each
-    input option given, but not ``--lexicon builtin``, which names no file.
-
-    A report mode that does not read an input option refuses it before the
-    run, so each path here is one the run read.
-    """
-    paths = {flag: getattr(args, dest)
-             for dest, flag in {"config": "--config", **INPUT_OPTIONS[args.subcommand]}.items()}
-    return {flag: path for flag, path in paths.items()
-            if path and not (flag == "--lexicon" and path == "builtin")}
+    reads, writes = FILE_OPTIONS[args.subcommand]
+    inputs = {flag: getattr(args, dest, None)
+              for dest, flag in {"config": "--config", **reads}.items()}
+    outputs = {flag: getattr(args, dest) for dest, flag in writes.items()}
+    if args.subcommand == "debias" and not outputs["--subspace-out"]:
+        outputs["--subspace-out"] = args.out + ".subspace.json"
+    first = next(iter(outputs.values()))
+    outputs["manifest"] = first and first + ".manifest.json"
+    return ({flag: path for flag, path in inputs.items()
+             if path and not (flag == "--lexicon" and path == "builtin")},
+            {flag: path for flag, path in outputs.items() if path})
 
 
 def _refuse_irregular_outputs(args) -> None:
@@ -527,10 +504,11 @@ def _refuse_irregular_outputs(args) -> None:
     file, such as ``/dev/null``, or that is the file of another output or of
     an input, ``--config`` included, before any input is read, so that the
     run writes nothing and reads no file it has written."""
+    inputs, outputs = _files(args)
     flags = {}  # the first option of each file
-    for flag, path in _input_paths(args).items():
+    for flag, path in inputs.items():
         flags.setdefault(os.path.realpath(path), flag)
-    for flag, path in _output_paths(args).items():
+    for flag, path in outputs.items():
         if os.path.exists(path) and not os.path.isfile(path):
             raise ValueError(f"{flag} {path}: exists and is not a regular file")
         first = flags.setdefault(os.path.realpath(path), flag)
@@ -560,14 +538,20 @@ def main(argv=None) -> int:
         if args.config != config_path:  # abbreviated, so not read above
             raise ValueError("--config must be spelled out in full")
         _refuse_irregular_outputs(args)
+        _keep_read_options(args)
         with capture_warnings() as warnings:
-            run = args.func(args)
-        if run is not None:
-            config, seeds = run
-            outputs = _output_paths(args)
-            manifest_path = outputs.pop("manifest")
+            values = args.func(args)
+        if values is not None:
+            # the config is every option the run read but its files and seed,
+            # with the subcommand, the report mode and the handler's values
+            reads, writes = FILE_OPTIONS[args.subcommand]
+            config = {dest: value for dest, value in vars(args).items()
+                      if dest not in {*reads, *writes, "config", "seed", "func"}} | values
+            seeds = {"seed": args.seed} if hasattr(args, "seed") else {}
             manifest = RunManifest(["debias-embed"] + argv, config, seeds, {}, warnings=warnings)
-            for path in _input_paths(args).values():
+            inputs, outputs = _files(args)
+            manifest_path = outputs.pop("manifest")
+            for path in inputs.values():
                 manifest.add_input(path)
             for path in outputs.values():
                 manifest.add_output(path)

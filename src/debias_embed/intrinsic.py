@@ -72,7 +72,7 @@ class InBiasResult:
         alone gives, bit for bit, as its gaps are the same in the same order."""
         gaps = [g[3] for g in self.per_occupation if g[0] == lang]
         if not gaps:
-            raise ValueError("no occupation pair is resolvable in the space")
+            raise ValueError(f"no occupation pair of {lang!r} is resolvable in the space")
         return float(np.mean(gaps))
 
 
@@ -104,7 +104,8 @@ def inbias(
     ``seed_words`` optionally overrides the lexicon's static seed sets
     per language with (male_words, female_words), e.g. the two sides of
     held-out defining pairs. Occupation pairs with unresolvable or
-    zero-vector words are skipped and reported.
+    zero-vector words are skipped and reported; a language none of whose
+    pairs resolves is refused, naming each such language.
     """
     languages = tuple(languages)
     if not languages:
@@ -141,8 +142,10 @@ def inbias(
             gaps.append((lang, masc, fem, gap))
     if skipped:
         log.warning("inbias: skipped %d unresolvable occupation pair(s)", len(skipped))
-    if not gaps:
-        raise ValueError("no occupation pair is resolvable in the space")
+    resolved = {g[0] for g in gaps}
+    unresolved = " or ".join(repr(lang) for lang in languages if lang not in resolved)
+    if unresolved:
+        raise ValueError(f"no occupation pair of {unresolved} is resolvable in the space")
     value = float(np.mean([g[3] for g in gaps]))
     return InBiasResult(value=value, per_occupation=tuple(gaps), skipped=tuple(skipped))
 

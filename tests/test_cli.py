@@ -134,6 +134,21 @@ def test_report_inbias_logs_each_warning_once_and_scores_each_language_alone(tmp
         for key, langs in (("hi", ["hi"]), ("en", ["en"]), ("all", ["hi", "en"]))}
 
 
+def test_report_inbias_names_the_language_none_of_whose_occupation_pairs_resolves(tmp_path,
+                                                                                 capsys):
+    lex = builtin_lexicon()
+    occupations = {("hi", w) for pair in lex.occupation_pairs["hi"] for w in pair}
+    words = tuple(f"{t}:{w}" for t in ("hi", "en") for w in lex.words(t)
+                  if (t, w) not in occupations)
+    emb = tmp_path / "merged.vec"
+    space = EmbeddingSpace("hi+en", words, unit_rows(np.random.default_rng(4), len(words), 16))
+    save_vec(space, str(emb))
+    assert run(["report", "--inbias", "--emb", emb, "--languages", "hi,en",
+                "--seeds", "lexicon"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "debias-embed: no occupation pair of 'hi' is resolvable in the space")
+
+
 def test_a_language_without_entries_is_named_when_no_pair_resolves(tmp_path, en_vec, capsys):
     # an unmerged en.vec read under the merged tag en+hi resolves no pair;
     # xscore fits one language at a time, debias pools them, and both name each
@@ -254,23 +269,37 @@ def test_manifest_records_exactly_what_the_run_read_and_wrote(tmp_path, en_vec, 
 
 
 @pytest.mark.parametrize("mode, config, seeds", [
+    ("align", {"subcommand": "align", "src_lang": "en", "tgt_lang": "hi", "precision": 9,
+               "fit_pairs": 40}, {}),
+    ("debias", {"subcommand": "debias", "variant": "mono", "method": "pca", "k": 2,
+                "scope": "all", "renormalize": False, "languages": ["en"], "train_count": 10,
+                "precision": 9}, {"seed": 3}),
     ("--inbias", {"seeds": "test", "train_count": 10}, {"seed": 0}),
     ("--inbias --seeds lexicon", {"seeds": "lexicon"}, {}),
     ("--xscore", {"epsilon": 1e-8}, {}),
     ("--exbias", {"corpus_lang": None, "min_count": 10, "test_fraction": 0.2,
                   "learning_rate": 1.0, "epochs": 20}, {"seed": 0}),
-], ids=["inbias", "inbias-seeds-lexicon", "xscore", "exbias"])
+], ids=["align", "debias", "inbias", "inbias-seeds-lexicon", "xscore", "exbias"])
 def test_report_manifest_records_exactly_the_options_its_mode_reads(tmp_path, en_vec, mode,
                                                                     config, seeds):
-    # the corpus paths are among the manifest's inputs, so not in its config
-    report = tmp_path / "r.json"
-    argv = ["report", *mode.split(), "--emb", en_vec, "--languages", "en", "--json", report]
-    if mode == "--exbias":
-        argv += ["--corpus", write_bios(tmp_path), "--min-count", "10", "--epochs", "20"]
+    # the file options are among the manifest's inputs and outputs, so not in its config
+    if mode == "align":
+        argv, _, _, manifest_path = align_run(tmp_path, en_vec)
+    elif mode == "debias":
+        argv, _, _, manifest_path = debias_run(tmp_path, en_vec)
+        argv += ["--k", "2", "--seed", "3"]
+    else:
+        manifest_path = tmp_path / "r.json.manifest.json"
+        argv = ["report", *mode.split(), "--emb", en_vec, "--languages", "en",
+                "--json", tmp_path / "r.json"]
+        if mode == "--exbias":
+            argv += ["--corpus", write_bios(tmp_path), "--min-count", "10", "--epochs", "20"]
+        config = {"subcommand": "report", "mode": mode.split()[0][2:], "languages": ["en"],
+                  **config}
     assert run(argv) == 0
-    manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
-    assert manifest["config"] == {"subcommand": "report", "mode": mode.split()[0][2:],
-                                  "languages": ["en"], **config}
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert manifest["config"] == config
     assert manifest["seeds"] == seeds
 
 
@@ -283,11 +312,18 @@ def test_report_manifest_records_exactly_the_options_its_mode_reads(tmp_path, en
     ("--exbias", "--corpus-after"),  # read only for an --emb-after run
 ], ids=["xscore-emb-after", "xscore-corpus", "xscore-corpus-after", "inbias-corpus",
         "inbias-corpus-after", "exbias-corpus-after-without-emb-after"])
-def test_report_refuses_a_file_flag_its_mode_does_not_read(tmp_path, en_vec, capsys, mode, flag):
+@pytest.mark.parametrize("given_in", ["argv", "config"])
+def test_report_refuses_a_file_flag_its_mode_does_not_read(tmp_path, en_vec, capsys, mode, flag,
+                                                           given_in):
     report = tmp_path / "r.json"
-    code = run(["report", mode, "--emb", en_vec, "--languages", "en", flag, en_vec,
-                "--json", report])
-    assert code == 1
+    argv = ["report", mode, "--emb", en_vec, "--languages", "en", "--json", report]
+    if given_in == "argv":
+        argv += [flag, en_vec]
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({flag[2:].replace("-", "_"): en_vec}))
+        argv += ["--config", config]
+    assert run(argv) == 1
     assert f"{flag} is not read by {mode}" in capsys.readouterr().err
     assert not report.exists()
 
@@ -317,6 +353,22 @@ def test_report_refuses_an_option_its_mode_does_not_read(tmp_path, en_vec, capsy
     assert run(argv) == 1
     assert f"{flag} is not read by {mode}" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_the_option_tables_agree_with_the_parser():
+    # a report option that no table names is read by every mode: so one with no
+    # default, not required, would go unrefused where a mode does not read it
+    parsers = cli.build_parser()._by_subcommand
+    flags = {name: {a.dest: a.option_strings[0] for a in p._actions}
+             for name, p in parsers.items()}
+    for name, (reads, writes) in cli.FILE_OPTIONS.items():
+        for dest, flag in {**reads, **writes}.items():
+            assert flags[name].get(dest) == flag
+    tabled = {*cli.MODE_OPTIONS, *(dest for o in cli.MODE_OPTIONS.values() for dest in o)}
+    assert tabled <= set(flags["report"])
+    tabled |= {*cli.FILE_OPTIONS["report"][0], *cli.FILE_OPTIONS["report"][1]}
+    assert [a.dest for a in parsers["report"]._actions
+            if a.default is None and not a.required and a.dest not in tabled] == ["config"]
 
 
 @pytest.mark.parametrize("mode, option", [("--exbias", "--learning-rate"),
