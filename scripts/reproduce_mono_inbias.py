@@ -23,9 +23,9 @@ import os
 import sys
 
 from debias_embed.debias import DebiasConfig, run_variant
-from debias_embed.embeddings import load_vec, normalize
+from debias_embed.embeddings import entry_forms, load_vec, normalize
 from debias_embed.intrinsic import format_inbias_table, inbias
-from debias_embed.lexicon import builtin_lexicon, entry_forms, split_pairs
+from debias_embed.lexicon import builtin_lexicon, split_pairs
 from debias_embed.manifest import write_json
 
 FILES = {"en": "wiki.en.vec", "hi": "wiki.hi.vec", "be": "wiki.bn.vec",

@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, SpaceStream, decode_line, save_vec, staged
+from .embeddings import EmbeddingSpace, SpaceStream, decode_line, entry_prefix, save_vec, staged
 
 log = logging.getLogger(__name__)
 
@@ -185,11 +185,6 @@ def apply_map(mapping: OrthogonalMap, space: EmbeddingSpace | SpaceStream
     return EmbeddingSpace(space.language_tag, space.vocab, rotated)
 
 
-def _word_prefix(language_tag: str) -> str:
-    """What :func:`merge_spaces` puts before the words of a space so tagged."""
-    return "" if "+" in language_tag else f"{language_tag}:"
-
-
 def merged_tag(source_tag: str, target_tag: str) -> str:
     """The tag of :func:`merge_spaces` of spaces tagged ``source_tag`` and
     ``target_tag``: "<source_tag>+<target_tag>".
@@ -209,14 +204,19 @@ def merge_spaces(aligned_source: EmbeddingSpace | SpaceStream,
                  target: EmbeddingSpace | SpaceStream) -> EmbeddingSpace | SpaceStream:
     """Stack two same-dimension spaces into one shared vocabulary.
 
-    Words are disambiguated as "<language_tag>:<word>", so the same
-    surface form may appear under both tags. The merged tag is
-    :func:`merged_tag`'s, so two inputs that share a language are refused.
-    An input that is itself a merged space (its tag contains "+") keeps its
+    Words are disambiguated by their :func:`~.embeddings.entry_prefix`, as
+    "<language_tag>:<word>", so the same surface form may appear under both
+    tags. The merged tag is :func:`merged_tag`'s, so two inputs that share a
+    language are refused. An input that is itself a merged space (its tag contains "+") keeps its
     existing prefixes, so merges chain: merging te into en+hi+be yields
-    en+hi+be+te with single-level prefixes throughout. Two :class:`~.embeddings.SpaceStream` inputs give
-    the stream of the source's blocks, then the target's, prefixed as read.
+    en+hi+be+te with single-level prefixes throughout. Two
+    :class:`~.embeddings.SpaceStream` inputs give the stream of the source's
+    blocks, then the target's, prefixed as read; a stream and a held space
+    are refused.
     """
+    if isinstance(aligned_source, SpaceStream) != isinstance(target, SpaceStream):
+        raise ValueError(f"cannot merge a {type(aligned_source).__name__} with a"
+                         f" {type(target).__name__}: both must be held or both streamed")
     if aligned_source.dim != target.dim:
         raise ValueError(
             f"dimension mismatch: {aligned_source.dim} vs {target.dim}"
@@ -225,7 +225,7 @@ def merge_spaces(aligned_source: EmbeddingSpace | SpaceStream,
     normalized = aligned_source.normalized and target.normalized
 
     def prefixed(space: EmbeddingSpace) -> tuple[str, ...]:
-        prefix = _word_prefix(space.language_tag)
+        prefix = entry_prefix(space.language_tag)
         return tuple(prefix + w for w in space.vocab) if prefix else space.vocab
 
     if isinstance(aligned_source, SpaceStream):
@@ -250,7 +250,7 @@ def save_merged(aligned_source: EmbeddingSpace | SpaceStream,
     first half with the source prefix cut off. Neither file is renamed into
     place before both are complete, as :func:`~.embeddings.staged` does.
     """
-    cut = len(_word_prefix(aligned_source.language_tag).encode("utf-8"))
+    cut = len(entry_prefix(aligned_source.language_tag).encode("utf-8"))
     with staged(aligned_path, merged_path) as (aligned_tmp, merged_tmp):
         save_vec(merge_spaces(aligned_source, target), merged_tmp, precision)
         with open(merged_tmp, "rb") as src, open(aligned_tmp, "wb") as out:

@@ -191,11 +191,6 @@ def _load_lexicon(source: str):
     return lexmod.load_lexicon(source)
 
 
-def _space_tag(languages: list[str]) -> str:
-    """Language tag of a loaded space: the tag itself, or ``a+b`` for a merged space."""
-    return languages[0] if len(languages) == 1 else "+".join(languages)
-
-
 # Each subcommand handler does its work with the options the run reads, which
 # ``main`` records in the run manifest, and returns what it adds to their
 # config: the values that no option holds, or None when the run wrote no file.
@@ -239,7 +234,6 @@ def cmd_debias(args):
         renormalize_after=args.renormalize,
     )
     lexicon = _load_lexicon(args.lexicon)
-    tag = _space_tag(args.languages)
     splits = {
         lang: lexmod.split_pairs(lexicon, lang, args.train_count, args.seed)
         for lang in args.languages
@@ -247,12 +241,13 @@ def cmd_debias(args):
     # Two passes over the input, so the matrix is never held. The first
     # checks every line but holds only the rows the subspace fit reads; the
     # second normalizes, debiases and writes a block of rows at a time.
-    space = emb.normalize(emb.load_vec(
-        args.emb, tag, hold=debmod.variant_words(lexicon, debias_config, splits)
-    ))
+    words = debmod.variant_words(lexicon, debias_config, splits)
+    space = emb.normalize(emb.load_vec(args.emb, "+".join(args.languages), hold=words))
     debiased, used = debmod.run_variant(space, lexicon, debias_config, splits, seed=args.seed)
-    emb.save_vec(debiased, args.out, args.precision)
-    submod.save_subspace(used, _files(args)[1]["--subspace-out"])
+    # neither file is renamed into place before both are written
+    with emb.staged(args.out, _files(args)[1]["--subspace-out"]) as (vec_tmp, subspace_tmp):
+        submod.save_subspace(used, subspace_tmp)
+        emb.save_vec(debiased, vec_tmp, args.precision)
     print(f"debiased {len(space)} word(s) ({args.variant}/{args.method}, k={args.k})"
           f" -> {args.out}")
     return {}
@@ -275,19 +270,17 @@ def _lexicon_entries(lexicon, languages):
 
     A language the lexicon lacks is refused, before any input is read.
     """
-    from . import lexicon as lexmod
+    from . import embeddings as emb
 
-    for lang in languages:
-        if lang not in lexicon.defining_pairs:
-            raise ValueError(f"unknown language {lang!r} in lexicon")
-    return lexmod.entry_forms((lang, w) for lang in languages for w in lexicon.words(lang))
+    return emb.entry_forms((lang, w) for lang in lexicon.require_languages(languages)
+                           for w in lexicon.words(lang))
 
 
 def _report_inbias(args, languages, lexicon):
     from . import intrinsic
     from . import lexicon as lexmod
 
-    tag = _space_tag(languages)
+    tag = "+".join(languages)
     seed_words = None
     if args.seeds == "test":
         seed_words = {}
@@ -335,7 +328,7 @@ def _report_inbias(args, languages, lexicon):
 def _report_xscore(args, languages, lexicon):
     from . import intrinsic
 
-    space = _held_space(args.emb, _space_tag(languages), _lexicon_entries(lexicon, languages))
+    space = _held_space(args.emb, "+".join(languages), _lexicon_entries(lexicon, languages))
     matrix = intrinsic.cross_score_matrix(space, lexicon, languages, args.epsilon)
     table = intrinsic.format_cross_table(matrix)
     payload = {
@@ -351,12 +344,12 @@ def _report_xscore(args, languages, lexicon):
 
 
 def _report_exbias(args, languages, lexicon):
+    from . import embeddings as emb
     from . import extrinsic
-    from . import lexicon as lexmod
 
     if not args.corpus:
         raise ValueError("--exbias needs --corpus")
-    tag = _space_tag(languages)
+    tag = "+".join(languages)
     train_config = extrinsic.TrainConfig(
         learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed
     )
@@ -365,7 +358,7 @@ def _report_exbias(args, languages, lexicon):
         """(train, test, every vocabulary entry the records' tokens may resolve to)"""
         records = extrinsic.load_corpus(corpus_path, args.min_count)
         tokens = {t for r in records for t in r.tokens}
-        words = lexmod.entry_forms((args.corpus_lang, t) for t in tokens)
+        words = emb.entry_forms((args.corpus_lang, t) for t in tokens)
         return (*extrinsic.split_corpus(records, args.test_fraction, args.seed), words)
 
     def run(embedding_path, corpus):

@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, SpaceStream, row_blocks, row_norms, space_fingerprint
-from .lexicon import GenderLexicon, PairSplit, entry_forms
+from .embeddings import (EmbeddingSpace, SpaceStream, entry_forms, row_blocks, row_norms,
+                         space_fingerprint)
+from .lexicon import GenderLexicon, PairSplit
 from .subspace import (
     BiasSubspace,
     difference_matrix,
@@ -149,7 +150,7 @@ def variant_words(lexicon: GenderLexicon, config: DebiasConfig, splits) -> set[s
 
     These are the train pairs' words and, for scope ``neutral``, the
     lexicon's neutral words of each language in ``splits``, in every form
-    :func:`~.lexicon.entry_forms` gives. A space of just these rows fits the
+    :func:`~.embeddings.entry_forms` gives. A space of just these rows fits the
     same subspace and scope as the whole space; :func:`run_variant` fits
     from, and fingerprints, only these rows.
 
@@ -176,12 +177,9 @@ def _resolve_scope_words(space: EmbeddingSpace, lexicon: GenderLexicon, language
     scope: set[str] = set()
     missing = 0
     for lang in languages:
-        for word in lexicon.neutral_words[lang].all_words():
-            row = space.locate(word, lang)
-            if row is None:
-                missing += 1
-            else:
-                scope.add(space.vocab[row])
+        rows, absent = space.locate_all(lexicon.neutral_words[lang].all_words(), lang)
+        scope.update(space.vocab[i] for i in rows)
+        missing += len(absent)
     if missing:
         log.warning("run_variant: %d neutral scope word(s) are out of vocabulary", missing)
     return scope

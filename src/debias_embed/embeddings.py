@@ -58,6 +58,8 @@ __all__ = [
     "EmbeddingSpace",
     "SpaceStream",
     "decode_line",
+    "entry_forms",
+    "entry_prefix",
     "load_vec",
     "save_vec",
     "staged",
@@ -148,16 +150,60 @@ class EmbeddingSpace:
     def locate(self, word: str, language: str | None = None) -> int | None:
         """Row index of ``word``, or None if absent.
 
-        With ``language`` given, the ``"<language>:"`` prefixed form used
-        by merged multilingual vocabularies is tried first; the bare form
-        is accepted only when this space is tagged with that language.
+        With ``language`` given, the word's entry in merged multilingual
+        vocabularies, its :func:`entry_prefix` before it, is tried first; the
+        bare form is accepted only when this space is tagged with that language.
         """
-        if language is None:
-            return self.index.get(word)
-        row = self.index.get(f"{language}:{word}")
-        if row is None and self.language_tag == language:
-            row = self.index.get(word)
-        return row
+        rows, _ = self.locate_all((word,), language)
+        return rows[0] if rows else None
+
+    def locate_all(self, words, language: str | None = None) -> tuple[list[int], list[str]]:
+        """``(rows, missing)``: the row of each of ``words`` that :meth:`locate`
+        finds, and each word it does not, both in word order, repeats kept."""
+        get = self.index.get
+        prefix = "" if language is None else entry_prefix(language)
+        bare = language is None or self.language_tag == language
+        rows, missing = [], []
+        for word in words:
+            row = get(prefix + word) if prefix else None
+            if row is None and bare:
+                row = get(word)
+            if row is None:
+                missing.append(word)
+            else:
+                rows.append(row)
+        return rows, missing
+
+    def holds(self, language: str) -> bool:
+        """Whether :meth:`locate` may find words of ``language`` here: the space
+        is tagged so, or holds an entry with that language's prefix."""
+        prefix = entry_prefix(language)
+        return self.language_tag == language or bool(prefix) and any(
+            w.startswith(prefix) for w in self.vocab)
+
+
+def entry_prefix(language_tag: str) -> str:
+    """What :func:`~.align.merge_spaces` puts before each word of a space
+    tagged ``language_tag``, and so before a word of that language looked
+    up: "<language_tag>:". A merged tag ("a+b") has none, as the words of
+    such a space are entries already.
+    """
+    return "" if "+" in language_tag else f"{language_tag}:"
+
+
+def entry_forms(tagged_words) -> set[str]:
+    """Every vocabulary entry :meth:`EmbeddingSpace.locate` may find for each
+    ``(language, word)``: the word bare and, for a language other than None,
+    after its :func:`entry_prefix`. A space holding just these rows
+    (``load_vec(..., hold=...)``) answers those lookups as the whole space
+    does.
+    """
+    entries: set[str] = set()
+    for language, word in tagged_words:
+        entries.add(word)
+        if language is not None:
+            entries.add(entry_prefix(language) + word)
+    return entries
 
 
 class SpaceStream:
@@ -578,7 +624,8 @@ def _read_rows(path, dim: int, block, out) -> list[str]:
 
 
 def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream:
-    """Read a ``.vec`` file into an (unnormalized) EmbeddingSpace.
+    """Read a ``.vec`` file into an (unnormalized) EmbeddingSpace, or a
+    :class:`SpaceStream` over it with ``hold``.
 
     The file must be UTF-8; blank lines are skipped. A bad header, a row
     with the wrong number of components, an unparseable or non-finite value,

@@ -153,8 +153,7 @@ def _resolve(space: EmbeddingSpace, records, language):
     """
     resolved, kept, dropped = [], [], 0
     for record in records:
-        rows = [space.locate(t, language) for t in record.tokens]
-        rows = [i for i in rows if i is not None]
+        rows = space.locate_all(record.tokens, language)[0]
         coverage = len(rows) / len(record.tokens)
         if not rows or coverage < MIN_COVERAGE:
             dropped += 1

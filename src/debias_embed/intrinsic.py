@@ -60,7 +60,7 @@ class InBiasResult:
 
     ``per_occupation`` rows are (language, masculine, feminine, gap);
     ``skipped`` rows are (language, masculine, feminine) pairs dropped
-    because a word was missing or had a zero vector.
+    because a word was missing.
     """
 
     value: float
@@ -77,20 +77,12 @@ class InBiasResult:
 
 
 def _seed_matrix(space, words, lang, side):
-    rows = []
-    for w in words:
-        i = space.locate(w, lang)
-        if i is None:
-            log.warning("inbias: %s seed %r [%s] is out of vocabulary", side, w, lang)
-            continue
-        vec = space.matrix[i]
-        if not np.any(vec):
-            log.warning("inbias: %s seed %r [%s] has a zero vector, dropped", side, w, lang)
-            continue
-        rows.append(vec)
+    rows, missing = space.locate_all(words, lang)
+    for w in missing:
+        log.warning("inbias: %s seed %r [%s] is out of vocabulary", side, w, lang)
     if not rows:
         raise ValueError(f"no usable {side} seed for language {lang!r}")
-    return np.vstack(rows)
+    return space.matrix[rows]
 
 
 def inbias(
@@ -103,18 +95,15 @@ def inbias(
 
     ``seed_words`` optionally overrides the lexicon's static seed sets
     per language with (male_words, female_words), e.g. the two sides of
-    held-out defining pairs. Occupation pairs with unresolvable or
-    zero-vector words are skipped and reported; a language none of whose
-    pairs resolves is refused, naming each such language.
+    held-out defining pairs. Occupation pairs with an unresolvable word
+    are skipped and reported; a language none of whose pairs resolves is
+    refused, naming each such language. A zero vector among the words
+    scored is refused by :func:`dis`.
     """
-    languages = tuple(languages)
-    if not languages:
-        raise ValueError("at least one language is required")
+    languages = lexicon.require_languages(languages)
     gaps: list[tuple[str, str, str, float]] = []
     skipped: list[tuple[str, str, str]] = []
     for lang in languages:
-        if lang not in lexicon.occupation_pairs:
-            raise ValueError(f"unknown language {lang!r} in lexicon")
         if seed_words is not None and lang in seed_words:
             male_words, female_words = seed_words[lang]
         else:
@@ -128,17 +117,7 @@ def inbias(
             if i is None or j is None:
                 skipped.append((lang, masc, fem))
                 continue
-            vm, vf = space.matrix[i], space.matrix[j]
-            if not np.any(vm) or not np.any(vf):
-                log.warning(
-                    "inbias: occupation pair (%s, %s) [%s] has a zero vector, skipped",
-                    masc,
-                    fem,
-                    lang,
-                )
-                skipped.append((lang, masc, fem))
-                continue
-            gap = abs(dis(vm, male) - dis(vf, female))
+            gap = abs(dis(space.matrix[i], male) - dis(space.matrix[j], female))
             gaps.append((lang, masc, fem, gap))
     if skipped:
         log.warning("inbias: skipped %d unresolvable occupation pair(s)", len(skipped))
@@ -153,16 +132,10 @@ def inbias(
 def _language_terms(space, lexicon, lang, diffs, epsilon):
     """``lang``'s top direction from ``diffs``, its guarded neutral vectors, their projections."""
     direction = pca_basis(diffs, k=1).basis[0]
-    rows = []
-    missing = 0
-    for w in lexicon.neutral_words[lang].all_words():
-        i = space.locate(w, lang)
-        if i is None:
-            missing += 1
-            continue
-        rows.append(i)
+    rows, missing = space.locate_all(lexicon.neutral_words[lang].all_words(), lang)
     if missing:
-        log.warning("cross_score: %d neutral %s word(s) are out of vocabulary", missing, lang)
+        log.warning("cross_score: %d neutral %s word(s) are out of vocabulary",
+                    len(missing), lang)
     if not rows:
         raise ValueError(f"no neutral word of {lang!r} is resolvable in the space")
     vecs = space.matrix[rows]
@@ -215,13 +188,9 @@ def cross_score_matrix(
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    languages = tuple(languages)
-    if not languages:
-        raise ValueError("at least one language is required")
+    languages = lexicon.require_languages(languages)
     terms, unresolved = [], []
     for lang in languages:
-        if lang not in lexicon.defining_pairs:
-            raise ValueError(f"unknown language {lang!r} in lexicon")
         try:
             diffs = difference_matrix(space, lexicon.defining_pairs[lang])
         except ValueError as exc:  # raised only when none of the pairs resolves

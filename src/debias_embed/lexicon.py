@@ -36,7 +36,6 @@ __all__ = [
     "load_lexicon",
     "builtin_lexicon",
     "split_pairs",
-    "entry_forms",
 ]
 
 
@@ -105,6 +104,17 @@ class GenderLexicon:
     def languages(self) -> tuple[str, ...]:
         return tuple(self.defining_pairs)
 
+    def require_languages(self, languages) -> tuple[str, ...]:
+        """``languages`` as a tuple, refused with ValueError when it is empty or
+        names a language this lexicon lacks."""
+        languages = tuple(languages)
+        if not languages:
+            raise ValueError("at least one language is required")
+        for lang in languages:
+            if lang not in self.defining_pairs:
+                raise ValueError(f"unknown language {lang!r} in lexicon")
+        return languages
+
     def words(self, language: str) -> tuple[str, ...]:
         """Every word this lexicon names for ``language``, first occurrence kept:
         defining pairs, neutral words, seeds, then occupation pairs."""
@@ -113,21 +123,6 @@ class GenderLexicon:
         words += self.seed_sets[language].male + self.seed_sets[language].female
         words += [w for pair in self.occupation_pairs[language] for w in pair]
         return tuple(dict.fromkeys(words))
-
-
-def entry_forms(tagged_words) -> set[str]:
-    """Every vocabulary entry ``EmbeddingSpace.locate(word, language)`` may
-    find, for each ``(language, word)``: the word bare and, for a language
-    other than None, ``"<language>:"`` prefixed as in merged spaces. A space
-    holding just these rows (``load_vec(..., hold=...)``) answers those
-    lookups as the whole space does.
-    """
-    entries: set[str] = set()
-    for language, word in tagged_words:
-        entries.add(word)
-        if language is not None:
-            entries.add(f"{language}:{word}")
-    return entries
 
 
 def _require(cond, message):
@@ -256,8 +251,7 @@ def split_pairs(
     go to train, the remainder to test. An empty test side is legal but
     logged, since downstream bias evaluation then has nothing held out.
     """
-    if language_tag not in lexicon.defining_pairs:
-        raise ValueError(f"unknown language {language_tag!r} in lexicon")
+    lexicon.require_languages((language_tag,))
     pairs = lexicon.defining_pairs[language_tag]
     if train_count < 1:
         raise ValueError("train_count must be at least 1")

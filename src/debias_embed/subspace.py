@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace
+from .embeddings import EmbeddingSpace, entry_prefix
 from .manifest import write_json
 
 log = logging.getLogger(__name__)
@@ -128,9 +128,9 @@ def difference_matrix(space: EmbeddingSpace, pairs) -> DifferenceMatrix:
 
     Pairs with a missing word, or whose two words share one vector, are
     skipped with a warning. No resolvable pair at all is an error naming
-    each language of the pairs, and saying so when the space holds no
-    ``<lang>:`` entry for one, as a space read under a merged tag but
-    never merged does.
+    each language of the pairs, and saying so when the space does not
+    :meth:`~.embeddings.EmbeddingSpace.holds` one, as a space read under a
+    merged tag but never merged does not.
     """
     if not space.normalized:
         log.warning("difference_matrix: space is not normalized")
@@ -161,16 +161,11 @@ def difference_matrix(space: EmbeddingSpace, pairs) -> DifferenceMatrix:
         langs.append(pair.language_tag)
     if not rows:
         raise ValueError("no gender pair is resolvable in the space" + "".join(
-            f"; none of {lang!r} resolved" + _no_entries(space, lang) for lang in unresolved
+            f"; none of {lang!r} resolved"
+            + ("" if space.holds(lang) else f" (the space holds no {entry_prefix(lang)!r} entries)")
+            for lang in unresolved
         ))
     return DifferenceMatrix(np.vstack(rows), tuple(langs))
-
-
-def _no_entries(space: EmbeddingSpace, lang: str) -> str:
-    prefix = f"{lang}:"
-    if space.language_tag == lang or any(w.startswith(prefix) for w in space.vocab):
-        return ""
-    return f" (the space holds no {prefix!r} entries)"
 
 
 def _canonical_signs(basis: np.ndarray) -> np.ndarray:

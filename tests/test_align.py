@@ -167,6 +167,18 @@ def test_merge_spaces_refuses_tags_that_share_a_language(tmp_path, tags, shared,
         merge_spaces(*spaces)
 
 
+@pytest.mark.parametrize("stream_first", [True, False], ids=["stream-held", "held-stream"])
+def test_merge_spaces_refuses_a_stream_and_a_held_space(tmp_path, stream_first):
+    save_vec(random_space(0, 2, 4, tag="en"), str(tmp_path / "en.vec"))
+    stream = load_vec(str(tmp_path / "en.vec"), "en", hold=set())
+    (tmp_path / "en.vec").unlink()  # a block read now fails with FileNotFoundError
+    held = random_space(1, 2, 4, tag="hi")
+    spaces = (stream, held) if stream_first else (held, stream)
+    kinds = " with a ".join(type(space).__name__ for space in spaces)
+    with pytest.raises(ValueError, match=f"^cannot merge a {kinds}: both must be held or both"):
+        merge_spaces(*spaces)
+
+
 def test_load_dictionary_tabs_and_whitespace(tmp_path):
     tab = tmp_path / "tab.txt"
     tab.write_text("hello\tnamaste\nworld\tduniya\n", encoding="utf-8")

@@ -64,6 +64,32 @@ def test_debias_writes_outputs_and_manifest(tmp_path, en_vec, capsys):
     assert np.abs(debiased.matrix @ basis.T).max() < 1e-6
 
 
+@pytest.mark.parametrize("failing", ["subspace", "vec"])
+def test_a_failed_debias_write_leaves_both_outputs_as_they_were(tmp_path, en_vec, monkeypatch,
+                                                               capsys, failing):
+    out, subspace_out = tmp_path / "o.vec", tmp_path / "s.json"
+    out.write_text("old vec\n", encoding="utf-8")
+    if failing == "subspace":  # a directory that does not exist
+        subspace_out = tmp_path / "no_such_dir" / "s.json"
+    else:
+        subspace_out.write_text("old subspace\n", encoding="utf-8")
+
+        def refuse(space, path, precision=9):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(embeddings, "save_vec", refuse)
+    before = sorted(os.listdir(tmp_path))
+    assert run(["debias", "--emb", en_vec, "--languages", "en", "--out", out,
+                "--subspace-out", subspace_out]) == 2
+    assert "i/o error" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before  # no manifest, no temporary file
+    assert out.read_text(encoding="utf-8") == "old vec\n"
+    if failing == "vec":
+        assert subspace_out.read_text(encoding="utf-8") == "old subspace\n"
+
+
 def rotated_copy(tmp_path, en_vec, extra_dict_lines=""):
     """A rotated copy of the en space as 'hi.vec' plus a 40-pair identity dictionary."""
     src = load_vec(en_vec, "en")
@@ -679,7 +705,9 @@ def test_repeated_language_tag_is_refused_before_any_input_is_read(tmp_path, mon
      "unknown language 'xx' in lexicon"),
     (["report", "--inbias", "--seeds", "lexicon", "--languages", "xx", "--json", "r.json"],
      "unknown language 'xx' in lexicon"),
-], ids=["debias-mono", "debias-eqr", "xscore", "inbias-lexicon"])
+    (["debias", "--languages", "en,xx", "--variant", "multi", "--out", "o.vec"],
+     "unknown language 'xx' in lexicon"),
+], ids=["debias-mono", "debias-eqr", "xscore", "inbias-lexicon", "debias-unknown"])
 def test_languages_a_run_cannot_use_are_refused_before_any_input_is_read(
         tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)  # reading the missing input would exit 2

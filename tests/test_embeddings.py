@@ -15,6 +15,8 @@ from debias_embed.embeddings import (
     BLOCK_BYTES,
     EmbeddingSpace,
     SpaceStream,
+    entry_forms,
+    entry_prefix,
     load_vec,
     normalize,
     row_norms,
@@ -183,6 +185,63 @@ def test_locate_in_merged_space():
     assert space.locate("x", "aa") == 0
     assert space.locate("x", "bb") == 2
     assert space.locate("x") is None  # merged spaces need the language
+
+
+LOOKUP_WORDS = ("he", "en:she", "hi:he", "x", "hi:x")
+#: repeats, a word no form of which is held, and a word already prefixed
+WANTED = ("x", "he", "nope", "she", "he", "nope", "hi:x")
+
+
+@pytest.mark.parametrize("tag, language, rows, missing", [
+    ("en", "en", [3, 0, 1, 0, 4], ["nope", "nope"]),
+    ("en", "hi", [4, 2, 2], ["nope", "she", "nope", "hi:x"]),
+    ("en", None, [3, 0, 0, 4], ["nope", "she", "nope"]),
+    ("en+hi", "en", [1], ["x", "he", "nope", "he", "nope", "hi:x"]),
+    ("en+hi", "hi", [4, 2, 2], ["nope", "she", "nope", "hi:x"]),
+    ("en+hi", None, [3, 0, 0, 4], ["nope", "she", "nope"]),
+    # a merged tag's words are entries already: bare, and only in a space so tagged
+    ("en+hi", "en+hi", [3, 0, 0, 4], ["nope", "she", "nope"]),
+    ("en", "en+hi", [], list(WANTED)),
+])
+def test_locate_all_agrees_with_locate_word_by_word(tag, language, rows, missing):
+    space = random_space(0, 0, 4, tag=tag, words=LOOKUP_WORDS)
+    assert space.locate_all(WANTED, language) == (rows, missing)
+    found = [space.locate(w, language) for w in WANTED]
+    assert rows == [i for i in found if i is not None]
+    assert missing == [w for w, i in zip(WANTED, found) if i is None]
+    assert space.locate_all(iter(WANTED), language) == (rows, missing)  # any iterable
+
+
+def test_entry_forms_cover_every_row_locate_returns():
+    assert entry_forms([("en", "he"), (None, "she"), ("en", "he")]) == {"he", "en:he", "she"}
+    for tag in ("en", "en+hi"):
+        space = random_space(0, 0, 4, tag=tag, words=LOOKUP_WORDS)
+        for language in ("en", "hi", "en+hi", None):
+            entries = entry_forms((language, w) for w in WANTED)
+            rows, missing = space.locate_all(WANTED, language)
+            assert {space.vocab[i] for i in rows} <= entries
+            # a space of just those entries answers as the whole space does
+            kept = [i for i, w in enumerate(space.vocab) if w in entries]
+            held = EmbeddingSpace(tag, [space.vocab[i] for i in kept], space.matrix[kept])
+            held_rows, held_missing = held.locate_all(WANTED, language)
+            assert [held.vocab[i] for i in held_rows] == [space.vocab[i] for i in rows]
+            assert held_missing == missing
+
+
+def test_entry_prefix_is_what_a_merge_puts_before_a_word():
+    assert entry_prefix("hi") == "hi:"
+    assert entry_prefix("en+hi") == ""  # a merged space's words carry their own
+    merged = merge_spaces(random_space(0, 1, 3, tag="en+hi", words=("hi:x",)),
+                          random_space(1, 1, 3, tag="te", words=("x",)))
+    assert merged.vocab == ("hi:x", entry_prefix("te") + "x")
+
+
+def test_holds_a_language_it_is_tagged_with_or_has_entries_of():
+    space = random_space(0, 0, 3, tag="en", words=("he", "hi:he"))
+    languages = ("en", "hi", "te", "h", "en+hi")
+    assert [space.holds(lang) for lang in languages] == [True, True, False, False, False]
+    merged = random_space(0, 0, 3, tag="en+hi", words=("en:he", "hi:he"))
+    assert [merged.holds(lang) for lang in languages] == [True, True, False, False, True]
 
 
 def test_fingerprint_changes_with_content():

@@ -77,6 +77,39 @@ def test_detector_flags_private_and_skips_dunder_names(tmp_path):
     ]
 
 
+def entry_spellings(path):
+    """The line of each f-string of a source file that puts a bare ``:`` right
+    after a value, as ``f"{language}:{word}"`` spells a merged vocabulary entry."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+            and any(isinstance(before, ast.FormattedValue) and isinstance(part, ast.Constant)
+                    and part.value == ":" for before, part in zip(node.values, node.values[1:]))]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_embeddings_module_spells_a_merged_entry(path):
+    # embeddings.entry_prefix owns "<lang>:"; every other module looks words up through it
+    if path.stem != "embeddings":
+        assert entry_spellings(path) == []
+
+
+def test_entry_spelling_detector_flags_a_bare_colon_after_a_value_only(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        'a = f"{lang}:{word}"\nb = f"{lang}:"\nc = f"{path}: line {n}"\n'
+        'd = f"x:{y}"\ne = f"{x!r}:"\nf = f"{x:>4}"\ng = "{lang}:"\n',
+        encoding="utf-8",
+    )
+    assert entry_spellings(source) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_lexicon_refuses_an_unknown_language(path):
+    # GenderLexicon.require_languages owns the check every entry point calls
+    if path.stem != "lexicon":
+        assert "unknown language" not in path.read_text(encoding="utf-8")
+
+
 def unused_imports(path):
     """Each name a source file imports and never reads, sorted."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

@@ -123,6 +123,18 @@ def test_inbias_skips_unresolvable_pairs_with_warning(caplog):
     assert len(result.skipped) == 1
 
 
+@pytest.mark.parametrize("zero, message", [
+    ("fs", "dis is undefined against a zero reference vector"),  # a seed row
+    ("of", "dis is undefined for a zero vector"),  # an occupation word
+])
+def test_inbias_refuses_a_zero_vector_as_dis_does(zero, message):
+    space, lex = gap_one_lexicon_and_space()
+    matrix = space.matrix.copy()
+    matrix[space.vocab.index(zero)] = 0.0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        inbias(EmbeddingSpace("xx", space.vocab, matrix), lex, ["xx"])
+
+
 def test_inbias_seed_word_override():
     space, lex = gap_one_lexicon_and_space()
     # overriding both sides with the same seed word zeroes the gap

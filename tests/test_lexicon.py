@@ -8,11 +8,11 @@ from debias_embed.lexicon import (
     NeutralWords,
     SeedSets,
     builtin_lexicon,
-    entry_forms,
     load_lexicon,
     split_pairs,
     validate_lexicon,
 )
+from debias_embed.intrinsic import cross_score_matrix, inbias
 from helpers import random_space, two_language_lexicon
 
 
@@ -70,17 +70,6 @@ def test_words_name_every_lexicon_word_once_in_order():
     assert lex.words("aa") == ("aam0", "aaf0", "aam1", "aaf1", "aan0", "aan1", "aan2", "aan3")
 
 
-def test_entry_forms_cover_every_row_locate_returns():
-    assert entry_forms([("en", "he"), (None, "she")]) == {"he", "en:he", "she"}
-    words = ("he", "en:she", "hi:he", "x", "hi:x")
-    for tag in ("en", "en+hi"):
-        space = random_space(0, 0, 4, tag=tag, words=words)
-        for language in ("en", "hi", None):
-            held = {w: space.locate(w, language) for w in ("he", "she", "x")}
-            entries = entry_forms((language, w) for w in held)
-            assert {space.vocab[i] for i in held.values() if i is not None} <= entries
-
-
 def test_validate_rejects_pair_neutral_overlap():
     lex = GenderLexicon(
         defining_pairs={"aa": (GenderPair("m", "f", "aa"),)},
@@ -124,8 +113,33 @@ def test_split_pairs_rejects_bad_counts():
         split_pairs(lex, "aa", train_count=0, seed=0)
     with pytest.raises(ValueError):
         split_pairs(lex, "aa", train_count=7, seed=0)
-    with pytest.raises(ValueError, match="zz"):
+    with pytest.raises(ValueError, match="^unknown language 'zz' in lexicon$"):
         split_pairs(lex, "zz", train_count=1, seed=0)
+
+
+ENTRY_POINTS = {
+    "require_languages": lambda lex, space, languages: lex.require_languages(languages),
+    "inbias": lambda lex, space, languages: inbias(space, lex, languages),
+    "cross_score_matrix": lambda lex, space, languages: cross_score_matrix(space, lex, languages),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("languages, message", [
+    ((), "at least one language is required"),
+    (("aa", "zz"), "unknown language 'zz' in lexicon"),
+    (("zz", "yy"), "unknown language 'zz' in lexicon"),
+])
+def test_each_entry_point_refuses_languages_the_lexicon_cannot_serve(entry, languages, message):
+    lex = two_language_lexicon()
+    space = random_space(0, 0, 4, tag="aa", words=lex.words("aa"))
+    with pytest.raises(ValueError) as caught:
+        ENTRY_POINTS[entry](lex, space, iter(languages))  # any iterable of tags
+    assert str(caught.value) == message
+
+
+def test_require_languages_returns_the_tags_as_a_tuple_in_order():
+    assert two_language_lexicon().require_languages(iter(["bb", "aa"])) == ("bb", "aa")
 
 
 def test_load_lexicon_round_trip(tmp_path):
