@@ -22,6 +22,15 @@ INDICATOR_TOKENS = 8
 GENDERED_TOKENS = 4
 MAX_SKEW = 0.4
 
+#: graded_bios: occupations, words of each occupation's own, words every
+#: occupation shares, the chance that an indicator token is one of its
+#: occupation's own words, and marker tokens per record
+GRADED_OCCUPATIONS = 4
+OWN_WORDS = 10
+SHARED_WORDS = 40
+OWN_SHARE = 0.5
+GRADED_GENDERED_TOKENS = 2
+
 
 class Language(NamedTuple):
     words: tuple
@@ -156,18 +165,12 @@ def marker_world(seed, dim, k, n_plain):
     return tuple(words), np.array(rows), basis
 
 
-def bios(words, rows, basis, n_occupations, n_records, bias_strength, seed):
-    """Bios over ``words`` with a planted gender-occupation link, as ``Bio``
-    records (the fields of ``extrinsic.BioRecord``).
-
-    Occupation i leans male for even i and female for odd i, with the male
-    share at 0.5 + MAX_SKEW * bias_strength * (+-1). Each record draws its
-    occupation's indicator words and its gender's marker words. Marker words
-    are the rows with the most positive / most negative projection on
-    ``basis[0]``; indicator words come from the rows least loaded on
-    ``basis``.
-    """
-    need = n_occupations * INDICATORS_PER_OCCUPATION + 2 * MARKERS_PER_GENDER
+def _markers_and_plain(words, rows, basis, n_plain):
+    """(markers, plain): ``{gender: its MARKERS_PER_GENDER marker words}``,
+    the rows with the most positive (M) and most negative (F) projection on
+    ``basis[0]``, and ``n_plain`` other words, the rows least loaded on
+    ``basis`` first."""
+    need = n_plain + 2 * MARKERS_PER_GENDER
     if len(words) < need:
         raise ValueError(f"vocabulary too small: {len(words)} words, {need} needed")
     order = np.argsort(rows @ basis[0], kind="stable")
@@ -175,21 +178,74 @@ def bios(words, rows, basis, n_occupations, n_records, bias_strength, seed):
     markers = {"F": [words[i] for i in order[:m]], "M": [words[i] for i in order[-m:]]}
     marker_rows = set(order[:m]) | set(order[-m:])
     loading = np.linalg.norm(rows @ basis.T, axis=1)
-    neutral = [i for i in np.argsort(loading, kind="stable") if i not in marker_rows]
-    per = INDICATORS_PER_OCCUPATION
+    plain = [words[i] for i in np.argsort(loading, kind="stable") if i not in marker_rows]
+    return markers, plain[:n_plain]
 
-    rng = np.random.default_rng(seed)
+
+def _genders(rng, n_records, n_occupations, skew):
+    """Each occupation's record genders, shuffled: occupation i leans male for
+    even i and female for odd i, with the male share at 0.5 + skew * (+-1)."""
     base, extra = divmod(n_records, n_occupations)
-    records = []
     for occ in range(n_occupations):
         count = base + (1 if occ < extra else 0)
-        male_share = 0.5 + MAX_SKEW * bias_strength * (1.0 if occ % 2 == 0 else -1.0)
+        male_share = 0.5 + skew * (1.0 if occ % 2 == 0 else -1.0)
         n_male = min(max(int(round(count * male_share)), 0), count)
         genders = np.array(["M"] * n_male + ["F"] * (count - n_male))
         rng.shuffle(genders)
-        indicators = [words[i] for i in neutral[occ * per:(occ + 1) * per]]
+        yield occ, genders
+
+
+def bios(words, rows, basis, n_occupations, n_records, bias_strength, seed):
+    """Bios over ``words`` with a planted gender-occupation link, as ``Bio``
+    records (the fields of ``extrinsic.BioRecord``).
+
+    The male share of occupation i is 0.5 + MAX_SKEW * bias_strength * (+-1)
+    (see ``_genders``). Each record draws its occupation's indicator words
+    and its gender's marker words (see ``_markers_and_plain``); indicator
+    words come from the rows least loaded on ``basis``. Each occupation's
+    own words identify it, so a classifier trained to convergence needs no
+    marker to be right.
+    """
+    per = INDICATORS_PER_OCCUPATION
+    markers, plain = _markers_and_plain(words, rows, basis, n_occupations * per)
+    rng = np.random.default_rng(seed)
+    records = []
+    for occ, genders in _genders(rng, n_records, n_occupations, MAX_SKEW * bias_strength):
+        indicators = plain[occ * per:(occ + 1) * per]
         for g in genders:
             tokens = rng.choice(indicators, size=INDICATOR_TOKENS, replace=True)
             gendered = rng.choice(markers[g], size=GENDERED_TOKENS, replace=True)
+            records.append(Bio(str(g), f"occ{occ:02d}", tuple(tokens) + tuple(gendered)))
+    return records
+
+
+def graded_bios(words, rows, basis, n_records, skew, seed):
+    """Bios whose words identify the occupation only in part, with a planted
+    gender-occupation link of size ``skew``, as ``Bio`` records.
+
+    There are GRADED_OCCUPATIONS occupations, the male share of occupation
+    i 0.5 + skew * (+-1) (see ``_genders``). Each record draws
+    INDICATOR_TOKENS tokens, each one of its occupation's OWN_WORDS own
+    words with probability OWN_SHARE and otherwise one of SHARED_WORDS
+    words every occupation shares, and GRADED_GENDERED_TOKENS of its
+    gender's marker words (see ``_markers_and_plain``). A record whose own
+    words are few is ambiguous, and a classifier that reads the markers
+    resolves it towards its gender's occupations, so the accuracy gap
+    between genders grows with the skew.
+    """
+    if not 0.0 <= skew <= 0.5:
+        raise ValueError(f"skew must lie in [0, 0.5], got {skew}")
+    markers, plain = _markers_and_plain(words, rows, basis,
+                                        GRADED_OCCUPATIONS * OWN_WORDS + SHARED_WORDS)
+    shared = plain[GRADED_OCCUPATIONS * OWN_WORDS:]
+    rng = np.random.default_rng(seed)
+    records = []
+    for occ, genders in _genders(rng, n_records, GRADED_OCCUPATIONS, skew):
+        own_words = plain[occ * OWN_WORDS:(occ + 1) * OWN_WORDS]
+        for g in genders:
+            own = rng.random(INDICATOR_TOKENS) < OWN_SHARE
+            tokens = np.where(own, rng.choice(own_words, size=INDICATOR_TOKENS),
+                              rng.choice(shared, size=INDICATOR_TOKENS))
+            gendered = rng.choice(markers[g], size=GRADED_GENDERED_TOKENS)
             records.append(Bio(str(g), f"occ{occ:02d}", tuple(tokens) + tuple(gendered)))
     return records

@@ -30,7 +30,7 @@ from debias_embed.intrinsic import (
 from debias_embed.lexicon import builtin_lexicon, split_pairs
 from debias_embed.subspace import BiasSubspace
 from debias_embed import extrinsic as ex
-from planted import ANGLES_DEG, bios, language_world, marker_world
+from planted import ANGLES_DEG, MAX_SKEW, graded_bios, language_world, marker_world
 
 
 def merge_all(spaces):
@@ -84,20 +84,18 @@ def cross_section(lexicon, merged, out):
     out.write("\n")
 
 
-def extrinsic_section(seed, n_records, epochs, out):
+def extrinsic_section(seed, n_records, out):
     words, rows, basis = marker_world(seed + 99, dim=60, k=2, n_plain=80)
     space = EmbeddingSpace("xx", words, rows, normalized=True)
     sub = BiasSubspace(basis, "pca", (2.0, 1.0))
     debiased = debias_space(space, sub, DebiasConfig(k=2))
-    hyper = ex.TrainConfig(epochs=epochs, seed=seed)
 
     table = []
-    for strength, label in ((1.0, "planted link"), (0.0, "no link")):
-        records = bios(words, rows, basis, n_occupations=4, n_records=n_records,
-                       bias_strength=strength, seed=seed)
+    for skew, label in ((MAX_SKEW, "planted link"), (0.0, "no link")):
+        records = graded_bios(words, rows, basis, n_records=n_records, skew=skew, seed=seed)
         train, test = ex.split_corpus(records, seed=seed)
-        before = ex.evaluate_gap(ex.train_classifier(space, train, hyper), test)
-        after = ex.evaluate_gap(ex.train_classifier(debiased, train, hyper), test)
+        before = ex.evaluate_gap(ex.train_classifier(space, train), test)
+        after = ex.evaluate_gap(ex.train_classifier(debiased, train), test)
         f_i = ex.compare_runs(before, after)
         table.append((f"orig ({label})", before, None))
         table.append((f"debiased ({label})", after, f_i))
@@ -115,7 +113,6 @@ def main(argv=None):
     parser.add_argument("--k", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--records", type=int, default=1200)
-    parser.add_argument("--epochs", type=int, default=120)
     args = parser.parse_args(argv)
 
     lexicon = builtin_lexicon()
@@ -124,7 +121,7 @@ def main(argv=None):
               for tag, lang in world.items()}
     merged = intrinsic_section(lexicon, spaces, args.k, args.seed, sys.stdout)
     cross_section(lexicon, merged, sys.stdout)
-    extrinsic_section(args.seed, args.records, args.epochs, sys.stdout)
+    extrinsic_section(args.seed, args.records, sys.stdout)
     return 0
 
 

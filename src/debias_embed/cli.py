@@ -15,6 +15,7 @@ inside the subcommand handlers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -121,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p_rep.add_mutually_exclusive_group(required=True)
     mode.add_argument("--inbias", action="store_true", help="occupation/seed distance gaps")
     mode.add_argument("--xscore", action="store_true", help="cross-language direction overlap")
-    mode.add_argument("--exbias", action="store_true", help="classifier accuracy gaps")
+    mode.add_argument("--exbias", action="store_true",
+                      help="occupation accuracy gaps of a softmax classifier, L2-regularized "
+                           "and fitted to convergence")
     p_rep.add_argument("--emb", required=True, help="embedding .vec file (the 'before' run)")
     p_rep.add_argument("--emb-after", help="optional debiased .vec for a before/after comparison")
     p_rep.add_argument("--languages", required=True, help="comma-separated language tags")
@@ -129,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--json", dest="json_out", help="write the report as JSON here")
     # the options of some modes; their defaults, in MODE_OPTIONS, are filled in by main
     p_rep.add_argument("--seed", type=_at_least(0),
-                       help="inbias --seeds test: pair split; exbias: corpus split and "
-                            "classifier (default 0)")
+                       help="inbias --seeds test: pair split; exbias: the corpus split "
+                            "only, as the classifier fit is seedless (default 0)")
     p_rep.add_argument("--seeds", choices=("test", "lexicon"),
                        help="inbias: score against held-out pair sides (default) or static seeds")
     p_rep.add_argument("--train-count", type=int,
@@ -142,11 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--corpus", help="bios TSV for --exbias")
     p_rep.add_argument("--corpus-after", help="optional second corpus for the after run")
     p_rep.add_argument("--corpus-lang", help="language tag of the bios (for merged spaces)")
-    p_rep.add_argument("--min-count", type=int,
+    p_rep.add_argument("--min-count", type=_at_least(0),
                        help="exbias: drop occupations with fewer records (default 100)")
     p_rep.add_argument("--test-fraction", type=float, help="exbias (default 0.2)")
-    p_rep.add_argument("--learning-rate", type=float, help="exbias (default 1.0)")
-    p_rep.add_argument("--epochs", type=int, help="exbias (default 300)")
     p_rep.set_defaults(func=cmd_report)
 
     for name, p in (("align", p_align), ("debias", p_deb), ("report", p_rep)):
@@ -350,9 +351,6 @@ def _report_exbias(args, languages, lexicon):
     if not args.corpus:
         raise ValueError("--exbias needs --corpus")
     tag = "+".join(languages)
-    train_config = extrinsic.TrainConfig(
-        learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed
-    )
 
     def read_corpus(corpus_path):
         """(train, test, every vocabulary entry the records' tokens may resolve to)"""
@@ -362,17 +360,20 @@ def _report_exbias(args, languages, lexicon):
         return (*extrinsic.split_corpus(records, args.test_fraction, args.seed), words)
 
     def run(embedding_path, corpus):
+        """(the gap on the test records, the fit of the classifier it comes from)"""
         train, test, words = corpus
         space = _held_space(embedding_path, tag, words)
-        clf = extrinsic.train_classifier(space, train, train_config, args.corpus_lang)
-        return extrinsic.evaluate_gap(clf, test)
+        clf = extrinsic.train_classifier(space, train, args.corpus_lang)
+        return extrinsic.evaluate_gap(clf, test), clf.fit
 
     corpus = read_corpus(args.corpus)
-    before = run(args.emb, corpus)
-    rows = [("orig", before, None)]
+    before, fit = run(args.emb, corpus)
+    rows, fits = [("orig", before, None)], [fit]
     if args.emb_after:
-        after = run(args.emb_after, read_corpus(args.corpus_after) if args.corpus_after else corpus)
+        after, fit = run(args.emb_after,
+                         read_corpus(args.corpus_after) if args.corpus_after else corpus)
         rows.append(("debiased", after, extrinsic.compare_runs(before, after)))
+        fits.append(fit)
     table = extrinsic.format_gap_table(rows)
     payload = {
         "metric": "extrinsic_gap",
@@ -388,8 +389,9 @@ def _report_exbias(args, languages, lexicon):
                     {"occupation": occ, "acc_male": am, "acc_female": af, "gap": gap}
                     for occ, am, af, gap in result.per_occupation
                 ],
+                "fit": dataclasses.asdict(fit),
             }
-            for label, result, f_i in rows
+            for (label, result, f_i), fit in zip(rows, fits)
         },
     }
     return table, payload
@@ -400,7 +402,7 @@ MODE_OPTIONS = {
     "inbias": {"seeds": "test", "train_count": 10, "seed": 0},
     "xscore": {"epsilon": 1e-8},
     "exbias": {"corpus": None, "corpus_after": None, "corpus_lang": None, "min_count": 100,
-               "test_fraction": 0.2, "learning_rate": 1.0, "epochs": 300, "seed": 0},
+               "test_fraction": 0.2, "seed": 0},
 }
 
 
@@ -453,7 +455,11 @@ def cmd_report(args):
         return None
     payload["manifest"] = os.path.basename(_files(args)[1]["manifest"])  # sibling file
     write_json(args.json_out, payload)
-    return {}
+    if args.mode != "exbias":
+        return {}
+    from . import extrinsic  # the fit's constants, which no option holds
+
+    return {"l2_penalty": extrinsic.L2_PENALTY, "fit_grad_tol": extrinsic.FIT_GRAD_TOL}
 
 
 #: the file options of each subcommand, by destination: those it reads, then

@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 
 from debias_embed.embeddings import EmbeddingSpace
-from debias_embed.extrinsic import Classifier, featurize
 from debias_embed.lexicon import GenderLexicon, GenderPair, NeutralWords, SeedSets
-from oracles import reference_train
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -72,18 +70,6 @@ def space_for_lexicon(lexicon, tags, d=20, seed=0, merged=None):
         vocab = tuple(f"{t}:{w}" for t in tags for w in lexicon.words(t))
         tag = merged or "+".join(tags)
     return EmbeddingSpace(tag, vocab, unit_rows(rng, len(vocab), d), normalized=True)
-
-
-def reference_classifier(space, train, config, language=None):
-    """``train_classifier``'s result, trained by ``oracles.reference_train`` on
-    the materialized ``featurize`` features."""
-    features, kept = featurize(space, train, language)
-    labels = tuple(sorted({r.occupation for r in kept}))
-    y = np.array([labels.index(r.occupation) for r in kept])
-    weights, bias, history = reference_train(
-        features, y, len(labels), config.learning_rate, config.epochs, config.seed
-    )
-    return Classifier(weights, bias, labels, space, config, language, tuple(history))
 
 
 def inline_and_on_workers(monkeypatch, run, forks=True, cpus=2):

@@ -202,6 +202,56 @@ def reference_train(features, labels, n_classes, learning_rate, epochs, seed):
     return weights, bias, history
 
 
+def newton_softmax(features, labels, n_classes, l2, grad_tol=1e-12, max_iter=100):
+    """(weights, bias) minimizing mean softmax cross-entropy + (l2 / 2) * ||W||^2.
+
+    Damped Newton on the dense Hessian, for tiny problems: row-major
+    logits (n x classes), the bias an extra column of ones and not
+    penalized, a start at zero. The Hessian is singular along a shift
+    common to all biases, so each step is the minimum-norm least-squares
+    solution, which keeps the biases summing to zero; it is halved until
+    the objective does not rise. Stops once no gradient component
+    exceeds ``grad_tol``.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    n, dim = features.shape
+    augmented = np.hstack([features, np.ones((n, 1))])
+    onehot = np.eye(n_classes)[labels]
+    penalized = np.ones((n_classes, dim + 1))
+    penalized[:, dim] = 0.0
+
+    def probabilities(theta):
+        logits = augmented @ theta.T
+        logits = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits)
+        return exp / exp.sum(axis=1, keepdims=True)
+
+    def objective(theta):
+        picked = (probabilities(theta) * onehot).sum(axis=1)
+        return float(-np.mean(np.log(picked))) + 0.5 * l2 * float(np.sum((penalized * theta) ** 2))
+
+    theta = np.zeros((n_classes, dim + 1))
+    for _ in range(max_iter):
+        probs = probabilities(theta)
+        grad = (probs - onehot).T @ augmented / n + l2 * penalized * theta
+        if np.abs(grad).max() <= grad_tol:
+            break
+        size = dim + 1
+        hessian = np.zeros((n_classes * size, n_classes * size))
+        for a in range(n_classes):
+            for b in range(n_classes):
+                weight = probs[:, a] * ((a == b) - probs[:, b]) / n
+                hessian[a * size:(a + 1) * size, b * size:(b + 1) * size] = (
+                    augmented.T @ (augmented * weight[:, None]))
+        hessian += np.diag(l2 * penalized.ravel())
+        step = np.linalg.lstsq(hessian, grad.ravel(), rcond=None)[0].reshape(theta.shape)
+        current, t = objective(theta), 1.0
+        while objective(theta - t * step) > current and t > 1e-12:
+            t /= 2
+        theta = theta - t * step
+    return theta[:, :dim], theta[:, dim]
+
+
 def cross_score_cell(diffs_1, diffs_2, neutral_2, epsilon):
     """Mean relative change of |<w, b2>| over the rows w of ``neutral_2``
     once b1 is projected out of w; rows with |<w, b2>| below ``epsilon`` are

@@ -22,7 +22,6 @@ from helpers import (
     inline_and_on_workers,
     load_script,
     orthonormal_rows,
-    reference_classifier,
     unit_rows,
 )
 from planted import language_world
@@ -224,7 +223,7 @@ def test_report_exbias_before_after(tmp_path, en_vec, capsys, monkeypatch):
     report = tmp_path / "ex.json"
     code = run([
         "report", "--exbias", "--emb", en_vec, "--emb-after", deb, "--corpus", corpus,
-        "--languages", "en", "--min-count", "10", "--epochs", "80", "--json", report,
+        "--languages", "en", "--min-count", "10", "--json", report,
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -232,6 +231,11 @@ def test_report_exbias_before_after(tmp_path, en_vec, capsys, monkeypatch):
     payload = json.loads(report.read_text())
     assert set(payload["runs"]) == {"orig", "debiased"}
     assert payload["runs"]["debiased"]["f_i"] is not None
+    for run_ in payload["runs"].values():
+        fit = run_["fit"]
+        assert set(fit) == {"iterations", "evaluations", "grad_norm", "converged"}
+        assert fit["converged"] and fit["grad_norm"] <= extrinsic.FIT_GRAD_TOL
+        assert 0 < fit["iterations"] < fit["evaluations"] <= 60
     assert len(reads) == 1  # without --corpus-after, both runs use the one corpus read
 
 
@@ -265,7 +269,7 @@ def report_run(mode, before_after, corpus=False):
             inputs.append(deb)
         if corpus:
             bios = write_bios(tmp_path)
-            argv += ["--corpus", bios, "--min-count", "10", "--epochs", "20"]
+            argv += ["--corpus", bios, "--min-count", "10"]
             inputs.append(bios)
         report = tmp_path / "report.json"
         return argv + ["--json", report], inputs, [report], f"{report}.manifest.json"
@@ -304,7 +308,7 @@ def test_manifest_records_exactly_what_the_run_read_and_wrote(tmp_path, en_vec, 
     ("--inbias --seeds lexicon", {"seeds": "lexicon"}, {}),
     ("--xscore", {"epsilon": 1e-8}, {}),
     ("--exbias", {"corpus_lang": None, "min_count": 10, "test_fraction": 0.2,
-                  "learning_rate": 1.0, "epochs": 20}, {"seed": 0}),
+                  "l2_penalty": 1e-3, "fit_grad_tol": 1e-6}, {"seed": 0}),
 ], ids=["align", "debias", "inbias", "inbias-seeds-lexicon", "xscore", "exbias"])
 def test_report_manifest_records_exactly_the_options_its_mode_reads(tmp_path, en_vec, mode,
                                                                     config, seeds):
@@ -319,7 +323,7 @@ def test_report_manifest_records_exactly_the_options_its_mode_reads(tmp_path, en
         argv = ["report", *mode.split(), "--emb", en_vec, "--languages", "en",
                 "--json", tmp_path / "r.json"]
         if mode == "--exbias":
-            argv += ["--corpus", write_bios(tmp_path), "--min-count", "10", "--epochs", "20"]
+            argv += ["--corpus", write_bios(tmp_path), "--min-count", "10"]
         config = {"subcommand": "report", "mode": mode.split()[0][2:], "languages": ["en"],
                   **config}
     assert run(argv) == 0
@@ -397,23 +401,51 @@ def test_the_option_tables_agree_with_the_parser():
             if a.default is None and not a.required and a.dest not in tabled] == ["config"]
 
 
-@pytest.mark.parametrize("mode, option", [("--exbias", "--learning-rate"),
-                                          ("--xscore", "--epsilon")])
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_report_refuses_a_non_finite_rate_or_guard(tmp_path, en_vec, mode, option, value):
+def test_report_refuses_a_non_finite_guard(tmp_path, en_vec, value):
     # in a child process, so that every log line and numpy warning reaches its stderr
     report = tmp_path / "r.json"
-    argv = ["report", mode, "--emb", en_vec, "--languages", "en", option, value,
+    argv = ["report", "--xscore", "--emb", en_vec, "--languages", "en", "--epsilon", value,
             "--json", str(report)]
-    if mode == "--exbias":
-        argv += ["--corpus", str(write_bios(tmp_path)), "--min-count", "10"]
     proc = subprocess.run([sys.executable, "-m", "debias_embed.cli", *argv],
                           capture_output=True, text=True, timeout=120)
-    name = option[2:].replace("-", "_")
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
-        f"debias-embed: {name} must be positive and finite, got {value}"]
+        f"debias-embed: epsilon must be positive and finite, got {value}"]
     assert not report.exists()
+
+
+@pytest.mark.parametrize("flag", ["--epochs", "--learning-rate"])
+@pytest.mark.parametrize("given_in", ["argv", "config"])
+def test_report_exbias_takes_no_descent_budget(tmp_path, en_vec, capsys, flag, given_in):
+    # the fit runs to its tolerance, so there is no epoch count or rate to set
+    report = tmp_path / "r.json"
+    argv = ["report", "--exbias", "--emb", en_vec, "--languages", "en", "--corpus",
+            write_bios(tmp_path), "--json", report]
+    if given_in == "argv":
+        argv += [flag, "1"]
+        message = f"unrecognized arguments: {flag} 1"
+    else:
+        config = tmp_path / "c.json"
+        key = flag[2:].replace("-", "_")
+        config.write_text(json.dumps({key: 1}))
+        argv += ["--config", config]
+        message = f"unknown config key(s) {key} for 'report'"
+    assert run(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not report.exists()
+
+def test_report_exbias_records_a_fit_that_hits_the_iteration_cap(tmp_path, en_vec, monkeypatch):
+    monkeypatch.setattr(extrinsic, "FIT_MAX_ITER", 2)
+    report = tmp_path / "r.json"
+    assert run(["report", "--exbias", "--emb", en_vec, "--languages", "en", "--corpus",
+                write_bios(tmp_path), "--min-count", "10", "--json", report]) == 0
+    fit = json.loads(report.read_text())["runs"]["orig"]["fit"]
+    assert fit["iterations"] == 2 and not fit["converged"]
+    manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    assert manifest["warnings"] == [
+        f"train_classifier: stopped after 2 iteration(s) with gradient norm "
+        f"{fit['grad_norm']:.3g}, above the tolerance 1e-06"]
 
 
 DEBIAS = ["debias", "--emb", "missing.vec", "--languages", "en", "--out"]
@@ -641,13 +673,15 @@ def test_config_file_defaults_and_flag_override(tmp_path, en_vec):
     (DEBIAS, {"renormalize": "no"}, "config key 'renormalize' takes true or false, got \"no\""),
     (DEBIAS, {"center": True}, "unknown config key(s) center for 'debias'"),
     (DEBIAS, {"k": None}, "config key 'k' takes a string or a number, got null"),
-    (REPORT[:1] + ["--exbias", "--corpus", "missing.tsv"] + REPORT[2:], {"epochs": 1.5},
-     "argument --epochs: invalid int value: '1.5'"),
+    (REPORT[:1] + ["--exbias", "--corpus", "missing.tsv"] + REPORT[2:], {"min_count": 1.5},
+     "argument --min-count: invalid int value: '1.5'"),
+    (REPORT[:1] + ["--exbias", "--corpus", "missing.tsv"] + REPORT[2:], {"min_count": -5},
+     "argument --min-count: must be at least 0, got -5"),
     (REPORT[:1] + ["--inbias"] + REPORT[2:], {"seeds": "bogus"},
      "argument --seeds: invalid choice: 'bogus'"),
     (REPORT, {"inbias": True}, "argument --xscore: not allowed with argument --inbias"),
 ], ids=["precision", "k", "seed", "negative-seed", "report-negative-seed", "switch", "gone",
-        "null", "epochs", "choices", "mode"])
+        "null", "min-count", "negative-min-count", "choices", "mode"])
 def test_config_entries_are_parsed_as_the_flags_they_name(tmp_path, capsys, argv, entries,
                                                           message):
     config = tmp_path / "c.json"
@@ -1118,7 +1152,7 @@ def test_report_parses_only_the_rows_it_scores_and_reports_as_on_whole_spaces(
     files = {"after": write_lexicon_rows(tmp_path / "after.vec", 1000, tags, seed=1),
              "bios": write_bios(tmp_path)}
     if mode == "--exbias":
-        options = options + ["--min-count", "10", "--epochs", "20"]
+        options = options + ["--min-count", "10"]
     report = tmp_path / "report.json"
     argv = ["report", mode, "--emb", emb, "--languages", ",".join(tags),
             *(files.get(o, o) for o in options), "--json", report]
@@ -1152,25 +1186,36 @@ def test_report_parses_only_the_rows_it_scores_and_reports_as_on_whole_spaces(
     (("en",), ["--emb-after", "after", "--corpus-after", "bios_after"], 300),
     (("en",), ["--emb-after", "after"], 16),  # ~60 distinct token rows of 16 dims
 ], ids=["before-after", "merged-corpus-lang", "corpus-after", "more-rows-than-dims"])
-def test_report_exbias_is_what_descent_on_the_materialized_features_gives(
-        tmp_path, monkeypatch, capsys, tags, options, d):
+def test_report_exbias_is_what_the_library_trainer_gives(tmp_path, capsys, tags, options, d):
     emb = write_lexicon_rows(tmp_path / "emb.vec", 1000, tags, d=d)
     files = {"after": write_lexicon_rows(tmp_path / "after.vec", 1000, tags, seed=1, d=d),
-             "bios_after": write_bios(tmp_path, "bios_after.tsv", seed=6)}
+             "bios": write_bios(tmp_path), "bios_after": write_bios(tmp_path, "b_after.tsv", 6)}
     report = tmp_path / "report.json"
     argv = ["report", "--exbias", "--emb", emb, "--languages", ",".join(tags),
-            "--corpus", write_bios(tmp_path), *(files.get(o, o) for o in options),
-            "--min-count", "10", "--epochs", "80", "--json", report]
+            "--corpus", files["bios"], *(files.get(o, o) for o in options),
+            "--min-count", "10", "--json", report]
+    assert run(argv) == 0
+    runs = json.loads(report.read_text())["runs"]
+    table = capsys.readouterr().out
 
-    def outputs():
-        assert run(argv) == 0
-        manifest = json.loads(report.with_name("report.json.manifest.json").read_text())
-        del manifest["created_at"]
-        return capsys.readouterr().out, report.read_bytes(), manifest
-
-    factored = outputs()
-    monkeypatch.setattr(extrinsic, "train_classifier", reference_classifier)
-    assert outputs() == factored
+    # the library's steps on the spaces loaded whole
+    language = "en" if "--corpus-lang" in options else None
+    corpora = {"orig": files["bios"],
+               "debiased": files["bios_after" if "bios_after" in options else "bios"]}
+    rows = []
+    for label, path in {"orig": emb, "debiased": files["after"]}.items():
+        if label not in runs:
+            continue
+        space = normalize(load_vec(path, "+".join(tags)))
+        train, test = extrinsic.split_corpus(extrinsic.load_corpus(corpora[label], 10))
+        clf = extrinsic.train_classifier(space, train, language)
+        result = extrinsic.evaluate_gap(clf, test)
+        f_i = extrinsic.compare_runs(rows[0][1], result) if rows else None
+        rows.append((label, result, f_i))
+        assert runs[label]["fit"] == vars(clf.fit)
+        assert (runs[label]["diff"], runs[label]["f_i"]) == (result.diff, f_i)
+    assert set(runs) == {label for label, _, _ in rows}
+    assert table == extrinsic.format_gap_table(rows)
 
 
 @pytest.mark.parametrize("mode", ["--inbias", "--xscore", "--exbias"])
@@ -1183,7 +1228,7 @@ def test_report_skips_the_format_of_rows_it_does_not_read_but_checks_every_line(
     argv = ["report", mode, "--emb", emb, "--languages", "en", "--json", report]
     if mode == "--exbias":
         bios = write_bios(tmp_path)
-        argv += ["--corpus", bios, "--min-count", "10", "--epochs", "20"]
+        argv += ["--corpus", bios, "--min-count", "10"]
 
     def outcome(lines):
         emb.write_bytes(b"".join(lines))

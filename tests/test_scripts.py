@@ -81,7 +81,7 @@ def test_synthetic_demo_output_is_pinned():
     with contextlib.redirect_stdout(stdout):
         assert load_script("run_synthetic_demo").main([]) == 0
     digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
-    assert digest == "10642d95c6e1c2c0d53e82d1a48783eaa899134936a0edd26d58c712affc56a7"
+    assert digest == "78be031102d58bfccea9cfe0fb56456de3c354236a4a2490b71c1c01877860e0"
 
 
 def test_language_world_records_the_direction_it_planted():
