@@ -11,14 +11,15 @@ Two estimators are provided over the stacked difference matrix:
   time, each constrained to the orthogonal complement of the previous
   ones (deflation). The search runs in coordinates of the row space of
   the difference matrix, so every direction lies in the span of the
-  difference rows. Each direction is located by multi-start projected
-  gradient ascent (32 seeded starts, ascended together as one batch) so
-  the result is deterministic for a given seed; scores are the achieved
-  excess kurtosis values. The batch keeps each matrix product's operand
-  shapes fixed (see :func:`_ascend`): a column of a BLAS product can
-  change in its last bits with the count and layout of the columns
-  beside it, and the best starts of one step can agree to 1e-14, so a
-  different batching could pick a different direction.
+  difference rows. In each step the centered rows are whitened, which
+  makes the kurtosis a mean fourth power on the unit sphere, and 32
+  seeded starts climb it together by a power iteration, as FastICA does
+  (see :func:`_power_ascent`); scores are the achieved excess kurtosis
+  values. The whole batch iterates until every start has settled, so
+  every product keeps its operand shapes: a column of a BLAS product can
+  change in its last bits with the columns beside it. Each direction is
+  the lowest-index start within SCORE_TIE of the best, so rounding bits
+  never pick it, and the result is deterministic for a given seed.
 
 :func:`equal_rep_basis`, the multilingual eqr subspace, fits either one to
 each language's own rows and orthonormalizes the union with one QR.
@@ -55,7 +56,8 @@ RANK_RTOL = 1e-10  # singular values below RANK_RTOL * s_max do not count toward
 
 PPA_STARTS = 32
 PPA_MAX_ITER = 1000
-PPA_GRAD_TOL = 1e-9
+PPA_MOVE_TOL = 1e-9  # a start has settled once an iteration moves it less than this
+SCORE_TIE = 1e-12  # scores this close count as tied, and ties keep their order
 
 
 @dataclass(frozen=True)
@@ -212,93 +214,74 @@ def pca_basis(diffs: DifferenceMatrix, k: int) -> BiasSubspace:
     return BiasSubspace(basis=_canonical_signs(vt[:k]), method="pca", scores=scores)
 
 
-def _kurtosis_and_grad(coords_c: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Excess kurtosis of ``coords_c @ u`` and its gradient, one column per direction."""
-    # coords_c is column-centered, so projections come out centered too
-    n = float(coords_c.shape[0])
-    z = coords_c @ u
-    z2 = z * z
-    m2 = np.add.reduce(z2, axis=0) / n
-    m4 = np.add.reduce(z2 * z2, axis=0) / n
-    some_flat = np.minimum.reduce(m2) < 1e-30
-    if some_flat:  # there m4 < n * 1e-60, so with m2 = 1 the value is -3.0 exactly
-        flat = m2 < 1e-30
-        m2 = np.where(flat, 1.0, m2)
-    m2sq = m2**2
-    grad = coords_c.T @ ((4.0 / n) * z * (z2 / m2sq - m4 / m2**3))
-    if some_flat:
-        grad[:, flat] = 0.0
-    return m4 / m2sq - 3.0, grad
+def _unit_columns(x: np.ndarray) -> np.ndarray:
+    norms = np.sqrt(np.add.reduce(x * x, axis=0))
+    return x / np.where(norms > 0.0, norms, 1.0)
 
 
-def _tangent(projector: np.ndarray, grad: np.ndarray, u: np.ndarray):
-    direction = projector @ grad
-    direction -= np.add.reduce(direction * u, axis=0) * u
-    return direction, np.sqrt(np.add.reduce(direction * direction, axis=0))
+def _power_ascent(y: np.ndarray, a: np.ndarray):
+    """Maximize the mean of ``(y @ a) ** 4`` over unit columns ``a``, all at once.
 
-
-def _ascend(coords_c: np.ndarray, starts: np.ndarray, projector: np.ndarray):
-    """Projected gradient ascent on the unit sphere, one column per start.
-
-    Every column runs its own search: backtracking (Armijo) line search
-    whose step doubles after an accepted step, up to 1e6, and halves
-    after a rejected one, giving up below 1e-18; at most PPA_MAX_ITER
-    accepted steps; stop once the tangent gradient is below PPA_GRAD_TOL.
-    Returns the final columns and their values (-inf for a start that
-    vanishes under the projector).
-
-    Every product keeps its operand shapes: the candidate and gradient
-    products run at the live count, the tangent product at the accepted
-    count. Any other batching could change the winner, as a column of
-    ``A @ X[:, :m]`` need not have the bits of that column of ``A @ X``
-    and the best starts can agree to 1e-14. ``u`` and ``direction`` are
-    held column-major, so with every column live they serve as operands
-    without a gather, in the layout a gather gives.
+    ``y`` holds whitened coordinates ((1/n) yᵀy = I), so for a unit column
+    that mean less 3 is the excess kurtosis of the projection. The columns
+    of ``a`` are first scaled to unit length; then each iteration maps
+    every column to its normalized gradient, ``yᵀ(y a)³``. The mean fourth
+    power is convex, so that step never lowers it on the sphere. The whole
+    batch iterates until every column moves by less than PPA_MOVE_TOL, or
+    PPA_MAX_ITER times; a zero column stays zero. Returns the final
+    columns, their excess kurtosis (-inf for a zero column) and, per
+    column, the number of iterations in which it still moved by
+    PPA_MOVE_TOL or more.
     """
-    u = projector @ starts
-    norms = np.sqrt(np.add.reduce(u * u, axis=0))
-    live = norms > 0.0
-    u /= np.where(live, norms, 1.0)
-    value, grad = _kurtosis_and_grad(coords_c, u)
-    value[~live] = -np.inf
-    direction, gnorm = _tangent(projector, grad, u)
-    gnorm2 = gnorm**2
-    live &= gnorm >= PPA_GRAD_TOL
-    u, direction = np.asfortranarray(u), np.asfortranarray(direction)
-    width = u.shape[1]
-    step = np.ones(width)
-    accepted = np.zeros(width, dtype=int)
-    while (idx := np.flatnonzero(live)).size:
-        cols = idx if idx.size < width else slice(None)  # no gather when every column is live
-        cand = projector @ (u[:, cols] + step[cols] * direction[:, cols])
-        # norm at least about 1: u is a unit vector in the projector's range, and
-        # direction lies in that range, orthogonal to u
-        cand /= np.sqrt(np.add.reduce(cand * cand, axis=0))
-        cand_value, cand_grad = _kurtosis_and_grad(coords_c, cand)
-        ok = cand_value > value[cols] + 1e-4 * step[cols] * gnorm2[cols]
-        up, cand = idx[ok], cand[:, ok]
-        u[:, up] = cand
-        value[up] = cand_value[ok]
-        direction[:, up], gnorm = _tangent(projector, cand_grad[:, ok], cand)
-        gnorm2[up] = gnorm**2
-        step[cols] = np.where(ok, np.minimum(step[cols] * 2.0, 1e6), step[cols] * 0.5)
-        live[cols] = step[cols] > 1e-18  # an accepted column's step grew, so it passes
-        accepted[up] += 1
-        live[up] &= (gnorm >= PPA_GRAD_TOL) & (accepted[up] < PPA_MAX_ITER)
-    return u, value
+    a = _unit_columns(a)
+    steps = np.zeros(a.shape[1], dtype=int)
+    for _ in range(PPA_MAX_ITER):
+        z = y @ a
+        ascent = _unit_columns(y.T @ (z * z * z))
+        moving = np.sqrt(np.add.reduce((ascent - a) ** 2, axis=0)) >= PPA_MOVE_TOL
+        a = ascent
+        steps += moving
+        if not moving.any():
+            break
+    values = np.add.reduce((y @ a) ** 4, axis=0) / y.shape[0] - 3.0
+    return a, np.where(np.any(a, axis=0), values, -np.inf), steps
+
+
+def _best(scores) -> int:
+    """The lowest index whose score is within SCORE_TIE of the largest."""
+    scores = np.asarray(scores)
+    return int(np.flatnonzero(scores >= scores.max() - SCORE_TIE)[0])
+
+
+def _score_order(scores) -> list[int]:
+    """Indices by non-increasing score; scores within SCORE_TIE of the largest
+    left count as tied, and ties go to the lowest index."""
+    left = list(range(len(scores)))
+    order = []
+    while left:
+        order.append(left.pop(_best([scores[i] for i in left])))
+    return order
 
 
 def ppa_basis(diffs: DifferenceMatrix, k: int, seed: int = 0) -> BiasSubspace:
-    """Kurtosis-maximizing directions via multi-start projected ascent.
+    """Kurtosis-maximizing directions via multi-start whitened power ascent.
 
     The search runs in the coordinates of the row space of the difference
     matrix (one SVD), so every basis vector lies in the span of the
-    difference rows. Direction j is the best of 32 seeded starts, ascended
-    together as one batch and constrained to the orthogonal complement of
-    directions 1..j-1; at least 4 rows are needed for a meaningful fourth
-    moment. A direction whose score reaches the single-outlier bound
-    (n-2) + 1/(n-1) - 3 separates one pair from the rest, which is
-    logged as a warning naming the rows' languages. Results are deterministic for a given seed.
+    difference rows; at least 4 rows are needed for a meaningful fourth
+    moment. Direction j lies in the orthogonal complement of directions
+    1..j-1 (deflation). There the centered rows are whitened by one thin
+    SVD, keeping the singular values at least RANK_RTOL times the largest
+    of the undeflated centered rows, so rounding noise is never whitened;
+    k above the count kept at the first step raises ValueError naming the
+    achievable k. :func:`_power_ascent` climbs from 32 seeded starts (the
+    leading principal direction of the deflated rows and 31 random ones)
+    as one full-width batch, and direction j is the lowest-index start
+    whose score is within SCORE_TIE of the best. A warning names the rows'
+    languages when chosen starts stopped at PPA_MAX_ITER before settling,
+    and when directions reach the single-outlier bound
+    (n-2) + 1/(n-1) - 3, where each separates one pair from the rest.
+    Results are deterministic for a given seed.
     """
     n, dim = diffs.shape
     if n < 4:
@@ -309,34 +292,43 @@ def ppa_basis(diffs: DifferenceMatrix, k: int, seed: int = 0) -> BiasSubspace:
     coords = diffs.rows @ span.T
     coords_c = coords - coords.mean(axis=0)
     rng = np.random.default_rng(seed)
-    found = np.zeros((0, rank))
-    scores: list[float] = []
+    complement = np.eye(rank)  # orthonormal columns spanning what deflation leaves
+    found, scores, capped = [], [], 0
     for _ in range(k):
-        projector = np.eye(rank) - found.T @ found
         # start 0: leading principal direction of the deflated coordinates;
-        # remaining starts: random vectors, projected into the span.
-        lead = np.linalg.svd(coords @ projector, full_matrices=False)[2][0]
-        randoms = rng.standard_normal((PPA_STARTS - 1, dim)) @ span.T
-        u, values = _ascend(coords_c, np.vstack([lead, randoms]).T, projector)
-        best = int(np.argmax(values))
-        if not np.isfinite(values[best]):
-            raise ValueError("projection pursuit failed to find a direction")
-        found = np.vstack([found, u[:, best]])
+        # the others: random vectors, projected into the span.
+        lead = np.linalg.svd(coords @ complement, full_matrices=False)[2][0]
+        randoms = rng.standard_normal((PPA_STARTS - 1, dim)) @ span.T @ complement
+        u, s, wt = np.linalg.svd(coords_c @ complement, full_matrices=False)
+        if not found:  # the undeflated rows set the scale of rounding noise
+            floor = max(RANK_RTOL * s[0], np.finfo(np.float64).tiny)
+        kept = int(np.sum(s >= floor))
+        if len(found) + kept < k:  # each direction found takes one of these dimensions
+            raise ValueError(f"k={k} exceeds the numerical rank of the centered difference "
+                             f"rows; achievable k is {len(found) + kept}")
+        s, wt = s[:kept], wt[:kept]
+        a = s[:, None] * (wt @ np.vstack([lead, randoms]).T)
+        a, values, steps = _power_ascent(np.sqrt(n) * u[:, :kept], a)
+        best = _best(values)
+        direction = wt.T @ (a[:, best] / s)
+        direction /= np.linalg.norm(direction)
+        found.append(complement @ direction)
         scores.append(float(values[best]))
+        capped += steps[best] == PPA_MAX_ITER
+        # deflate: keep the part of the complement orthogonal to ``direction``
+        complement = complement @ np.linalg.qr(direction[:, None], mode="complete")[0][:, 1:]
+    languages = ", ".join(dict.fromkeys(diffs.row_languages))
+    if capped:
+        log.warning("ppa_basis: %d of %d direction(s) stopped at the iteration cap %d before "
+                    "converging [%s]", capped, k, PPA_MAX_ITER, languages)
     bound = (n - 2) + 1.0 / (n - 1) - 3.0
     saturated = sum(abs(score - bound) <= 1e-9 for score in scores)
     if saturated:
-        log.warning(
-            "ppa_basis: %d of %d direction(s) reach the single-outlier kurtosis bound %.3f "
-            "for %d rows [%s]; each isolates one pair rather than a shared direction",
-            saturated,
-            k,
-            bound,
-            n,
-            ", ".join(dict.fromkeys(diffs.row_languages)),
-        )
-    order = np.argsort(-np.asarray(scores), kind="stable")
-    basis = _canonical_signs(found[order] @ span)
+        log.warning("ppa_basis: %d of %d direction(s) reach the single-outlier kurtosis bound "
+                    "%.3f for %d rows [%s]; each isolates one pair rather than a shared "
+                    "direction", saturated, k, bound, n, languages)
+    order = _score_order(scores)
+    basis = _canonical_signs(np.vstack(found)[order] @ span)
     return BiasSubspace(
         basis=basis, method="ppa", scores=np.asarray(scores)[order]
     )
@@ -349,7 +341,8 @@ def equal_rep_basis(
 
     :func:`pca_basis` or :func:`ppa_basis` fits k/L directions, and their
     scores, to each language's rows alone. The k directions are ordered by
-    score (ties keep the order of ``languages``), orthonormalized by one QR
+    score (scores within SCORE_TIE count as tied, and ties keep the order
+    of ``languages``), orthonormalized by one QR
     and sign-canonicalized, and labeled with their languages; their span
     does not depend on the order of ``languages``.
 
@@ -381,7 +374,7 @@ def equal_rep_basis(
             raise ValueError(f"language {lang!r} cannot give {per_language} direction(s): {exc}")
     scores = np.concatenate([fit.scores for fit in fits])
     labels = [lang for lang in languages for _ in range(per_language)]
-    order = np.argsort(-scores, kind="stable")
+    order = _score_order(scores)
     q, r = np.linalg.qr(np.vstack([fit.basis for fit in fits])[order].T)
     # r has no diagonal past the dimension, where every direction lies in the span
     outside = np.pad(np.abs(np.diag(r)), (0, k - len(r)))

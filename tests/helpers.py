@@ -26,6 +26,16 @@ def load_script(name):
     return module
 
 
+def load_generator():
+    """``perfbench/gen.py``, the benchmark's input generator."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", SCRIPTS.parent / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def unit_rows(rng, n, d):
     rows = rng.standard_normal((n, d))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)

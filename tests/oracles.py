@@ -168,40 +168,6 @@ def vec_rows(text, dim):
     return words, np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
-def reference_train(features, labels, n_classes, learning_rate, epochs, seed):
-    """Full-batch softmax-regression descent on materialized features.
-
-    Row-major logits (n x classes), the weights drawn as
-    ``0.01 * default_rng(seed).standard_normal((classes, dim))``, the bias
-    zero. Returns (weights, bias, loss_history), the history holding the
-    loss before each step and after the last.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
-    records = np.arange(n)
-    weights = 0.01 * np.random.default_rng(seed).standard_normal((n_classes, features.shape[1]))
-    bias = np.zeros(n_classes)
-
-    def loss_and_grad(weights, bias):
-        logits = features @ weights.T + bias
-        logits = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        loss = float(-np.mean(np.log(probs[records, labels] + 1e-300)))
-        probs[records, labels] -= 1.0
-        probs /= n
-        return loss, probs.T @ features, probs.sum(axis=0)
-
-    history = []
-    for _ in range(epochs):
-        loss, d_weights, d_bias = loss_and_grad(weights, bias)
-        history.append(loss)
-        weights = weights - learning_rate * d_weights
-        bias = bias - learning_rate * d_bias
-    history.append(loss_and_grad(weights, bias)[0])
-    return weights, bias, history
-
-
 def newton_softmax(features, labels, n_classes, l2, grad_tol=1e-12, max_iter=100):
     """(weights, bias) minimizing mean softmax cross-entropy + (l2 / 2) * ||W||^2.
 
@@ -276,11 +242,9 @@ def cross_score_cell(diffs_1, diffs_2, neutral_2, epsilon):
     return sum(changes) / len(changes)
 
 
-# Projection pursuit's batched ascent as it was written before its per-iteration
-# overhead was cut: gathers at the live count, np.mean/np.linalg.norm and
-# unconditional flat-column masks. The library's ascent must give the same bits,
-# so this copy is the bitwise reference; only the module constants became
-# parameters (``grad_tol`` for PPA_GRAD_TOL, ``max_iter`` for PPA_MAX_ITER).
+# Projection pursuit's multi-start projected gradient ascent, an independent
+# optimizer of the same objective on the same span: from the same starts, the
+# library's first direction must score at least as high as its best start.
 
 
 def _kurtosis_and_grad(coords_c, u):

@@ -750,21 +750,24 @@ def test_languages_a_run_cannot_use_are_refused_before_any_input_is_read(
     assert os.listdir(tmp_path) == []
 
 
-def test_eqr_ppa_gives_each_language_its_share_on_the_demo_world(tmp_path):
+@pytest.mark.parametrize("languages", [["en", "hi", "be", "te"], ["te", "be", "hi", "en"]],
+                         ids=["lexicon-order", "reversed"])
+def test_eqr_ppa_gives_each_language_its_share_on_the_demo_world(tmp_path, languages):
     # the demo's merged planted world: each language fits its own k/L directions
     world = language_world(builtin_lexicon(), dim=64, beta=0.5, noise=0.08, seed=0)
     spaces = {tag: EmbeddingSpace(tag, lang.words, lang.rows, normalized=True)
               for tag, lang in world.items()}
     path = tmp_path / "world.vec"
     save_vec(load_script("run_synthetic_demo").merge_all(spaces), str(path))
-    assert run(["debias", "--emb", path, "--languages", ",".join(world), "--variant", "eqr",
+    assert run(["debias", "--emb", path, "--languages", ",".join(languages), "--variant", "eqr",
                 "--method", "ppa", "--k", "4", "--seed", "0", "--out", tmp_path / "o.vec"]) == 0
     saved = json.loads((tmp_path / "o.vec.subspace.json").read_text(encoding="utf-8"))
-    assert sorted(saved["orientation_labels"]) == sorted(world)
-    # each language's own fit saturates here, and its warning names it
+    # each language's own fit saturates here, so the four scores tie up to rounding
+    # and keep the order of --languages
+    assert saved["orientation_labels"] == languages
     warnings = json.loads((tmp_path / "o.vec.manifest.json").read_text())["warnings"]
     assert [w.split("[")[1].split("]")[0] for w in warnings if w.startswith("ppa_basis:")] \
-        == list(world)
+        == languages
 
 
 def test_reruns_are_byte_identical(tmp_path, en_vec, capsys):
