@@ -16,7 +16,8 @@ from itertools import islice
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, SpaceStream, decode_line, entry_prefix, save_vec, staged
+from .embeddings import (EmbeddingSpace, SpaceStream, decode_line, entry_prefix, save_vec,
+                         split_words, staged)
 
 log = logging.getLogger(__name__)
 
@@ -76,9 +77,11 @@ class OrthogonalMap:
 
 
 def load_dictionary(path, source_tag: str, target_tag: str) -> BilingualDictionary:
-    """Read "source<TAB>target" (or space separated) word pairs.
+    """Read "source<TAB>target" (or whitespace separated) word pairs.
 
-    The separator is auto-detected per file from the first data line.
+    The separator is auto-detected per file from the first data line: a
+    tab, or else ASCII whitespace, which splits a line as ``.vec`` words
+    are split (:func:`~.embeddings.split_words`).
     Duplicate pairs are dropped with a warning; a line that does not split
     into exactly two tokens, or is not UTF-8, raises ValueError with its
     line number.
@@ -86,18 +89,15 @@ def load_dictionary(path, source_tag: str, target_tag: str) -> BilingualDictiona
     entries: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     dropped = 0
-    sep: str | None = None
-    detected = False
+    tab = None
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = decode_line(raw, path, lineno).rstrip("\n").rstrip("\r")
             if not line.strip():
                 continue
-            if not detected:
-                sep = "\t" if "\t" in line else None
-                detected = True
-            fields = line.split(sep)
-            fields = [f for f in fields if f != ""]
+            if tab is None:
+                tab = "\t" in line
+            fields = [f for f in line.split("\t") if f] if tab else split_words(line)
             if len(fields) != 2:
                 raise ValueError(
                     f"{path}: line {lineno}: expected 2 tokens, found {len(fields)}"
@@ -154,9 +154,8 @@ def procrustes_fit(
             len(rows_x),
             source.dim,
         )
-    x = source.matrix[rows_x]
-    y = target.matrix[rows_y]
-    u, _, vt = np.linalg.svd(y.T @ x)
+    # the gathered pairs are freed before the SVD and its workspace are allocated
+    u, _, vt = np.linalg.svd(target.matrix[rows_y].T @ source.matrix[rows_x])
     w = u @ vt
     return OrthogonalMap(w, len(rows_x))
 

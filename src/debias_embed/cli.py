@@ -217,7 +217,8 @@ def cmd_align(args):
         alignmod.save_merged(aligned, target, args.out, args.merged_out, args.precision)
     else:
         emb.save_vec(aligned, args.out, args.precision)
-    print(f"aligned {len(dictionary)} dictionary pair(s) -> {args.out}")
+    print(f"aligned with {mapping.fit_pair_count} of {len(dictionary)} dictionary pair(s)"
+          f" -> {args.out}")
     return {"fit_pairs": mapping.fit_pair_count}
 
 

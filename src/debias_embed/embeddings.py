@@ -62,6 +62,7 @@ __all__ = [
     "entry_prefix",
     "load_vec",
     "save_vec",
+    "split_words",
     "staged",
     "normalize",
     "row_blocks",
@@ -79,6 +80,13 @@ BLOCK_BYTES = 1 << 20
 
 #: the word of a ``.vec`` line, which ends at the first ASCII whitespace
 _WORD = re.compile(f"[{re.escape(whitespace)}]*([^{re.escape(whitespace)}]*)")
+_WORDS = re.compile(f"[^{re.escape(whitespace)}]+")
+
+
+def split_words(text: str) -> list[str]:
+    """The words of ``text``, split at ASCII whitespace only, as a ``.vec``
+    line's word ends: a word may hold U+00A0, U+3000 or any other character."""
+    return _WORDS.findall(text)
 
 
 def _first_duplicate(words):

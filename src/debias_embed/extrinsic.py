@@ -25,8 +25,11 @@ for n records and r rows, so r < dim), each evaluation works on the
 factors and never materializes the features (see ``train_classifier``).
 That path is kept for memory: on the benchmark's ``align_report_5k``
 bios (3840 training bios over 180 distinct rows of 300 dims),
-materializing the features took the ``report --exbias`` process's peak
-RSS from 55.8 MB to 71.6 MB.
+materializing the features takes the ``report --exbias`` process's peak
+RSS from 51.4 MB to 54.9 MB. Each datum is held once: the records share
+one string per distinct token, the kept records' token rows are one flat
+array, and each record's mean is written into one preallocated records x
+dim array.
 
 Bias is summarized as the mean absolute gap between per-occupation
 accuracies for male- and female-authored records, and a comparison of two
@@ -39,12 +42,13 @@ with gender ``M`` or ``F``.
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass, field
 from collections import Counter, defaultdict
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, decode_line
+from .embeddings import EmbeddingSpace, decode_line, split_words
 from .intrinsic import format_table
 
 log = logging.getLogger(__name__)
@@ -98,9 +102,11 @@ class BioRecord:
 def load_corpus(path, min_count: int = 100) -> list[BioRecord]:
     """Read a bios TSV; occupations rarer than ``min_count`` are dropped.
 
-    A line that is not three tab-separated fields, a record that
-    :class:`BioRecord` refuses and undecodable UTF-8 raise ValueError with
-    the line number. Dropped occupations are logged.
+    The text is split into tokens at ASCII whitespace, as ``.vec`` words
+    are (:func:`~.embeddings.split_words`), and the records share one
+    string per distinct token. A line that is not three tab-separated
+    fields, a record that :class:`BioRecord` refuses and undecodable UTF-8
+    raise ValueError with the line number. Dropped occupations are logged.
     """
     records: list[BioRecord] = []
     with open(path, "rb") as fh:
@@ -115,7 +121,8 @@ def load_corpus(path, min_count: int = 100) -> list[BioRecord]:
                 )
             gender, occupation, text = fields
             try:
-                records.append(BioRecord(gender, occupation, tuple(text.split())))
+                tokens = tuple(map(sys.intern, split_words(text)))
+                records.append(BioRecord(gender, occupation, tokens))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
     counts = Counter(r.occupation for r in records)
@@ -153,31 +160,35 @@ def split_corpus(records, test_fraction: float = 0.2, seed: int = 0):
     return train, test
 
 
-def _resolve(space: EmbeddingSpace, records, language):
-    """The matrix rows of each record's in-vocabulary tokens; returns (rows, kept).
+def _resolve(space: EmbeddingSpace, records, language, step):
+    """The matrix rows of the records' in-vocabulary tokens; returns
+    (rows, lengths, kept).
 
-    ``rows[i]`` lists one row per in-vocabulary token of ``kept[i]``, a
+    ``rows`` is one flat intp array: the ``lengths[0]`` rows of ``kept[0]``,
+    then those of ``kept[1]`` and so on, one row per in-vocabulary token, a
     repeated token once per occurrence. Records with in-vocabulary token
     coverage below ``MIN_COVERAGE`` (or with no resolvable token at all)
-    are dropped with one warning.
+    are dropped with one warning, in the name of ``step``.
     """
-    resolved, kept, dropped = [], [], 0
+    resolved, lengths, kept, dropped = [], [], [], 0
     for record in records:
         rows = space.locate_all(record.tokens, language)[0]
         coverage = len(rows) / len(record.tokens)
         if not rows or coverage < MIN_COVERAGE:
             dropped += 1
             continue
-        resolved.append(rows)
+        resolved += rows
+        lengths.append(len(rows))
         kept.append(record)
     if dropped:
         log.warning(
-            "featurize: dropped %d/%d record(s) with token coverage below %.0f%%",
+            "%s: dropped %d/%d record(s) with token coverage below %.0f%%",
+            step,
             dropped,
             dropped + len(kept),
             100.0 * MIN_COVERAGE,
         )
-    return resolved, kept
+    return np.array(resolved, dtype=np.intp), np.array(lengths, dtype=np.intp), kept
 
 
 def featurize(space: EmbeddingSpace, records, language: str | None = None):
@@ -186,14 +197,18 @@ def featurize(space: EmbeddingSpace, records, language: str | None = None):
     Records with in-vocabulary token coverage below ``MIN_COVERAGE`` (or
     with no resolvable token at all) are dropped with a warning.
     """
-    resolved, kept = _resolve(space, records, language)
-    return _mean_rows(space, resolved), kept
+    rows, lengths, kept = _resolve(space, records, language, "featurize")
+    return _mean_rows(space, rows, lengths), kept
 
 
-def _mean_rows(space: EmbeddingSpace, resolved):
-    """The (records x dim) means of each record's resolved rows."""
-    feats = [space.matrix[rows].mean(axis=0) for rows in resolved]
-    return np.vstack(feats) if feats else np.empty((0, space.dim))
+def _mean_rows(space: EmbeddingSpace, rows, lengths):
+    """The (records x dim) means of each record's rows, as :func:`_resolve`
+    returns them, written into one preallocated array."""
+    features = np.empty((len(lengths), space.dim))
+    stops = np.cumsum(lengths)
+    for i, (start, stop) in enumerate(zip(stops - lengths, stops)):
+        features[i] = space.matrix[rows[start:stop]].mean(axis=0)
+    return features
 
 
 def cross_entropy_loss_and_grad(weights, bias, features, labels):
@@ -319,7 +334,7 @@ def train_classifier(
     it works on the materialized (n x dim) features. Either way the fit
     reaches the one optimum to within the tolerance.
     """
-    resolved, kept = _resolve(space, train, language)
+    rows, lengths, kept = _resolve(space, train, language, "train_classifier")
     if not kept:
         raise ValueError("no trainable record after coverage filtering")
     label_names = tuple(sorted({r.occupation for r in kept}))
@@ -329,15 +344,14 @@ def train_classifier(
     y = np.array([label_ids[r.occupation] for r in kept])
 
     n, dim = len(kept), space.dim
-    distinct, column = np.unique(np.concatenate(resolved), return_inverse=True)
+    distinct, column = np.unique(rows, return_inverse=True)
     if len(distinct) * (n + dim) < n * dim:
-        lengths = np.array([len(rows) for rows in resolved])
         token_rows = space.matrix[distinct]
         features = np.zeros((n, len(distinct)))
         np.add.at(features, (np.repeat(np.arange(n), lengths), column), 1.0)
         features /= lengths[:, None]
     else:
-        token_rows, features = None, _mean_rows(space, resolved)
+        token_rows, features = None, _mean_rows(space, rows, lengths)
 
     def loss_and_grad(weights, bias):
         if token_rows is None:

@@ -9,9 +9,10 @@ A lexicon file is JSON shaped like::
         "seeds": {"male": [...], "female": [...]},
         "occupation_pairs": [["masc", "fem"], ...]}}}
 
-All entries are single tokens. Occupation pairs may repeat one surface
-form on both sides (languages without grammatically gendered occupation
-words evaluate the same word against both seed sets).
+All entries are single tokens, split as ``.vec`` words are, at ASCII
+whitespace only. Occupation pairs may repeat one surface form on both
+sides (languages without grammatically gendered occupation words evaluate
+the same word against both seed sets).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from importlib import resources
 
 import numpy as np
 
-from .embeddings import decode_line
+from .embeddings import decode_line, split_words
 
 log = logging.getLogger(__name__)
 
@@ -51,7 +52,7 @@ class GenderPair:
         for w in (self.male_word, self.female_word):
             if not w:
                 raise ValueError(f"empty word in gender pair for {self.language_tag!r}")
-            if len(w.split()) != 1:
+            if len(split_words(w)) != 1:
                 raise ValueError(f"multi-token entry {w!r} in gender pair")
         if self.male_word == self.female_word:
             raise ValueError(
@@ -135,7 +136,7 @@ def _token_list(obj, what):
     out = []
     for w in obj:
         _require(isinstance(w, str) and w, f"{what}: entries must be non-empty strings")
-        _require(len(w.split()) == 1, f"{what}: multi-token entry {w!r}")
+        _require(len(split_words(w)) == 1, f"{what}: multi-token entry {w!r}")
         out.append(w)
     return tuple(out)
 

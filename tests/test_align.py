@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,21 @@ def test_fit_skips_oov_pairs_with_warning(caplog):
     assert any("ghost" in m or "1" in m for m in caplog.messages)
 
 
+def test_fit_frees_the_gathered_pairs_before_the_svd():
+    rng = np.random.default_rng(2)
+    n, d = 1000, 300
+    src, tgt, dictionary = paired_spaces(unit_rows(rng, n, d), unit_rows(rng, n, d))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        procrustes_fit(src, tgt, dictionary)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the two (pairs x dim) gathers and their d x d product, plus one d x d array
+    assert peak < 8 * (2 * n * d + 2 * d * d)
+
+
 def test_fit_errors_when_no_pairs_resolve():
     src = random_space(10, 3, 3, tag="en")
     tgt = random_space(11, 3, 3, tag="hi")
@@ -188,6 +204,14 @@ def test_load_dictionary_tabs_and_whitespace(tmp_path):
     ws = tmp_path / "ws.txt"
     ws.write_text("hello namaste\nworld duniya\n", encoding="utf-8")
     assert load_dictionary(str(ws), "en", "hi").entries == d.entries
+
+
+def test_load_dictionary_splits_at_ascii_whitespace_only(tmp_path):
+    # as a .vec word ends: U+00A0 and U+3000 stay inside a word
+    p = tmp_path / "ws.txt"
+    p.write_text("new\u00a0york  naya\u3000shahar\nold\x0bpurana\n", encoding="utf-8")
+    assert load_dictionary(str(p), "en", "hi").entries == (
+        ("new\u00a0york", "naya\u3000shahar"), ("old", "purana"))
 
 
 def test_load_dictionary_rejects_bad_line(tmp_path):

@@ -284,9 +284,11 @@ def report_run(mode, before_after, corpus=False):
     report_run("--xscore", before_after=False),
     report_run("--exbias", before_after=True, corpus=True),
 ], ids=["align", "debias", "inbias", "xscore", "exbias"])
-def test_manifest_records_exactly_what_the_run_read_and_wrote(tmp_path, en_vec, make_run):
+def test_manifest_records_exactly_what_the_run_read_and_wrote(tmp_path, en_vec, make_run,
+                                                                capsys):
     argv, inputs, outputs, manifest_path = make_run(tmp_path, en_vec)
     argv = [str(a) for a in argv]
+    capsys.readouterr()
     assert main(argv) == 0
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -296,6 +298,8 @@ def test_manifest_records_exactly_what_the_run_read_and_wrote(tmp_path, en_vec, 
     if argv[0] == "align":
         assert ("procrustes_fit: dropped 1/41 dictionary pair(s) with out-of-vocabulary words"
                 in manifest["warnings"])
+        assert capsys.readouterr().out == (
+            f"aligned with 40 of 41 dictionary pair(s) -> {argv[argv.index('--out') + 1]}\n")
 
 
 @pytest.mark.parametrize("mode, config, seeds", [

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,33 @@ def test_load_corpus_parses_records(tmp_path):
     records = load_corpus(p, min_count=2)
     assert len(records) == 6
     assert records[0] == BioRecord("M", "professor", ("teaches", "at", "university"))
+
+
+def test_load_corpus_splits_tokens_at_ascii_whitespace_only(tmp_path):
+    # as a .vec word ends: U+00A0 and U+3000 stay inside a token, \v and \f split
+    p = write_corpus(tmp_path / "c.tsv", [("M", "chef", "a\u00a0b  c\u3000d\x0be\x0cf")] * 2)
+    records = load_corpus(p, min_count=1)
+    assert records[0].tokens == ("a\u00a0b", "c\u3000d", "e", "f")
+    space = EmbeddingSpace("xx", ("a\u00a0b", "c\u3000d"), np.eye(2))
+    features, kept = featurize(space, records)
+    assert kept == records
+    np.testing.assert_array_equal(features, [[0.5, 0.5]] * 2)
+
+
+def test_load_corpus_holds_one_string_per_distinct_token(tmp_path):
+    rng = np.random.default_rng(0)
+    vocab = [f"w{i:03d}" for i in range(20)]
+    p = write_corpus(tmp_path / "c.tsv", [("MF"[i % 2], "chef", " ".join(rng.choice(vocab, 50)))
+                                          for i in range(2000)])
+    tracemalloc.start()
+    try:
+        records = load_corpus(p, min_count=1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(r.tokens) for r in records) == 2000 * 50
+    # a tuple slot is 8 bytes of an occurrence; a string of its own would be 50 more
+    assert held < 24 * 2000 * 50
 
 
 def test_load_corpus_rejects_unknown_gender(tmp_path):
@@ -181,6 +209,22 @@ def test_low_coverage_records_dropped_with_warning(caplog):
     assert any("coverage" in m for m in caplog.messages)
 
 
+def test_featurize_peaks_at_about_its_feature_matrix():
+    space = random_space(0, 200, 300)
+    rng = np.random.default_rng(1)
+    records = [BioRecord("M", "a", tuple(rng.choice(space.vocab, 8))) for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        features, kept = featurize(space, records)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 2000
+    # each record's mean is written in place: no second (records x dim) copy
+    assert peak < 1.5 * features.nbytes
+
+
 @pytest.mark.parametrize("n_records, spread, factored", [
     (600, False, True),  # 600 records share ~40 distinct rows of 60 dims
     (120, True, False),  # the 92-word vocabulary: more distinct rows than dims
@@ -206,7 +250,7 @@ def test_training_reaches_the_newton_optimum(caplog, monkeypatch, n_records, spr
     with caplog.at_level(logging.WARNING, logger="debias_embed"):
         clf = train_classifier(space, records)
     assert [m for m in caplog.messages if "coverage" in m] == [
-        f"featurize: dropped 1/{n_records + 1} record(s) with token coverage below 50%"
+        f"train_classifier: dropped 1/{n_records + 1} record(s) with token coverage below 50%"
     ]
     assert clf.fit.converged and len(widths) == clf.fit.evaluations
     assert all(w < space.dim for w in widths) if factored else set(widths) == {space.dim}

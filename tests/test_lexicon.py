@@ -59,6 +59,24 @@ def test_pair_rejects_multi_token():
         GenderPair("two words", "she", "en")
 
 
+def test_lexicon_words_split_at_ascii_whitespace_only(tmp_path):
+    # a word a .vec file can hold is one token: U+00A0 and U+3000 do not split it
+    assert GenderPair("new\u00a0king", "new\u3000queen", "en").male_word == "new\u00a0king"
+    data = {"languages": {"en": {
+        "pairs": [["he", "she"]],
+        "neutral": {"professions": ["head\u00a0chef"], "adjectives": [], "transliterations": []},
+        "seeds": {"male": ["he"], "female": ["she"]},
+        "occupation_pairs": [["head\u00a0chef", "head\u00a0chef"]],
+    }}}
+    path = tmp_path / "lex.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert load_lexicon(str(path)).neutral_words["en"].professions == ("head\u00a0chef",)
+    data["languages"]["en"]["neutral"]["professions"] = ["head\tchef"]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"professions: multi-token entry 'head\\tchef'"):
+        load_lexicon(str(path))
+
+
 def test_neutral_words_merge_dedupes():
     nw = NeutralWords(("doctor", "pilot"), ("kind", "doctor"), ())
     assert nw.all_words() == ("doctor", "pilot", "kind")
