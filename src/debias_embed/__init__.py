@@ -10,10 +10,12 @@ is also importable from the package itself. Those modules are imported
 lazily, only when a name is first looked up, so that the command-line
 entry point can cap BLAS thread pools before numpy loads.
 ``DEBIAS_EMBED_THREADS`` (see :func:`thread_cap`) caps those pools and the
-processes that parse and format ``.vec`` text.
+processes that share a run's work (:func:`cpus`), each a :class:`Worker`.
 """
 
 import os
+import pickle
+import signal
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -27,8 +29,8 @@ _MODULES = ("manifest", "embeddings", "lexicon", "align", "subspace", "debias", 
 def thread_cap() -> int | None:
     """The positive integer in ``DEBIAS_EMBED_THREADS``, or None if it is unset or empty.
 
-    It caps the BLAS thread pools and the number of processes that parse
-    and format ``.vec`` text. Any other value raises ValueError.
+    It caps the BLAS thread pools and the number of processes that share a
+    run's work (:func:`cpus`). Any other value raises ValueError.
     """
     threads = os.environ.get("DEBIAS_EMBED_THREADS")
     if not threads:
@@ -36,6 +38,74 @@ def thread_cap() -> int | None:
     if not threads.isdecimal() or int(threads) < 1:
         raise ValueError(f"DEBIAS_EMBED_THREADS must be a positive integer, got {threads!r}")
     return int(threads)
+
+
+def cpus() -> int:
+    """How many processes may share a run's work: one for each CPU this
+    process may use, capped by :func:`thread_cap`; 1 without ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    count = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return min(count, thread_cap() or count)
+
+
+class Worker:
+    """A forked process that runs ``task()`` and sends one reply, pickled,
+    through a pipe: what the task returned, or the exception it raised.
+
+    Workers are forked, not spawned: they start at once, without importing
+    numpy again, and share the state of ``task``, such as the space being
+    written and the block layout of the file it is read from, without
+    pickling it. Only the calling thread is copied; a worker runs no BLAS,
+    whose own threads OpenBLAS stops and restarts around a fork. A worker
+    exits without cleaning up the state it shares with this process.
+    ``kind`` names it in the error of a worker that died.
+    """
+
+    def __init__(self, kind: str, task):
+        self.kind = kind
+        r, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if self.pid:
+            os.close(w)
+            self._pipe = open(r, "rb")
+            return
+        try:  # a reply not sent is seen as the pipe's end
+            os.close(r)
+            try:
+                reply = True, task()
+            except Exception as exc:  # sent, to be raised in its turn
+                reply = False, exc
+            with open(w, "wb") as out:
+                out.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))  # all or nothing is sent
+        finally:
+            os._exit(0)
+
+    def result(self, what: str):
+        """What the task returned, or the exception it raised, raised here; a
+        worker that died before it replied raises ChildProcessError naming
+        ``what`` it was to send."""
+        try:
+            ok, reply = pickle.load(self._pipe)
+        except EOFError:
+            raise ChildProcessError(
+                f"{self.kind} worker {self.pid} died before sending {what}") from None
+        if not ok:
+            raise reply
+        return reply
+
+    def end(self) -> None:
+        """Kill the worker, which has nothing left to do once it has replied,
+        and reap it."""
+        os.kill(self.pid, signal.SIGKILL)
+        self._pipe.close()
+        os.waitpid(self.pid, 0)
 
 
 def __getattr__(name):

@@ -81,7 +81,8 @@ def load_dictionary(path, source_tag: str, target_tag: str) -> BilingualDictiona
 
     The separator is auto-detected per file from the first data line: a
     tab, or else ASCII whitespace, which splits a line as ``.vec`` words
-    are split (:func:`~.embeddings.split_words`).
+    are split (:func:`~.embeddings.split_words`). A line is blank, and
+    skipped, when it holds ASCII whitespace only, by the same rule.
     Duplicate pairs are dropped with a warning; a line that does not split
     into exactly two tokens, or is not UTF-8, raises ValueError with its
     line number.
@@ -93,11 +94,12 @@ def load_dictionary(path, source_tag: str, target_tag: str) -> BilingualDictiona
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = decode_line(raw, path, lineno).rstrip("\n").rstrip("\r")
-            if not line.strip():
+            words = split_words(line)
+            if not words:
                 continue
             if tab is None:
                 tab = "\t" in line
-            fields = [f for f in line.split("\t") if f] if tab else split_words(line)
+            fields = [f for f in line.split("\t") if f] if tab else words
             if len(fields) != 2:
                 raise ValueError(
                     f"{path}: line {lineno}: expected 2 tokens, found {len(fields)}"
@@ -167,7 +169,9 @@ def apply_map(mapping: OrthogonalMap, space: EmbeddingSpace | SpaceStream
     Each row is rotated on its own, by ``np.einsum`` rather than BLAS, so
     its bits depend neither on the block split nor on the BLAS thread
     count. A :class:`~.embeddings.SpaceStream` is rotated block by block as
-    it is read.
+    it is read; rotating a block costs about half as much as reading and
+    formatting it, which :func:`~.embeddings.save_vec` weighs in splitting
+    the work.
 
     A rotation preserves norms only up to rounding, so the result is not
     marked normalized even when the input is: normalize it again for unit
@@ -178,7 +182,7 @@ def apply_map(mapping: OrthogonalMap, space: EmbeddingSpace | SpaceStream
             f"dimension mismatch: map dim {mapping.dim} vs space dim {space.dim}"
         )
     if isinstance(space, SpaceStream):
-        return space.derive(lambda block: apply_map(mapping, block))
+        return space.derive(lambda block: apply_map(mapping, block), cost=1)
     rotated = np.einsum("ij,kj->ik", space.matrix, mapping.matrix)  # row i is W @ x_i
     rotated.setflags(write=False)
     return EmbeddingSpace(space.language_tag, space.vocab, rotated)
@@ -252,7 +256,10 @@ def save_merged(aligned_source: EmbeddingSpace | SpaceStream,
     cut = len(entry_prefix(aligned_source.language_tag).encode("utf-8"))
     with staged(aligned_path, merged_path) as (aligned_tmp, merged_tmp):
         save_vec(merge_spaces(aligned_source, target), merged_tmp, precision)
-        with open(merged_tmp, "rb") as src, open(aligned_tmp, "wb") as out:
+        # buffers of many lines: the default, a file system block (often
+        # 4 KiB), holds about one line of 300 values
+        with (open(merged_tmp, "rb", buffering=1 << 16) as src,
+              open(aligned_tmp, "wb", buffering=1 << 16) as out):
             src.readline()  # the merged header
             out.write(f"{len(aligned_source)} {aligned_source.dim}\n".encode())
             for line in islice(src, len(aligned_source)):

@@ -7,9 +7,18 @@ config, seeds, the fingerprints of what it read and wrote, and its warnings;
 ``report`` writes files only with ``--json``.
 
 Set ``DEBIAS_EMBED_THREADS`` to cap the BLAS thread pools and the processes
-that parse and format ``.vec`` text; the BLAS cap is applied before numpy
-is first imported, which is why the heavy submodules are imported lazily
-inside the subcommand handlers.
+that share a run's work; the BLAS cap is applied before numpy is first
+imported, which is why the heavy submodules are imported lazily inside the
+subcommand handlers. With more than one CPU a run starts forked workers
+(:class:`~debias_embed.Worker`): a digest worker, forked before numpy loads,
+hashes the inputs for the manifest while the run goes on, so the manifest
+takes digests made during the run, not after it; two scan workers read the
+two ``.vec`` inputs of ``align`` and of a before/after ``report`` (unless
+``--corpus-after`` is given) side by side, so this process parses no
+``.vec`` text until it writes, which keeps the parse kernel's numpy code out
+of its peak memory; and :func:`~.embeddings.save_vec`'s text workers format
+``.vec`` output. With ``DEBIAS_EMBED_THREADS=1`` none starts. The outputs
+are hashed once written.
 """
 
 from __future__ import annotations
@@ -20,9 +29,10 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 
-from . import thread_cap
-from .manifest import RunManifest, capture_warnings, write_json
+from . import Worker, cpus, thread_cap
+from .manifest import RunManifest, capture_warnings, file_fingerprint, write_json
 
 __all__ = ["main", "build_parser"]
 
@@ -184,6 +194,24 @@ def _config_args(parser, subcommand: str, path) -> list[str]:
     return text
 
 
+@contextmanager
+def _ahead(kind: str, task, wanted=True):
+    """Yield a function that returns ``task()``: run from now on by a forked
+    :class:`~debias_embed.Worker` of ``kind`` when ``wanted`` and more than
+    one process may share the work, else when the function is called. The
+    worker is killed and reaped when the block ends, whatever ends it."""
+    worker = Worker(kind, task) if wanted and cpus() > 1 else None
+    try:
+        yield task if worker is None else lambda: worker.result("its result")
+    finally:
+        if worker is not None:
+            worker.end()
+
+
+def _digests(paths) -> dict[str, str]:
+    return {path: file_fingerprint(path) for path in paths}
+
+
 def _load_lexicon(source: str):
     from . import lexicon as lexmod
 
@@ -205,12 +233,17 @@ def cmd_align(args):
         alignmod.merged_tag(args.src_lang, args.tgt_lang)
     dictionary = alignmod.load_dictionary(args.dictionary, args.src_lang, args.tgt_lang)
     # The first pass over each input holds only the dictionary rows the fit
-    # reads; the source, and for --merged-out the target, are then read
-    # again, a block of rows at a time, to be written.
-    source = emb.normalize(emb.load_vec(args.src, args.src_lang,
-                                        hold={s for s, _ in dictionary.entries}))
-    target = emb.normalize(emb.load_vec(args.tgt, args.tgt_lang,
-                                        hold={t for _, t in dictionary.entries}))
+    # reads, the two run side by side on scan workers; the source, and for
+    # --merged-out the target, are then read again, a block of rows at a
+    # time, to be written.
+    with (_ahead("scan", lambda: emb.load_vec(args.src, args.src_lang,
+                                              hold={s for s, _ in dictionary.entries})
+                 ) as load_source,
+          _ahead("scan", lambda: emb.load_vec(args.tgt, args.tgt_lang,
+                                              hold={t for _, t in dictionary.entries})
+                 ) as load_target):
+        source = emb.normalize(load_source())
+        target = emb.normalize(load_target())
     mapping = alignmod.procrustes_fit(source.held, target.held, dictionary)
     aligned = emb.normalize(alignmod.apply_map(mapping, source))
     if args.merged_out:
@@ -255,8 +288,9 @@ def cmd_debias(args):
     return {}
 
 
-def _held_space(path, tag, words):
-    """The normalized rows of ``words`` in the ``.vec`` file ``path``.
+def _held_reader(path, tag, words):
+    """A function of no argument that reads the rows of ``words`` in the
+    ``.vec`` file ``path``, here or on a scan worker (:func:`_ahead`).
 
     A report looks up only these, so the other rows are not parsed: every
     line is still checked for UTF-8, duplicates and the row count, but an
@@ -264,7 +298,7 @@ def _held_space(path, tag, words):
     """
     from . import embeddings as emb
 
-    return emb.normalize(emb.load_vec(path, tag, hold=words).held)
+    return lambda: emb.load_vec(path, tag, hold=words).held
 
 
 def _lexicon_entries(lexicon, languages):
@@ -279,6 +313,7 @@ def _lexicon_entries(lexicon, languages):
 
 
 def _report_inbias(args, languages, lexicon):
+    from . import embeddings as emb
     from . import intrinsic
     from . import lexicon as lexmod
 
@@ -294,19 +329,20 @@ def _report_inbias(args, languages, lexicon):
                 )
             seed_words[lang] = split.held_out_words()
 
-    runs = [("orig", args.emb)]
-    if args.emb_after:
-        runs.append(("debiased", args.emb_after))
     row_keys = list(languages) + (["all"] if len(languages) > 1 else [])
     words = _lexicon_entries(lexicon, languages)
     per_run, values = {}, {}
-    for label, path in runs:
-        result = intrinsic.inbias(_held_space(path, tag, words), lexicon, languages,
-                                  seed_words=seed_words)
-        per_run[label] = result
-        values[label] = {lang: result.language_value(lang) for lang in languages}
-        if len(languages) > 1:
-            values[label]["all"] = result.value
+    both = bool(args.emb_after)  # then the two are read side by side on scan workers
+    with (_ahead("scan", _held_reader(args.emb, tag, words), both) as read_before,
+          _ahead("scan", _held_reader(args.emb_after, tag, words), both) as read_after):
+        runs = [("orig", read_before)] + [("debiased", read_after)] * both
+        for label, read in runs:
+            result = intrinsic.inbias(emb.normalize(read()), lexicon, languages,
+                                      seed_words=seed_words)
+            per_run[label] = result
+            values[label] = {lang: result.language_value(lang) for lang in languages}
+            if len(languages) > 1:
+                values[label]["all"] = result.value
 
     columns = [label for label, _ in runs]
     table_rows = [(key, {label: values[label][key] for label in columns}) for key in row_keys]
@@ -328,9 +364,11 @@ def _report_inbias(args, languages, lexicon):
 
 
 def _report_xscore(args, languages, lexicon):
+    from . import embeddings as emb
     from . import intrinsic
 
-    space = _held_space(args.emb, "+".join(languages), _lexicon_entries(lexicon, languages))
+    space = emb.normalize(_held_reader(args.emb, "+".join(languages),
+                                     _lexicon_entries(lexicon, languages))())
     matrix = intrinsic.cross_score_matrix(space, lexicon, languages, args.epsilon)
     table = intrinsic.format_cross_table(matrix)
     payload = {
@@ -360,21 +398,26 @@ def _report_exbias(args, languages, lexicon):
         words = emb.entry_forms((args.corpus_lang, t) for t in tokens)
         return (*extrinsic.split_corpus(records, args.test_fraction, args.seed), words)
 
-    def run(embedding_path, corpus):
+    def run(read, corpus):
         """(the gap on the test records, the fit of the classifier it comes from)"""
-        train, test, words = corpus
-        space = _held_space(embedding_path, tag, words)
-        clf = extrinsic.train_classifier(space, train, args.corpus_lang)
+        train, test, _ = corpus
+        clf = extrinsic.train_classifier(emb.normalize(read()), train, args.corpus_lang)
         return extrinsic.evaluate_gap(clf, test), clf.fit
 
     corpus = read_corpus(args.corpus)
-    before, fit = run(args.emb, corpus)
-    rows, fits = [("orig", before, None)], [fit]
-    if args.emb_after:
-        after, fit = run(args.emb_after,
-                         read_corpus(args.corpus_after) if args.corpus_after else corpus)
-        rows.append(("debiased", after, extrinsic.compare_runs(before, after)))
-        fits.append(fit)
+    # with one corpus for both, the two spaces are read side by side on scan workers
+    both = bool(args.emb_after) and not args.corpus_after
+    with (_ahead("scan", _held_reader(args.emb, tag, corpus[2]), both) as read_before,
+          _ahead("scan", _held_reader(args.emb_after, tag, corpus[2]), both) as read_after):
+        before, fit = run(read_before, corpus)
+        rows, fits = [("orig", before, None)], [fit]
+        if args.emb_after:
+            if args.corpus_after:
+                corpus = read_corpus(args.corpus_after)
+                read_after = _held_reader(args.emb_after, tag, corpus[2])
+            after, fit = run(read_after, corpus)
+            rows.append(("debiased", after, extrinsic.compare_runs(before, after)))
+            fits.append(fit)
     table = extrinsic.format_gap_table(rows)
     payload = {
         "metric": "extrinsic_gap",
@@ -539,23 +582,28 @@ def main(argv=None) -> int:
             raise ValueError("--config must be spelled out in full")
         _refuse_irregular_outputs(args)
         _keep_read_options(args)
-        with capture_warnings() as warnings:
-            values = args.func(args)
-        if values is not None:
-            # the config is every option the run read but its files and seed,
-            # with the subcommand, the report mode and the handler's values
-            reads, writes = FILE_OPTIONS[args.subcommand]
-            config = {dest: value for dest, value in vars(args).items()
-                      if dest not in {*reads, *writes, "config", "seed", "func"}} | values
-            seeds = {"seed": args.seed} if hasattr(args, "seed") else {}
-            manifest = RunManifest(["debias-embed"] + argv, config, seeds, {}, warnings=warnings)
-            inputs, outputs = _files(args)
-            manifest_path = outputs.pop("manifest")
-            for path in inputs.values():
-                manifest.add_input(path)
-            for path in outputs.values():
-                manifest.add_output(path)
-            manifest.write(manifest_path)
+        inputs, outputs = _files(args)
+        manifest_path = outputs.pop("manifest", None)
+        # the inputs are hashed beside the run, by a worker forked before numpy
+        # loads; one that is not a regular file, such as a pipe, after the run
+        # has read it
+        files = [path for path in inputs.values() if os.path.isfile(path)]
+        others = [path for path in inputs.values() if path not in files]
+        with _ahead("digest", lambda: _digests(files), manifest_path is not None) as digests:
+            with capture_warnings() as warnings:
+                values = args.func(args)
+            if values is not None:
+                # the config is every option the run read but its files and seed,
+                # with the subcommand, the report mode and the handler's values
+                reads, writes = FILE_OPTIONS[args.subcommand]
+                config = {dest: value for dest, value in vars(args).items()
+                          if dest not in {*reads, *writes, "config", "seed", "func"}} | values
+                seeds = {"seed": args.seed} if hasattr(args, "seed") else {}
+                manifest = RunManifest(["debias-embed"] + argv, config, seeds,
+                                       digests() | _digests(others), warnings=warnings)
+                for path in outputs.values():
+                    manifest.add_output(path)
+                manifest.write(manifest_path)
         return 0
     except SystemExit as exc:  # a usage error, or --help
         return int(exc.code or 0)

@@ -11,9 +11,11 @@ is empty or holds ASCII whitespace cannot be written.
 Parsing and formatting the text take most of a run's time, so
 :func:`save_vec` splits the rows into blocks of about ``BLOCK_BYTES`` and
 the blocks into one consecutive share for each CPU this process may use,
-capped by ``DEBIAS_EMBED_THREADS`` and by the number of full blocks; the
-blocks of a :class:`SpaceStream`, such as those :func:`load_vec` parses,
-are computed there too. A row does not depend on the split, so the result
+capped by ``DEBIAS_EMBED_THREADS`` and by the number of full blocks, each
+share about as costly as the others; the blocks of a :class:`SpaceStream`,
+such as those :func:`load_vec` parses, are computed there too. Each share
+but the first is a text worker's, a :class:`~debias_embed.Worker`; at one
+CPU none is started. A row does not depend on the split, so the result
 does not depend on the number of CPUs.
 
 Each value is written as ``%.{p}g`` writes it. Up to 9 digits, a numpy
@@ -39,18 +41,18 @@ import hashlib
 import io
 import logging
 import os
-import pickle
 import re
 import shutil
-import signal
+from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import accumulate, islice
 from string import whitespace
 
 import numpy as np
 
-from . import thread_cap
+from . import Worker, cpus
 
 log = logging.getLogger(__name__)
 
@@ -151,6 +153,9 @@ class EmbeddingSpace:
     def __len__(self):
         return len(self.vocab)
 
+    def __reduce__(self):  # unpickled through the checks, its matrix read-only as here
+        return _unpickled_space, (self.language_tag, self.vocab, self.matrix, self.normalized)
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
@@ -188,6 +193,11 @@ class EmbeddingSpace:
         prefix = entry_prefix(language)
         return self.language_tag == language or bool(prefix) and any(
             w.startswith(prefix) for w in self.vocab)
+
+
+def _unpickled_space(language_tag, vocab, matrix, normalized):
+    matrix.setflags(write=False)  # fresh from the pickle and unshared, so not copied
+    return EmbeddingSpace(language_tag, vocab, matrix, normalized)
 
 
 def entry_prefix(language_tag: str) -> str:
@@ -230,9 +240,12 @@ class SpaceStream:
     kept for lookups such as a subspace fit; a stream derived without one,
     such as the debiased stream of :func:`~.debias.run_variant`, has None.
     The other words are not kept.
+    ``costs`` is each block's share of the work of writing the stream, in
+    units of about half of reading and formatting a block (2 by default), so
+    that :func:`save_vec` can give each process an equal share.
     """
     def __init__(self, language_tag: str, count: int, dim: int, block, block_count: int, *,
-                 held=None, normalized: bool = False):
+                 held=None, normalized: bool = False, costs=None):
         self.language_tag = language_tag
         self.dim = dim
         self.held = held
@@ -241,6 +254,7 @@ class SpaceStream:
         #: i -> block i
         self._block = block
         self._block_count = block_count
+        self._costs = (2,) * block_count if costs is None else costs
 
     def __len__(self):
         return self._count
@@ -252,12 +266,14 @@ class SpaceStream:
             yield space
             del space  # not alive while the next block is computed
 
-    def derive(self, step, *, held=None, normalized: bool = False) -> SpaceStream:
+    def derive(self, step, *, held=None, normalized: bool = False, cost: int = 0
+               ) -> SpaceStream:
         """The stream whose block i is ``step`` of this stream's block i: the
-        same words in the same order."""
+        same words in the same order. ``step`` adds ``cost`` to each block's."""
         parent = self._block
         return SpaceStream(self.language_tag, len(self), self.dim, lambda i: step(parent(i)),
-                           self._block_count, held=held, normalized=normalized)
+                           self._block_count, held=held, normalized=normalized,
+                           costs=tuple(c + cost for c in self._costs))
 
     def chain(self, other: SpaceStream, language_tag: str, step, *,
               normalized: bool = False) -> SpaceStream:
@@ -269,54 +285,25 @@ class SpaceStream:
             return step(self._block(i) if i < first else other._block(i - first))
 
         return SpaceStream(language_tag, len(self) + len(other), self.dim, block,
-                           first + other._block_count, normalized=normalized)
+                           first + other._block_count, normalized=normalized,
+                           costs=self._costs + other._costs)
 
 
 def _processes(rows: int, dim: int) -> int:
     """How many processes share the text of ``rows`` rows of ``dim`` values:
-    one per CPU this process may use, capped by ``DEBIAS_EMBED_THREADS`` and
-    by the number of full blocks, as a worker with less than a block to do
-    does not pay for its fork; 1 without fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus, thread_cap() or cpus, rows // _block_rows(dim)))
+    :func:`~debias_embed.cpus`, capped by the number of full blocks, as a
+    worker with less than a block to do does not pay for its fork."""
+    return max(1, min(cpus(), rows // _block_rows(dim)))
 
 
-def _fork(share, k: int, segment: str):
-    """Fork a worker that writes ``share(k, fh)`` onto a new file ``segment``
-    and sends one reply, pickled, through a pipe: ``(True, what share
-    returned)``, or ``(False, its exception)``. Returns the worker's pid and
-    the pipe, open for reading.
-
-    Workers are forked, not spawned: they start at once, without importing
-    numpy again, and share the state of ``share``, such as the space being
-    written and the block layout of the file it is read from, without
-    pickling it. Only the calling thread is copied; the workers run no BLAS,
-    whose own threads OpenBLAS stops and restarts around a fork. A worker
-    exits without cleaning up the state it shares with this process.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, open(r, "rb")
-    try:  # a reply not sent is seen as the pipe's end
-        os.close(r)
-        try:
-            with open(segment, "wb") as fh:
-                reply = True, share(k, fh)
-        except Exception as exc:  # sent, to be raised in its turn
-            reply = False, exc
-        with open(w, "wb") as out:
-            out.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))  # all or nothing is sent
-    finally:
-        os._exit(0)
+def _shares(costs, width: int) -> list[int]:
+    """Where each of ``width`` consecutive shares of blocks of ``costs``
+    starts, then the block count: share k ends after the last block that
+    keeps the costs up to it at most (k + 1) / ``width`` of their sum, so the
+    first share costs at most its part. Equal costs start share k at block
+    ``k * blocks // width``."""
+    bounds = list(accumulate(costs, initial=0))
+    return [bisect_right(bounds, k * bounds[-1] // width) - 1 for k in range(width + 1)]
 
 
 def _block_rows(dim: int) -> int:
@@ -357,20 +344,22 @@ def decode_line(line: bytes, name, lineno: int) -> str:
         ) from None
 
 
-def _vec_rows(fh, name, dim, keep, first=2):
-    """``(lineno, word, row)`` for each line of ``fh`` that is not blank; the
-    row, of ``dim`` float64 values, is parsed only for a word in ``keep``
-    (every word if None) and is None otherwise."""
-    for lineno, raw in enumerate(fh, first):
-        raw = decode_line(raw, name, lineno)
-        head = _WORD.match(raw)
+def _vec_lines(fh, name, first=2):
+    """``(lineno, line, text, head)`` for each line of ``fh`` that is not
+    blank: its bytes, its text and the match of its word."""
+    for lineno, line in enumerate(fh, first):
+        text = decode_line(line, name, lineno)
+        head = _WORD.match(text)
+        if head[1]:  # tolerate blank (usually trailing) lines
+            yield lineno, line, text, head
+
+
+def _vec_rows(fh, name, dim, first=2):
+    """``(lineno, word, row)`` for each line of ``fh`` that is not blank, the
+    row of ``dim`` float64 values parsed a line at a time."""
+    for lineno, _, text, head in _vec_lines(fh, name, first):
         word = head[1]
-        if not word:
-            continue  # tolerate blank (usually trailing) lines
-        if keep is not None and word not in keep:
-            yield lineno, word, None
-            continue
-        tokens = raw[head.end():].split()
+        tokens = text[head.end():].split()
         if len(tokens) != dim:
             raise ValueError(
                 f"{name}: line {lineno}: expected {dim} components for"
@@ -387,18 +376,37 @@ def _vec_rows(fh, name, dim, keep, first=2):
         yield lineno, word, row
 
 
-def _scan_vec(path, language_tag: str, keep):
+def _held_rows(lines, name, dim: int) -> np.ndarray:
+    """The rows of ``lines``, ``(lineno, line)`` pairs of ``.vec`` lines that
+    are not blank: parsed at once by :func:`_kernel_parse` when it vouches
+    for every value, else a line at a time by :func:`_vec_rows`, with its
+    values, line numbers and messages."""
+    parsed = lines and _kernel_parse(b"".join([_MARGIN, *(line for _, line in lines), b"00"]),
+                                     dim)
+    if parsed:
+        return parsed[1]
+    rows = np.empty((len(lines), dim))
+    for i, (lineno, line) in enumerate(lines):
+        rows[i] = next(_vec_rows([line], name, dim, lineno))[2]
+    return rows
+
+
+def _scan_vec(path, keep):
     """First of two passes over a ``.vec`` file, for :func:`load_vec`.
 
     Every line is decoded and checked for duplicates and the row count, but
-    only the rows of the words in ``keep`` are parsed. Returns the row count;
-    the dim; the blocks of about ``BLOCK_BYTES`` of rows, as
+    only the rows of the words in ``keep`` are parsed, about ``_CHUNK_BYTES``
+    of their lines at a time by :func:`_held_rows`; an error is raised in
+    line order, as a read a line at a time would raise it. Returns the row
+    count; the dim; the blocks of about ``BLOCK_BYTES`` of rows, as
     ``(offset, end, lineno, start, stop)``: the byte range and first line
     number :func:`_read_rows` parses rows ``start:stop`` from, the last
-    block's range ending where the file did; and an (unnormalized) space of
-    the kept words' rows.
+    block's range ending where the file did; the kept words, in file order;
+    and their rows, read-only.
     """
-    with open(path, "rb") as fh:
+    # the default buffer, a file system block (often 4 KiB), holds about one
+    # line of 300 values, so each line would take a read call of its own
+    with open(path, "rb", buffering=_CHUNK_BYTES) as fh:
         header = decode_line(fh.readline(), path, 1)
         if not header.strip():
             raise ValueError(f"{path}: line 1: expected '<count> <dim>' header")
@@ -416,23 +424,36 @@ def _scan_vec(path, language_tag: str, keep):
         seen: dict[str, int] = {}
         kept: list[str] = []
         matrix = np.empty((min(count, len(keep)), dim))
+        held: list[tuple[int, bytes]] = []  # the lines of kept words not parsed yet
+        size = 0  # their bytes
         lineno = 1
-        for lineno, word, row in _vec_rows(fh, path, dim, keep):
-            if len(seen) >= count:
-                raise ValueError(
-                    f"{path}: line {lineno}: more rows than the declared count {count}"
-                )
-            if word in seen:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate word {word!r}"
-                    f" (first seen at line {seen[word]})"
-                )
-            seen[word] = lineno
-            if row is not None:
-                matrix[len(kept)] = row
-                kept.append(word)
-            if len(seen) % step == 0:  # the next block starts after this row's line
-                starts.append((fh.tell(), lineno + 1))
+        try:
+            for lineno, line, _, head in _vec_lines(fh, path):
+                word = head[1]
+                if word in keep:  # its row's errors come before its line's
+                    held.append((lineno, line))
+                    kept.append(word)
+                    size += len(line)
+                if len(seen) >= count:
+                    raise ValueError(
+                        f"{path}: line {lineno}: more rows than the declared count {count}"
+                    )
+                if word in seen:
+                    raise ValueError(
+                        f"{path}: line {lineno}: duplicate word {word!r}"
+                        f" (first seen at line {seen[word]})"
+                    )
+                seen[word] = lineno
+                if size >= _CHUNK_BYTES:
+                    lines, held, size = held, [], 0
+                    matrix[len(kept) - len(lines):len(kept)] = _held_rows(lines, path, dim)
+                if len(seen) % step == 0:  # the next block starts after this row's line
+                    starts.append((fh.tell(), lineno + 1))
+            lines, held = held, []
+            matrix[len(kept) - len(lines):len(kept)] = _held_rows(lines, path, dim)
+        except ValueError:
+            _held_rows(held, path, dim)  # an error of an earlier row is raised first
+            raise
 
         if len(seen) != count:
             raise ValueError(
@@ -443,7 +464,7 @@ def _scan_vec(path, language_tag: str, keep):
               for (offset, line), end, start in zip(starts, ends, range(0, count, step))]
     matrix = matrix[: len(kept)]
     matrix.setflags(write=False)  # fresh and unshared, so the space need not copy it
-    return count, dim, blocks, EmbeddingSpace(language_tag, tuple(kept), matrix)
+    return count, dim, blocks, tuple(kept), matrix
 
 
 #: :func:`_read_rows` reads a block about this many bytes at a time
@@ -617,7 +638,7 @@ def _read_rows(path, dim: int, block, out) -> list[str]:
             parsed = _kernel_parse(chunk, dim)
             if parsed is None:
                 lines = io.BytesIO(chunk[_PAD:-2])
-                for _, word, row in islice(_vec_rows(lines, fh.name, dim, None, lineno), left):
+                for _, word, row in islice(_vec_rows(lines, fh.name, dim, lineno), left):
                     out[len(words)] = row
                     words.append(word)
                 lineno += chunk.count(b"\n")
@@ -629,6 +650,15 @@ def _read_rows(path, dim: int, block, out) -> list[str]:
             if len(words) == stop - start:
                 break
     return words
+
+
+def _file_block(path, language_tag: str, dim: int, blocks, i: int) -> EmbeddingSpace:
+    """Block i of a ``.vec`` file that :func:`_scan_vec` split into ``blocks``."""
+    rows = np.empty((blocks[i][4] - blocks[i][3], dim))
+    words = _read_rows(path, dim, blocks[i], rows)
+    rows = rows[: len(words)]
+    rows.setflags(write=False)
+    return EmbeddingSpace(language_tag, tuple(words), rows)
 
 
 def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream:
@@ -658,21 +688,17 @@ def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream
     With ``hold``, a set of words, the rows are streamed instead of held: a
     :class:`SpaceStream` is returned that holds only those words' rows and
     reads the file again on each pass over its blocks. Every line is
-    decoded and checked for duplicates and the row count at once, but the
-    other rows' format errors surface when a pass reaches them. The CLI's
-    ``report`` uses ``held`` alone and makes no pass, so it parses only the
-    rows it looks up.
+    decoded and checked for duplicates and the row count at once, and the
+    held rows parsed, by the kernel where it can, an error raised in line
+    order; the other rows' format errors surface when a pass reaches them.
+    The CLI's ``report`` uses ``held`` alone and makes no pass, so it parses
+    only the rows it looks up. The stream pickles, so a worker can return
+    it: its blocks are read from the file by whoever computes them.
     """
-    count, dim, blocks, held = _scan_vec(path, language_tag, set() if hold is None else hold)
-
-    def block(i):
-        rows = np.empty((blocks[i][4] - blocks[i][3], dim))
-        words = _read_rows(path, dim, blocks[i], rows)
-        rows = rows[: len(words)]
-        rows.setflags(write=False)
-        return EmbeddingSpace(language_tag, tuple(words), rows)
-
-    stream = SpaceStream(language_tag, count, dim, block, len(blocks), held=held)
+    count, dim, blocks, kept, rows = _scan_vec(path, set() if hold is None else hold)
+    block = partial(_file_block, path, language_tag, dim, blocks)  # pickled with the stream
+    stream = SpaceStream(language_tag, count, dim, block, len(blocks),
+                         held=EmbeddingSpace(language_tag, kept, rows))
     if hold is not None:
         return stream
     matrix, vocab = np.empty((count, dim)), []
@@ -854,12 +880,14 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     written.
 
     The blocks are split into one consecutive share per process, as
-    :func:`_processes` counts them. This process writes the first share,
-    the smallest, straight into the output while each forked worker writes
-    its own share to a file beside it; then it appends those files in
-    order. A :class:`SpaceStream`'s blocks are computed by the process that
-    formats them. The first error in file order is raised, and no worker
-    outlives the call.
+    :func:`_processes` counts them, by cost (:func:`_shares`): a
+    :class:`SpaceStream`'s blocks by their ``costs``, as a rotated block
+    costs more than one only read, and a held space's blocks equally. This
+    process writes the first share, which costs at most its part, straight
+    into the output while each forked text worker writes its own share to a
+    file beside it; then it appends those files in order. A stream's blocks
+    are computed by the process that formats them. The first error in file
+    order is raised, and no worker outlives the call.
 
     Each value is written as ``%.{precision}g`` writes it. Up to 9 digits,
     :func:`_kernel_rows` formats the rows a chunk at a time: 0, -0 and every
@@ -871,20 +899,21 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     if precision < 1:
         raise ValueError("precision must be at least 1 significant digit")
     if isinstance(space, SpaceStream):
-        blocks = space._block_count
+        costs = space._costs
 
         def rows(i):
             block = space._block(i)
             return block.vocab, block.matrix
     else:
         spans = list(row_blocks(space.matrix))
-        blocks = len(spans)
+        costs = (1,) * len(spans)
 
         def rows(i):  # the words are not copied
             words = map(space.vocab.__getitem__, range(len(space))[spans[i]])
             return words, space.matrix[spans[i]]
 
     width = _processes(len(space), space.dim)
+    bounds = _shares(costs, width)
 
     def write(i, fh):
         words, matrix = rows(i)
@@ -894,35 +923,30 @@ def save_vec(space: EmbeddingSpace | SpaceStream, path, precision: int = 9) -> N
     def share(k, fh):
         """Format the k-th of ``width`` consecutive shares of the blocks onto
         ``fh``; return its row count."""
-        return sum(write(i, fh) for i in range(k * blocks // width, (k + 1) * blocks // width))
+        return sum(write(i, fh) for i in range(bounds[k], bounds[k + 1]))
 
-    workers = []  # (pid, the pipe its reply comes through)
+    def segment(k, name):
+        with open(name, "wb") as fh:
+            return share(k, fh)
+
+    workers = []
     with staged(path) as (tmp,):
         try:
             with open(tmp, "wb") as fh:
                 fh.write(f"{len(space)} {space.dim}\n".encode())
                 for k in range(1, width):
-                    workers.append(_fork(share, k, f"{tmp}.{k}"))
+                    workers.append(Worker("text", partial(segment, k, f"{tmp}.{k}")))
                 written = share(0, fh)
-                for k, (pid, pipe) in enumerate(workers, 1):
-                    try:
-                        ok, reply = pickle.load(pipe)
-                    except EOFError:
-                        raise ChildProcessError(f"text worker {pid} died before sending"
-                                                f" block {k * blocks // width}") from None
-                    if not ok:
-                        raise reply
+                for k, worker in enumerate(workers, 1):
+                    written += worker.result(f"block {bounds[k]}")
                     _append(fh, f"{tmp}.{k}")
-                    written += reply
                 if written != len(space):
                     raise ValueError(
                         f"{path}: {written} rows written, but the header declares {len(space)}"
                     )
         finally:
-            for pid, pipe in workers:
-                os.kill(pid, signal.SIGKILL)  # one that has replied has nothing left to do
-                pipe.close()
-                os.waitpid(pid, 0)
+            for worker in workers:
+                worker.end()
             for k in range(1, width):
                 with suppress(FileNotFoundError):
                     os.unlink(f"{tmp}.{k}")

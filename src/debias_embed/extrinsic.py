@@ -45,6 +45,7 @@ import logging
 import sys
 from dataclasses import dataclass, field
 from collections import Counter, defaultdict
+from string import whitespace
 
 import numpy as np
 
@@ -104,7 +105,8 @@ def load_corpus(path, min_count: int = 100) -> list[BioRecord]:
 
     The text is split into tokens at ASCII whitespace, as ``.vec`` words
     are (:func:`~.embeddings.split_words`), and the records share one
-    string per distinct token. A line that is not three tab-separated
+    string per distinct token. A line of ASCII whitespace only is blank, and
+    skipped, by the same rule. A line that is not three tab-separated
     fields, a record that :class:`BioRecord` refuses and undecodable UTF-8
     raise ValueError with the line number. Dropped occupations are logged.
     """
@@ -112,7 +114,7 @@ def load_corpus(path, min_count: int = 100) -> list[BioRecord]:
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = decode_line(raw, path, lineno).rstrip("\n").rstrip("\r")
-            if not line.strip():
+            if not line.strip(whitespace):
                 continue
             fields = line.split("\t")
             if len(fields) != 3:

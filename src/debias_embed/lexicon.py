@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from importlib import resources
 
 import numpy as np
@@ -42,18 +42,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GenderPair:
-    """One male/female defining pair, e.g. ("he", "she")."""
+    """One male/female defining pair, e.g. ("he", "she").
+
+    Each word must be one non-empty token; ``what`` names the pair in the
+    error of one that is not, as a lexicon file names it with its origin.
+    """
 
     male_word: str
     female_word: str
     language_tag: str
+    what: InitVar[str] = "gender pair"
 
-    def __post_init__(self):
-        for w in (self.male_word, self.female_word):
-            if not w:
-                raise ValueError(f"empty word in gender pair for {self.language_tag!r}")
-            if len(split_words(w)) != 1:
-                raise ValueError(f"multi-token entry {w!r} in gender pair")
+    def __post_init__(self, what):
+        _token_list([self.male_word, self.female_word], what)
         if self.male_word == self.female_word:
             raise ValueError(
                 f"defining pair for {self.language_tag!r} repeats {self.male_word!r}"
@@ -195,7 +196,7 @@ def _lexicon_from_dict(data, origin) -> GenderLexicon:
                 isinstance(item, list) and len(item) == 2,
                 f"{where}: each pair must be a [male, female] list",
             )
-            pairs.append(GenderPair(*_token_list(item, f"{where}: pair"), tag))
+            pairs.append(GenderPair(*item, tag, f"{where}: pair"))
         defining[tag] = tuple(pairs)
 
         cats = entry["neutral"]

@@ -47,9 +47,6 @@ class RunManifest:
     tool_version: str = ""
     created_at: str = ""
 
-    def add_input(self, path) -> None:
-        self.inputs[str(path)] = file_fingerprint(path)
-
     def add_output(self, path) -> None:
         self.outputs[str(path)] = file_fingerprint(path)
 

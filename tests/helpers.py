@@ -83,9 +83,10 @@ def space_for_lexicon(lexicon, tags, d=20, seed=0, merged=None):
 
 
 def inline_and_on_workers(monkeypatch, run, forks=True, cpus=2):
-    """``[run(), run()]``: with ``.vec`` text handled in this process alone,
-    then by this process and ``cpus - 1`` forked workers, whatever the CPU
-    count.
+    """``[run(), run()]``: with the work done in this process alone, then
+    shared with forked workers, whatever the CPU count: ``cpus - 1`` text
+    workers for each parallel load or save and, in a CLI run, a digest
+    worker and, for a run of two ``.vec`` inputs, a scan worker for each.
 
     Checks that the first run does not fork, that the second does if
     ``forks``, and that no worker outlives it. Each run gets 60 s, so that a

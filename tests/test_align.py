@@ -214,6 +214,16 @@ def test_load_dictionary_splits_at_ascii_whitespace_only(tmp_path):
         ("new\u00a0york", "naya\u3000shahar"), ("old", "purana"))
 
 
+def test_load_dictionary_skips_only_lines_of_ascii_whitespace(tmp_path):
+    # blank by the rule that splits a line: a line of U+00A0 alone is one word
+    p = tmp_path / "d.txt"
+    p.write_text("a b\n \t\x0b\nc d\n", encoding="utf-8")
+    assert load_dictionary(str(p), "en", "hi").entries == (("a", "b"), ("c", "d"))
+    p.write_text("a b\n\u00a0\nc d\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: expected 2 tokens, found 1"):
+        load_dictionary(str(p), "en", "hi")
+
+
 def test_load_dictionary_rejects_bad_line(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("one two three\n", encoding="utf-8")

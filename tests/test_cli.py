@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import debias_embed
-from debias_embed import cli, embeddings, extrinsic
+from debias_embed import align, cli, embeddings, extrinsic
 from debias_embed.align import apply_map, load_dictionary, merge_spaces, procrustes_fit
 from debias_embed.cli import main
 from debias_embed.debias import DebiasConfig, run_variant
@@ -277,13 +277,16 @@ def report_run(mode, before_after, corpus=False):
     return make
 
 
-@pytest.mark.parametrize("make_run", [
+EVERY_RUN = pytest.mark.parametrize("make_run", [
     align_run,
     debias_run,
     report_run("--inbias", before_after=True),
     report_run("--xscore", before_after=False),
     report_run("--exbias", before_after=True, corpus=True),
 ], ids=["align", "debias", "inbias", "xscore", "exbias"])
+
+
+@EVERY_RUN
 def test_manifest_records_exactly_what_the_run_read_and_wrote(tmp_path, en_vec, make_run,
                                                                 capsys):
     argv, inputs, outputs, manifest_path = make_run(tmp_path, en_vec)
@@ -300,6 +303,125 @@ def test_manifest_records_exactly_what_the_run_read_and_wrote(tmp_path, en_vec, 
                 in manifest["warnings"])
         assert capsys.readouterr().out == (
             f"aligned with 40 of 41 dictionary pair(s) -> {argv[argv.index('--out') + 1]}\n")
+
+
+@EVERY_RUN
+def test_manifest_digests_are_the_files_whether_taken_inline_or_by_a_worker(
+        tmp_path, en_vec, make_run, monkeypatch, capsys):
+    # at two threads the inputs are hashed during the run, by a digest worker
+    argv, inputs, outputs, manifest_path = make_run(tmp_path, en_vec)
+    argv = [str(a) for a in argv]
+
+    def digests():
+        assert main(argv) == 0
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        return manifest["inputs"], manifest["outputs"]
+
+    inline, pooled = inline_and_on_workers(monkeypatch, digests)
+    assert inline == pooled == ({str(p): sha256(p) for p in inputs},
+                                {str(p): sha256(p) for p in outputs})
+
+
+@pytest.mark.parametrize("faulty", ["second", "both"])
+@pytest.mark.parametrize("fault", ["duplicate", "bad-utf8"])
+@pytest.mark.parametrize("mode", ["align", "--inbias", "--exbias"])
+def test_a_fault_in_an_input_is_named_the_same_at_one_and_two_threads(
+        tmp_path, en_vec, monkeypatch, capsys, mode, fault, faulty):
+    # at two threads each input's first pass runs on a scan worker; with both
+    # inputs faulty the first input's fault is named, though it comes later
+    lines = open(en_vec, "rb").read().splitlines(True)
+    word = lines[2].split(b" ", 1)[0]
+
+    def copy(name, at):
+        faulty_lines = list(lines)
+        if fault == "duplicate":
+            faulty_lines[at] = word + b" " + lines[at].split(b" ", 1)[1]
+            message = f"line {at + 1}: duplicate word {word.decode()!r} (first seen at line 3)"
+        else:
+            faulty_lines[at] = b"\xff" + lines[at]
+            message = f"line {at + 1}: byte 0xff is not valid UTF-8"
+        path = tmp_path / name
+        path.write_bytes(b"".join(faulty_lines))
+        return path, f"debias-embed: {path}: {message}\n"
+
+    second, named = copy("second.vec", 5)
+    first = en_vec
+    if faulty == "both":
+        first, named = copy("first.vec", 9)
+    out = tmp_path / "out"
+    out.mkdir()
+    if mode == "align":
+        dictionary = rotated_copy(tmp_path, en_vec)[3]
+        argv = ["align", "--src", first, "--src-lang", "en", "--tgt", second, "--tgt-lang", "hi",
+                "--dict", dictionary, "--out", out / "aligned.vec"]
+    else:
+        argv = ["report", mode, "--emb", first, "--emb-after", second, "--languages", "en",
+                "--json", out / "report.json"]
+        if mode == "--exbias":
+            argv += ["--corpus", write_bios(tmp_path), "--min-count", "10"]
+
+    def refused():
+        assert run(argv) == 1
+        assert os.listdir(out) == []
+        return capsys.readouterr().err
+
+    inline, pooled = inline_and_on_workers(monkeypatch, refused)
+    assert inline == pooled == named
+
+
+def test_a_piped_input_is_read_by_the_run_alone(tmp_path, en_vec, monkeypatch):
+    # a digest worker reading the pipe beside the run would take its lines
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("DEBIAS_EMBED_THREADS", "2")
+    workers = []
+    start, read_dictionary = debias_embed.Worker.__init__, align.load_dictionary
+
+    def recorded(self, kind, task):
+        start(self, kind, task)
+        workers.append(self)
+
+    def after_the_digests(*args):
+        os.waitid(os.P_PID, workers[0].pid, os.WEXITED | os.WNOWAIT)  # not reaped
+        return read_dictionary(*args)
+
+    monkeypatch.setattr(debias_embed.Worker, "__init__", recorded)
+    monkeypatch.setattr(align, "load_dictionary", after_the_digests)
+    _, _, hi_vec, dictionary = rotated_copy(tmp_path, en_vec)
+    r, w = os.pipe()
+    os.write(w, dictionary.read_bytes())
+    os.close(w)
+    try:
+        assert run(["align", "--src", en_vec, "--src-lang", "en", "--tgt", hi_vec,
+                    "--tgt-lang", "hi", "--dict", f"/dev/fd/{r}", "--out", tmp_path / "a.vec"]) == 0
+    finally:
+        os.close(r)
+    manifest = json.loads((tmp_path / "a.vec.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["fit_pairs"] == 40  # every pair reached the run
+    assert manifest["inputs"][f"/dev/fd/{r}"] == hashlib.sha256(b"").hexdigest()  # hashed after
+
+
+def test_the_digest_worker_is_forked_before_numpy_loads(tmp_path, en_vec):
+    code = ("import os, sys, debias_embed\n"
+            "from debias_embed import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "start = debias_embed.Worker.__init__\n"
+            "def logged(self, kind, task):\n"
+            "    print(kind, 'numpy' in sys.modules, file=sys.stderr, flush=True)\n"
+            "    start(self, kind, task)\n"
+            "debias_embed.Worker.__init__ = logged\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(debias_embed.__file__))
+    argv = ["report", "--inbias", "--emb", en_vec, "--emb-after", en_vec, "--languages", "en",
+            "--json", str(tmp_path / "report.json")]
+    started = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                              env=dict(env, DEBIAS_EMBED_THREADS=threads), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        started.append(proc.stderr.splitlines())
+    assert started == [[], ["digest False", "scan True", "scan True"]]
 
 
 @pytest.mark.parametrize("mode, config, seeds", [

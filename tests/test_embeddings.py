@@ -709,6 +709,51 @@ def test_each_process_formats_one_consecutive_share_and_this_one_the_first(
     assert shares[os.getpid()] == runs[0] and len(runs[0]) == min(map(len, runs))
 
 
+@pytest.mark.parametrize("costs, width, bounds", [
+    ([1] * 7, 3, [0, 2, 4, 7]),  # equal costs: share k starts at block k * 7 // 3
+    ([3] * 12 + [2] * 12, 2, [0, 10, 24]),  # align's merged stream: the rotated blocks first
+    ([10, 1, 1], 2, [0, 0, 3]),
+])
+def test_each_share_of_the_blocks_costs_about_as_much_and_the_first_at_most(costs, width,
+                                                                             bounds):
+    assert embeddings._shares(costs, width) == bounds
+
+
+def test_a_merged_stream_is_split_by_cost_and_written_the_same(tmp_path, monkeypatch):
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 2 * 3 * 8)  # two rows a block
+    paths = {tag: str(tmp_path / f"{tag}.vec") for tag in ("hi", "en")}
+    for seed, (tag, path) in enumerate(paths.items()):
+        save_vec(random_space(seed, 24, 3, tag), path)  # 12 blocks each
+    log = tmp_path / "log"
+    write_rows = embeddings._write_rows
+
+    def logged_write_rows(words, matrix, fh, precision):
+        words = list(words)
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, f"{os.getpid()} {words[0]}\n".encode())
+        os.close(fd)
+        write_rows(words, matrix, fh, precision)
+
+    monkeypatch.setattr(embeddings, "_write_rows", logged_write_rows)
+    rotation = OrthogonalMap(orthonormal_rows(np.random.default_rng(2), 3, 3), 3)
+
+    def run():
+        log.write_bytes(b"")
+        hi, en = (normalize(load_vec(paths[tag], tag, hold=set())) for tag in ("hi", "en"))
+        save_vec(merge_spaces(normalize(apply_map(rotation, hi)), en), str(tmp_path / "m.vec"))
+        shares = {}  # pid -> how many blocks it formatted, and its first word
+        for line in log.read_text().splitlines():
+            pid, word = line.split()
+            shares.setdefault(int(pid), [0, word])[0] += 1
+        return shares, (tmp_path / "m.vec").read_bytes()
+
+    inline, pooled = inline_and_on_workers(monkeypatch, run)
+    assert inline[0] == {os.getpid(): [24, "hi:w0000"]} and pooled[1] == inline[1]
+    # a rotated block costs 3 against 2: this process formats 10 of them, a worker the rest
+    assert sorted(pooled[0].values()) == [[10, "hi:w0000"], [14, "hi:w0020"]]
+    assert pooled[0][os.getpid()] == [10, "hi:w0000"]
+
+
 @pytest.mark.parametrize("first, later", [(5, 9), (2, 13)],
                          ids=["two-workers", "this-and-a-worker"])
 def test_first_error_in_file_order_wins_across_shares(tmp_path, monkeypatch, first, later):

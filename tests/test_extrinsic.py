@@ -61,6 +61,16 @@ def test_load_corpus_splits_tokens_at_ascii_whitespace_only(tmp_path):
     np.testing.assert_array_equal(features, [[0.5, 0.5]] * 2)
 
 
+def test_load_corpus_skips_only_lines_of_ascii_whitespace(tmp_path):
+    # blank by the rule that splits the text: a line of U+3000 alone is not blank
+    p = tmp_path / "c.tsv"
+    p.write_text("M\tchef\ta b\n \t\x0c\nF\tchef\tc d\n", encoding="utf-8")
+    assert [r.tokens for r in load_corpus(str(p), min_count=1)] == [("a", "b"), ("c", "d")]
+    p.write_text("M\tchef\ta b\n\u3000\nF\tchef\tc d\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: expected 3 tab-separated fields, got 1"):
+        load_corpus(str(p), min_count=1)
+
+
 def test_load_corpus_holds_one_string_per_distinct_token(tmp_path):
     rng = np.random.default_rng(0)
     vocab = [f"w{i:03d}" for i in range(20)]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from debias_embed import lexicon
 from debias_embed.lexicon import (
     GenderLexicon,
     GenderPair,
@@ -75,6 +76,38 @@ def test_lexicon_words_split_at_ascii_whitespace_only(tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ValueError, match=r"professions: multi-token entry 'head\\tchef'"):
         load_lexicon(str(path))
+
+
+def test_each_lexicon_entry_is_checked_for_one_token_once(monkeypatch):
+    # a pair word is checked when the pair is built, not also as the file is read
+    checked = []
+    split_words = lexicon.split_words
+    monkeypatch.setattr(lexicon, "split_words", lambda w: checked.append(w) or split_words(w))
+    lex = builtin_lexicon()
+    entries = []
+    for tag in lex.languages():
+        entries += [w for p in lex.defining_pairs[tag] for w in (p.male_word, p.female_word)]
+        neutral = lex.neutral_words[tag]
+        entries += [*neutral.professions, *neutral.adjectives, *neutral.transliterations]
+        entries += [*lex.seed_sets[tag].male, *lex.seed_sets[tag].female]
+        entries += [w for pair in lex.occupation_pairs[tag] for w in pair]
+    assert sorted(checked) == sorted(entries)
+
+
+def test_a_multi_token_pair_word_is_named_with_its_file_and_language(tmp_path):
+    data = {"languages": {"en": {
+        "pairs": [["he", "she"], ["two words", "she"]],
+        "neutral": {"professions": ["doctor"], "adjectives": [], "transliterations": []},
+        "seeds": {"male": ["he"], "female": ["she"]},
+        "occupation_pairs": [],
+    }}}
+    path = tmp_path / "lex.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError) as refused:
+        load_lexicon(str(path))
+    assert str(refused.value) == f"{path}: language 'en': pair: multi-token entry 'two words'"
+    with pytest.raises(ValueError, match=r"^gender pair: multi-token entry 'two words'$"):
+        GenderPair("two words", "she", "en")
 
 
 def test_neutral_words_merge_dedupes():

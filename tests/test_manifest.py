@@ -21,9 +21,8 @@ def test_manifest_written_with_single_timestamp_key(tmp_path):
         command=["debias-embed", "debias"],
         config={"k": 4},
         seeds={"seed": 0},
-        inputs={},
+        inputs={str(src): file_fingerprint(str(src))},
     )
-    manifest.add_input(str(src))
     out = tmp_path / "run.manifest.json"
     manifest.write(str(out))
     data = json.loads(out.read_text())

@@ -82,8 +82,11 @@ def test_load_gives_float_of_every_token_whichever_path_a_chunk_takes(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(embeddings, "_CHUNK_BYTES", chunk)
         space = load_vec(path, "xx")
+        held = load_vec(path, "xx", hold=set(words[::2])).held  # parsed in the first pass
     assert list(space.vocab) == words
     assert same_bits(space.matrix, rows)
+    assert list(held.vocab) == words[::2]
+    assert same_bits(held.matrix, rows[::2])
 
 
 def test_each_edge_token_in_a_chunk_of_its_own_reads_as_float_reads_it(tmp_path, monkeypatch):
@@ -132,7 +135,7 @@ def reference_read(path, dim):
     with open(path, "rb") as fh:
         fh.readline()
         try:
-            got = list(embeddings._vec_rows(fh, path, dim, None))
+            got = list(embeddings._vec_rows(fh, path, dim))
         except ValueError as exc:
             return str(exc)
     return [word for _, word, _ in got], np.array([row for _, _, row in got])
@@ -182,6 +185,44 @@ def fixed_width_rows(n, d):
     rng = np.random.default_rng(n)
     return [f"w{i:03d} " + " ".join("%.8f" % v for v in rng.uniform(0, 1, d)) + "\n"
             for i in range(n)]
+
+
+def test_the_first_pass_parses_held_rows_by_the_kernel_a_chunk_of_lines_at_a_time(
+        tmp_path, monkeypatch, kernel_calls):
+    lines = fixed_width_rows(24, 3)
+    monkeypatch.setattr(embeddings, "_CHUNK_BYTES", 4 * len(lines[0]))  # four lines a chunk
+    path, _ = write_text(tmp_path / "a.vec", 3, lines)
+    held = load_vec(path, "xx", hold={f"w{i:03d}" for i in range(0, 24, 2)}).held
+    assert len(kernel_calls) == 3 and None not in kernel_calls  # 12 held rows, no block read
+    assert same_bits(held.matrix, load_vec(path, "xx").matrix[::2])
+
+
+#: faults the first pass finds: in a held row, and in a line whatever its word
+ROW_FAULT = (lambda line: line[:-2] + "x\n", "unparseable number in row for {word!r}")
+LINE_FAULTS = {
+    "duplicate": (lambda line: "w001" + line[4:], "duplicate word 'w001' (first seen at line 3)"),
+    "bad-utf8": (lambda line: "\udcff" + line[1:], "byte 0xff is not valid UTF-8"),
+}
+
+
+@pytest.mark.parametrize("order", ["row-first", "line-first", "same-line"])
+@pytest.mark.parametrize("fault", LINE_FAULTS)
+def test_the_first_pass_raises_the_first_fault_in_line_order(tmp_path, order, fault):
+    # as a read a line at a time raises it, though held rows are parsed a chunk at a time
+    lines = fixed_width_rows(12, 3)
+    row, line = {"row-first": (4, 7), "line-first": (7, 4), "same-line": (6, 6)}[order]
+    lines[row] = ROW_FAULT[0](lines[row])
+    plant, message = LINE_FAULTS[fault]
+    lines[line] = plant(lines[line])
+    path = tmp_path / "a.vec"
+    path.write_bytes(("12 3\n" + "".join(lines)).encode("utf-8", "surrogateescape"))
+    with pytest.raises(ValueError) as err:
+        load_vec(str(path), "xx", hold={f"w{i:03d}" for i in range(12)})
+    if order == "row-first" or (order == "same-line" and fault == "duplicate"):
+        word = lines[row].split()[0]
+        assert str(err.value) == f"{path}: line {row + 2}: " + ROW_FAULT[1].format(word=word)
+    else:  # a bad byte is found before the row is read
+        assert str(err.value) == f"{path}: line {line + 2}: {message}"
 
 
 #: a planted fault, of the same length as the bytes it replaces, and its message
