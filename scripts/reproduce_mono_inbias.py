@@ -27,6 +27,7 @@ from debias_embed.embeddings import entry_forms, load_vec, normalize
 from debias_embed.intrinsic import format_inbias_table, inbias
 from debias_embed.lexicon import builtin_lexicon, split_pairs
 from debias_embed.manifest import write_json
+from debias_embed.subspace import METHODS
 
 FILES = {"en": "wiki.en.vec", "hi": "wiki.hi.vec", "be": "wiki.bn.vec",
          "te": "wiki.te.vec"}
@@ -36,7 +37,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--vectors-dir", required=True)
     parser.add_argument("--k", type=int, default=4)
-    parser.add_argument("--method", choices=("pca", "ppa"), default="pca")
+    parser.add_argument("--method", choices=METHODS, default="pca")
     parser.add_argument("--train-count", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", help="also write the numbers as JSON")

@@ -208,10 +208,6 @@ def _ahead(kind: str, task, wanted=True):
             worker.end()
 
 
-def _digests(paths) -> dict[str, str]:
-    return {path: file_fingerprint(path) for path in paths}
-
-
 def _load_lexicon(source: str):
     from . import lexicon as lexmod
 
@@ -585,11 +581,11 @@ def main(argv=None) -> int:
         inputs, outputs = _files(args)
         manifest_path = outputs.pop("manifest", None)
         # the inputs are hashed beside the run, by a worker forked before numpy
-        # loads; one that is not a regular file, such as a pipe, after the run
-        # has read it
+        # loads; one that is not a regular file, such as a pipe, is read by the
+        # run alone and gets no digest (null), as reopening it may wait forever
         files = [path for path in inputs.values() if os.path.isfile(path)]
-        others = [path for path in inputs.values() if path not in files]
-        with _ahead("digest", lambda: _digests(files), manifest_path is not None) as digests:
+        with _ahead("digest", lambda: {path: file_fingerprint(path) for path in files},
+                    manifest_path is not None) as digests:
             with capture_warnings() as warnings:
                 values = args.func(args)
             if values is not None:
@@ -600,7 +596,8 @@ def main(argv=None) -> int:
                           if dest not in {*reads, *writes, "config", "seed", "func"}} | values
                 seeds = {"seed": args.seed} if hasattr(args, "seed") else {}
                 manifest = RunManifest(["debias-embed"] + argv, config, seeds,
-                                       digests() | _digests(others), warnings=warnings)
+                                       dict.fromkeys(inputs.values()) | digests(),
+                                       warnings=warnings)
                 for path in outputs.values():
                     manifest.add_output(path)
                 manifest.write(manifest_path)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .embeddings import (EmbeddingSpace, SpaceStream, entry_forms, row_blocks, r
                          space_fingerprint)
 from .lexicon import GenderLexicon, PairSplit
 from .subspace import (
+    METHODS,
     BiasSubspace,
     difference_matrix,
     equal_rep_basis,
@@ -44,7 +46,6 @@ __all__ = [
 ]
 
 VARIANTS = ("mono", "multi", "eqr")
-METHODS = ("pca", "ppa")
 SCOPES = ("all", "neutral")
 
 #: a residual with norm below this cannot be renormalized and is refused
@@ -198,6 +199,8 @@ def run_variant(
     ``splits`` maps each participating language to its train/test pair
     split; ``mono`` expects exactly one language, ``multi`` pools them all
     (in mapping order), and ``eqr`` fits each one's own k/L directions.
+    ``config.method`` picks the estimator of every fit, and ``seed`` seeds the
+    random starts of projection pursuit (pca has none) and is recorded.
     Returns the debiased space and the subspace used, provenance attached.
 
     The subspace and the scope are fitted from the rows :func:`variant_words`
@@ -221,12 +224,11 @@ def run_variant(
     train_pairs = [p for lang in languages for p in splits[lang].train_pairs]
     diffs = difference_matrix(fitted, train_pairs)
 
+    fit = pca_basis if config.method == "pca" else partial(ppa_basis, seed=seed)
     if config.variant == "eqr":
-        subspace = equal_rep_basis(diffs, config.k, languages, config.method, seed=seed)
-    elif config.method == "pca":
-        subspace = pca_basis(diffs, config.k)
+        subspace = equal_rep_basis(diffs, config.k, languages, fit)
     else:
-        subspace = ppa_basis(diffs, config.k, seed=seed)
+        subspace = fit(diffs, config.k)
 
     scope_words = None
     if config.scope == "neutral":

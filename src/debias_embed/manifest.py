@@ -2,7 +2,8 @@
 
 Every CLI invocation writes ``<output>.manifest.json`` recording the
 command line, the effective configuration, seeds, sha256 fingerprints
-of all inputs and outputs, collected warnings, and the tool version.
+of all inputs and outputs (null for an input that is not a regular
+file), collected warnings, and the tool version.
 The wall-clock timestamp is isolated in the single ``created_at`` key
 so that otherwise-identical runs produce manifests differing in exactly
 that one field.
@@ -41,7 +42,7 @@ class RunManifest:
     command: list[str]
     config: dict
     seeds: dict
-    inputs: dict  # path -> sha256
+    inputs: dict  # path -> sha256, or None
     outputs: dict = field(default_factory=dict)  # path -> sha256
     warnings: list[str] = field(default_factory=list)
     tool_version: str = ""

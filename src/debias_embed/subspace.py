@@ -21,8 +21,9 @@ Two estimators are provided over the stacked difference matrix:
   the lowest-index start within SCORE_TIE of the best, so rounding bits
   never pick it, and the result is deterministic for a given seed.
 
-:func:`equal_rep_basis`, the multilingual eqr subspace, fits either one to
-each language's own rows and orthonormalizes the union with one QR.
+:func:`equal_rep_basis`, the multilingual eqr subspace, fits each language's
+own rows with the fit it is given, :func:`pca_basis` by default, and
+orthonormalizes the union with one QR.
 
 Basis vectors are sign-canonicalized (first non-negligible coordinate
 positive) and every produced basis is orthonormal.
@@ -51,6 +52,7 @@ __all__ = [
     "save_subspace",
 ]
 
+METHODS = ("pca", "ppa")  # the estimators, by the name a BiasSubspace records
 BASIS_TOL = 1e-8  # orthonormality tolerance for any produced basis
 RANK_RTOL = 1e-10  # singular values below RANK_RTOL * s_max do not count toward rank
 
@@ -90,7 +92,7 @@ class BiasSubspace:
     """An orthonormal basis (k x dim) for the estimated gender subspace."""
 
     basis: np.ndarray
-    method: str  # "pca" | "ppa"
+    method: str  # one of METHODS
     scores: tuple[float, ...]
     orientation_labels: tuple[str, ...] | None = None
     provenance: dict | None = None
@@ -99,7 +101,7 @@ class BiasSubspace:
         basis = np.array(self.basis, dtype=np.float64)
         if basis.ndim != 2 or basis.shape[0] < 1:
             raise ValueError(f"basis must be a non-empty 2-D array, got {basis.shape}")
-        if self.method not in ("pca", "ppa"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown subspace method {self.method!r}")
         gram = basis @ basis.T
         err = np.max(np.abs(gram - np.eye(basis.shape[0])))
@@ -334,55 +336,52 @@ def ppa_basis(diffs: DifferenceMatrix, k: int, seed: int = 0) -> BiasSubspace:
     )
 
 
-def equal_rep_basis(
-    diffs: DifferenceMatrix, k: int, languages, method: str = "pca", *, seed: int = 0
-) -> BiasSubspace:
+def equal_rep_basis(diffs: DifferenceMatrix, k: int, languages, fit=None) -> BiasSubspace:
     """The eqr subspace: the span of each of the L ``languages``' own top k/L directions.
 
-    :func:`pca_basis` or :func:`ppa_basis` fits k/L directions, and their
-    scores, to each language's rows alone. The k directions are ordered by
-    score (scores within SCORE_TIE count as tied, and ties keep the order
-    of ``languages``), orthonormalized by one QR
-    and sign-canonicalized, and labeled with their languages; their span
-    does not depend on the order of ``languages``.
+    ``fit(own_rows, k // L)`` fits k/L directions, and their scores, to each
+    language's rows alone: :func:`pca_basis` when ``fit`` is None, or any
+    estimator called that way, such as ``partial(ppa_basis, seed=s)``. The
+    result's method is the one the fits report. The k directions are ordered
+    by score (scores within SCORE_TIE count as tied, and ties keep the order
+    of ``languages``), orthonormalized by one QR and sign-canonicalized, and
+    labeled with their languages; their span does not depend on the order of
+    ``languages``.
 
     Raises ValueError before any fit when ``languages`` is empty, k is not
-    divisible by L, ``method`` is unknown or a language has no rows; after,
-    naming the language, when its rows cannot give k/L directions or a
-    direction's part outside the span of those before it (its QR diagonal)
-    is below BASIS_TOL.
+    divisible by L or a language has no rows; after, naming the language,
+    when its rows cannot give k/L directions or a direction's part outside
+    the span of those before it (its QR diagonal) is below BASIS_TOL.
     """
     languages = tuple(languages)
     if not languages:
         raise ValueError("no languages given")
     if k % len(languages) != 0:
         raise ValueError(f"k={k} is not divisible by the language count {len(languages)}")
-    if method not in ("pca", "ppa"):
-        raise ValueError(f"unknown subspace method {method!r}")
     for lang in languages:
         if lang not in diffs.row_languages:
             raise ValueError(f"language {lang!r} has no rows in the difference matrix")
+    fit = pca_basis if fit is None else fit  # at call time: it may have been rebound
     per_language = k // len(languages)
     tags = np.asarray(diffs.row_languages)
     fits = []
     for lang in languages:
         own = DifferenceMatrix(diffs.rows[tags == lang], [lang] * int(np.sum(tags == lang)))
         try:
-            fits.append(pca_basis(own, per_language) if method == "pca"
-                        else ppa_basis(own, per_language, seed=seed))
+            fits.append(fit(own, per_language))
         except ValueError as exc:
             raise ValueError(f"language {lang!r} cannot give {per_language} direction(s): {exc}")
-    scores = np.concatenate([fit.scores for fit in fits])
+    scores = np.concatenate([f.scores for f in fits])
     labels = [lang for lang in languages for _ in range(per_language)]
     order = _score_order(scores)
-    q, r = np.linalg.qr(np.vstack([fit.basis for fit in fits])[order].T)
+    q, r = np.linalg.qr(np.vstack([f.basis for f in fits])[order].T)
     # r has no diagonal past the dimension, where every direction lies in the span
     outside = np.pad(np.abs(np.diag(r)), (0, k - len(r)))
     if (inside := np.flatnonzero(outside < BASIS_TOL)).size:
         j = inside[0]
         raise ValueError(f"a direction of language {labels[order[j]]!r} lies in the span of "
                          f"the {j} direction(s) before it (QR diagonal {outside[j]:.1e})")
-    return BiasSubspace(_canonical_signs(q.T), method, scores[order],
+    return BiasSubspace(_canonical_signs(q.T), fits[0].method, scores[order],
                         orientation_labels=tuple(labels[i] for i in order))
 
 

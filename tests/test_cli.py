@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -398,7 +399,45 @@ def test_a_piped_input_is_read_by_the_run_alone(tmp_path, en_vec, monkeypatch):
         os.close(r)
     manifest = json.loads((tmp_path / "a.vec.manifest.json").read_text(encoding="utf-8"))
     assert manifest["config"]["fit_pairs"] == 40  # every pair reached the run
-    assert manifest["inputs"][f"/dev/fd/{r}"] == hashlib.sha256(b"").hexdigest()  # hashed after
+    assert manifest["inputs"][f"/dev/fd/{r}"] is None  # not a file, so not read again to hash
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_named_pipe_input_is_read_once_and_gets_a_null_digest(tmp_path, en_vec, threads):
+    # reopening the FIFO to hash it after the run would wait for a writer that is gone
+    _, _, hi_vec, dictionary = rotated_copy(tmp_path, en_vec)
+    fifo = tmp_path / "dict.fifo"
+    os.mkfifo(fifo)
+    code = ("import os, sys\n"
+            "from debias_embed import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ, DEBIAS_EMBED_THREADS=threads,
+               PYTHONPATH=os.path.dirname(os.path.dirname(debias_embed.__file__)))
+    argv = ["align", "--src", en_vec, "--src-lang", "en", "--tgt", hi_vec, "--tgt-lang", "hi",
+            "--dict", fifo, "--out", tmp_path / "a.vec"]
+    writer = subprocess.Popen([sys.executable, "-c", "import shutil, sys; shutil.copyfileobj("
+                               "open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))",
+                               dictionary, fifo])
+    proc = subprocess.Popen([sys.executable, "-c", code, *map(str, argv)], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)  # its workers share its process group
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the run did not end within 60 s")
+    finally:
+        writer.kill()
+        writer.wait()
+    assert proc.returncode == 0, err
+    assert out == f"aligned with 40 of 40 dictionary pair(s) -> {tmp_path / 'a.vec'}\n"
+    with pytest.raises(ProcessLookupError):  # no worker outlives the run
+        os.killpg(proc.pid, 0)
+    manifest = json.loads((tmp_path / "a.vec.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {en_vec: sha256(en_vec), str(hi_vec): sha256(hi_vec),
+                                  str(fifo): None}
 
 
 def test_the_digest_worker_is_forked_before_numpy_loads(tmp_path, en_vec):

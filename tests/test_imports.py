@@ -1,3 +1,4 @@
+import argparse
 import ast
 import subprocess
 import sys
@@ -108,6 +109,42 @@ def test_only_the_lexicon_refuses_an_unknown_language(path):
     # GenderLexicon.require_languages owns the check every entry point calls
     if path.stem != "lexicon":
         assert "unknown language" not in path.read_text(encoding="utf-8")
+
+
+def string_literals(path):
+    """Every string constant of a source file, docstrings included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_subspace_module_and_the_parser_name_projection_pursuit(path):
+    # subspace owns the estimators; every other module is handed the fit, or its name
+    if path.stem not in ("subspace", "cli"):
+        assert "ppa" not in string_literals(path)
+
+
+def method_choices(parser):
+    return next(tuple(a.choices) for a in parser._actions if a.dest == "method")
+
+
+def test_the_method_choices_of_the_parsers_are_the_subspace_methods(monkeypatch):
+    # the CLI spells them out, as it must not import numpy before its digest worker forks
+    from debias_embed import cli, subspace
+    from helpers import load_script
+
+    class Built(Exception):
+        pass
+
+    def built(parser, *args, **kwargs):
+        raise Built(parser)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", built)
+    with pytest.raises(Built) as script:
+        load_script("reproduce_mono_inbias").main([])
+    assert method_choices(cli.build_parser()._by_subcommand["debias"]) == subspace.METHODS
+    assert method_choices(script.value.args[0]) == subspace.METHODS
 
 
 def unused_imports(path):

@@ -1,5 +1,7 @@
 import json
 import logging
+import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from debias_embed import debias, subspace
 from debias_embed.cli import main
 from debias_embed.embeddings import EmbeddingSpace
-from debias_embed.lexicon import GenderPair
+from debias_embed.lexicon import GenderPair, split_pairs
 from debias_embed.manifest import capture_warnings
 from debias_embed.subspace import (
     BiasSubspace,
@@ -21,7 +23,7 @@ from debias_embed.subspace import (
     ppa_basis,
     save_subspace,
 )
-from helpers import load_generator
+from helpers import load_generator, space_for_lexicon, two_language_lexicon
 from oracles import (
     central_difference_grad,
     eig_top_directions_2d,
@@ -350,15 +352,12 @@ def counted_factor(monkeypatch):
 def test_equal_rep_basis_spans_each_languages_own_fit_in_score_order(monkeypatch, method):
     rng = np.random.default_rng(4)
     dm = diffs(rng.standard_t(df=3, size=(20, 12)), ("en", "hi", "en", "hi", "be") * 4)
+    fit = pca_basis if method == "pca" else partial(ppa_basis, seed=3)
     calls = counted_factor(monkeypatch)
-    out = equal_rep_basis(dm, 6, ["en", "hi", "be"], method, seed=3)
+    out = equal_rep_basis(dm, 6, ["en", "hi", "be"], fit)
     assert calls == [8, 8, 4]  # one fit of each language's own rows
     tags = np.asarray(dm.row_languages)
-
-    def fit(rows):
-        return pca_basis(diffs(rows), 2) if method == "pca" else ppa_basis(diffs(rows), 2, seed=3)
-
-    own = {lang: fit(dm.rows[tags == lang]) for lang in ("en", "hi", "be")}
+    own = {lang: fit(diffs(dm.rows[tags == lang]), 2) for lang in ("en", "hi", "be")}
     sines = principal_angle_sines(out.basis, np.vstack([f.basis for f in own.values()]))
     assert sines.max() < 1e-12
     labeled = sorted(((score, lang) for lang, f in own.items() for score in f.scores),
@@ -382,18 +381,18 @@ def test_equal_rep_basis_refuses_a_direction_in_the_span_of_those_before_it(
         equal_rep_basis(dm, len(languages), languages)
 
 
-@pytest.mark.parametrize("method, rows, message", [
-    ("pca", [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
+@pytest.mark.parametrize("fit, rows, message", [
+    (pca_basis, [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
      "k=2 exceeds the numerical rank of the difference matrix; achievable k is 1"),
-    ("ppa", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    (ppa_basis, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
      "projection pursuit needs at least 4 difference rows, got 3"),
 ], ids=["pca-rank", "ppa-rows"])
-def test_equal_rep_basis_names_a_language_whose_rows_cannot_give_its_share(method, rows, message):
-    per_language = 2 if method == "pca" else 1
+def test_equal_rep_basis_names_a_language_whose_rows_cannot_give_its_share(fit, rows, message):
+    per_language = 2 if fit is pca_basis else 1
     aa = np.random.default_rng(1).standard_normal((6, 3))
     dm = diffs(np.vstack([aa, rows]), ("aa",) * 6 + ("bb",) * len(rows))
     with pytest.raises(ValueError) as refused:
-        equal_rep_basis(dm, 2 * per_language, ["aa", "bb"], method)
+        equal_rep_basis(dm, 2 * per_language, ["aa", "bb"], fit)
     assert str(refused.value) == (
         f"language 'bb' cannot give {per_language} direction(s): {message}")
 
@@ -401,9 +400,9 @@ def test_equal_rep_basis_names_a_language_whose_rows_cannot_give_its_share(metho
 def test_equal_rep_basis_refuses_a_language_without_rows_before_any_fit(monkeypatch):
     calls = counted_factor(monkeypatch)
     dm = diffs(np.random.default_rng(0).standard_normal((8, 6)), ("aa",) * 8)
-    for method in ("pca", "ppa"):
+    for fit in (pca_basis, ppa_basis):
         with pytest.raises(ValueError, match="language 'bb' has no rows in the difference matrix"):
-            equal_rep_basis(dm, 2, ["aa", "bb"], method)
+            equal_rep_basis(dm, 2, ["aa", "bb"], fit)
     assert calls == []
 
 
@@ -418,13 +417,48 @@ def test_equal_rep_basis_ignores_one_languages_scale_and_the_order_of_languages(
     np.testing.assert_allclose(equal_rep_basis(diffs(scaled, tags), 6, languages).basis,
                                equal_rep_basis(diffs(rows, tags), 6, languages).basis,
                                rtol=0, atol=1e-12)
-    for method in ("pca", "ppa"):
+    for fit in (pca_basis, partial(ppa_basis, seed=seed)):
         def projector(langs):
-            basis = equal_rep_basis(diffs(rows, tags), 3, langs, method, seed=seed).basis
+            basis = equal_rep_basis(diffs(rows, tags), 3, langs, fit).basis
             return basis.T @ basis
 
         np.testing.assert_allclose(projector([languages[i] for i in order]),
                                    projector(languages), rtol=0, atol=1e-12)
+
+
+def counted_calls(monkeypatch, name):
+    """The k of each call of ``subspace.<name>`` from now on, through any
+    module-level binding of it in the package, all of which the benchmark's
+    tracer rebinds; a fit it cannot see escapes the trace."""
+    calls, original = [], getattr(subspace, name)
+
+    def counted(rows, k, **kwargs):
+        calls.append(k)
+        return original(rows, k, **kwargs)
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("debias_embed.")]:
+        if vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["pca", "ppa"])
+def test_eqr_fits_each_language_through_the_module_level_estimator(monkeypatch, method):
+    lex = two_language_lexicon()
+    space = space_for_lexicon(lex, ["aa", "bb"], d=16, seed=4)
+    splits = {lang: split_pairs(lex, lang, train_count=4, seed=0) for lang in ("aa", "bb")}
+    calls = {name: counted_calls(monkeypatch, name) for name in ("pca_basis", "ppa_basis")}
+    config = debias.DebiasConfig(variant="eqr", method=method, k=4)
+    assert debias.run_variant(space, lex, config, splits, seed=0)[1].method == method
+    assert calls == {"pca_basis": [2, 2] * (method == "pca"),
+                     "ppa_basis": [2, 2] * (method == "ppa")}
+
+
+def test_equal_rep_basis_without_a_fit_calls_the_module_level_pca_basis(monkeypatch):
+    calls = counted_calls(monkeypatch, "pca_basis")
+    dm = diffs(np.random.default_rng(0).standard_normal((8, 6)), ("en", "hi") * 4)
+    assert equal_rep_basis(dm, 4, ["en", "hi"]).method == "pca"
+    assert calls == [2, 2]
 
 
 # stated before the first run: the mean over seeds 0-4 of the worst-covered
@@ -454,9 +488,9 @@ def test_eqr_covers_the_worst_language_of_the_offset_model_as_well_as_multi(coun
 def test_equal_rep_basis_refuses_an_uneven_k_before_any_fit(monkeypatch):
     calls = counted_factor(monkeypatch)
     dm = diffs(np.random.default_rng(0).standard_normal((8, 6)), ("en", "hi") * 4)
-    for method in ("pca", "ppa"):
+    for fit in (pca_basis, ppa_basis):
         with pytest.raises(ValueError, match="k=3 is not divisible by the language count 2"):
-            equal_rep_basis(dm, 3, ["en", "hi"], method)
+            equal_rep_basis(dm, 3, ["en", "hi"], fit)
     assert calls == []
 
 
