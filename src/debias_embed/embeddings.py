@@ -12,10 +12,9 @@ Parsing and formatting the text take most of a run's time, so
 :func:`save_vec` splits the rows into blocks of about ``BLOCK_BYTES`` and
 the blocks into one consecutive share for each CPU this process may use,
 capped by ``DEBIAS_EMBED_THREADS`` and by the number of full blocks, each
-share about as costly as the others; the blocks of a :class:`SpaceStream`,
-such as those :func:`load_vec` parses, are computed there too. Each share
-but the first is a text worker's, a :class:`~debias_embed.Worker`; at one
-CPU none is started. A row does not depend on the split, so the result
+share about as costly as the others; the blocks of a :class:`SpaceStream`
+are computed there too. Each share but the first is a text worker's, a
+:class:`~debias_embed.Worker`; at one CPU none is started. A row does not depend on the split, so the result
 does not depend on the number of CPUs.
 
 Each value is written as ``%.{p}g`` writes it. Up to 9 digits, a numpy
@@ -26,13 +25,18 @@ close to a rounding half for the kernel to certify its digits, is
 formatted by ``%``, as every row is above 9 digits. Either way the bytes
 are the same.
 
-Each value is read as ``float()`` reads it. A block is read about 64 KiB
-of lines at a time. A numpy kernel parses a chunk whose lines are each a
-word and its numbers, one space before each and maybe one before the LF,
-and whose numbers are each ``[-]d.f[e(+|-)dd]``, an integer of at most
-2**53 times a power of ten from -22 to 22: the usual fastText rows, ``%.8f``
-text and this module's output up to 15 digits. Any other chunk is read a
-line at a time, with the same values, line numbers and messages.
+Each value is read as ``float()`` reads it. :func:`load_vec` reads a file
+once, and only a regular file: every line is checked and the rows it holds
+parsed in that pass, the first fault raised in line order, into a matrix no
+larger than the file's bytes can fill, whatever its header declares; a
+:class:`SpaceStream` reads each block again when a pass needs it. Rows are
+parsed about 64 KiB of lines at a time. A numpy kernel parses a chunk whose
+lines are each a word and its numbers, one space before each and maybe one
+before the LF, and whose numbers are each ``[-]d.f[e(+|-)dd]``, an integer
+of at most 2**53 times a power of ten from -22 to 22: the usual fastText
+rows, ``%.8f`` text and this module's output up to 15 digits. Any other
+chunk is read a line at a time, with the same values, line numbers and
+messages.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import logging
 import os
 import re
 import shutil
+import stat
 from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -233,8 +238,7 @@ class SpaceStream:
     ``BLOCK_BYTES``, each computed anew, and on its own, from its byte range
     of the file whenever it is needed. A row does not depend on the split,
     so :func:`save_vec` computes the blocks on every CPU, one consecutive
-    share of them per process; :meth:`blocks` yields them in order, computed
-    in this process.
+    share of them per process.
     ``held`` is an EmbeddingSpace of the rows of the words :func:`load_vec`
     was told to hold, in file order (empty if the file has none of them),
     kept for lookups such as a subspace fit; a stream derived without one,
@@ -258,13 +262,6 @@ class SpaceStream:
 
     def __len__(self):
         return self._count
-
-    def blocks(self):
-        """Yield the rows block by block, computed anew in this process."""
-        for i in range(self._block_count):
-            space = self._block(i)
-            yield space
-            del space  # not alive while the next block is computed
 
     def derive(self, step, *, held=None, normalized: bool = False, cost: int = 0
                ) -> SpaceStream:
@@ -385,25 +382,31 @@ def _held_rows(lines, name, dim: int) -> np.ndarray:
                                      dim)
     if parsed:
         return parsed[1]
-    rows = np.empty((len(lines), dim))
-    for i, (lineno, line) in enumerate(lines):
-        rows[i] = next(_vec_rows([line], name, dim, lineno))[2]
-    return rows
+    # each row parsed before any is stored: a dim no line has allocates nothing
+    return np.array([next(_vec_rows([line], name, dim, lineno))[2] for lineno, line in lines]
+                    ).reshape(len(lines), dim)
 
 
 def _scan_vec(path, keep):
-    """First of two passes over a ``.vec`` file, for :func:`load_vec`.
+    """The one pass of :func:`load_vec` over a ``.vec`` file, or a stream's first.
 
-    Every line is decoded and checked for duplicates and the row count, but
-    only the rows of the words in ``keep`` are parsed, about ``_CHUNK_BYTES``
-    of their lines at a time by :func:`_held_rows`; an error is raised in
-    line order, as a read a line at a time would raise it. Returns the row
-    count; the dim; the blocks of about ``BLOCK_BYTES`` of rows, as
-    ``(offset, end, lineno, start, stop)``: the byte range and first line
-    number :func:`_read_rows` parses rows ``start:stop`` from, the last
-    block's range ending where the file did; the kept words, in file order;
-    and their rows, read-only.
+    Every line is decoded and checked for duplicates and the row count, and
+    the rows of the words in ``keep``, or of every word when ``keep`` is
+    None, are parsed about ``_CHUNK_BYTES`` of their lines at a time by
+    :func:`_held_rows`; the first fault is raised in line order, as a read a
+    line at a time would raise it. Their matrix is sized by what the file
+    can hold, as a row takes at least 2 bytes a component, never by the
+    header alone. A file that is not regular is refused before it is
+    opened: a FIFO's open would wait for a writer, and a pipe cannot seek.
+    Returns the row count; the dim; the blocks of about ``BLOCK_BYTES`` of
+    rows, as ``(offset, end, lineno, start, stop)``: the byte range and
+    first line number :func:`_file_block` parses rows ``start:stop`` from,
+    the last block's range ending where the file did; the held words, in
+    file order; and their rows, read-only.
     """
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        raise ValueError(f"{path}: a .vec input must be a regular file")
     # the default buffer, a file system block (often 4 KiB), holds about one
     # line of 300 values, so each line would take a read call of its own
     with open(path, "rb", buffering=_CHUNK_BYTES) as fh:
@@ -423,14 +426,15 @@ def _scan_vec(path, keep):
         starts = [(fh.tell(), 2)]
         seen: dict[str, int] = {}
         kept: list[str] = []
-        matrix = np.empty((min(count, len(keep)), dim))
+        matrix = np.empty((min(count, info.st_size // (2 * dim),
+                               count if keep is None else len(keep)), dim))
         held: list[tuple[int, bytes]] = []  # the lines of kept words not parsed yet
         size = 0  # their bytes
         lineno = 1
         try:
             for lineno, line, _, head in _vec_lines(fh, path):
                 word = head[1]
-                if word in keep:  # its row's errors come before its line's
+                if keep is None or word in keep:  # its row's errors come before its line's
                     held.append((lineno, line))
                     kept.append(word)
                     size += len(line)
@@ -467,7 +471,8 @@ def _scan_vec(path, keep):
     return count, dim, blocks, tuple(kept), matrix
 
 
-#: :func:`_read_rows` reads a block about this many bytes at a time
+#: the first pass parses held rows, and :func:`_file_block` reads a block, about
+#: this many bytes at a time
 _CHUNK_BYTES = 1 << 16
 
 #: 10**k for k = 0 ... 108, each correctly rounded (``10.0 ** k`` is not, at k = 106)
@@ -619,8 +624,8 @@ def _line_chunks(fh, size: int):
         yield b"".join((_MARGIN, rest, b"00"))
 
 
-def _read_rows(path, dim: int, block, out) -> list[str]:
-    """Parse one block of :func:`_scan_vec` into the rows of ``out``; return its words.
+def _file_block(path, language_tag: str, dim: int, blocks, i: int) -> EmbeddingSpace:
+    """Block i of a ``.vec`` file that :func:`_scan_vec` split into ``blocks``.
 
     The block is read a chunk of lines at a time. :func:`_kernel_parse`
     parses a chunk in its domain, and :func:`_vec_rows` any other chunk,
@@ -629,33 +634,27 @@ def _read_rows(path, dim: int, block, out) -> list[str]:
     shrank since the scan gives fewer rows. Duplicates and the row count
     are the scan's to check.
     """
-    offset, end, lineno, start, stop = block
+    offset, end, lineno, start, stop = blocks[i]
+    rows = np.empty((stop - start, dim))
     words: list[str] = []
     with open(path, "rb") as fh:
         fh.seek(offset)
         for chunk in _line_chunks(fh, end - offset):
-            left = stop - start - len(words)
+            left = len(rows) - len(words)
             parsed = _kernel_parse(chunk, dim)
             if parsed is None:
                 lines = io.BytesIO(chunk[_PAD:-2])
-                for _, word, row in islice(_vec_rows(lines, fh.name, dim, lineno), left):
-                    out[len(words)] = row
+                for _, word, row in islice(_vec_rows(lines, path, dim, lineno), left):
+                    rows[len(words)] = row
                     words.append(word)
                 lineno += chunk.count(b"\n")
             else:  # a line for each row
-                names, rows = parsed
-                out[len(words):len(words) + len(names[:left])] = rows[:left]
+                names, parsed_rows = parsed
+                rows[len(words):len(words) + len(names[:left])] = parsed_rows[:left]
                 words += names[:left]
                 lineno += len(names)
-            if len(words) == stop - start:
+            if len(words) == len(rows):
                 break
-    return words
-
-
-def _file_block(path, language_tag: str, dim: int, blocks, i: int) -> EmbeddingSpace:
-    """Block i of a ``.vec`` file that :func:`_scan_vec` split into ``blocks``."""
-    rows = np.empty((blocks[i][4] - blocks[i][3], dim))
-    words = _read_rows(path, dim, blocks[i], rows)
     rows = rows[: len(words)]
     rows.setflags(write=False)
     return EmbeddingSpace(language_tag, tuple(words), rows)
@@ -665,50 +664,42 @@ def load_vec(path, language_tag: str, hold=None) -> EmbeddingSpace | SpaceStream
     """Read a ``.vec`` file into an (unnormalized) EmbeddingSpace, or a
     :class:`SpaceStream` over it with ``hold``.
 
-    The file must be UTF-8; blank lines are skipped. A bad header, a row
-    with the wrong number of components, an unparseable or non-finite value,
-    an undecodable byte, a duplicate word and a row count that disagrees
-    with the header raise ValueError with the line number. A first pass
-    checks every line's word, so the last three come before any format
-    error of a row.
-    The rows are then parsed a block at a time and gathered.
+    The file is read once, as UTF-8, every line checked and every row
+    parsed; blank lines are skipped. The first fault in line order raises
+    ValueError with its line number: an undecodable byte, a bad header, a
+    row with the wrong number of components, an unparseable or non-finite
+    value, a duplicate word, or a row count that disagrees with the header.
+    A file that is not regular, such as a FIFO or a pipe, is refused by name
+    before it is opened. No header alone sizes an allocation: the matrix has
+    at most as many rows as the file's bytes can fill, at 2 a component.
 
-    Each value is the one ``float()`` gives for its text. A block is read in
-    chunks of about ``_CHUNK_BYTES`` that end at a line end, and a chunk
-    goes through the numpy kernel :func:`_kernel_parse` when every line is
+    Each value is the one ``float()`` gives for its text. The rows are read
+    in chunks of about ``_CHUNK_BYTES`` of whole lines, and a chunk goes
+    through the numpy kernel :func:`_kernel_parse` when every line is
     ``word SP num (SP num)*(dim - 1) [SP] LF`` with no other byte below
     0x21 and every number is ``[-]d.f[e(+|-)dd]`` with 1 to 16 fraction
     digits, an integer of its digits of at most 2**53 and a power of ten
     from -22 to 22. That covers values written with ``%.8f`` and this
     module's output up to 15 digits, ``1.23456789e-05`` forms included. Any
     other chunk, such as one with a tab, a CR, a blank line, ``0``, ``+0.5``
-    or 17 digits, is read by the per-line reader from its first line, so
+    or 17 digits, is read by the per-line reader a line at a time, so
     values, line numbers and messages do not depend on the path.
 
     With ``hold``, a set of words, the rows are streamed instead of held: a
     :class:`SpaceStream` is returned that holds only those words' rows and
-    reads the file again on each pass over its blocks. Every line is
-    decoded and checked for duplicates and the row count at once, and the
-    held rows parsed, by the kernel where it can, an error raised in line
+    reads the file again on each pass over its blocks. The same first pass
+    checks every line and parses only the held rows, a fault raised in line
     order; the other rows' format errors surface when a pass reaches them.
     The CLI's ``report`` uses ``held`` alone and makes no pass, so it parses
     only the rows it looks up. The stream pickles, so a worker can return
     it: its blocks are read from the file by whoever computes them.
     """
-    count, dim, blocks, kept, rows = _scan_vec(path, set() if hold is None else hold)
+    count, dim, blocks, kept, rows = _scan_vec(path, hold)
+    held = EmbeddingSpace(language_tag, kept, rows)
+    if hold is None:
+        return held
     block = partial(_file_block, path, language_tag, dim, blocks)  # pickled with the stream
-    stream = SpaceStream(language_tag, count, dim, block, len(blocks),
-                         held=EmbeddingSpace(language_tag, kept, rows))
-    if hold is not None:
-        return stream
-    matrix, vocab = np.empty((count, dim)), []
-    for part in stream.blocks():
-        matrix[len(vocab):len(vocab) + len(part)] = part.matrix
-        vocab += part.vocab
-    if len(vocab) != count:
-        raise ValueError(f"{path}: {len(vocab)} rows read, but the header declares {count}")
-    matrix.setflags(write=False)
-    return EmbeddingSpace(language_tag, tuple(vocab), matrix)
+    return SpaceStream(language_tag, count, dim, block, len(blocks), held=held)
 
 
 #: the most significant digits :func:`_kernel_rows` writes; above, every row goes through ``%``

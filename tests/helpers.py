@@ -4,12 +4,14 @@ import importlib.util
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import debias_embed
 from debias_embed.embeddings import EmbeddingSpace
 from debias_embed.lexicon import GenderLexicon, GenderPair, NeutralWords, SeedSets
 
@@ -34,6 +36,45 @@ def load_generator():
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+#: the code :func:`run_isolated` runs by default: the CLI, on two CPUs
+CLI = ("import os, sys\n"
+       "from debias_embed import cli\n"
+       "os.sched_getaffinity = lambda pid: {0, 1}\n"
+       "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+def run_isolated(argv, threads, code=CLI, pass_fds=(), timeout=60):
+    """``(returncode, stdout, stderr)`` of ``code``, by default the CLI, run
+    with ``argv`` and ``DEBIAS_EMBED_THREADS=threads`` in a child process of
+    its own session, ``pass_fds`` left open in it.
+
+    A run that has not ended after ``timeout`` s is killed with every
+    process of its session and fails the test, so a hang fails one test
+    instead of stalling the suite; a run that ends must leave no process of
+    its session behind.
+    """
+    env = dict(os.environ, DEBIAS_EMBED_THREADS=str(threads),
+               PYTHONPATH=os.path.dirname(os.path.dirname(debias_embed.__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", code, *map(str, argv)], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, pass_fds=pass_fds,
+                            start_new_session=True)  # its workers share its process group
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"the run did not end within {timeout} s")
+    with pytest.raises(ProcessLookupError):  # no worker outlives the run
+        os.killpg(proc.pid, 0)
+    return proc.returncode, out, err
+
+
+def stream_blocks(stream):
+    """Each block of the :class:`~debias_embed.embeddings.SpaceStream`
+    ``stream``, in order, computed anew in this process."""
+    return (stream._block(i) for i in range(stream._block_count))
 
 
 def unit_rows(rng, n, d):

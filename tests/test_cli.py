@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import signal
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +22,7 @@ from helpers import (
     inline_and_on_workers,
     load_script,
     orthonormal_rows,
+    run_isolated,
     unit_rows,
 )
 from planted import language_world
@@ -408,36 +408,73 @@ def test_a_named_pipe_input_is_read_once_and_gets_a_null_digest(tmp_path, en_vec
     _, _, hi_vec, dictionary = rotated_copy(tmp_path, en_vec)
     fifo = tmp_path / "dict.fifo"
     os.mkfifo(fifo)
-    code = ("import os, sys\n"
-            "from debias_embed import cli\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n")
-    env = dict(os.environ, DEBIAS_EMBED_THREADS=threads,
-               PYTHONPATH=os.path.dirname(os.path.dirname(debias_embed.__file__)))
     argv = ["align", "--src", en_vec, "--src-lang", "en", "--tgt", hi_vec, "--tgt-lang", "hi",
             "--dict", fifo, "--out", tmp_path / "a.vec"]
     writer = subprocess.Popen([sys.executable, "-c", "import shutil, sys; shutil.copyfileobj("
                                "open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))",
                                dictionary, fifo])
-    proc = subprocess.Popen([sys.executable, "-c", code, *map(str, argv)], env=env, text=True,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            start_new_session=True)  # its workers share its process group
     try:
-        out, err = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("the run did not end within 60 s")
+        code, out, err = run_isolated(argv, threads)
     finally:
         writer.kill()
         writer.wait()
-    assert proc.returncode == 0, err
+    assert code == 0, err
     assert out == f"aligned with 40 of 40 dictionary pair(s) -> {tmp_path / 'a.vec'}\n"
-    with pytest.raises(ProcessLookupError):  # no worker outlives the run
-        os.killpg(proc.pid, 0)
     manifest = json.loads((tmp_path / "a.vec.manifest.json").read_text(encoding="utf-8"))
     assert manifest["inputs"] == {en_vec: sha256(en_vec), str(hi_vec): sha256(hi_vec),
                                   str(fifo): None}
+
+
+#: loading the ``.vec`` file argv[1] alone, as a library caller does
+LOAD = ("import sys\n"
+        "from debias_embed.embeddings import load_vec\n"
+        "load_vec(sys.argv[1], 'en')\n")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ["fifo", "pipe"])
+@pytest.mark.parametrize("reader", ["load_vec", "report", "debias"])
+def test_a_vec_input_that_is_not_a_regular_file_is_refused_by_name(tmp_path, en_vec, reader,
+                                                                  kind, threads):
+    # a FIFO with no writer would block the open forever, and a pipe cannot seek
+    writer = None
+    if kind == "fifo":
+        path, fds = tmp_path / "en.fifo", ()
+        os.mkfifo(path)
+    else:  # as the shell's <(cat en.vec) gives it
+        writer = subprocess.Popen(["cat", en_vec], stdout=subprocess.PIPE)
+        fds = (writer.stdout.fileno(),)
+        path = f"/dev/fd/{fds[0]}"
+    out = tmp_path / "out"
+    argv = {"load_vec": [path],
+            "report": ["report", "--xscore", "--languages", "en", "--emb", path,
+                       "--json", out / "r.json"],
+            "debias": ["debias", "--languages", "en", "--emb", path, "--out", out / "o.vec"]}
+    out.mkdir()
+    try:
+        code, stdout, err = run_isolated(argv[reader], threads,
+                                         **({"code": LOAD} if reader == "load_vec" else {}),
+                                         pass_fds=fds)
+    finally:
+        if writer is not None:
+            writer.kill()
+            writer.wait()
+            writer.stdout.close()
+    assert code == 1
+    message = f"{path}: a .vec input must be a regular file"
+    if reader == "load_vec":
+        assert err.endswith(f"ValueError: {message}\n")
+    else:
+        assert (stdout, err) == ("", f"debias-embed: {message}\n")
+    assert os.listdir(out) == []  # no output, no manifest
+
+
+def test_a_header_alone_sizes_no_allocation(tmp_path, capsys):
+    path = tmp_path / "big.vec"
+    path.write_text("2 100000000000\nhe 0.1 0.2\nshe 0.3 0.4\n", encoding="utf-8")
+    assert run(["report", "--xscore", "--languages", "en", "--emb", path]) == 1
+    assert capsys.readouterr().err == (f"debias-embed: {path}: line 2: expected 100000000000"
+                                       " components for 'he', found 2\n")
 
 
 def test_the_digest_worker_is_forked_before_numpy_loads(tmp_path, en_vec):

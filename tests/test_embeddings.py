@@ -25,7 +25,8 @@ from debias_embed.embeddings import (
     staged,
 )
 from debias_embed.subspace import BiasSubspace
-from helpers import inline_and_on_workers, orthonormal_rows, random_space, unit_rows
+from helpers import (inline_and_on_workers, orthonormal_rows, random_space, stream_blocks,
+                     unit_rows)
 from oracles import vec_text
 
 
@@ -491,13 +492,13 @@ def test_held_load_parses_only_held_rows_and_its_blocks_parse_all(tmp_path, monk
     assert stream.held.vocab == ("king", "queen")
     np.testing.assert_array_equal(stream.held.matrix, [[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="line 3: unparseable number in row for 'odd'"):
-        list(stream.blocks())
+        list(stream_blocks(stream))
     with pytest.raises(ValueError, match="line 4: duplicate word 'king' \\(first seen at line 2\\)"):
         load_vec(write_vec(tmp_path / "b.vec", ["3 1", "king 1", "q 2", "king 3"]), "en", hold=set())
 
     monkeypatch.setattr("debias_embed.embeddings.BLOCK_BYTES", 2 * 2 * 8)  # two rows a block
     p = write_vec(tmp_path / "c.vec", ["5 2"] + [f"w{i} {i} 1" for i in range(5)])
-    blocks = list(load_vec(p, "en", hold=set()).blocks())
+    blocks = list(stream_blocks(load_vec(p, "en", hold=set())))
     assert [b.vocab for b in blocks] == [("w0", "w1"), ("w2", "w3"), ("w4",)]
     np.testing.assert_array_equal(np.vstack([b.matrix for b in blocks]), load_vec(p, "en").matrix)
 
@@ -510,7 +511,7 @@ def test_stream_normalized_rows_equal_the_held_space(tmp_path, monkeypatch):
     stream = normalize(load_vec(path, "xx", hold={"w0002"}))
     assert stream.normalized and stream.held.normalized
     np.testing.assert_array_equal(stream.held.matrix, space.matrix[[2]])
-    rows = [b.matrix for b in stream.blocks()]
+    rows = [b.matrix for b in stream_blocks(stream)]
     np.testing.assert_array_equal(np.vstack(rows), space.matrix)
     assert [len(r) for r in rows] == [4, 4, 1]
 

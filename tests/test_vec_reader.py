@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from debias_embed import embeddings
 from debias_embed.embeddings import BLOCK_BYTES, load_vec, normalize, save_vec
-from helpers import inline_and_on_workers, random_space, unit_rows
+from helpers import inline_and_on_workers, random_space, stream_blocks, unit_rows
 from oracles import vec_rows
 
 
@@ -25,6 +25,13 @@ def write_text(path, dim, lines):
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def streamed(path):
+    """The words and rows of a pass over every block of a stream of ``path``,
+    which its first pass does not parse."""
+    blocks = list(stream_blocks(load_vec(path, "xx", hold=set())))
+    return [word for block in blocks for word in block.vocab], np.vstack([b.matrix for b in blocks])
 
 
 signs = st.sampled_from(["", "-"])
@@ -83,8 +90,11 @@ def test_load_gives_float_of_every_token_whichever_path_a_chunk_takes(
         patch.setattr(embeddings, "_CHUNK_BYTES", chunk)
         space = load_vec(path, "xx")
         held = load_vec(path, "xx", hold=set(words[::2])).held  # parsed in the first pass
+        passed = streamed(path)
     assert list(space.vocab) == words
     assert same_bits(space.matrix, rows)
+    assert passed[0] == words
+    assert same_bits(passed[1], rows)
     assert list(held.vocab) == words[::2]
     assert same_bits(held.matrix, rows[::2])
 
@@ -125,7 +135,7 @@ def test_generated_and_saved_files_are_parsed_by_the_kernel_alone(tmp_path, monk
     assert b"e-05" in saved.read_bytes()  # exponent forms are in the kernel's domain too
     for path in (generated, str(saved)):
         kernel_calls.clear()
-        blocks = list(load_vec(path, "xx", hold=set()).blocks())
+        blocks = list(stream_blocks(load_vec(path, "xx", hold=set())))
         assert sum(len(b) for b in blocks) == 2000
         assert len(kernel_calls) > len(blocks) and None not in kernel_calls
 
@@ -168,14 +178,18 @@ def test_rows_outside_the_kernel_read_as_the_per_line_reader_reads_them(
     path, _ = write_text(tmp_path / "odd.vec", 3, lines)
     expected = reference_read(path, 3)
     if isinstance(expected, str):
-        with pytest.raises(ValueError) as err:
-            load_vec(path, "xx")
-        assert str(err.value) == expected
+        for read in (lambda: load_vec(path, "xx"), lambda: streamed(path)):
+            with pytest.raises(ValueError) as err:
+                read()
+            assert str(err.value) == expected
         assert "line 4: non-finite component for 'w2'" in expected
     else:
         space = load_vec(path, "xx")
         assert list(space.vocab) == expected[0]
         assert same_bits(space.matrix, expected[1])
+        words, rows = streamed(path)
+        assert words == expected[0]
+        assert same_bits(rows, expected[1])
     if odd in (ODD_ROWS["token 1_0"], ODD_ROWS["token ১"]):  # as float() reads them
         assert space.matrix[2, 1] == {"1_0": 10.0, "১": 1.0}[odd[0].split()[2]]
 
@@ -197,6 +211,35 @@ def test_the_first_pass_parses_held_rows_by_the_kernel_a_chunk_of_lines_at_a_tim
     assert same_bits(held.matrix, load_vec(path, "xx").matrix[::2])
 
 
+def test_a_full_load_opens_its_file_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 3 * 8)  # four rows a block: six blocks
+    path, text = write_text(tmp_path / "a.vec", 3, fixed_width_rows(24, 3))
+    opened = []
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(embeddings, "open", counted, raising=False)
+    space = load_vec(path, "xx")
+    assert opened == [path]
+    assert same_bits(space.matrix, vec_rows(text, 3)[1])
+
+
+@pytest.mark.parametrize("hold", [None, {"he"}], ids=["full", "held"])
+@pytest.mark.parametrize("header, message", [
+    ("2 100000000000", "line 2: expected 100000000000 components for 'he', found 2"),
+    (f"{10**12} 2", f"line 3: header declared {10**12} rows, found 2"),
+], ids=["dim", "count"])
+def test_no_header_alone_sizes_an_allocation(tmp_path, header, message, hold):
+    # every row takes at least 2 bytes a component, so the file bounds the rows it holds
+    path = tmp_path / "a.vec"
+    path.write_text(f"{header}\nhe 0.1 0.2\nshe 0.3 0.4\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_vec(str(path), "xx", hold=hold)
+    assert str(err.value) == f"{path}: {message}"
+
+
 #: faults the first pass finds: in a held row, and in a line whatever its word
 ROW_FAULT = (lambda line: line[:-2] + "x\n", "unparseable number in row for {word!r}")
 LINE_FAULTS = {
@@ -216,13 +259,15 @@ def test_the_first_pass_raises_the_first_fault_in_line_order(tmp_path, order, fa
     lines[line] = plant(lines[line])
     path = tmp_path / "a.vec"
     path.write_bytes(("12 3\n" + "".join(lines)).encode("utf-8", "surrogateescape"))
-    with pytest.raises(ValueError) as err:
-        load_vec(str(path), "xx", hold={f"w{i:03d}" for i in range(12)})
     if order == "row-first" or (order == "same-line" and fault == "duplicate"):
         word = lines[row].split()[0]
-        assert str(err.value) == f"{path}: line {row + 2}: " + ROW_FAULT[1].format(word=word)
+        expected = f"{path}: line {row + 2}: " + ROW_FAULT[1].format(word=word)
     else:  # a bad byte is found before the row is read
-        assert str(err.value) == f"{path}: line {line + 2}: {message}"
+        expected = f"{path}: line {line + 2}: {message}"
+    for hold in ({f"w{i:03d}" for i in range(12)}, None):  # every word held, then a full load
+        with pytest.raises(ValueError) as err:
+            load_vec(str(path), "xx", hold=hold)
+        assert str(err.value) == expected
 
 
 #: a planted fault, of the same length as the bytes it replaces, and its message
@@ -278,7 +323,7 @@ def test_a_pass_over_a_stream_holds_a_block_and_a_chunk_not_the_space(tmp_path, 
     stream = load_vec(path, "xx", hold=set())
     tracemalloc.start()
     try:
-        for block in stream.blocks():
+        for block in stream_blocks(stream):
             del block
         peak = tracemalloc.get_traced_memory()[1]
     finally:
