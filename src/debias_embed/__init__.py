@@ -8,11 +8,12 @@ projection debiasing, and intrinsic/extrinsic bias metrics.
 Every name in a library module's ``__all__`` (each module but ``cli``)
 is also importable from the package itself. Those modules are imported
 lazily, only when a name is first looked up, so that the command-line
-entry point can cap BLAS thread pools before numpy loads.
-``DEBIAS_EMBED_THREADS`` (see :func:`thread_cap`) caps those pools and the
-processes that share a run's work (:func:`cpus`), each a :class:`Worker`.
+entry point can set BLAS to one thread before numpy loads.
+``DEBIAS_EMBED_THREADS`` (see :func:`thread_cap`) caps the processes that
+share a run's work (:func:`cpus`), each a :class:`Worker`.
 """
 
+import logging
 import os
 import pickle
 import signal
@@ -29,8 +30,9 @@ _MODULES = ("manifest", "embeddings", "lexicon", "align", "subspace", "debias", 
 def thread_cap() -> int | None:
     """The positive integer in ``DEBIAS_EMBED_THREADS``, or None if it is unset or empty.
 
-    It caps the BLAS thread pools and the number of processes that share a
-    run's work (:func:`cpus`). Any other value raises ValueError.
+    It caps the number of processes that share a run's work (:func:`cpus`);
+    the command line runs BLAS at one thread in each. Any other value
+    raises ValueError.
     """
     threads = os.environ.get("DEBIAS_EMBED_THREADS")
     if not threads:
@@ -50,15 +52,29 @@ def cpus() -> int:
     return min(count, thread_cap() or count)
 
 
+class _Kept(logging.Handler):
+    """Keeps each record it is given, its message formatted, so that it pickles."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
 class Worker:
     """A forked process that runs ``task()`` and sends one reply, pickled,
-    through a pipe: what the task returned, or the exception it raised.
+    through a pipe: what the task returned, or the exception it raised,
+    with the package's log records the task made.
 
     Workers are forked, not spawned: they start at once, without importing
     numpy again, and share the state of ``task``, such as the space being
     written and the block layout of the file it is read from, without
-    pickling it. Only the calling thread is copied; a worker runs no BLAS,
-    whose own threads OpenBLAS stops and restarts around a fork. A worker
+    pickling it. Only the calling thread is copied, so a worker may run
+    BLAS when its pool has one thread, as the command line sets it; OpenBLAS
+    stops and restarts a larger pool's own threads around a fork. A worker
     exits without cleaning up the state it shares with this process.
     ``kind`` names it in the error of a worker that died.
     """
@@ -78,24 +94,30 @@ class Worker:
             return
         try:  # a reply not sent is seen as the pipe's end
             os.close(r)
+            kept = _Kept()
+            logger = logging.getLogger(__name__)
+            logger.handlers, logger.propagate = [kept], False  # handled by the parent instead
             try:
                 reply = True, task()
             except Exception as exc:  # sent, to be raised in its turn
                 reply = False, exc
-            with open(w, "wb") as out:
-                out.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))  # all or nothing is sent
+            with open(w, "wb") as out:  # all or nothing is sent
+                out.write(pickle.dumps((*reply, kept.records), pickle.HIGHEST_PROTOCOL))
         finally:
             os._exit(0)
 
     def result(self, what: str):
-        """What the task returned, or the exception it raised, raised here; a
-        worker that died before it replied raises ChildProcessError naming
-        ``what`` it was to send."""
+        """What the task returned, or the exception it raised, raised here,
+        after the log records the task made are handled here, as they would
+        have been had it run here; a worker that died before it replied
+        raises ChildProcessError naming ``what`` it was to send."""
         try:
-            ok, reply = pickle.load(self._pipe)
+            ok, reply, records = pickle.load(self._pipe)
         except EOFError:
             raise ChildProcessError(
                 f"{self.kind} worker {self.pid} died before sending {what}") from None
+        for record in records:
+            logging.getLogger(record.name).handle(record)
         if not ok:
             raise reply
         return reply

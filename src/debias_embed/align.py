@@ -156,8 +156,11 @@ def procrustes_fit(
             len(rows_x),
             source.dim,
         )
-    # the gathered pairs are freed before the SVD and its workspace are allocated
-    u, _, vt = np.linalg.svd(target.matrix[rows_y].T @ source.matrix[rows_x])
+    # the gathered pairs, and the spaces when the caller holds them no more,
+    # are freed before the SVD and its workspace are allocated
+    cross = target.matrix[rows_y].T @ source.matrix[rows_x]
+    del source, target
+    u, _, vt = np.linalg.svd(cross)
     w = u @ vt
     return OrthogonalMap(w, len(rows_x))
 

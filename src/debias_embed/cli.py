@@ -6,19 +6,22 @@ writes one ``<first output>.manifest.json`` recording the command line,
 config, seeds, the fingerprints of what it read and wrote, and its warnings;
 ``report`` writes files only with ``--json``.
 
-Set ``DEBIAS_EMBED_THREADS`` to cap the BLAS thread pools and the processes
-that share a run's work; the BLAS cap is applied before numpy is first
+Every run does its BLAS work at one thread, set before numpy is first
 imported, which is why the heavy submodules are imported lazily inside the
-subcommand handlers. With more than one CPU a run starts forked workers
-(:class:`~debias_embed.Worker`): a digest worker, forked before numpy loads,
-hashes the inputs for the manifest while the run goes on, so the manifest
-takes digests made during the run, not after it; two scan workers read the
-two ``.vec`` inputs of ``align`` and of a before/after ``report`` (unless
-``--corpus-after`` is given) side by side, so this process parses no
+subcommand handlers; its parallelism comes from processes alone, so its
+outputs do not depend on how many run. ``DEBIAS_EMBED_THREADS`` caps the
+processes that share a run's work. With more than one CPU a run starts
+forked workers (:class:`~debias_embed.Worker`): a digest worker, forked
+before numpy loads, hashes the inputs for the manifest while the run goes
+on, so the manifest takes digests made during the run, not after it; two
+scan workers read the two ``.vec`` inputs of ``align`` and of a
+before/after ``report --inbias`` side by side, so this process parses no
 ``.vec`` text until it writes, which keeps the parse kernel's numpy code out
-of its peak memory; and :func:`~.embeddings.save_vec`'s text workers format
-``.vec`` output. With ``DEBIAS_EMBED_THREADS=1`` none starts. The outputs
-are hashed once written.
+of its peak memory; ``report --exbias`` with one corpus for both runs reads
+the before space on a scan worker and reads and fits the after run on a fit
+worker, beside its before fit; and :func:`~.embeddings.save_vec`'s text
+workers format ``.vec`` output. With ``DEBIAS_EMBED_THREADS=1`` none starts.
+The outputs are hashed once written.
 """
 
 from __future__ import annotations
@@ -39,18 +42,36 @@ __all__ = ["main", "build_parser"]
 log = logging.getLogger(__name__)
 
 
+#: the names an OpenBLAS build may export its thread-count setter under
+_BLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                 "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+
+
 def _apply_thread_cap() -> None:
-    """Cap each BLAS thread pool at ``DEBIAS_EMBED_THREADS``: a pool variable
-    already set to a smaller positive integer stays, any other value is
-    replaced by the cap."""
-    threads = thread_cap()
-    if threads is None:
-        return
+    """Check ``DEBIAS_EMBED_THREADS`` (ValueError) and run BLAS at one thread.
+
+    Each BLAS pool variable is set to 1, which numpy reads when it loads.
+    A numpy loaded before, by a caller of :func:`main`, has its OpenBLAS
+    pool set to one thread through the setter the library exports, when it
+    exports one of ``_BLAS_SETTERS``.
+    """
+    thread_cap()
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if not (value.isdecimal() and 1 <= int(value) < threads):
-            os.environ[var] = str(threads)
+        os.environ[var] = "1"
+    if "numpy" in sys.modules:
+        import ctypes
+
+        from numpy.linalg import _umath_linalg
+
+        # a symbol is looked up in the library and in those it links, BLAS among them
+        library = ctypes.CDLL(_umath_linalg.__file__)
+        for name in _BLAS_SETTERS:
+            if hasattr(library, name):
+                setter = getattr(library, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
 
 
 def _at_least(minimum: int):
@@ -221,6 +242,12 @@ def _load_lexicon(source: str):
 # config: the values that no option holds, or None when the run wrote no file.
 
 
+def _take_held(stream):
+    """The held rows of ``stream``, which no longer holds them."""
+    held, stream.held = stream.held, None
+    return held
+
+
 def cmd_align(args):
     from . import align as alignmod
     from . import embeddings as emb
@@ -240,7 +267,9 @@ def cmd_align(args):
                  ) as load_target):
         source = emb.normalize(load_source())
         target = emb.normalize(load_target())
-    mapping = alignmod.procrustes_fit(source.held, target.held, dictionary)
+    # the fit's arguments hold the only references to the dictionary rows,
+    # so they are freed once it has formed their cross-covariance
+    mapping = alignmod.procrustes_fit(_take_held(source), _take_held(target), dictionary)
     aligned = emb.normalize(alignmod.apply_map(mapping, source))
     if args.merged_out:
         alignmod.save_merged(aligned, target, args.out, args.merged_out, args.precision)
@@ -400,18 +429,21 @@ def _report_exbias(args, languages, lexicon):
         clf = extrinsic.train_classifier(emb.normalize(read()), train, args.corpus_lang)
         return extrinsic.evaluate_gap(clf, test), clf.fit
 
+    def run_after(corpus):
+        return run(_held_reader(args.emb_after, tag, corpus[2]), corpus)
+
     corpus = read_corpus(args.corpus)
-    # with one corpus for both, the two spaces are read side by side on scan workers
+    # with one corpus for both runs, the before space is read on a scan worker
+    # while the after run is read and fitted on a fit worker, beside the
+    # before fit, which stays here so that a profile of this process sees a fit
     both = bool(args.emb_after) and not args.corpus_after
     with (_ahead("scan", _held_reader(args.emb, tag, corpus[2]), both) as read_before,
-          _ahead("scan", _held_reader(args.emb_after, tag, corpus[2]), both) as read_after):
+          _ahead("fit", lambda: run_after(corpus), both) as fit_after):
         before, fit = run(read_before, corpus)
         rows, fits = [("orig", before, None)], [fit]
         if args.emb_after:
-            if args.corpus_after:
-                corpus = read_corpus(args.corpus_after)
-                read_after = _held_reader(args.emb_after, tag, corpus[2])
-            after, fit = run(read_after, corpus)
+            after, fit = (run_after(read_corpus(args.corpus_after)) if args.corpus_after
+                          else fit_after())
             rows.append(("debiased", after, extrinsic.compare_runs(before, after)))
             fits.append(fit)
     table = extrinsic.format_gap_table(rows)

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import importlib.util
+import json
 import multiprocessing
 import os
 import signal
@@ -45,17 +46,26 @@ CLI = ("import os, sys\n"
        "sys.exit(cli.main(sys.argv[1:]))\n")
 
 
-def run_isolated(argv, threads, code=CLI, pass_fds=(), timeout=60):
+#: the variables that size the BLAS thread pools when numpy loads
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS")
+
+
+def run_isolated(argv, threads, code=CLI, pass_fds=(), timeout=60, blas=None):
     """``(returncode, stdout, stderr)`` of ``code``, by default the CLI, run
     with ``argv`` and ``DEBIAS_EMBED_THREADS=threads`` in a child process of
-    its own session, ``pass_fds`` left open in it.
+    its own session, ``pass_fds`` left open in it, each of
+    ``BLAS_THREAD_VARS`` set to ``blas``, or unset when it is None.
 
     A run that has not ended after ``timeout`` s is killed with every
     process of its session and fails the test, so a hang fails one test
     instead of stalling the suite; a run that ends must leave no process of
     its session behind.
     """
-    env = dict(os.environ, DEBIAS_EMBED_THREADS=str(threads),
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if blas is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, blas))
+    env.update(DEBIAS_EMBED_THREADS=str(threads),
                PYTHONPATH=os.path.dirname(os.path.dirname(debias_embed.__file__)))
     proc = subprocess.Popen([sys.executable, "-c", code, *map(str, argv)], env=env, text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, pass_fds=pass_fds,
@@ -69,6 +79,35 @@ def run_isolated(argv, threads, code=CLI, pass_fds=(), timeout=60):
     with pytest.raises(ProcessLookupError):  # no worker outlives the run
         os.killpg(proc.pid, 0)
     return proc.returncode, out, err
+
+
+def same_at_each_thread_count(argv, outputs, timeout=120):
+    """``(returncode, stdout, stderr, files)`` of the CLI run ``argv``,
+    checked to be the same at ``DEBIAS_EMBED_THREADS`` 1 and 2, each with
+    ``BLAS_THREAD_VARS`` unset and set to 2, as the benchmark sets them.
+
+    ``files`` maps the name of each path of ``outputs`` that the run left to
+    its bytes, or, for a manifest (a ``.manifest.json`` name), to its JSON
+    less ``created_at``. Each run is made by :func:`run_isolated`, and its
+    outputs are removed once read, so that each run writes its own.
+    """
+    runs = {}
+    for threads in (1, 2):
+        for blas in (None, "2"):
+            code, out, err = run_isolated(argv, threads, timeout=timeout, blas=blas)
+            files = {}
+            for path in map(Path, outputs):
+                if path.exists():
+                    files[path.name] = path.read_bytes()
+                    if path.name.endswith(".manifest.json"):
+                        files[path.name] = json.loads(files[path.name])
+                        del files[path.name]["created_at"]
+                    path.unlink()
+            runs[threads, blas] = code, out, err, files
+    first = runs[1, None]
+    for setting, result in runs.items():
+        assert result == first, f"DEBIAS_EMBED_THREADS, BLAS threads {setting} differ from (1, None)"
+    return first
 
 
 def stream_blocks(stream):
@@ -133,9 +172,8 @@ def inline_and_on_workers(monkeypatch, run, forks=True, cpus=2):
     ``forks``, and that no worker outlives it. Each run gets 60 s, so that a
     lost result fails the test instead of hanging it.
     """
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)  # the CLI sets them from the cap
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)  # the CLI sets them
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     forked = []
     fork = os.fork

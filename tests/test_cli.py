@@ -19,10 +19,13 @@ from debias_embed.intrinsic import inbias
 from debias_embed.lexicon import builtin_lexicon, split_pairs
 from debias_embed.subspace import save_subspace
 from helpers import (
+    BLAS_THREAD_VARS,
+    CLI,
     inline_and_on_workers,
     load_script,
     orthonormal_rows,
     run_isolated,
+    same_at_each_thread_count,
     unit_rows,
 )
 from planted import language_world
@@ -1011,24 +1014,19 @@ def test_thread_cap_validation(monkeypatch, capsys):
             capsys.readouterr().err)
 
 
-BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS")
-
-
-@pytest.mark.parametrize("cap, before, after", [
-    ("1", ("2", "8", "1", None), ("1", "1", "1", "1")),
-    ("4", ("1", "3", "4", "16"), ("1", "3", "4", "4")),
-    ("2", ("0", "auto", "2,1", ""), ("2", "2", "2", "2")),
-], ids=["larger-lowered", "smaller-kept", "not-an-integer-replaced"])
-def test_thread_cap_lowers_every_blas_pool_above_it(monkeypatch, cap, before, after):
-    monkeypatch.setenv("DEBIAS_EMBED_THREADS", cap)
-    for var, value in zip(BLAS_THREAD_VARS, before):
+@pytest.mark.parametrize("cap", ["1", "2", "4", None])
+@pytest.mark.parametrize("before", [
+    ("2", "8", "1", None), ("1", "3", "4", "16"), ("0", "auto", "2,1", ""), (None,) * 4,
+], ids=["larger", "smaller", "not-an-integer", "unset"])
+def test_every_blas_pool_runs_at_one_thread_whatever_the_cap(monkeypatch, cap, before):
+    for var, value in zip(("DEBIAS_EMBED_THREADS", *BLAS_THREAD_VARS), (cap, *before)):
+        monkeypatch.setenv(var, "")  # restored after the test, whatever the run sets
         if value is None:
-            monkeypatch.delenv(var, raising=False)
+            monkeypatch.delenv(var)
         else:
             monkeypatch.setenv(var, value)
     cli._apply_thread_cap()
-    assert tuple(os.environ[var] for var in BLAS_THREAD_VARS) == after
+    assert tuple(os.environ[var] for var in BLAS_THREAD_VARS) == ("1",) * 4
 
 
 def test_console_script_entry_point(tmp_path, en_vec):
@@ -1257,29 +1255,22 @@ def test_malformed_row_after_the_first_block_leaves_no_output(tmp_path, capsys):
 
 
 def debias_at_each_thread_count(tmp_path, argv):
-    """The bytes of ``debias <argv> --out ...`` and its subspace JSON, run
-    once at DEBIAS_EMBED_THREADS=1 and once at 2."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(debias_embed.__file__))
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"out{threads}.vec"
-        proc = subprocess.run(
-            [sys.executable, "-m", "debias_embed.cli", "debias", *argv, "--out", str(out)],
-            env=dict(env, DEBIAS_EMBED_THREADS=threads), capture_output=True, text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        subspace = tmp_path / f"out{threads}.vec.subspace.json"
-        outputs.append((out.read_bytes(), subspace.read_bytes()))
-    return outputs
+    """The names of the files ``debias <argv> --out ...`` writes, the same at
+    each thread count (:func:`helpers.same_at_each_thread_count`)."""
+    out = tmp_path / "out.vec"
+    code, _, err, files = same_at_each_thread_count(
+        ["debias", *argv, "--out", out], [out, f"{out}.subspace.json", f"{out}.manifest.json"])
+    assert code == 0, err
+    return sorted(files)
+
+
+DEBIAS_OUTPUTS = ["out.vec", "out.vec.manifest.json", "out.vec.subspace.json"]
 
 
 def test_precision_17_output_does_not_depend_on_the_thread_count(tmp_path):
     emb = write_lexicon_rows(tmp_path / "en.vec", 1000)
-    first, second = debias_at_each_thread_count(
-        tmp_path, ["--emb", emb, "--languages", "en", "--precision", "17"])
-    assert first == second
+    assert debias_at_each_thread_count(
+        tmp_path, ["--emb", emb, "--languages", "en", "--precision", "17"]) == DEBIAS_OUTPUTS
 
 
 @pytest.mark.parametrize("flags", [
@@ -1290,9 +1281,94 @@ def test_precision_17_output_does_not_depend_on_the_thread_count(tmp_path):
 def test_multilingual_output_does_not_depend_on_the_thread_count(tmp_path, flags):
     tags = ("en", "hi", "be", "te")
     emb = write_lexicon_rows(tmp_path / "merged.vec", 600, tags)
-    first, second = debias_at_each_thread_count(
-        tmp_path, ["--emb", emb, "--languages", ",".join(tags), *flags])
-    assert first == second
+    assert debias_at_each_thread_count(
+        tmp_path, ["--emb", emb, "--languages", ",".join(tags), *flags]) == DEBIAS_OUTPUTS
+
+
+@pytest.mark.parametrize("mode", ["align", "--inbias", "--xscore", "--exbias"])
+def test_align_and_report_outputs_do_not_depend_on_the_thread_count(tmp_path, mode):
+    # the align fit's product and SVD go through BLAS, whose sums a second thread reorders
+    out = tmp_path / "out"
+    out.mkdir()
+    if mode == "align":
+        outputs = [out / "aligned.vec", out / "merged.vec"]
+        argv = ["align", *align_rows(tmp_path, 500), "--precision", "17",
+                "--out", outputs[0], "--merged-out", outputs[1]]
+    else:
+        emb = write_lexicon_rows(tmp_path / "en.vec", 500)
+        outputs = [out / "report.json"]
+        argv = ["report", mode, "--emb", emb, "--languages", "en", "--json", outputs[0]]
+        if mode != "--xscore":
+            after = tmp_path / "after.vec"
+            assert run(["debias", "--emb", emb, "--languages", "en", "--out", after]) == 0
+            argv += ["--emb-after", after]
+        if mode == "--exbias":
+            argv += ["--corpus", write_bios(tmp_path), "--min-count", "10"]
+    outputs.append(f"{outputs[0]}.manifest.json")
+    code, _, err, files = same_at_each_thread_count(argv, outputs)
+    assert code == 0, err
+    assert sorted(files) == sorted(os.path.basename(path) for path in outputs)
+
+
+#: the CLI run in a process that loaded numpy first, so its BLAS pool is sized already
+PRELOADED = "import numpy\n" + CLI
+#: the same, in a process whose BLAS is taken to export no thread-count setter
+NO_SETTER = PRELOADED.replace("from debias_embed import cli\n",
+                              "from debias_embed import cli\ncli._BLAS_SETTERS = ()\n")
+
+
+def test_a_run_after_numpy_loaded_still_runs_blas_at_one_thread(tmp_path):
+    out = tmp_path / "aligned.vec"
+    argv = ["align", *align_rows(tmp_path, 500), "--precision", "17", "--out", out]
+    written = {}
+    for name, code in (("fresh", CLI), ("preloaded", PRELOADED), ("no setter", NO_SETTER)):
+        returncode, _, err = run_isolated(argv, 2, code=code, blas="2")
+        assert returncode == 0, err
+        written[name] = out.read_bytes()
+        out.unlink()
+    assert written["preloaded"] == written["fresh"]  # a second thread would reorder the fit's sums
+
+
+def space_without(tmp_path, name, words, en_vec):
+    """A copy of the ``.vec`` file ``en_vec`` less the rows of ``words``."""
+    lines = open(en_vec, "rb").read().splitlines(True)
+    kept = [line for line in lines[1:] if line.split(b" ", 1)[0].decode() not in words]
+    path = tmp_path / name
+    path.write_bytes(f"{len(kept)} {lines[0].split()[1].decode()}\n".encode() + b"".join(kept))
+    return path
+
+
+def test_the_exbias_fit_workers_warnings_are_logged_as_an_inline_run_logs_them(tmp_path, en_vec):
+    professions = builtin_lexicon().neutral_words["en"].professions
+    before = space_without(tmp_path, "before.vec", professions[:len(professions) // 4], en_vec)
+    after = space_without(tmp_path, "after.vec", professions[:len(professions) // 2], en_vec)
+    report = tmp_path / "report.json"
+    argv = ["report", "--exbias", "--emb", before, "--emb-after", after, "--languages", "en",
+            "--corpus", write_bios(tmp_path), "--min-count", "10", "--json", report]
+    code, _, err, files = same_at_each_thread_count(argv, [report, f"{report}.manifest.json"])
+    assert code == 0, err
+    warnings = files["report.json.manifest.json"]["warnings"]
+    assert err.splitlines() == [f"WARNING debias_embed.extrinsic: {w}" for w in warnings]
+    # each run's train then test records lose coverage, the before run's fewer
+    steps = [w.split(":")[0] for w in warnings]
+    assert steps == ["train_classifier", "featurize"] * 2
+    dropped = [int(w.split("dropped ")[1].split("/")[0]) for w in warnings]
+    assert dropped[0] < dropped[2] and dropped[1] < dropped[3]
+
+
+def test_an_exbias_after_space_without_a_corpus_token_fails_alike_at_each_thread_count(
+        tmp_path, en_vec):
+    professions = builtin_lexicon().neutral_words["en"].professions
+    after = space_without(tmp_path, "after.vec", professions, en_vec)
+    report = tmp_path / "report.json"
+    argv = ["report", "--exbias", "--emb", en_vec, "--emb-after", after, "--languages", "en",
+            "--corpus", write_bios(tmp_path), "--min-count", "10", "--json", report]
+    code, out, err, files = same_at_each_thread_count(argv, [report, f"{report}.manifest.json"])
+    assert (code, files) == (1, {})  # no output, no manifest
+    assert err.splitlines()[-1] == (
+        "debias-embed: no trainable record after coverage filtering")
+    assert err.splitlines()[-2].startswith(
+        "WARNING debias_embed.extrinsic: train_classifier: dropped 160/160 record(s)")
 
 
 def test_debias_is_the_same_inline_and_on_workers(tmp_path, monkeypatch, capsys):
